@@ -68,14 +68,19 @@ type Link struct {
 	p      *Peering
 	url    string
 	remote *vsr.VSR
+	// follow owns the cursor and feeds apply: Run on a background link,
+	// Pull on a manual one (PeerManual), whose owner drives it.
+	follow *vsr.Follower
+	ctx    context.Context // cancelled by stop
 	cancel context.CancelFunc
 	done   chan struct{}
-	// manual links (PeerManual) have no run goroutine; the owner drives
-	// them with Pull and Reconcile.
-	manual bool
+
+	// syncMu keeps delta application and snapshot reconciles, which run
+	// on different goroutines of a background link, from interleaving.
+	syncMu sync.Mutex
 
 	mu sync.Mutex
-	st Status
+	st Status // Cursor and CursorEpoch come from follow
 	// stopped marks a link the peering has detached. Replication calls
 	// arriving afterwards — an anti-entropy refresh racing an Unpeer, a
 	// simulation event scheduled before the unpeer landed — must not
@@ -96,14 +101,19 @@ func newLink(p *Peering, urls []string) *Link {
 	// credentials are inert and this degrades to the plain underlying
 	// transport (shared TCP, or an injected MemNet).
 	remote.SetDialer(p.dialerFor())
-	return &Link{
+	ctx, cancel := context.WithCancel(context.Background())
+	l := &Link{
 		p:        p,
 		url:      url,
 		remote:   remote,
+		ctx:      ctx,
+		cancel:   cancel,
 		done:     make(chan struct{}),
 		st:       Status{URL: url},
 		imported: make(map[string]string),
 	}
+	l.follow = remote.Follow(0, l.apply)
+	return l
 }
 
 // Status returns a snapshot of the link's condition.
@@ -111,9 +121,11 @@ func (l *Link) Status() Status {
 	l.p.mu.Lock()
 	d := l.p.dialer
 	l.p.mu.Unlock()
+	cursor, epoch := l.follow.Cursor()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.st
+	st.Cursor, st.CursorEpoch = cursor, epoch
 	st.Imported = len(l.imported)
 	if d != nil {
 		st.Proto = d.ProtocolFor(l.url)
@@ -124,19 +136,13 @@ func (l *Link) Status() Status {
 	return st
 }
 
-func (l *Link) start() {
-	ctx, cancel := context.WithCancel(context.Background())
-	l.cancel = cancel
-	go l.run(ctx)
-}
+func (l *Link) start() { go l.run() }
 
 // stop halts the link; withdraw additionally deletes everything it
 // imported (Unpeer wants the registry clean, Close leaves entries to
 // their TTL).
 func (l *Link) stop(withdraw bool) {
-	if l.cancel != nil {
-		l.cancel()
-	}
+	l.cancel()
 	<-l.done
 	l.mu.Lock()
 	l.stopped = true
@@ -155,39 +161,29 @@ func (l *Link) stop(withdraw bool) {
 	}
 }
 
-// run consumes the remote watch stream. vsr.Watch supplies the stream
-// lifecycle — Up on (re)connect, Down with the cause on failure, Resync
-// when the remote journal no longer covers our cursor — and this loop
-// folds those into replication: full reconciliation on Up/Resync,
-// incremental application otherwise. A periodic reconcile (anti-entropy)
-// refreshes imported TTLs even when the remote journal is quiet, and
-// repairs any divergence without waiting for a resync.
-func (l *Link) run(ctx context.Context) {
-	defer close(l.done)
-	ch, err := l.remote.Watch(ctx, 0)
-	if err != nil {
-		l.mu.Lock()
-		l.st.LastError = err.Error()
-		l.mu.Unlock()
-		return
-	}
+// run drives a background link: the follower applies the remote watch
+// while this goroutine runs the periodic reconcile (anti-entropy), which
+// refreshes imported TTLs even when the remote journal is quiet and
+// repairs divergence without waiting for a resync.
+func (l *Link) run() {
+	watching := make(chan struct{})
+	go func() {
+		defer close(watching)
+		l.follow.Run(l.ctx)
+	}()
+	defer func() { <-watching; close(l.done) }()
 	refresh := l.p.clock.NewTimer(l.refreshInterval())
 	defer refresh.Stop()
 	for {
 		select {
-		case <-ctx.Done():
+		case <-l.ctx.Done():
 			return
-		case d, ok := <-ch:
-			if !ok {
-				return
-			}
-			l.apply(ctx, d)
 		case <-refresh.C():
 			l.mu.Lock()
 			up := l.st.Connected
 			l.mu.Unlock()
 			if up {
-				l.reconcile(ctx)
+				l.Reconcile(l.ctx)
 			}
 			// Re-arm from the current TTL so a SetImportTTL after Peer
 			// keeps refresh cadence and entry lifetime coherent.
@@ -206,8 +202,14 @@ func (l *Link) refreshInterval() time.Duration {
 	return interval
 }
 
-// apply folds one watch delta into the local registry.
-func (l *Link) apply(ctx context.Context, d vsr.Delta) {
+// apply folds one watch delta into the local registry: the link's
+// policy on top of the follower's mechanism. Up and Resync fold into
+// replication as full reconciliation — on first contact and whenever the
+// remote journal no longer covers the cursor — and change deltas apply
+// incrementally.
+func (l *Link) apply(d vsr.Delta) {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	switch d.Op {
 	case vsr.DeltaUp:
 		l.mu.Lock()
@@ -232,7 +234,7 @@ func (l *Link) apply(ctx context.Context, d vsr.Delta) {
 		// with DeltaResync. That is what makes a durable peer's restart
 		// invisible here — no snapshot storm, just the journal tail.
 		if first {
-			l.reconcile(ctx)
+			l.resnap()
 		}
 	case vsr.DeltaDown:
 		l.mu.Lock()
@@ -255,42 +257,26 @@ func (l *Link) apply(ctx context.Context, d vsr.Delta) {
 		l.mu.Lock()
 		l.st.Resyncs++
 		l.mu.Unlock()
-		l.reconcile(ctx)
-		l.mu.Lock()
-		if d.Seq > l.st.Cursor {
-			l.st.Cursor = d.Seq
-		}
-		l.mu.Unlock()
+		l.resnap()
 	case vsr.DeltaAdd, vsr.DeltaUpdate:
-		if l.staleDelta(d.Seq) {
-			return
-		}
 		l.upsert(d.Remote)
 		l.mu.Lock()
-		l.st.Cursor = d.Seq
 		l.st.Applied++
 		l.mu.Unlock()
 	case vsr.DeltaDelete, vsr.DeltaExpire:
-		if l.staleDelta(d.Seq) {
-			return
-		}
 		l.drop(d.ServiceID)
 		l.mu.Lock()
-		l.st.Cursor = d.Seq
 		l.st.Applied++
 		l.mu.Unlock()
 	}
 }
 
-// staleDelta reports whether a change delta is already covered by the
-// cursor. Watch deltas queued before a reconcile can arrive after it:
-// the snapshot at sequence S subsumes every change ≤ S, so replaying one
-// would both regress the cursor and corrupt state — a stale delete
-// dropping an entry the snapshot just re-imported.
-func (l *Link) staleDelta(seq uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return seq <= l.st.Cursor
+// resnap reconciles inside the watch callback and raises the cursor to
+// the snapshot's position S, which subsumes every change ≤ S.
+func (l *Link) resnap() {
+	if seq, ok := l.reconcile(l.ctx); ok {
+		l.follow.Raise(seq)
+	}
 }
 
 // upsert registers (or refreshes) the scoped copy of one remote service.
@@ -353,14 +339,16 @@ func (l *Link) drop(remoteID string) {
 // of the remote export face, upserted entry by entry, followed by the
 // withdrawal of anything imported earlier that the snapshot no longer
 // contains. It runs on connect (the journal may predate us), on resync
-// (the journal skipped past us), and periodically as anti-entropy. A
-// failed snapshot changes nothing: imported entries keep serving until
-// TTL, exactly the degraded mode a broken watch causes.
-func (l *Link) reconcile(ctx context.Context) {
+// (the journal skipped past us), and periodically as anti-entropy. It
+// returns the journal position the snapshot reflects; ok is false when
+// nothing was reconciled. A failed snapshot changes nothing: imported
+// entries keep serving until TTL, exactly the degraded mode a broken
+// watch causes. Caller holds syncMu.
+func (l *Link) reconcile(ctx context.Context) (seq uint64, ok bool) {
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
-		return
+		return 0, false
 	}
 	l.mu.Unlock()
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
@@ -370,7 +358,7 @@ func (l *Link) reconcile(ctx context.Context) {
 		l.mu.Lock()
 		l.st.LastError = err.Error()
 		l.mu.Unlock()
-		return
+		return 0, false
 	}
 	seen := make(map[string]bool, len(remotes))
 	for _, r := range remotes {
@@ -385,61 +373,36 @@ func (l *Link) reconcile(ctx context.Context) {
 			delete(l.imported, remoteID)
 		}
 	}
-	if seq > l.st.Cursor {
-		l.st.Cursor = seq
-	}
 	l.st.LastSync = l.p.clock.Now()
 	l.mu.Unlock()
 	for _, key := range stale {
 		l.p.reg.Delete(key)
 	}
+	return seq, true
 }
 
-// Reconcile runs one snapshot reconciliation on a manual link (see
-// reconcile); the background link schedules its own.
-func (l *Link) Reconcile(ctx context.Context) { l.reconcile(ctx) }
+// Reconcile runs one anti-entropy snapshot reconciliation (see
+// reconcile); the background link schedules its own, a manual link's
+// owner calls it. It leaves the cursor where it is: a watch round
+// already in flight may still deliver deltas older than the snapshot,
+// and replaying those in journal order converges on the same state.
+func (l *Link) Reconcile(ctx context.Context) {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.reconcile(ctx)
+}
 
 // Pull drives one synchronous replication round on a manual link: a
-// single immediate watch probe against the remote export face, folded
-// through the same delta state machine the background link runs — Up on
-// first contact (with a full reconcile), Down on failure, Resync when
-// the remote journal has skipped past the cursor, then each pending
-// change in order. The returned error is the transport failure, if any;
-// link status degrades the same way a broken watch stream would.
+// single immediate watch probe against the remote export face, through
+// the same follower and callback the background link runs. The returned
+// error is the transport failure, if any; link status degrades the same
+// way a broken watch stream would.
 func (l *Link) Pull(ctx context.Context) error {
 	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
+	stopped := l.stopped
+	l.mu.Unlock()
+	if stopped {
 		return nil
 	}
-	since, sinceEpoch := l.st.Cursor, l.st.CursorEpoch
-	up := l.st.Connected
-	l.mu.Unlock()
-	deltas, next, nextEpoch, resync, err := l.remote.WatchOnceEpoch(ctx, since, sinceEpoch, 0)
-	if err != nil {
-		l.apply(ctx, vsr.Delta{Op: vsr.DeltaDown, Err: err})
-		return err
-	}
-	if !up {
-		l.apply(ctx, vsr.Delta{Op: vsr.DeltaUp, Seq: next})
-	}
-	if resync {
-		l.apply(ctx, vsr.Delta{Op: vsr.DeltaResync, Seq: next})
-	}
-	for _, d := range deltas {
-		l.apply(ctx, d)
-	}
-	// An empty or fully filtered round still advances the cursor, exactly
-	// as the background watch loop advances `since`. A round that crossed
-	// into a newer epoch adopts next even when it sits below the old
-	// cursor: the remote failed over, and next is the promoted replica's
-	// shared-history replay point, not a stale answer.
-	l.mu.Lock()
-	if nextEpoch > l.st.CursorEpoch {
-		l.st.Cursor, l.st.CursorEpoch = next, nextEpoch
-	} else if next > l.st.Cursor {
-		l.st.Cursor = next
-	}
-	l.mu.Unlock()
-	return nil
+	return l.follow.Step(ctx, 0)
 }

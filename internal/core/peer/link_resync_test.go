@@ -7,6 +7,7 @@ package peer
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -98,45 +99,48 @@ func TestManualLinkPullReplicates(t *testing.T) {
 	}
 }
 
-// TestStaleDeltasAfterReconcile drives the race the background link is
-// exposed to: watch deltas buffered in the channel before a reconcile
-// land after the snapshot has already advanced the cursor. Replaying
-// them must neither regress the cursor nor undo snapshot state — the
-// historical failure was a stale delete dropping an entry the snapshot
-// had just re-imported.
+// TestStaleDeltasAfterReconcile drives the race a link is exposed to:
+// a watch round fetched before a snapshot reconcile delivers deltas the
+// snapshot has already covered. Replaying them must neither regress the
+// cursor nor undo snapshot state — the historical failure was a stale
+// delete dropping an entry the snapshot had just re-imported. The stale
+// round is scripted: after the first pull, the exporter answers the next
+// watch round with a single delta placed relative to the cursor c.
 func TestStaleDeltasAfterReconcile(t *testing.T) {
 	const svc = "jini:laserdisc-1"
+	// round renders a watch answer carrying one identity-only journal
+	// record, as the exporter would have served it when its journal
+	// stood at seq.
+	round := func(op string, seq uint64) string {
+		return fmt.Sprintf(`<changeList next="%d" resync="false" epoch="0">`+
+			`<change seq="%d" op="%s" serviceKey="uuid:svc-%s" name="%s"/></changeList>`,
+			seq, seq, op, svc, svc)
+	}
 	cases := []struct {
 		name string
-		// delta built against the post-reconcile cursor c.
-		delta        func(c uint64) vsr.Delta
+		// round built against the post-reconcile cursor c.
+		round        func(c uint64) string
 		wantImported bool
 		wantCursorAt func(c uint64) uint64
 		wantApplied  uint64
 	}{
 		{
-			name: "stale delete is skipped",
-			delta: func(c uint64) vsr.Delta {
-				return vsr.Delta{Op: vsr.DeltaDelete, Seq: c - 1, ServiceID: svc}
-			},
+			name:         "stale delete is skipped",
+			round:        func(c uint64) string { return round("delete", c-1) },
 			wantImported: true,
 			wantCursorAt: func(c uint64) uint64 { return c },
 			wantApplied:  0,
 		},
 		{
-			name: "delta at the cursor is skipped",
-			delta: func(c uint64) vsr.Delta {
-				return vsr.Delta{Op: vsr.DeltaExpire, Seq: c, ServiceID: svc}
-			},
+			name:         "delta at the cursor is skipped",
+			round:        func(c uint64) string { return round("expire", c) },
 			wantImported: true,
 			wantCursorAt: func(c uint64) uint64 { return c },
 			wantApplied:  0,
 		},
 		{
-			name: "fresh delete applies and advances",
-			delta: func(c uint64) vsr.Delta {
-				return vsr.Delta{Op: vsr.DeltaDelete, Seq: c + 1, ServiceID: svc}
-			},
+			name:         "fresh delete applies and advances",
+			round:        func(c uint64) string { return round("delete", c+1) },
 			wantImported: false,
 			wantCursorAt: func(c uint64) uint64 { return c + 1 },
 			wantApplied:  1,
@@ -145,13 +149,20 @@ func TestStaleDeltasAfterReconcile(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			f := newMemFixture(t)
+			remote := newScriptedRemote(f.srvB.Handler())
+			f.net.Handle("home-b", remote)
+			// Two records, so the cursor sits past the first one.
+			f.export(t, "x10:lamp-1")
 			f.export(t, svc)
 			if err := f.link.Pull(context.Background()); err != nil {
 				t.Fatalf("pull: %v", err)
 			}
 			cur := f.link.Status().Cursor
 			applied := f.link.Status().Applied
-			f.link.apply(context.Background(), c.delta(cur))
+			remote.cannedWatch(c.round(cur))
+			if err := f.link.Pull(context.Background()); err != nil {
+				t.Fatalf("scripted pull: %v", err)
+			}
 			st := f.link.Status()
 			if got := f.imported(t, svc); got != c.wantImported {
 				t.Errorf("imported = %v, want %v", got, c.wantImported)

@@ -13,7 +13,7 @@
 //     by an export Policy and stamped with the home's name. Entries that
 //     were themselves imported from a peer are never re-exported, keeping
 //     federation one-hop.
-//   - Import: one Link per remote peer, a vsr.Watch consumer of the
+//   - Import: one Link per remote peer, a vsr.Follower consumer of the
 //     remote's export face. The remote journal's sequence number is the
 //     replication cursor; every admitted change is re-registered in the
 //     local registry under a home-scoped ID ("home-a/jini:laserdisc-1")
@@ -382,7 +382,6 @@ func (p *Peering) addLink(urls []string, manual bool) (*Link, error) {
 	}
 	l := newLink(p, urls)
 	if manual {
-		l.manual = true
 		close(l.done) // no run loop for stop to wait on
 		p.links[url] = l
 		return l, nil

@@ -120,9 +120,6 @@ type VSG struct {
 	// base is the URL authority for a detached gateway (StartDetached) —
 	// a virtual hostname on an in-memory network, no listener.
 	base string
-	// watchSince is the manual watch cursor (PumpWatch); unused while the
-	// background watch loop runs.
-	watchSince uint64
 
 	mu      sync.Mutex
 	exports map[string]*export
@@ -438,9 +435,10 @@ func (g *VSG) Start(addr string) error {
 // StartDetached brings the gateway up with no TCP listener and no
 // background loops: its wire faces are the returned handler (registered
 // on an in-memory network under base, e.g. "home-17-jini"), exports
-// refresh only when the owner calls RefreshExports, and the repository
-// watch advances only through PumpWatch. The deterministic simulation
-// drives both from its event loop, so nothing here ticks on its own.
+// refresh only when the owner calls RefreshExports, and no repository
+// watch runs, so the resolve cache is bounded by its TTL. The
+// deterministic simulation drives refreshes from its event loop, so
+// nothing here ticks on its own.
 // The gateway still joins the in-process loopback registry: same-home
 // loopback dispatch is one of the paths under measurement.
 func (g *VSG) StartDetached(base string) http.Handler {
@@ -705,33 +703,6 @@ func (g *VSG) RefreshExports(ctx context.Context) error {
 	return roundErr
 }
 
-// PumpWatch performs one synchronous watch round against the repository
-// — an immediate probe, no parked poll — and folds any pending deltas
-// into the resolve cache through the same state machine the background
-// watch loop runs. The manual counterpart of watchLoop, for detached
-// gateways on a simulation event loop.
-func (g *VSG) PumpWatch(ctx context.Context) error {
-	deltas, next, resync, err := g.vsr.WatchOnce(ctx, g.watchSince, 0)
-	if err != nil {
-		g.applyDelta(vsr.Delta{Op: vsr.DeltaDown, Err: err})
-		return err
-	}
-	g.mu.Lock()
-	up := g.watchUp
-	g.mu.Unlock()
-	if !up {
-		g.applyDelta(vsr.Delta{Op: vsr.DeltaUp, Seq: next})
-	}
-	if resync {
-		g.applyDelta(vsr.Delta{Op: vsr.DeltaResync, Seq: next})
-	}
-	for _, d := range deltas {
-		g.applyDelta(d)
-	}
-	g.watchSince = next
-	return nil
-}
-
 // watchLoop consumes the repository's change stream and keeps the resolve
 // cache exact: updates rewrite cached endpoints in place (a re-homed
 // service is callable again as soon as the delta lands), deletions and
@@ -739,13 +710,7 @@ func (g *VSG) PumpWatch(ctx context.Context) error {
 // cache to its TTL fallback.
 func (g *VSG) watchLoop(ctx context.Context) {
 	defer close(g.watchDone)
-	ch, err := g.vsr.Watch(ctx, 0)
-	if err != nil {
-		return
-	}
-	for d := range ch {
-		g.applyDelta(d)
-	}
+	g.vsr.Follow(0, g.applyDelta).Run(ctx)
 }
 
 // applyDelta folds one repository notification into the gateway's state.

@@ -295,127 +295,30 @@ type Delta struct {
 	Err error
 }
 
-// watchPollTimeout is how long each long-poll round parks at the
-// repository before returning empty.
-const watchPollTimeout = 10 * time.Second
-
-// watchRetryDelay spaces retries while the repository is unreachable.
-const watchRetryDelay = 500 * time.Millisecond
-
 // Watch streams repository changes with sequence numbers greater than
-// since. The channel delivers change deltas in order, interleaved with
-// stream-state deltas (Up/Down/Resync); it closes when ctx is cancelled.
-// The first successful round trip emits DeltaUp immediately, so consumers
-// learn the stream is live without waiting out a long-poll.
+// since: a channel adapter over a background Follower. The channel
+// delivers change deltas in order, interleaved with stream-state deltas
+// (Up/Down/Resync); it closes when ctx is cancelled. The first successful
+// round trip emits DeltaUp immediately, so consumers learn the stream is
+// live without waiting out a long-poll.
 func (v *VSR) Watch(ctx context.Context, since uint64) (<-chan Delta, error) {
-	if v.client.URL == "" {
+	if v.client.URL == "" && v.client.Resolver == nil {
 		return nil, fmt.Errorf("vsr: watch: no repository URL")
 	}
+	// The buffer absorbs one round's burst of deltas, so a briefly busy
+	// reader does not hold the next long-poll back.
 	ch := make(chan Delta, 64)
-	go v.watchLoop(ctx, since, ch)
-	return ch, nil
-}
-
-func (v *VSR) watchLoop(ctx context.Context, since uint64, ch chan<- Delta) {
-	defer close(ch)
-	send := func(d Delta) bool {
+	f := v.Follow(since, func(d Delta) {
 		select {
 		case ch <- d:
-			return true
 		case <-ctx.Done():
-			return false
 		}
-	}
-	up := false
-	downErr := ""
-	// sinceEpoch tracks which leader regime handed out the cursor; across
-	// a repository failover the promoted replica uses it to replay shared
-	// history instead of demanding a resync.
-	var sinceEpoch uint64
-	for ctx.Err() == nil {
-		timeout := watchPollTimeout
-		if !up {
-			// Probe with an immediate round so DeltaUp (or Down) arrives
-			// fast; only steady-state rounds park at the repository.
-			timeout = 0
-		}
-		changes, next, nextEpoch, resync, err := v.client.WatchEpoch(ctx, since, sinceEpoch, timeout)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			// Notify on the up→down transition and whenever the failure
-			// changes — including a stream that never came up at all (a
-			// repository that refuses this watcher's credentials must
-			// surface as Down, not as silence).
-			if up || downErr != err.Error() {
-				up = false
-				downErr = err.Error()
-				if !send(Delta{Op: DeltaDown, Err: err}) {
-					return
-				}
-			}
-			select {
-			case <-time.After(watchRetryDelay):
-			case <-ctx.Done():
-				return
-			}
-			continue
-		}
-		downErr = ""
-		if !up {
-			up = true
-			if !send(Delta{Op: DeltaUp, Seq: next}) {
-				return
-			}
-		}
-		if resync {
-			if !send(Delta{Op: DeltaResync, Seq: next}) {
-				return
-			}
-		}
-		for _, c := range changes {
-			d, ok := deltaFromChange(c)
-			if !ok {
-				continue
-			}
-			if !send(d) {
-				return
-			}
-		}
-		since, sinceEpoch = next, nextEpoch
-	}
-}
-
-// WatchOnce performs a single watch round trip: change deltas after
-// since, parking server-side up to timeout (zero probes and returns
-// immediately). next is the cursor to resume from; resync means the
-// journal no longer covers since and the caller must reconcile. This is
-// the synchronous primitive under Watch's streaming loop — and what the
-// deterministic simulation drives directly, one round per scheduled
-// event, with no goroutine or parked poll in the path.
-func (v *VSR) WatchOnce(ctx context.Context, since uint64, timeout time.Duration) (deltas []Delta, next uint64, resync bool, err error) {
-	deltas, next, _, resync, err = v.WatchOnceEpoch(ctx, since, 0, timeout)
-	return deltas, next, resync, err
-}
-
-// WatchOnceEpoch is WatchOnce carrying the replication epoch the cursor
-// came from and returning the repository's current one (see
-// uddi.Client.WatchEpoch). Callers that persist their cursor across
-// repository failovers — the peer import link above all — resume with the
-// returned epoch, and must adopt next even when it sits below the old
-// cursor: under a newer epoch it is the shared-history replay point.
-func (v *VSR) WatchOnceEpoch(ctx context.Context, since, sinceEpoch uint64, timeout time.Duration) (deltas []Delta, next, nextEpoch uint64, resync bool, err error) {
-	changes, next, nextEpoch, resync, err := v.client.WatchEpoch(ctx, since, sinceEpoch, timeout)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	for _, c := range changes {
-		if d, ok := deltaFromChange(c); ok {
-			deltas = append(deltas, d)
-		}
-	}
-	return deltas, next, nextEpoch, resync, nil
+	})
+	go func() {
+		defer close(ch)
+		f.Run(ctx)
+	}()
+	return ch, nil
 }
 
 // deltaFromChange maps a registry journal record to a federation delta.

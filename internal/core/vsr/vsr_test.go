@@ -342,3 +342,70 @@ func TestRegisterAll(t *testing.T) {
 		t.Error("invalid description accepted in batch")
 	}
 }
+
+// TestFollowerStep drives the follower one round at a time: Up with the
+// first round, each change once, a single Down for a repeated failure —
+// and, across an in-place epoch bump, a change numbered at the cursor
+// that the new regime's replay must still deliver.
+func TestFollowerStep(t *testing.T) {
+	srv, v := newVSR(t)
+	ctx := context.Background()
+	if err := srv.Registry().SetEpoch(1, srv.URL()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	f := v.Follow(0, func(d Delta) { got = append(got, string(d.Op)+" "+d.ServiceID) })
+	step := func(wantErr bool) {
+		t.Helper()
+		if err := f.Step(ctx, 0); (err != nil) != wantErr {
+			t.Fatalf("step: err = %v, want error %v", err, wantErr)
+		}
+	}
+	if _, err := v.Register(ctx, lampDesc(), "http://h/1"); err != nil {
+		t.Fatal(err)
+	}
+	step(false)
+	step(false)
+	if seq, epoch := f.Cursor(); seq != 1 || epoch != 1 {
+		t.Fatalf("cursor = (%d, %d), want (1, 1)", seq, epoch)
+	}
+
+	// A snapshot raised the cursor to 2 in epoch 1; then the repository
+	// moves to epoch 2 at seq 1, and its seq 2 is a record the old cursor
+	// never covered.
+	f.Raise(2)
+	if err := srv.Registry().SetEpoch(2, srv.URL()); err != nil {
+		t.Fatal(err)
+	}
+	vcr := lampDesc()
+	vcr.ID = "jini:vcr-1"
+	if _, err := v.Register(ctx, vcr, "http://h/2"); err != nil {
+		t.Fatal(err)
+	}
+	step(false)
+	if seq, epoch := f.Cursor(); seq != 2 || epoch != 2 {
+		t.Fatalf("cursor after the epoch bump = (%d, %d), want (2, 2)", seq, epoch)
+	}
+
+	want := []string{"up ", "add jini:lamp-1", "add jini:vcr-1"}
+	if len(got) != len(want) {
+		t.Fatalf("deltas = %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("deltas = %q, want %q", got, want)
+		}
+	}
+
+	// The first failure may read differently from the later ones (a
+	// pooled connection dies before the dial is refused); once the
+	// failure repeats unchanged, it is not reported again.
+	srv.Close()
+	step(true)
+	step(true)
+	n := len(got)
+	step(true)
+	if n == len(want) || len(got) != n || got[len(want)] != "down " {
+		t.Fatalf("deltas after the repository died = %q, want Down once per distinct failure", got[len(want):])
+	}
+}

@@ -221,14 +221,37 @@ func (d *Dialer) Exchange(ctx context.Context, rawURL, contentType, action strin
 	res, err := l.exchange(ctx, path, contentType, action, body)
 	if err != nil {
 		l.discard()
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("transport: binary exchange: %w", ctx.Err())
+		if cerr := callerErr(ctx, err); cerr != nil {
+			return nil, fmt.Errorf("transport: binary exchange: %w", cerr)
 		}
 		d.downgrade(st)
 		return nil, fmt.Errorf("%w: %v", ErrBinaryUnavailable, err)
 	}
-	d.release(st, l)
+	if l.interrupted {
+		// The cancellation hook fired after the exchange finished: it may
+		// have left a past deadline on the socket, so the link cannot be
+		// pooled.
+		l.discard()
+	} else {
+		d.release(st, l)
+	}
 	return res, nil
+}
+
+// callerErr reports a failed exchange that is the caller's own doing:
+// a cancelled context, or a network timeout at or past the context's
+// deadline. The socket carries the context's deadline, and its i/o
+// timeout usually fires a moment before the context's own timer does;
+// either way the link did nothing wrong and must not be downgraded.
+func callerErr(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	var ne net.Error
+	if dl, ok := ctx.Deadline(); ok && errors.As(err, &ne) && ne.Timeout() && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // acquire pops an idle link for the authority or negotiates a new one.
@@ -437,6 +460,9 @@ type binLink struct {
 	buf  []byte   // readFrame buffer, reused across exchanges
 	enc  []byte   // encoded request payload scratch (conn path)
 	wbuf []byte   // framed request scratch (conn path)
+	// interrupted marks a conn whose cancellation hook ran (or may still
+	// run) after its exchange: its deadline is no longer ours to trust.
+	interrupted bool
 }
 
 // copyBody detaches a response body from the link's reusable buffers
@@ -502,8 +528,19 @@ func (l *binLink) exchangeConn(ctx context.Context, path, contentType, action st
 		l.conn.SetDeadline(deadline)
 		defer l.conn.SetDeadline(time.Time{})
 	}
-	stop := watchCtx(ctx, l.conn)
-	defer stop()
+	// Interrupt a blocked read or write when ctx is cancelled. If the
+	// hook has already started by the time the exchange is done, it can
+	// land a past deadline after the deferred reset: mark the link instead
+	// of pooling it.
+	if ctx.Done() != nil {
+		conn := l.conn
+		stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+		defer func() {
+			if !stop() {
+				l.interrupted = true
+			}
+		}()
+	}
 	ctr := l.sess.peekSendCtr()
 	l.enc = encodeRequest(l.enc[:0], l.sess, path, contentType, action, body)
 	l.wbuf = appendFrame(l.wbuf[:0], l.enc)
@@ -568,21 +605,4 @@ func (l *binLink) discard() {
 		l.conn.Close()
 		l.conn = nil
 	}
-}
-
-// watchCtx interrupts a blocking conn read/write when ctx is canceled;
-// the returned stop must be called when the exchange completes.
-func watchCtx(ctx context.Context, conn net.Conn) (stop func()) {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.SetDeadline(time.Unix(1, 0)) // unblock immediately
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
 }
