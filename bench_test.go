@@ -498,6 +498,53 @@ func BenchmarkBootReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistryFind measures one in-process registry inquiry, the
+// work behind every uncached gateway resolve, at two registry sizes:
+// by service ID (the homeconnect.id category vsr.Lookup sends; one hit)
+// and by middleware (a quarter of the registry). Find probes each
+// shard's category postings, so by-ID cost stays flat as the registry
+// grows; a regression to a full scan grows it with the entry count.
+func BenchmarkRegistryFind(b *testing.B) {
+	middlewares := []string{"jini", "havi", "upnp", "x10"}
+	for _, n := range []int{1024, 4096} {
+		reg := uddi.NewManualServer()
+		b.Cleanup(reg.Close)
+		for i := 0; i < n; i++ {
+			e := benchRegistryEntry()
+			mw := middlewares[i%len(middlewares)]
+			e.Name = fmt.Sprintf("%s:dev-%d", mw, i)
+			e.Categories = map[string]string{
+				"homeconnect.id":         e.Name,
+				"homeconnect.middleware": mw,
+				"room":                   "den",
+			}
+			reg.Save(e, time.Hour)
+		}
+		byID := make([]uddi.Query, n)
+		for i := range byID {
+			id := fmt.Sprintf("%s:dev-%d", middlewares[i%len(middlewares)], i)
+			byID[i] = uddi.Query{Categories: map[string]string{"homeconnect.id": id}}
+		}
+		b.Run(fmt.Sprintf("n=%d/by-id", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := reg.Find(byID[i%n]); len(got) != 1 {
+					b.Fatalf("find %v = %d entries", byID[i%n].Categories, len(got))
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/by-middleware", n), func(b *testing.B) {
+			q := uddi.Query{Categories: map[string]string{"homeconnect.middleware": "havi"}}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := reg.Find(q); len(got) != n/len(middlewares) {
+					b.Fatalf("find by middleware = %d entries, want %d", len(got), n/len(middlewares))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRMISimRoundTrip is the binary-protocol baseline for E6: the
 // same echo shape over the Jini RMI simulation.
 func BenchmarkRMISimRoundTrip(b *testing.B) {

@@ -599,7 +599,7 @@ func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 			if r.err != nil {
 				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
 			}
-			// Journal position read before the scan, as in handleFind: the
+			// Journal position read before Find, as in handleFind: the
 			// fence clients use against concurrent mutations.
 			seq := s.Seq()
 			entries := s.Find(q)

@@ -266,9 +266,9 @@ func (s *Server) ApplyReplicated(c Change) error {
 	sh.mu.Lock()
 	switch c.Op {
 	case OpAdd, OpUpdate:
-		sh.entries[c.Entry.Key] = &record{entry: c.Entry.Clone(), expires: c.Expires}
+		sh.put(&record{entry: c.Entry.Clone(), expires: c.Expires})
 	case OpDelete, OpExpire:
-		delete(sh.entries, c.Entry.Key)
+		sh.remove(c.Entry.Key)
 	default:
 		sh.mu.Unlock()
 		return fmt.Errorf("uddi: unknown replicated op %q", c.Op)
@@ -326,14 +326,10 @@ func (s *Server) ApplyReplicatedState(entries []Entry, deadlines []time.Time, se
 		s.shards[i].mu.Lock()
 	}
 	for i := range s.shards {
-		m := s.shards[i].entries
-		for k := range m {
-			delete(m, k)
-		}
+		s.shards[i].reset()
 	}
 	for i, e := range entries {
-		sh := s.shardFor(e.Key)
-		sh.entries[e.Key] = &record{entry: e.Clone(), expires: deadlines[i]}
+		s.shardFor(e.Key).put(&record{entry: e.Clone(), expires: deadlines[i]})
 	}
 	s.jmu.Lock()
 	s.seq = seq

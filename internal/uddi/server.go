@@ -98,14 +98,96 @@ type Server struct {
 	stop     chan struct{}
 }
 
+// shard is one slice of the index. Every write to entries goes through
+// put, remove or reset, which keep postings in step under mu.
 type shard struct {
 	mu      sync.RWMutex
 	entries map[string]*record
+	// postings maps each category pair carried by some entry to the
+	// records carrying it, keyed by service key — what lets Find probe a
+	// handful of candidates instead of reading every entry.
+	postings map[catPair]map[string]*record
 }
+
+// catPair is one category (key, value). A struct, not a joined string,
+// so no byte in a key or value can make two pairs collide.
+type catPair struct{ key, value string }
 
 type record struct {
 	entry   Entry
 	expires time.Time
+}
+
+// put installs rec under its entry's key, replacing any previous record.
+// Caller holds sh.mu for writing.
+func (sh *shard) put(rec *record) {
+	key := rec.entry.Key
+	if old, ok := sh.entries[key]; ok {
+		// Only the pairs the new bag drops leave their postings: a renewal
+		// keeps its categories, and just repoints them below.
+		for k, v := range old.entry.Categories {
+			if nv, ok := rec.entry.Categories[k]; !ok || nv != v {
+				sh.unpost(catPair{k, v}, key)
+			}
+		}
+	}
+	sh.entries[key] = rec
+	for k, v := range rec.entry.Categories {
+		p := catPair{k, v}
+		set := sh.postings[p]
+		if set == nil {
+			set = make(map[string]*record, 1)
+			sh.postings[p] = set
+		}
+		set[key] = rec
+	}
+}
+
+// remove deletes key's record, reporting it if there was one. Caller
+// holds sh.mu for writing.
+func (sh *shard) remove(key string) (*record, bool) {
+	rec, ok := sh.entries[key]
+	if ok {
+		for k, v := range rec.entry.Categories {
+			sh.unpost(catPair{k, v}, key)
+		}
+		delete(sh.entries, key)
+	}
+	return rec, ok
+}
+
+// unpost drops key from p's posting, and the posting once it is empty.
+func (sh *shard) unpost(p catPair, key string) {
+	set := sh.postings[p]
+	delete(set, key)
+	if len(set) == 0 {
+		delete(sh.postings, p)
+	}
+}
+
+// reset empties the shard. Caller holds sh.mu for writing (or owns the
+// server exclusively, as at construction).
+func (sh *shard) reset() {
+	sh.entries = make(map[string]*record)
+	sh.postings = make(map[catPair]map[string]*record)
+}
+
+// candidates returns the records that can satisfy q: the smallest posting
+// among q's categories, or every entry when q names none. A category with
+// an empty value also matches entries lacking the key (see Query.Matches),
+// so it narrows nothing. Caller holds sh.mu for reading and still decides
+// each candidate with Matches.
+func (sh *shard) candidates(q Query) map[string]*record {
+	cands := sh.entries
+	for k, v := range q.Categories {
+		if v == "" {
+			continue
+		}
+		if p := sh.postings[catPair{k, v}]; len(p) < len(cands) {
+			cands = p
+		}
+	}
+	return cands
 }
 
 // NewServer returns an empty registry and starts its expiry janitor;
@@ -128,7 +210,7 @@ func NewManualServer() *Server {
 	}
 	s.nowFn.Store(time.Now)
 	for i := range s.shards {
-		s.shards[i].entries = make(map[string]*record)
+		s.shards[i].reset()
 	}
 	return s
 }
@@ -284,7 +366,7 @@ func (s *Server) expireSweep() {
 		sh.mu.Lock()
 		for key, rec := range sh.entries {
 			if now.After(rec.expires) {
-				delete(sh.entries, key)
+				sh.remove(key)
 				s.appendChange(OpExpire, rec.entry, time.Time{})
 				s.auditEvent(audit.Event{Type: audit.Expire, Service: rec.entry.Name,
 					Detail: "registration TTL lapsed (gateway went silent)"})
@@ -316,7 +398,7 @@ func (s *Server) Save(e Entry, ttl time.Duration) string {
 		}
 	}
 	deadline := s.now().Add(ttl)
-	sh.entries[e.Key] = &record{entry: e.Clone(), expires: deadline}
+	sh.put(&record{entry: e.Clone(), expires: deadline})
 	s.appendChange(op, e, deadline)
 	sh.mu.Unlock()
 	if rehomedFrom != "" {
@@ -342,8 +424,7 @@ func (s *Server) SaveAll(entries []Entry, ttl time.Duration) []string {
 func (s *Server) Delete(key string) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	if rec, ok := sh.entries[key]; ok {
-		delete(sh.entries, key)
+	if rec, ok := sh.remove(key); ok {
 		s.shardOps[shardIndex(key)].Add(1)
 		s.appendChange(OpDelete, rec.entry, time.Time{})
 	}
@@ -364,19 +445,21 @@ func (s *Server) Get(key string) (Entry, bool) {
 
 // Find returns unexpired entries matching q, ordered by name then key for
 // determinism. Expired entries are skipped (the janitor deletes and
-// journals them).
+// journals them). Each shard is probed through its category postings;
+// only a query without categories reads every entry.
 func (s *Server) Find(q Query) []Entry {
 	s.finds.Add(1)
 	now := s.now()
+	m := q.matcher()
 	var out []Entry
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, rec := range sh.entries {
+		for _, rec := range sh.candidates(q) {
 			if now.After(rec.expires) {
 				continue
 			}
-			if q.Matches(rec.entry) {
+			if m.matches(rec.entry) {
 				out = append(out, rec.entry.Clone())
 			}
 		}
@@ -752,8 +835,8 @@ func (s *Server) handleFind(w http.ResponseWriter, root *xmltree.Element, view V
 		}
 		q.Categories[c.Attr("keyName")] = c.Attr("keyValue")
 	}
-	// Journal position read before the scan: any change the scan might
-	// have missed has a higher sequence number, so clients can fence
+	// Journal position read before Find: any change Find might have
+	// missed has a higher sequence number, so clients can fence
 	// cache fills against concurrent mutations.
 	seq := s.Seq()
 	entries := s.Find(q)

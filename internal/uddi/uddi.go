@@ -73,15 +73,33 @@ type Query struct {
 	Categories map[string]string
 }
 
-// Matches reports whether the entry satisfies the query.
-func (q Query) Matches(e Entry) bool {
-	if q.Name != "" && !globMatch(q.Name, e.Name) {
+// Matches reports whether the entry satisfies the query. Note that a
+// category with an empty value also matches entries lacking that key.
+func (q Query) Matches(e Entry) bool { return q.matcher().matches(e) }
+
+// matcher is a Query prepared for testing many entries: Find builds one
+// per inquiry, so the name pattern is split once, not once per entry.
+type matcher struct {
+	q    Query
+	name namePattern // nil when q.Name is empty (any name)
+}
+
+func (q Query) matcher() matcher {
+	m := matcher{q: q}
+	if q.Name != "" {
+		m.name = compileName(q.Name)
+	}
+	return m
+}
+
+func (m matcher) matches(e Entry) bool {
+	if m.name != nil && !m.name.match(e.Name) {
 		return false
 	}
-	if q.TModel != "" && q.TModel != e.TModel {
+	if m.q.TModel != "" && m.q.TModel != e.TModel {
 		return false
 	}
-	for k, v := range q.Categories {
+	for k, v := range m.q.Categories {
 		if e.Categories[k] != v {
 			return false
 		}
@@ -89,26 +107,29 @@ func (q Query) Matches(e Entry) bool {
 	return true
 }
 
-// globMatch implements UDDI-style '%' wildcards (match any run, including
-// empty). Matching is case-sensitive, like UDDI's exactNameMatch qualifier
-// combined with wildcards.
-func globMatch(pattern, s string) bool {
-	parts := strings.Split(pattern, "%")
-	if len(parts) == 1 {
-		return pattern == s
+// namePattern is a name pattern split on its UDDI-style '%' wildcards
+// (each matches any run, including empty). Matching is case-sensitive,
+// like UDDI's exactNameMatch qualifier combined with wildcards.
+type namePattern []string
+
+func compileName(pattern string) namePattern { return strings.Split(pattern, "%") }
+
+func (p namePattern) match(s string) bool {
+	if len(p) == 1 {
+		return p[0] == s
 	}
-	if !strings.HasPrefix(s, parts[0]) {
+	if !strings.HasPrefix(s, p[0]) {
 		return false
 	}
-	s = s[len(parts[0]):]
-	for i := 1; i < len(parts)-1; i++ {
-		idx := strings.Index(s, parts[i])
+	s = s[len(p[0]):]
+	for _, part := range p[1 : len(p)-1] {
+		idx := strings.Index(s, part)
 		if idx < 0 {
 			return false
 		}
-		s = s[idx+len(parts[i]):]
+		s = s[idx+len(part):]
 	}
-	return strings.HasSuffix(s, parts[len(parts)-1])
+	return strings.HasSuffix(s, p[len(p)-1])
 }
 
 // NewKey returns a fresh random service key ("uuid:" + 32 hex digits).

@@ -2,6 +2,7 @@ package uddi
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -35,13 +36,47 @@ func TestGlobMatch(t *testing.T) {
 		{"%", "anything", true},
 		{"a%b%c", "aXXbYYc", true},
 		{"a%b%c", "acb", false},
+		{"a%b%c", "abc", true},
+		{"a%b%c", "abcX", false},
+		{"a%", "a", true},
+		{"a%", "ba", false},
+		{"%b", "b", true},
+		{"%b", "bX", false},
+		{"ab%b", "ab", false},
 		{"", "", true},
 		{"", "x", false},
 	}
 	for _, tt := range tests {
-		if got := globMatch(tt.pattern, tt.s); got != tt.want {
-			t.Errorf("globMatch(%q, %q) = %v, want %v", tt.pattern, tt.s, got, tt.want)
+		if got := compileName(tt.pattern).match(tt.s); got != tt.want {
+			t.Errorf("compileName(%q).match(%q) = %v, want %v", tt.pattern, tt.s, got, tt.want)
 		}
+		// Through the query: an empty Name is "any name", every other
+		// pattern decides exactly as compiled.
+		want := tt.want || tt.pattern == ""
+		if got := (Query{Name: tt.pattern}).Matches(Entry{Name: tt.s}); got != want {
+			t.Errorf("Query{Name: %q}.Matches(%q) = %v, want %v", tt.pattern, tt.s, got, want)
+		}
+	}
+}
+
+// TestFindCompilesNamePatternOnce pins the per-inquiry cost of a wildcard
+// Name: the pattern is split once per Find, not once per entry, so the
+// allocations of a Find that matches nothing do not grow with the
+// registry.
+func TestFindCompilesNamePatternOnce(t *testing.T) {
+	s := NewManualServer()
+	allocs := func() float64 {
+		return testing.AllocsPerRun(20, func() { s.Find(Query{Name: "nomatch%here%"}) })
+	}
+	for i := 0; i < 16; i++ {
+		s.Save(Entry{Name: fmt.Sprintf("svc-%d", i)}, time.Minute)
+	}
+	small := allocs()
+	for i := 16; i < 512; i++ {
+		s.Save(Entry{Name: fmt.Sprintf("svc-%d", i)}, time.Minute)
+	}
+	if large := allocs(); large > small {
+		t.Fatalf("wildcard Find allocs grew with the registry: %v at 16 entries, %v at 512", small, large)
 	}
 }
 

@@ -285,8 +285,7 @@ func (s *Server) recover(w *wal) error {
 			continue
 		}
 		for j, e := range entries {
-			sh := s.shardFor(e.Key)
-			sh.entries[e.Key] = &record{entry: e, expires: deadlines[j]}
+			s.shardFor(e.Key).put(&record{entry: e, expires: deadlines[j]})
 		}
 		s.epoch, s.epochLeader = epoch, leader
 		w.snapSeq, w.haveSnap = seq, true
@@ -433,9 +432,9 @@ func (s *Server) applyRecovered(rec walRecord) {
 	sh := s.shardFor(rec.entry.Key)
 	switch rec.op {
 	case opWALAdd, opWALUpdate:
-		sh.entries[rec.entry.Key] = &record{entry: rec.entry, expires: rec.expires}
+		sh.put(&record{entry: rec.entry, expires: rec.expires})
 	case opWALDelete, opWALExpire:
-		delete(sh.entries, rec.entry.Key)
+		sh.remove(rec.entry.Key)
 	}
 	s.seq = rec.seq
 	c := Change{Seq: rec.seq, Op: walOpChange(rec.op), Entry: rec.entry}
