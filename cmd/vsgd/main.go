@@ -85,7 +85,7 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 2*time.Second, "resolve-cache fallback TTL while the VSR watch is down (0 disables caching)")
 	noWatch := flag.Bool("no-watch", false, "disable the VSR change watch (blind TTL caching, the paper's poll model)")
 	noLoopback := flag.Bool("no-loopback", false, "disable in-process loopback dispatch; every call goes over SOAP/HTTP")
-	binary := flag.Bool("binary", true, "negotiate the session-keyed binary fast path with framework peers (effective with -identity; SOAP/HTTP stays available)")
+	binary := flag.Bool("binary", true, "negotiate the session-keyed binary fast path with framework peers (signed with -identity, anonymous without; SOAP/HTTP stays available)")
 	home := flag.String("home", "", "home name; must match the repository's vsrd -home when federating")
 	idFile := flag.String("identity", "", "home identity file (same file as vsrd's; requires -home)")
 	auditOn := flag.Bool("audit", false, "enable the in-memory audit log (see -audit-log to persist)")

@@ -57,7 +57,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable registry directory (WAL + snapshots; recovered on restart)")
 	fsync := flag.String("fsync", "", "WAL fsync policy: always, interval or off (default interval; requires -data-dir)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "snapshot after this many WAL records (0 = default 1024, negative disables; requires -data-dir)")
-	binary := flag.Bool("binary", true, "offer the session-keyed binary fast path to peers (effective with -identity; SOAP/HTTP stays available)")
+	binary := flag.Bool("binary", true, "offer the session-keyed binary fast path to peers and replica-set members (signed with -identity, anonymous without; SOAP/HTTP stays available)")
 	replicaOf := flag.String("replica-of", "", "boot as a replica feeding from this leader repository (host:port or URL)")
 	var peers, allow, deny, trust, aclAllow, aclDeny, replicaSet cli.Multi
 	flag.Var(&replicaSet, "replica-set", "replica-set member (repeatable, ordered — give every member the same list; enables failover elections)")

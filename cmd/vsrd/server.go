@@ -33,8 +33,9 @@ type config struct {
 	audit      bool
 	auditPath  string
 	auditBatch int
-	// binary gates the session-keyed binary fast path (effective only
-	// with an identity; SOAP/HTTP always remains available).
+	// binary gates the session-keyed binary fast path — signed sessions
+	// with an identity, anonymous ones without (SOAP/HTTP always remains
+	// available).
 	binary bool
 	// dataDir, fsync, snapshotEvery arm the durable registry (WAL +
 	// snapshots under dataDir, recovered on restart).
@@ -196,8 +197,12 @@ func normalizeEndpoint(ep string) string {
 
 // buildNode assembles the replica-set coordination node (nil config →
 // nil node). It only constructs; bootReplication later decides the role
-// and starts the loop, after the operability faces are mounted.
-func buildNode(cfg config, srv *vsr.Server) (*replica.Node, error) {
+// and starts the loop, after the operability faces are mounted. The
+// node's inter-member traffic — state transfer, feed, election probes —
+// rides its own dialer: the binary fast path under the member's session
+// kind (signed with an identity, anonymous without), SOAP/HTTP with
+// -binary=false.
+func buildNode(cfg config, srv *vsr.Server, auth *identity.Auth) (*replica.Node, error) {
 	if cfg.replicaOf == "" && len(cfg.replicaSet) == 0 {
 		return nil, nil
 	}
@@ -205,11 +210,18 @@ func buildNode(cfg config, srv *vsr.Server) (*replica.Node, error) {
 	for _, ep := range cfg.replicaSet {
 		set = append(set, normalizeEndpoint(ep))
 	}
+	var creds transport.Credentials
+	if auth != nil {
+		creds = auth
+	}
+	d := transport.NewDialer(creds)
+	d.Binary = cfg.binary
 	return replica.New(replica.Config{
 		Self:      srv.URL(),
 		Set:       set,
 		ReplicaOf: normalizeEndpoint(cfg.replicaOf),
 		Registry:  srv.Registry(),
+		Dialer:    d,
 	})
 }
 
@@ -289,8 +301,9 @@ func startServer(cfg config) (*server, error) {
 		if cfg.journal > 0 {
 			srv.Registry().SetJournalCapacity(cfg.journal)
 		}
+		srv.SetBinaryEnabled(cfg.binary)
 		s := &server{Server: srv}
-		if s.node, err = buildNode(cfg, srv); err != nil {
+		if s.node, err = buildNode(cfg, srv, nil); err != nil {
 			srv.Close()
 			return nil, err
 		}
@@ -317,7 +330,7 @@ func startServer(cfg config) (*server, error) {
 		srv.Registry().SetJournalCapacity(cfg.journal)
 	}
 	s := &server{Server: srv, identity: id, identityGenerated: generated}
-	if s.node, err = buildNode(cfg, srv); err != nil {
+	if s.node, err = buildNode(cfg, srv, auth); err != nil {
 		srv.Close()
 		return nil, err
 	}
@@ -330,10 +343,8 @@ func startServer(cfg config) (*server, error) {
 	srv.MountPeer(p.ExportHandler())
 	srv.MountPeerView(p.ExportView)
 	s.peering = p
-	if !cfg.binary {
-		srv.SetBinaryEnabled(false)
-		p.SetBinaryEnabled(false)
-	}
+	srv.SetBinaryEnabled(cfg.binary)
+	p.SetBinaryEnabled(cfg.binary)
 	if err := s.mountOps(cfg, auth); err != nil {
 		s.Close()
 		return nil, err

@@ -86,9 +86,10 @@ type (
 )
 
 // Wire-mode re-exports (see internal/transport and DESIGN.md §16).
-// Framework-owned endpoints of identity-bearing homes negotiate a
-// compact binary framing under HMAC session keys; SOAP/HTTP remains the
-// ingress and interop wire, byte-identical to earlier releases.
+// Framework-owned endpoints negotiate a compact binary framing under
+// HMAC session keys — signed sessions between identity-bearing homes,
+// anonymous ones between open homes; SOAP/HTTP remains the ingress and
+// interop wire, byte-identical to earlier releases.
 type (
 	// WireStats maps each dialed authority to its link's wire-protocol
 	// state; reachable via Federation.WireStats and the /health face.

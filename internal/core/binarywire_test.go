@@ -20,7 +20,7 @@ import (
 )
 
 // newSecureFed builds a home federation with a generated identity and an
-// exported echo service (operations Where, Echo, Hang).
+// exported echo service (see exportEcho).
 func newSecureFed(t *testing.T, home string) (*Federation, *identity.Identity) {
 	t.Helper()
 	id, err := identity.Generate(home)
@@ -35,24 +35,38 @@ func newSecureFed(t *testing.T, home string) (*Federation, *identity.Identity) {
 	if err := fed.SetIdentity(id); err != nil {
 		t.Fatal(err)
 	}
+	exportEcho(t, fed)
+	return fed, id
+}
+
+// echoDesc is the test:svc echo service: Where answers the serving home,
+// Echo its argument, Caller the caller home the gateway verified ("" for
+// an anonymous caller), and Hang blocks until the call's context ends.
+var echoDesc = service.Description{
+	ID: "test:svc", Name: "test:svc", Middleware: "test",
+	Interface: service.Interface{Name: "Echo", Operations: []service.Operation{
+		{Name: "Where", Output: service.KindString},
+		{Name: "Echo", Inputs: []service.Parameter{{Name: "s", Type: service.KindString}}, Output: service.KindString},
+		{Name: "Caller", Output: service.KindString},
+		{Name: "Hang", Output: service.KindString},
+	}},
+}
+
+// exportEcho adds a network to fed and exports test:svc on it.
+func exportEcho(t *testing.T, fed *Federation) *Network {
+	t.Helper()
 	n, err := fed.AddNetwork("net")
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := service.Description{
-		ID: "test:svc", Name: "test:svc", Middleware: "test",
-		Interface: service.Interface{Name: "Echo", Operations: []service.Operation{
-			{Name: "Where", Output: service.KindString},
-			{Name: "Echo", Inputs: []service.Parameter{{Name: "s", Type: service.KindString}}, Output: service.KindString},
-			{Name: "Hang", Output: service.KindString},
-		}},
-	}
 	inv := service.InvokerFunc(func(ctx context.Context, op string, args []service.Value) (service.Value, error) {
 		switch op {
 		case "Where":
-			return service.StringValue(home), nil
+			return service.StringValue(fed.Home()), nil
 		case "Echo":
 			return args[0], nil
+		case "Caller":
+			return service.StringValue(identity.CallerFromContext(ctx)), nil
 		case "Hang":
 			<-ctx.Done()
 			return service.Value{}, ctx.Err()
@@ -61,10 +75,10 @@ func newSecureFed(t *testing.T, home string) (*Federation, *identity.Identity) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := n.Gateway().Export(ctx, desc, inv); err != nil {
+	if err := n.Gateway().Export(ctx, echoDesc, inv); err != nil {
 		t.Fatal(err)
 	}
-	return fed, id
+	return n
 }
 
 // trustFeds wires mutual trust between two federations.
@@ -277,7 +291,7 @@ func TestBinaryWirePrivateFaceRefusals(t *testing.T) {
 // stand-in for a wire-protocol version mismatch.
 type junkSession struct{}
 
-func (junkSession) SessionActive() bool { return true }
+func (junkSession) SessionSigned() bool { return true }
 func (junkSession) NewSessionClient() (transport.SessionClient, error) {
 	return junkClient{}, nil
 }

@@ -200,12 +200,11 @@ func (f *Federation) SetLoopback(on bool) {
 // SetBinaryWire gates the session-keyed binary fast path on every
 // endpoint this federation owns: the repository's binary face, each
 // gateway's inbound face and outbound dialer, and the peering's import
-// links. On — the default whenever the home has an identity — framework
-// traffic to peers that negotiate it rides compact MAC'd frames; off,
-// every hello is refused and all traffic stays on signed SOAP/HTTP, the
+// links. On — the default, in open and secured homes alike — framework
+// traffic to peers that negotiate it rides compact MAC'd frames over
+// signed sessions, or anonymous ones while the home has no identity;
+// off, every hello is refused and all traffic stays on SOAP/HTTP, the
 // byte-identical interop wire (a SOAP-only home in a mixed federation).
-// Open-mode federations are unaffected: without an identity no session
-// can be keyed and the wire is SOAP regardless.
 func (f *Federation) SetBinaryWire(on bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -1,7 +1,10 @@
 // Binary-face adapter: the session-auth counterpart of Require. On the
 // binary fast path the caller was authenticated once, at the session
 // handshake, and every frame is MACed under the session keys — so there
-// are no per-request headers to verify and no response to sign. What
+// are no per-request headers to verify and no response to sign. An
+// anonymous session (open mode) carries caller "", which the transport
+// only dispatches while the home has no identity: it passes through
+// exactly as an unsigned request passes Require in open mode. What
 // remains of the middleware's job is the home-boundary policy and caller
 // injection, which BinFace applies before handing the tunneled request
 // to the face's ordinary HTTP handler. Refusals render through the same
@@ -23,11 +26,11 @@ import (
 // tunneled request body, content type, and SOAPAction are replayed onto
 // next as a POST carrying the session-verified caller in its context.
 // ownOnly restricts the face to this home's own identity, exactly as
-// Require does.
+// Require does once an identity is installed.
 func BinFace(auth *Auth, ownOnly bool, deny DenyWriter, next http.Handler) transport.BinHandler {
 	return transport.BinHandlerFunc(func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
 		buf := &bufferedResponse{header: make(http.Header)}
-		if ownOnly && auth != nil && caller != auth.Home() {
+		if ownOnly && auth != nil && caller != "" && caller != auth.Home() {
 			auth.record(audit.Event{Type: audit.PolicyDeny, Caller: caller,
 				Detail: "face " + req.Path + " is private to this home"})
 			deny(buf, "Forbidden", "identity: this face is private to home "+auth.Home()+": "+service.ErrForbidden.Error())

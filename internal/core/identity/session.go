@@ -11,14 +11,20 @@
 // The hello reuses the per-operation machinery's replay defenses — the
 // ±maxSkew timestamp window and the nonce cache — so a recorded
 // handshake can no more be replayed than a recorded request.
+//
+// Without an identity the same Auth runs the transport's anonymous
+// handshake instead (transport/anon.go): open homes still get the binary
+// wire, with per-link integrity and replay protection but no
+// authenticated peer. The two kinds never mix: an Auth with an identity
+// refuses anonymous hellos, an open one refuses signed hellos, and
+// installing an identity ends every anonymous session at its next
+// request.
 package identity
 
 import (
 	"crypto/ecdh"
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"strconv"
@@ -58,10 +64,9 @@ func (a *Auth) sessionTTL() time.Duration {
 	return defaultSessionTTL
 }
 
-// SessionActive reports whether this Auth can run session handshakes —
-// an identity is installed. Open mode stays SOAP-only and byte-identical
-// to the pre-session wire.
-func (a *Auth) SessionActive() bool { return a.Enabled() }
+// SessionSigned reports whether this Auth runs signed session
+// handshakes — an identity is installed. Open mode runs anonymous ones.
+func (a *Auth) SessionSigned() bool { return a.Enabled() }
 
 // sessionClient is one in-flight dialing-side handshake.
 type sessionClient struct {
@@ -72,11 +77,12 @@ type sessionClient struct {
 }
 
 // NewSessionClient starts a dialing-side handshake: a fresh ephemeral
-// X25519 key and a hello blob signed by the home identity.
+// X25519 key and a hello blob signed by the home identity — or, in open
+// mode, an anonymous hello.
 func (a *Auth) NewSessionClient() (transport.SessionClient, error) {
 	id := a.id.Load()
 	if id == nil {
-		return nil, fmt.Errorf("identity: no identity installed; sessions need one")
+		return transport.NewAnonSessionClient()
 	}
 	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
@@ -137,11 +143,23 @@ func (c *sessionClient) Finish(accept []byte) (*transport.Session, error) {
 
 // AcceptSession runs the listener half: verify the dialer's signed
 // hello (trust, skew window, nonce freshness), contribute an ephemeral
-// key, and answer with a signed accept bound to the hello.
+// key, and answer with a signed accept bound to the hello. In open mode
+// it accepts anonymous hellos only.
 func (a *Auth) AcceptSession(hello []byte) (accept []byte, s *transport.Session, err error) {
 	id := a.id.Load()
 	if id == nil {
-		return nil, nil, fmt.Errorf("identity: no identity installed; sessions need one")
+		accept, s, err = transport.AcceptAnonSession(hello, a.sessionTTL())
+		if err != nil {
+			a.record(audit.Event{Type: audit.AuthRefused, Detail: err.Error()})
+			return nil, nil, fmt.Errorf("identity: %w: %w", err, service.ErrUnauthenticated)
+		}
+		a.record(audit.Event{Type: audit.SessionEstablish,
+			Detail: fmt.Sprintf("anonymous session %s established (listener), lifetime %s", s.ID, a.sessionTTL())})
+		return accept, s, nil
+	}
+	if transport.IsAnonHello(hello) {
+		a.record(audit.Event{Type: audit.AuthRefused, Detail: "anonymous session hello; this home requires an identity"})
+		return nil, nil, fmt.Errorf("identity: anonymous session refused: home %s requires a trusted identity: %w", a.home, service.ErrUnauthenticated)
 	}
 	fields := strings.Split(string(hello), "\n")
 	if len(fields) != 6 || fields[0] != sessHelloV1 {
@@ -214,35 +232,15 @@ func (a *Auth) NoteSessionEnd(s *transport.Session, rekeyed bool) {
 		Detail: fmt.Sprintf("session %s %s after %s", s.ID, verb, s.Age(a.nowFn()).Round(time.Millisecond))})
 }
 
-// deriveSessionKeys folds the ECDH shared secret and handshake
-// transcript into the per-direction keys and the session ID. dialerHome
-// and listenerHome orient the derivation so both sides agree which key
-// is which; the session ID is a keyed digest of the transcript, safe to
-// log.
+// deriveSessionKeys derives a signed session's keys through the
+// transport's one derivation, over a transcript naming both homes and
+// the hello nonce. dialerHome and listenerHome orient the derivation so
+// both sides agree which key is which.
 func deriveSessionKeys(eph *ecdh.PrivateKey, peerEphHex, dialerHome, listenerHome, nonce string) (c2s, s2c [32]byte, id string, err error) {
-	peerRaw, err := hex.DecodeString(peerEphHex)
+	c2s, s2c, id, err = transport.DeriveSessionKeys(eph, peerEphHex,
+		sessKeysV1+"\n"+dialerHome+"\n"+listenerHome+"\n"+nonce)
 	if err != nil {
-		return c2s, s2c, "", fmt.Errorf("identity: bad ephemeral key encoding: %w", service.ErrUnauthenticated)
+		return c2s, s2c, "", fmt.Errorf("identity: %w: %w", err, service.ErrUnauthenticated)
 	}
-	peerKey, err := ecdh.X25519().NewPublicKey(peerRaw)
-	if err != nil {
-		return c2s, s2c, "", fmt.Errorf("identity: bad ephemeral key: %w", service.ErrUnauthenticated)
-	}
-	shared, err := eph.ECDH(peerKey)
-	if err != nil {
-		return c2s, s2c, "", fmt.Errorf("identity: ECDH: %w", service.ErrUnauthenticated)
-	}
-	base := hmac.New(sha256.New, shared)
-	base.Write([]byte(sessKeysV1 + "\n" + dialerHome + "\n" + listenerHome + "\n" + nonce))
-	root := base.Sum(nil)
-	derive := func(label string) (out [32]byte) {
-		m := hmac.New(sha256.New, root)
-		m.Write([]byte(label))
-		copy(out[:], m.Sum(nil))
-		return out
-	}
-	c2s = derive("c2s")
-	s2c = derive("s2c")
-	idm := derive("id")
-	return c2s, s2c, hex.EncodeToString(idm[:8]), nil
+	return c2s, s2c, id, nil
 }

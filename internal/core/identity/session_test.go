@@ -243,15 +243,43 @@ func TestSessionLifecycleAudited(t *testing.T) {
 	}
 }
 
+// TestSessionNeedsIdentity: an authenticated session needs an identity.
+// Without one an Auth runs only anonymous handshakes — sessions with no
+// peer — and refuses signed hellos; once one is installed it refuses
+// anonymous hellos, so the two kinds never meet on one link.
 func TestSessionNeedsIdentity(t *testing.T) {
-	a := NewAuth("cottage") // no identity installed
-	if a.SessionActive() {
-		t.Fatal("open-mode Auth claims sessions are possible")
+	open := NewAuth("cottage") // no identity installed
+	if open.SessionSigned() {
+		t.Fatal("open-mode Auth claims signed sessions")
 	}
-	if _, err := a.NewSessionClient(); err == nil {
-		t.Fatal("NewSessionClient without identity accepted")
+	other := NewAuth("apartment")
+	client, server := handshake(t, open, other)
+	if client.Peer != "" || server.Peer != "" || !client.Anonymous() || !server.Anonymous() {
+		t.Fatalf("open handshake authenticated someone: peers %q / %q", client.Peer, server.Peer)
 	}
-	if _, _, err := a.AcceptSession([]byte("x")); err == nil {
-		t.Fatal("AcceptSession without identity accepted")
+	if client.ID != server.ID {
+		t.Fatalf("anonymous session IDs %q / %q differ", client.ID, server.ID)
+	}
+	if _, _, err := open.AcceptSession([]byte("x")); !errors.Is(err, service.ErrUnauthenticated) {
+		t.Fatalf("garbage hello on open Auth = %v, want ErrUnauthenticated", err)
+	}
+
+	secured, securedID := testAuth(t, "bungalow")
+	if err := open.Trust(securedID.Home(), securedID.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	signed, err := secured.NewSessionClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := open.AcceptSession(signed.Hello()); !errors.Is(err, service.ErrUnauthenticated) {
+		t.Fatalf("signed hello on open Auth = %v, want ErrUnauthenticated", err)
+	}
+	anon, err := open.NewSessionClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := secured.AcceptSession(anon.Hello()); !errors.Is(err, service.ErrUnauthenticated) {
+		t.Fatalf("anonymous hello on secured Auth = %v, want ErrUnauthenticated", err)
 	}
 }

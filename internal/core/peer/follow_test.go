@@ -133,6 +133,7 @@ func newExporter(t *testing.T, clock *vclock.Virtual, net *transport.MemNet, epo
 	p.SetClock(clock)
 	p.SetTransport(net)
 	srv.MountPeer(p.ExportHandler())
+	srv.MountPeerView(p.ExportView)
 	return &exporter{reg: reg, srv: srv}
 }
 

@@ -97,9 +97,9 @@ func newLink(p *Peering, urls []string) *Link {
 	remote := vsr.NewSet(urls...)
 	// Every wire op the link issues — watch rounds, snapshot reconciles —
 	// rides the peering's dialer: the binary fast path once the peer has
-	// negotiated a session, signed SOAP/HTTP otherwise. In open mode the
-	// credentials are inert and this degrades to the plain underlying
-	// transport (shared TCP, or an injected MemNet).
+	// negotiated a session (anonymous in open mode), SOAP/HTTP otherwise
+	// — signed once the home has an identity, plain over the underlying
+	// transport (shared TCP, or an injected MemNet) before.
 	remote.SetDialer(p.dialerFor())
 	ctx, cancel := context.WithCancel(context.Background())
 	l := &Link{

@@ -47,6 +47,7 @@ func newMemFixture(t *testing.T) *memFixture {
 		p.SetClock(clock)
 		p.SetTransport(net)
 		srv.MountPeer(p.ExportHandler())
+		srv.MountPeerView(p.ExportView)
 		net.Handle(name, srv.Handler())
 		return reg, srv, p
 	}

@@ -167,7 +167,7 @@ func (p *Peering) SetBinaryEnabled(on bool) {
 	defer p.mu.Unlock()
 	p.binaryOff = !on
 	if p.dialer != nil {
-		p.dialer.Binary = on
+		p.dialer.SetBinary(on)
 	}
 }
 

@@ -70,6 +70,7 @@ func newHomeFixture(t *testing.T, name string) *home {
 	}
 	t.Cleanup(p.Close)
 	srv.MountPeer(p.ExportHandler())
+	srv.MountPeerView(p.ExportView)
 	return &home{name: name, srv: srv, p: p, v: vsr.New(srv.URL())}
 }
 

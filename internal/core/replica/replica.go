@@ -338,7 +338,8 @@ func (n *Node) AttachOnce(ctx context.Context) error {
 	if leader == "" || leader == n.cfg.Self {
 		return ErrNoLeader
 	}
-	st, err := n.client(leader).ReplSync(ctx)
+	ownEpoch, _ := n.cfg.Registry.Epoch()
+	st, err := n.client(leader).ReplSync(ctx, ownEpoch)
 	if err != nil {
 		n.fail(err)
 		return err
@@ -378,10 +379,16 @@ func (n *Node) AttachOnce(ctx context.Context) error {
 // node's WAL with the new leader, before the attach discards them. It
 // runs only on a deposed leader rejoining a newer regime — a replica
 // that merely fell behind must NOT resurrect entries its leader deleted.
-// Each surviving local entry absent from the leader's dump is saved back
-// under its own key with its remaining lifetime, so nothing a client got
-// an acknowledgment for is lost to the failover, and lease semantics are
-// preserved.
+// The candidates are the local writes journaled above the regime
+// boundary the leader's dump names (st.Boundary): everything at or below
+// it was replicated into the new regime, so such an entry missing from
+// the dump is one the new regime removed, and stays removed. Each
+// candidate that survives locally and is absent from the dump is saved
+// back under its own key with its remaining lifetime, so nothing a
+// client got an acknowledgment for is lost to the failover, and lease
+// semantics are preserved. When the local journal no longer reaches
+// back to the boundary, every local entry absent from the dump is a
+// candidate: losing an acknowledged write is the worse failure.
 func (n *Node) handback(ctx context.Context, leader string, st *uddi.ReplState) (int, error) {
 	reg := n.cfg.Registry
 	epoch, epochLeader := reg.Epoch()
@@ -396,11 +403,20 @@ func (n *Node) handback(ctx context.Context, leader string, st *uddi.ReplState) 
 	for _, e := range st.Entries {
 		have[e.Key] = true
 	}
+	var unreplicated map[string]bool // nil: the journal does not reach the boundary
+	if changes, _, resync := reg.Changes(st.Boundary); !resync {
+		unreplicated = make(map[string]bool, len(changes))
+		for _, c := range changes {
+			if c.Op == uddi.OpAdd || c.Op == uddi.OpUpdate {
+				unreplicated[c.Entry.Key] = true
+			}
+		}
+	}
 	now := n.cfg.Clock.Now()
 	cl := n.client(leader)
 	handed := 0
 	for i, e := range entries {
-		if have[e.Key] {
+		if have[e.Key] || (unreplicated != nil && !unreplicated[e.Key]) {
 			continue
 		}
 		remaining := deadlines[i].Sub(now)

@@ -352,6 +352,62 @@ func TestFailoverScenarios(t *testing.T) {
 		}
 	})
 
+	// The rejoin hands back only what the old leader journaled above the
+	// regime boundary: an entry the new regime removed while the old
+	// leader was down was replicated before the boundary, so it must stay
+	// removed — only the genuinely unreplicated write returns.
+	t.Run("rejoin does not resurrect the new regime's removals", func(t *testing.T) {
+		mem, ms := testSet(t, 3)
+		boot(t, ms)
+		save(t, mem, ms[0].url, "uuid:removed-by-new-regime")
+		save(t, mem, ms[0].url, "uuid:kept")
+		pull(t, ms[1])
+		pull(t, ms[2])
+		save(t, mem, ms[0].url, "uuid:acked-only-here")
+		mem.Handle(ms[0].host, nil)
+		if p, _ := ms[1].node.ElectOnce(ctx); !p {
+			t.Fatal("m1 did not take over")
+		}
+		if p, err := ms[2].node.ElectOnce(ctx); err != nil || p {
+			t.Fatalf("m2 election: promoted %v err %v, want to follow m1", p, err)
+		}
+		// The new regime acknowledges a removal while m0 is down.
+		c := &uddi.Client{URL: ms[1].url, HTTP: mem.Client()}
+		if err := c.Delete(ctx, "uuid:removed-by-new-regime"); err != nil {
+			t.Fatal(err)
+		}
+		pull(t, ms[2])
+
+		mem.Handle(ms[0].host, ms[0].srv.Handler())
+		if err := ms[0].node.Bootstrap(ctx); err != nil {
+			t.Fatalf("old leader rejoin: %v", err)
+		}
+		if ms[0].node.IsLeader() {
+			t.Fatal("old leader did not rejoin as a replica")
+		}
+		if _, ok := ms[1].reg.Get("uuid:removed-by-new-regime"); ok {
+			t.Fatal("rejoin resurrected an entry the new regime removed")
+		}
+		if _, ok := ms[1].reg.Get("uuid:acked-only-here"); !ok {
+			t.Fatal("acknowledged write lost in failover: handback did not run")
+		}
+		if st := ms[0].node.Status(); st.HandedBack != 1 {
+			t.Fatalf("HandedBack = %d, want 1 (the unreplicated write only)", st.HandedBack)
+		}
+		for _, m := range ms {
+			if m.node.IsLeader() {
+				continue
+			}
+			pull(t, m)
+			if _, ok := m.reg.Get("uuid:removed-by-new-regime"); ok {
+				t.Fatalf("%s holds the removed entry after the rejoin", m.host)
+			}
+			if _, ok := m.reg.Get("uuid:kept"); !ok {
+				t.Fatalf("%s lost an untouched replicated entry", m.host)
+			}
+		}
+	})
+
 	// A replica that merely lagged must NOT hand back: entries the
 	// leader deleted while the replica was detached would otherwise rise
 	// again.

@@ -1,9 +1,10 @@
 // Loopback-vs-wire equivalence: the in-process fast path must be
-// observationally identical to the SOAP/HTTP path — same results for
-// every value kind (including XML-unsafe strings that the wire base64-
-// wraps), same *service.RemoteError codes for every target-side failure,
-// and call accounting on both gateways. Each case runs twice, once per
-// path, and the outcomes are compared to each other.
+// observationally identical to the wire — same results for every value
+// kind (including XML-unsafe strings that SOAP base64-wraps), same
+// *service.RemoteError codes for every target-side failure, and call
+// accounting on both gateways. The wire has two legs, the binary fast
+// path and SOAP/HTTP (the caller's SetBinaryEnabled(false)); each case
+// runs once per path and the outcomes are compared to each other.
 package vsg
 
 import (
@@ -58,8 +59,38 @@ func (echoService) Invoke(_ context.Context, op string, args []service.Value) (s
 	}
 }
 
-// bothPaths runs fn once over loopback and once over the wire (loopback
-// disabled on the calling gateway) and hands both outcomes to check.
+// wireLegs are the two wires a non-loopback call can take: the binary
+// fast path (negotiated by default) and SOAP/HTTP.
+var wireLegs = []struct {
+	name   string
+	binary bool
+}{{"wire/binary", true}, {"wire/soap", false}}
+
+// onWire disables loopback on the calling gateway and selects one wire
+// leg; the returned func restores the defaults.
+func (r *rig) onWire(binary bool) func() {
+	r.gw2.SetLoopbackEnabled(false)
+	r.gw2.SetBinaryEnabled(binary)
+	return func() {
+		r.gw2.SetLoopbackEnabled(true)
+		r.gw2.SetBinaryEnabled(true)
+	}
+}
+
+// checkLeg fails a binary leg whose calls did not actually ride the
+// binary wire to the target gateway.
+func (r *rig) checkLeg(t *testing.T, leg string, binary bool) {
+	t.Helper()
+	if binary {
+		if p := r.gw2.Dialer().ProtocolFor(r.gw1.BaseURL()); p != "binary" {
+			t.Errorf("%s: link to the target gateway is %q, want binary", leg, p)
+		}
+	}
+}
+
+// bothPaths runs fn over loopback and over each wire leg (loopback
+// disabled on the calling gateway) and hands every outcome to check; the
+// wire outcomes must match the loopback one.
 func bothPaths(t *testing.T, r *rig, fn func(ctx context.Context) (service.Value, error),
 	check func(t *testing.T, path string, v service.Value, err error)) {
 	t.Helper()
@@ -67,23 +98,26 @@ func bothPaths(t *testing.T, r *rig, fn func(ctx context.Context) (service.Value
 	r.gw2.SetLoopbackEnabled(true)
 	vLoop, errLoop := fn(ctx)
 	check(t, "loopback", vLoop, errLoop)
-	r.gw2.SetLoopbackEnabled(false)
-	vWire, errWire := fn(ctx)
-	check(t, "wire", vWire, errWire)
-	r.gw2.SetLoopbackEnabled(true)
+	for _, leg := range wireLegs {
+		restore := r.onWire(leg.binary)
+		vWire, errWire := fn(ctx)
+		restore()
+		check(t, leg.name, vWire, errWire)
+		r.checkLeg(t, leg.name, leg.binary)
 
-	if !vLoop.Equal(vWire) {
-		t.Errorf("paths diverge: loopback %v, wire %v", vLoop, vWire)
-	}
-	if (errLoop == nil) != (errWire == nil) {
-		t.Errorf("paths diverge: loopback err %v, wire err %v", errLoop, errWire)
-	}
-	if errLoop != nil && errWire != nil {
-		var reLoop, reWire *service.RemoteError
-		if errors.As(errLoop, &reLoop) != errors.As(errWire, &reWire) {
-			t.Errorf("RemoteError mismatch: loopback %v, wire %v", errLoop, errWire)
-		} else if reLoop != nil && (reLoop.Code != reWire.Code || reLoop.Msg != reWire.Msg) {
-			t.Errorf("remote errors diverge: loopback %+v, wire %+v", reLoop, reWire)
+		if !vLoop.Equal(vWire) {
+			t.Errorf("paths diverge: loopback %v, %s %v", vLoop, leg.name, vWire)
+		}
+		if (errLoop == nil) != (errWire == nil) {
+			t.Errorf("paths diverge: loopback err %v, %s err %v", errLoop, leg.name, errWire)
+		}
+		if errLoop != nil && errWire != nil {
+			var reLoop, reWire *service.RemoteError
+			if errors.As(errLoop, &reLoop) != errors.As(errWire, &reWire) {
+				t.Errorf("RemoteError mismatch: loopback %v, %s %v", errLoop, leg.name, errWire)
+			} else if reLoop != nil && (reLoop.Code != reWire.Code || reLoop.Msg != reWire.Msg) {
+				t.Errorf("remote errors diverge: loopback %+v, %s %+v", reLoop, leg.name, reWire)
+			}
 		}
 	}
 }
@@ -168,8 +202,9 @@ func TestLoopbackWireFaultEquivalence(t *testing.T) {
 }
 
 // TestLoopbackWireContextEquivalence: a context that expires mid-call
-// must keep its sentinel identity (and ErrUnavailable) on both paths —
-// cancellation is a transport condition, not a remote fault.
+// must keep its sentinel identity (and ErrUnavailable) on every path —
+// cancellation is a transport condition, not a remote fault, even when
+// the target handler saw the deadline itself and returned its error.
 func TestLoopbackWireContextEquivalence(t *testing.T) {
 	r := newRig(t)
 	ctx := context.Background()
@@ -181,9 +216,7 @@ func TestLoopbackWireContextEquivalence(t *testing.T) {
 	if err := r.gw1.Export(ctx, desc, slow); err != nil {
 		t.Fatal(err)
 	}
-	for _, loopback := range []bool{true, false} {
-		path := map[bool]string{true: "loopback", false: "wire"}[loopback]
-		r.gw2.SetLoopbackEnabled(loopback)
+	call := func(path string) {
 		cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 		_, err := r.gw2.Call(cctx, "bench:slow", "EchoInt", []service.Value{service.IntValue(1)})
 		cancel()
@@ -194,15 +227,21 @@ func TestLoopbackWireContextEquivalence(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrUnavailable to match", path, err)
 		}
 	}
-	r.gw2.SetLoopbackEnabled(true)
+	call("loopback")
+	for _, leg := range wireLegs {
+		restore := r.onWire(leg.binary)
+		call(leg.name)
+		restore()
+		r.checkLeg(t, leg.name, leg.binary)
+	}
 }
 
-// TestLoopbackWireOversizedEquivalence: the wire bounds envelopes at
-// soap.MaxEnvelopeBytes. Loopback keeps the accept/reject boundary
-// identical by routing borderline-large requests over the wire (where
-// the real codec decides) and size-checking large results against a
-// genuinely encoded response envelope — so payload size never changes a
-// call's outcome between the two paths.
+// TestLoopbackWireOversizedEquivalence: SOAP bounds envelopes at
+// soap.MaxEnvelopeBytes. Loopback and the binary wire keep the
+// accept/reject boundary identical by routing borderline-large requests
+// over SOAP/HTTP (where the real codec decides) and size-checking large
+// results against a genuinely encoded response envelope — so payload
+// size never changes a call's outcome between paths.
 func TestLoopbackWireOversizedEquivalence(t *testing.T) {
 	r := newRig(t)
 	ctx := context.Background()
@@ -225,9 +264,7 @@ func TestLoopbackWireOversizedEquivalence(t *testing.T) {
 		{"oversized", "EchoBytes", service.BytesValue(make([]byte, 2<<20)), false},
 	}
 	for _, tc := range cases {
-		for _, loopback := range []bool{true, false} {
-			path := map[bool]string{true: "loopback", false: "wire"}[loopback]
-			r.gw2.SetLoopbackEnabled(loopback)
+		check := func(path string) {
 			v, err := r.gw2.Call(ctx, "bench:echo", tc.op, []service.Value{tc.arg})
 			if tc.wantOK {
 				if err != nil {
@@ -239,8 +276,14 @@ func TestLoopbackWireOversizedEquivalence(t *testing.T) {
 				t.Errorf("%s %s: succeeded, want envelope-bound failure", path, tc.name)
 			}
 		}
+		check("loopback")
+		for _, leg := range wireLegs {
+			restore := r.onWire(leg.binary)
+			check(leg.name)
+			restore()
+			r.checkLeg(t, leg.name, leg.binary)
+		}
 	}
-	r.gw2.SetLoopbackEnabled(true)
 
 	// The big calls must have routed over the wire even with loopback
 	// enabled: only the small one may count as a loopback hit.

@@ -92,19 +92,18 @@ type VSG struct {
 	hub  *events.Hub
 
 	// auth is the home's authentication context (nil = open mode
-	// forever); set before Start. authHTTP is the credential-signing
-	// client outbound SOAP and repository traffic rides when auth is
-	// live.
-	auth     *identity.Auth
-	authHTTP *http.Client
-	// dialer owns outbound protocol negotiation when auth is live:
+	// forever); set before Start.
+	auth *identity.Auth
+	// dialer owns outbound credentials and protocol negotiation:
 	// repository traffic and cross-home calls try the binary fast path
-	// and degrade to signed SOAP/HTTP per authority. Rebuilt alongside
-	// authHTTP; nil in open mode.
-	dialer *transport.Dialer
+	// (signed sessions once auth has an identity, anonymous before) and
+	// degrade to SOAP/HTTP — signed when auth is live — per authority.
+	// Rebuilt by SetAuth and SetTransport; authHTTP is its HTTP side.
+	dialer   *transport.Dialer
+	authHTTP *http.Client
 	// bin is the inbound binary face sharing the listener with HTTP
-	// (nil in open mode; inert on detached gateways). binaryOff records
-	// SetBinaryEnabled(false) calls made before Start builds bin.
+	// (inert on detached gateways). binaryOff records SetBinaryEnabled
+	// calls made before Start builds bin.
 	bin       *transport.BinServer
 	binaryOff bool
 	// rt, when set (SetTransport), carries all outbound wire traffic
@@ -185,7 +184,7 @@ type cachedRemote struct {
 
 // New builds a gateway named name against the repository at vsrURL.
 func New(name, vsrURL string) *VSG {
-	return &VSG{
+	g := &VSG{
 		name:         name,
 		vsr:          vsr.New(vsrURL),
 		hub:          events.NewHub(),
@@ -196,6 +195,8 @@ func New(name, vsrURL string) *VSG {
 		cacheTTL:     2 * time.Second,
 		watchEnabled: true,
 	}
+	g.rebuildHTTP()
+	return g
 }
 
 // SetClock overrides the gateway's time source — the registration-
@@ -251,43 +252,30 @@ func (g *VSG) SetAuth(a *identity.Auth) {
 	g.rebuildHTTP()
 }
 
-// rebuildHTTP derives the outbound client from the auth context and the
-// injected transport. With neither set it stays nil: the SOAP client
-// and the repository client fall back to their own shared-transport
-// defaults, the original behaviour.
+// rebuildHTTP derives the outbound dialer from the auth context and the
+// injected transport. The dialer owns credentials and per-authority
+// protocol negotiation; its HTTP side is the credential-signing client
+// when auth is set, the plain shared transport (or rt) otherwise.
 func (g *VSG) rebuildHTTP() {
 	if g.dialer != nil {
 		g.dialer.Close()
-		g.dialer = nil
 	}
-	switch {
-	case g.auth != nil:
-		// The Dialer owns credentials and per-authority protocol
-		// negotiation; its HTTP side is the same credential-signing
-		// client NewAuthClientOver built before.
-		g.dialer = transport.NewDialer(g.auth)
-		g.dialer.Transport = g.rt
-		if g.binaryOff {
-			g.dialer.Binary = false
-		}
-		g.authHTTP = g.dialer.HTTPClient()
-	case g.rt != nil:
-		g.authHTTP = &http.Client{Transport: g.rt}
-	default:
-		g.authHTTP = nil
+	var creds transport.Credentials
+	if g.auth != nil {
+		creds = g.auth
 	}
-	if g.dialer != nil {
-		g.vsr.SetDialer(g.dialer)
-	} else if g.authHTTP != nil {
-		g.vsr.SetHTTPClient(g.authHTTP)
-	}
+	g.dialer = transport.NewDialer(creds)
+	g.dialer.Transport = g.rt
+	g.dialer.Binary = !g.binaryOff
+	g.authHTTP = g.dialer.HTTPClient()
+	g.vsr.SetDialer(g.dialer)
 }
 
 // Auth returns the gateway's authentication context (nil in open mode).
 func (g *VSG) Auth() *identity.Auth { return g.auth }
 
-// Dialer returns the gateway's outbound dialer (nil in open mode) — the
-// federation assembler reads per-link wire protocol stats from it.
+// Dialer returns the gateway's outbound dialer — the federation
+// assembler reads per-link wire protocol stats from it.
 func (g *VSG) Dialer() *transport.Dialer { return g.dialer }
 
 // SetAudit installs the home's audit log: it backs the gateway's /audit
@@ -373,14 +361,12 @@ func (g *VSG) SetLoopbackEnabled(on bool) {
 
 // SetBinaryEnabled turns the binary fast path off (or back on) for this
 // gateway, both directions: outbound calls stop offering the handshake
-// and inbound hellos are refused, so every exchange rides signed
-// SOAP/HTTP — the vsgd -binary=false flag and the SOAP-only home of a
-// mixed-mode federation. Default on whenever auth is live.
+// and inbound hellos are refused, so every exchange rides SOAP/HTTP —
+// the vsgd -binary=false flag and the SOAP-only home of a mixed-mode
+// federation. Default on, in open and secured mode alike.
 func (g *VSG) SetBinaryEnabled(on bool) {
 	g.binaryOff = !on
-	if g.dialer != nil {
-		g.dialer.Binary = on && g.auth != nil
-	}
+	g.dialer.SetBinary(on)
 	if g.bin != nil {
 		g.bin.SetEnabled(on)
 	}
@@ -405,14 +391,11 @@ func (g *VSG) Start(addr string) error {
 	}
 	g.ln = ln
 	g.httpS = &http.Server{Handler: g.buildMux()}
-	serveLn := ln
-	if g.bin != nil {
-		// Share the port: the demultiplexer sniffs the binary preamble and
-		// routes those connections to the session-keyed face; in-process
-		// peers dial through the local registry without a socket.
-		serveLn = transport.Demux(ln, g.bin)
-		transport.RegisterLocal(ln.Addr().String(), g.bin)
-	}
+	// Share the port: the demultiplexer sniffs the binary preamble and
+	// routes those connections to the session-keyed face; in-process
+	// peers dial through the local registry without a socket.
+	serveLn := transport.Demux(ln, g.bin)
+	transport.RegisterLocal(ln.Addr().String(), g.bin)
 	go func() { _ = g.httpS.Serve(serveLn) }()
 	procMu.Lock()
 	procGateways[g.BaseURL()] = g
@@ -468,25 +451,28 @@ func (g *VSG) buildMux() *http.ServeMux {
 		ops.HealthHandler(func() any { return g.healthReport() })))
 	mux.Handle("/audit", identity.Require(g.auth, true, identity.HTTPDeny,
 		ops.AuditHandler(func() *audit.Log { return g.auditLog.Load() })))
+	// The binary fast-path face: session callers — signed once auth has
+	// an identity, anonymous before — reach the same inbound dispatch as
+	// the SOAP face. Binary-encoded calls skip the XML codec entirely;
+	// anything else (tunneled XML) replays through the ordinary HTTP
+	// handler with the caller injected.
+	var sessions transport.SessionAuth
 	if g.auth != nil {
-		// The binary fast-path face: session-authenticated callers reach
-		// the same inbound dispatch as the SOAP face. Binary-encoded calls
-		// skip the XML codec entirely; anything else (tunneled XML) replays
-		// through the ordinary HTTP handler with the caller injected.
-		g.bin = transport.NewBinServer(g.auth)
-		if g.binaryOff {
-			g.bin.SetEnabled(false)
-		}
-		xmlFace := identity.BinFace(g.auth, false, soap.AuthFaultWriter,
-			soap.NewHTTPHandler(inbound{g: g}))
-		g.bin.Handle(servicesPath, transport.BinHandlerFunc(
-			func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
-				if req.ContentType == soap.BinCallContentType {
-					return g.serveBinCall(ctx, caller, req)
-				}
-				return xmlFace.ServeBin(ctx, caller, req)
-			}))
+		sessions = g.auth
 	}
+	g.bin = transport.NewBinServer(sessions)
+	if g.binaryOff {
+		g.bin.SetEnabled(false)
+	}
+	xmlFace := identity.BinFace(g.auth, false, soap.AuthFaultWriter,
+		soap.NewHTTPHandler(inbound{g: g}))
+	g.bin.Handle(servicesPath, transport.BinHandlerFunc(
+		func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
+			if req.ContentType == soap.BinCallContentType {
+				return g.serveBinCall(ctx, caller, req)
+			}
+			return xmlFace.ServeBin(ctx, caller, req)
+		}))
 	return mux
 }
 
@@ -503,6 +489,16 @@ func (g *VSG) serveBinCall(ctx context.Context, caller string, req *transport.Bi
 	result, err := (inbound{g: g}).ServeSOAP(identity.WithCaller(ctx, caller), call)
 	if err != nil {
 		return binFaultResponse(soap.FaultFromError(err))
+	}
+	// The SOAP face's response bound applies here too: a result whose
+	// envelope would overflow it is refused, not framed (see
+	// soap.PayloadCeiling).
+	if err := soap.CheckResultSize(call.Namespace, call.Operation, result); err != nil {
+		if errors.Is(err, soap.ErrEnvelopeTooLarge) {
+			return &transport.BinResponse{Status: http.StatusRequestEntityTooLarge,
+				ContentType: "text/plain", Body: []byte(err.Error())}
+		}
+		return binFaultResponse(&soap.Fault{Code: "Server", String: err.Error()})
 	}
 	body, err := soap.EncodeBinResponse(result)
 	if err != nil {
@@ -556,15 +552,13 @@ func (g *VSG) Close() {
 	for _, key := range keys {
 		_ = g.vsr.Unregister(ctx, key)
 	}
-	if g.bin != nil && g.ln != nil {
+	if g.ln != nil {
 		transport.UnregisterLocal(g.ln.Addr().String())
 	}
 	if g.bin != nil {
 		g.bin.Close()
 	}
-	if g.dialer != nil {
-		g.dialer.Close()
-	}
+	g.dialer.Close()
 	if g.httpS != nil {
 		_ = g.httpS.Close()
 	}
@@ -593,7 +587,10 @@ func (g *VSG) EventsURL() string { return g.BaseURL() + "/events" }
 
 // Export publishes a local service to the federation: it gains a SOAP
 // endpoint on this gateway and a VSR registration. The context tags the
-// description with the gateway's network name.
+// description with the gateway's network name. The endpoint is live
+// before the registration lands, so a caller that resolves the service
+// the moment the repository has it is served; a failed registration
+// withdraws the endpoint again (restoring any export it replaced).
 func (g *VSG) Export(ctx context.Context, desc service.Description, invoker service.Invoker) error {
 	if err := desc.Validate(); err != nil {
 		return err
@@ -606,13 +603,25 @@ func (g *VSG) Export(ctx context.Context, desc service.Description, invoker serv
 	if g.home != "" {
 		desc.Context[service.CtxHome] = g.home
 	}
+	e := &export{desc: desc, invoker: invoker}
+	g.mu.Lock()
+	prev, replaced := g.exports[desc.ID]
+	g.exports[desc.ID] = e
+	g.mu.Unlock()
 	key, err := g.vsr.Register(ctx, desc, g.EndpointFor(desc.ID))
-	if err != nil {
-		return fmt.Errorf("vsg %s: export %s: %w", g.name, desc.ID, err)
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.exports[desc.ID] = &export{desc: desc, invoker: invoker, key: key}
+	if err != nil {
+		if g.exports[desc.ID] == e {
+			if replaced {
+				g.exports[desc.ID] = prev
+			} else {
+				delete(g.exports, desc.ID)
+			}
+		}
+		return fmt.Errorf("vsg %s: export %s: %w", g.name, desc.ID, err)
+	}
+	e.key = key
 	return nil
 }
 
@@ -882,23 +891,13 @@ func (g *VSG) CallRemote(ctx context.Context, remote vsr.Remote, op string, args
 	for i, p := range opSpec.Inputs {
 		call.Args = append(call.Args, soap.Arg{Name: p.Name, Value: args[i]})
 	}
-	// g.authHTTP (nil in open mode, letting the client fall back to the
-	// shared transport) signs the envelope headers with this home's
-	// identity, so the target home knows who is calling. The dialer, when
-	// live, first offers the binary fast path to the target's authority.
+	// The dialer first offers the binary fast path to the target's
+	// authority; its HTTP side (g.authHTTP) signs the envelope headers
+	// with this home's identity when one is installed, so the target
+	// home knows who is calling.
 	client := &soap.Client{URL: remote.Endpoint, HTTP: g.authHTTP, Dialer: g.dialer}
 	return client.Call(ctx, Namespace(remote.Desc.ID)+"#"+op, call)
 }
-
-// loopbackPayloadCeiling routes borderline-huge requests onto the wire:
-// above this conservative bound the encoded envelope might overflow
-// soap.MaxEnvelopeBytes once escaping (worst case 6×: "&#34;" for a
-// quote, U+FFFD for an invalid byte) or base64 wrapping expands the
-// payload, and only the real codec can decide exactly. Sending those few
-// calls over HTTP keeps the accept/reject boundary identical on both
-// paths instead of approximating it. The 4 KiB headroom covers the
-// envelope shell and operation/parameter elements.
-const loopbackPayloadCeiling = (soap.MaxEnvelopeBytes - 4096) / 6
 
 // payloadLen sums the variable-size payload bytes across values.
 func payloadLen(vals []service.Value) int {
@@ -915,7 +914,9 @@ func (g *VSG) loopbackTarget(endpoint string, args []service.Value) *VSG {
 	if g.loopbackOff.Load() {
 		return nil
 	}
-	if payloadLen(args) > loopbackPayloadCeiling {
+	if payloadLen(args) > soap.PayloadCeiling {
+		// Borderline-huge requests ride the wire, where the real codec
+		// decides whether the envelope fits (see soap.PayloadCeiling).
 		return nil
 	}
 	i := strings.Index(endpoint, servicesPath)
@@ -986,19 +987,16 @@ func (g *VSG) invokeLocal(ctx context.Context, id, op string, args []service.Val
 		// Server-side; mirror that instead of leaking an invalid value.
 		return service.Value{}, remoteErrorFrom(fmt.Errorf("soap: result: %w", service.ErrBadKind))
 	}
-	if v.PayloadLen() > loopbackPayloadCeiling {
-		// A result this large might overflow the wire's envelope bound;
-		// encode the real response so the limit is enforced exactly as
-		// the wire would (the caller's decode of a truncated envelope is
-		// a plain error, not a fault). The encode cost is paid only by
-		// payloads far beyond appliance-control scale.
-		data, err := soap.EncodeResponse(Namespace(id), op, v)
-		if err != nil {
-			return service.Value{}, remoteErrorFrom(err)
+	// A result this large might overflow the wire's envelope bound: the
+	// check encodes the real response so the limit is enforced exactly as
+	// the wire would (the caller's decode of a truncated envelope is a
+	// plain error, not a fault). The encode cost is paid only by payloads
+	// far beyond appliance-control scale.
+	if err := soap.CheckResultSize(Namespace(id), op, v); err != nil {
+		if errors.Is(err, soap.ErrEnvelopeTooLarge) {
+			return service.Value{}, err
 		}
-		if len(data) > soap.MaxEnvelopeBytes {
-			return service.Value{}, fmt.Errorf("soap: response envelope exceeds %d bytes", soap.MaxEnvelopeBytes)
-		}
+		return service.Value{}, remoteErrorFrom(err)
 	}
 	return v, nil
 }

@@ -1,8 +1,12 @@
 package vsg
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -568,5 +572,88 @@ func TestStatsCountCrossGatewayCalls(t *testing.T) {
 	}
 	if _, out, _ := r.gw2.Stats(); out != 3 {
 		t.Errorf("gw2 outbound = %d, want 3", out)
+	}
+}
+
+// TestExportServesBeforeRegistrationReturns calls a service in the
+// window between the repository accepting its registration and Export
+// returning: a caller that resolves it there must reach a live export,
+// not NoSuchService. The exporting gateway registers through a proxy
+// that, holding the registration's reply, makes the call first.
+func TestExportServesBeforeRegistrationReturns(t *testing.T) {
+	srv, err := vsr.StartServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var inWindow func() error
+	window := make(chan error, 1)
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		resp, err := http.Post(srv.URL(), r.Header.Get("Content-Type"), bytes.NewReader(body))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		reply, _ := io.ReadAll(resp.Body)
+		if inWindow != nil && bytes.Contains(body, []byte("<save_service")) {
+			window <- inWindow()
+		}
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		_, _ = w.Write(reply)
+	}))
+	defer proxy.Close()
+
+	gw1 := New("net1", proxy.URL+"/uddi")
+	gw1.SetWatchEnabled(false)
+	gw2 := New("net2", srv.URL())
+	for _, gw := range []*VSG{gw1, gw2} {
+		if err := gw.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+	}
+	ctx := context.Background()
+	inWindow = func() error {
+		_, err := gw2.Call(ctx, "jini:lamp-1", "SetLevel", []service.Value{service.IntValue(7)})
+		return err
+	}
+	lamp := &fakeLamp{}
+	if err := gw1.Export(ctx, lampDesc("jini:lamp-1"), lamp); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-window:
+		if err != nil {
+			t.Fatalf("call resolved while Export was registering: %v", err)
+		}
+	default:
+		t.Fatal("test premise broken: the registration never passed the proxy")
+	}
+	lamp.mu.Lock()
+	defer lamp.mu.Unlock()
+	if lamp.level != 7 {
+		t.Fatalf("lamp level = %d, want 7", lamp.level)
+	}
+}
+
+// TestExportUnwindsFailedRegistration: an export whose registration
+// fails leaves no live endpoint behind.
+func TestExportUnwindsFailedRegistration(t *testing.T) {
+	gw := New("net1", "http://127.0.0.1:1/uddi") // nothing listens here
+	gw.SetWatchEnabled(false)
+	if err := gw.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := gw.Export(ctx, lampDesc("jini:lamp-1"), &fakeLamp{}); err == nil {
+		t.Fatal("export against a dead repository succeeded")
+	}
+	if ids := gw.Exports(); len(ids) != 0 {
+		t.Fatalf("failed export left %v installed", ids)
 	}
 }

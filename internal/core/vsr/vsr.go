@@ -65,9 +65,12 @@ type VSR struct {
 	ttl    time.Duration
 }
 
-// New returns a VSR client against the given registry URL.
+// New returns a VSR client against the given registry URL. It rides the
+// process-wide open dialer (transport.OpenDialer): the binary fast path
+// over an anonymous session where the registry offers one, SOAP/HTTP
+// otherwise. SetDialer or SetHTTPClient replace it.
 func New(url string) *VSR {
-	return &VSR{client: &uddi.Client{URL: url}, ttl: DefaultTTL}
+	return &VSR{client: &uddi.Client{URL: url, Dialer: transport.OpenDialer()}, ttl: DefaultTTL}
 }
 
 // NewSet returns a VSR client against a replicated registry: an ordered
@@ -80,16 +83,19 @@ func NewSet(urls ...string) *VSR {
 		return New(urls[0])
 	}
 	return &VSR{
-		client: &uddi.Client{Resolver: transport.NewResolver(urls...)},
+		client: &uddi.Client{Resolver: transport.NewResolver(urls...), Dialer: transport.OpenDialer()},
 		ttl:    DefaultTTL,
 	}
 }
 
-// SetHTTPClient replaces the underlying HTTP client — how gateways and
-// peer links route repository traffic through a credential-signing
-// client (transport.NewAuthClient) when their home has an identity. Call
-// before the first request.
-func (v *VSR) SetHTTPClient(c *http.Client) { v.client.HTTP = c }
+// SetHTTPClient replaces the underlying client with a plain HTTP one —
+// how a caller with its own transport or per-request signing (homectl's
+// credential-signing client) keeps every request on SOAP/HTTP. Call
+// before the first request; supersedes SetDialer.
+func (v *VSR) SetHTTPClient(c *http.Client) {
+	v.client.HTTP = c
+	v.client.Dialer = nil
+}
 
 // SetDialer routes repository traffic through a transport.Dialer, which
 // owns credentials and protocol negotiation: requests ride the binary
@@ -423,9 +429,10 @@ type Server struct {
 	// virtual hostname on an in-memory network rather than a TCP address.
 	base string
 	auth *identity.Auth
-	// bin is the binary fast-path face (nil when auth is nil). Listening
-	// servers share their port with it through a demultiplexer and
-	// register it for in-process dialing; detached servers leave it
+	// bin is the binary fast-path face: signed sessions once the home
+	// has an identity, anonymous ones before (or with no auth at all).
+	// Listening servers share their port with it through a demultiplexer
+	// and register it for in-process dialing; detached servers leave it
 	// unreachable, keeping the simulation deterministic and SOAP-only.
 	bin *transport.BinServer
 
@@ -474,15 +481,12 @@ func StartServerWith(addr string, reg *uddi.Server, auth *identity.Auth) (*Serve
 	s := newServer(reg, auth)
 	s.ln = ln
 	s.httpS = &http.Server{Handler: s.mux}
-	serveLn := ln
-	if s.bin != nil {
-		// One port, two protocols: the demultiplexer sniffs the preamble
-		// and routes binary connections to the session-keyed face, leaving
-		// everything else to HTTP. In-process federations skip the socket
-		// entirely through the local registry.
-		serveLn = transport.Demux(ln, s.bin)
-		transport.RegisterLocal(ln.Addr().String(), s.bin)
-	}
+	// One port, two protocols: the demultiplexer sniffs the preamble and
+	// routes binary connections to the session-keyed face, leaving
+	// everything else to HTTP. In-process federations skip the socket
+	// entirely through the local registry.
+	serveLn := transport.Demux(ln, s.bin)
+	transport.RegisterLocal(ln.Addr().String(), s.bin)
 	go func() { _ = s.httpS.Serve(serveLn) }()
 	return s, nil
 }
@@ -528,31 +532,35 @@ func newServer(reg *uddi.Server, auth *identity.Auth) *Server {
 		h.ServeHTTP(w, r)
 	})
 	mux.Handle("/peer", identity.Require(auth, false, uddi.AuthErrorWriter, peerInner))
+	// The binary fast path mirrors those faces with the same home-boundary
+	// policy: /uddi stays private to this home, /peer admits any session
+	// peer. Its handshakes are signed once the home has an identity and
+	// anonymous before (or forever, with no auth at all). Registry
+	// operations in the native binary encoding dispatch straight onto the
+	// store; tunneled XML falls back to the HTTP handlers unchanged.
+	var sessions transport.SessionAuth
+	ownHome := ""
 	if auth != nil {
-		// The binary fast path mirrors the signed faces with the same
-		// home-boundary policy: /uddi stays private to this home, /peer
-		// admits any session-authenticated peer. Registry operations in
-		// the native binary encoding dispatch straight onto the store;
-		// tunneled XML falls back to the HTTP handlers unchanged.
-		s.bin = transport.NewBinServer(auth)
-		s.bin.Handle("/uddi", reg.BinHandler(uddi.BinOptions{
-			OwnHome:  auth.Home(),
-			Fallback: identity.BinFace(auth, true, uddi.AuthErrorWriter, reg.Handler()),
-		}))
-		s.bin.Handle("/peer", reg.BinHandler(uddi.BinOptions{
-			ReadOnly: true,
-			ViewFor: func(caller string) (uddi.View, bool) {
-				s.peerMu.RLock()
-				vf := s.peerView
-				s.peerMu.RUnlock()
-				if vf == nil {
-					return nil, false
-				}
-				return vf(caller), true
-			},
-			Fallback: identity.BinFace(auth, false, uddi.AuthErrorWriter, peerInner),
-		}))
+		sessions, ownHome = auth, auth.Home()
 	}
+	s.bin = transport.NewBinServer(sessions)
+	s.bin.Handle("/uddi", reg.BinHandler(uddi.BinOptions{
+		OwnHome:  ownHome,
+		Fallback: identity.BinFace(auth, true, uddi.AuthErrorWriter, reg.Handler()),
+	}))
+	s.bin.Handle("/peer", reg.BinHandler(uddi.BinOptions{
+		ReadOnly: true,
+		ViewFor: func(caller string) (uddi.View, bool) {
+			s.peerMu.RLock()
+			vf := s.peerView
+			s.peerMu.RUnlock()
+			if vf == nil {
+				return nil, false
+			}
+			return vf(caller), true
+		},
+		Fallback: identity.BinFace(auth, false, uddi.AuthErrorWriter, peerInner),
+	}))
 	// The operability faces are read-only and, like /uddi, private to the
 	// home's own identity; they serve 404 until MountOps supplies
 	// handlers.
@@ -637,24 +645,18 @@ func (s *Server) MountOps(health, auditH http.Handler) {
 func (s *Server) Registry() *uddi.Server { return s.registry }
 
 // SetBinaryEnabled turns the binary fast-path face on or off (default
-// on when the server has an authentication context). Disabled, every
-// handshake is refused and peers degrade to signed SOAP/HTTP — the
-// SOAP-only home of a mixed-mode federation.
-func (s *Server) SetBinaryEnabled(on bool) {
-	if s.bin != nil {
-		s.bin.SetEnabled(on)
-	}
-}
+// on, in open and secured mode alike). Disabled, every handshake is
+// refused and peers degrade to SOAP/HTTP — the SOAP-only home of a
+// mixed-mode federation.
+func (s *Server) SetBinaryEnabled(on bool) { s.bin.SetEnabled(on) }
 
 // Close stops the repository: the HTTP listener (when one exists) and
 // the registry's expiry janitor, waking any parked watchers.
 func (s *Server) Close() {
-	if s.bin != nil && s.ln != nil {
+	if s.ln != nil {
 		transport.UnregisterLocal(s.ln.Addr().String())
 	}
-	if s.bin != nil {
-		s.bin.Close()
-	}
+	s.bin.Close()
 	if s.httpS != nil {
 		_ = s.httpS.Close()
 	}

@@ -18,6 +18,37 @@ import (
 // honor the same limit the wire enforces.
 const MaxEnvelopeBytes = 1 << 20
 
+// PayloadCeiling is the largest total payload (service.Value.PayloadLen
+// over a call's arguments or its result) that certainly encodes within
+// MaxEnvelopeBytes: escaping can expand a payload up to 6× ("&#34;" for
+// a quote, U+FFFD for an invalid byte), and 4 KiB covers the envelope
+// shell and element names. Paths that skip the XML codec — the binary
+// wire, the gateway loopback — hand anything larger to the real codec so
+// the accept/reject boundary is the same on every path.
+const PayloadCeiling = (MaxEnvelopeBytes - 4096) / 6
+
+// ErrEnvelopeTooLarge reports a result whose response envelope would
+// exceed MaxEnvelopeBytes, on paths that check it without decoding a
+// truncated envelope.
+var ErrEnvelopeTooLarge = fmt.Errorf("soap: response envelope exceeds %d bytes", MaxEnvelopeBytes)
+
+// CheckResultSize applies the envelope bound to a result without going
+// through the wire: a result above PayloadCeiling is encoded for real and
+// refused with ErrEnvelopeTooLarge if the envelope does not fit.
+func CheckResultSize(namespace, op string, v service.Value) error {
+	if v.PayloadLen() <= PayloadCeiling {
+		return nil
+	}
+	data, err := EncodeResponse(namespace, op, v)
+	if err != nil {
+		return err
+	}
+	if len(data) > MaxEnvelopeBytes {
+		return ErrEnvelopeTooLarge
+	}
+	return nil
+}
+
 // Client issues SOAP calls over HTTP, the binding used between Virtual
 // Service Gateways. With a Dialer set, calls first try the binary fast
 // path to the endpoint's authority and fall back to SOAP/HTTP when the
@@ -47,9 +78,11 @@ func (c *Client) httpClient() *http.Client {
 
 // Call POSTs the request envelope with the given SOAPAction and decodes the
 // result. A remote fault is surfaced as a *service.RemoteError so that
-// sentinel errors survive the protocol boundary.
+// sentinel errors survive the protocol boundary. Arguments above
+// PayloadCeiling always take the SOAP path, where the real codec decides
+// whether the envelope fits.
 func (c *Client) Call(ctx context.Context, soapAction string, call Call) (service.Value, error) {
-	if c.Dialer != nil {
+	if c.Dialer != nil && argsPayload(call.Args) <= PayloadCeiling {
 		v, err := c.callBinary(ctx, soapAction, call)
 		if !errors.Is(err, transport.ErrBinaryUnavailable) {
 			return v, err
@@ -91,10 +124,20 @@ func (c *Client) Call(ctx context.Context, soapAction string, call Call) (servic
 	return v, nil
 }
 
+// argsPayload sums the variable-size payload bytes across call arguments.
+func argsPayload(args []Arg) int {
+	total := 0
+	for _, a := range args {
+		total += a.Value.PayloadLen()
+	}
+	return total
+}
+
 // callBinary runs one call over the binary fast path. An
 // ErrBinaryUnavailable return means "not negotiated — use SOAP"; every
-// other outcome (result, remote fault, context cancellation) is final
-// and classified exactly as the HTTP path would classify it.
+// other outcome (result, remote fault, context cancellation, an
+// oversized result) is final and classified exactly as the HTTP path
+// would classify it.
 func (c *Client) callBinary(ctx context.Context, soapAction string, call Call) (service.Value, error) {
 	body, err := EncodeBinCall(call)
 	if err != nil {
@@ -106,6 +149,11 @@ func (c *Client) callBinary(ctx context.Context, soapAction string, call Call) (
 			return service.Value{}, err
 		}
 		return service.Value{}, fmt.Errorf("soap: %w: %w", service.ErrUnavailable, err)
+	}
+	if res.Status == http.StatusRequestEntityTooLarge {
+		// The server refused to frame a result whose envelope would not
+		// fit: the HTTP path fails decoding the truncated envelope.
+		return service.Value{}, ErrEnvelopeTooLarge
 	}
 	if res.Status != http.StatusOK && res.Status != http.StatusInternalServerError {
 		// Same classification as the HTTP binding: faults ride 500,

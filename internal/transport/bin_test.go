@@ -42,7 +42,7 @@ type fakeAuth struct {
 	rekeys  int
 }
 
-func (f *fakeAuth) SessionActive() bool { return true }
+func (f *fakeAuth) SessionSigned() bool { return true }
 
 func (f *fakeAuth) lifetime() time.Duration {
 	if f.ttl > 0 {

@@ -1,10 +1,16 @@
-// The listening side of the binary fast path: a BinServer authenticates
-// each connection with one signed handshake (SessionAuth), then serves
-// MAC'd request frames against a path-prefix route table. The routes are
-// the same faces the HTTP mux serves — /uddi, /peer, /services/ — so a
-// request tunneled here and the same request POSTed over SOAP/HTTP reach
-// identical application logic; only the framing and the per-operation
-// signature differ.
+// The listening side of the binary fast path: a BinServer keys each
+// connection with one handshake (SessionAuth: signed, or anonymous in
+// open mode), then serves MAC'd request frames against a path-prefix
+// route table. The routes are the same faces the HTTP mux serves —
+// /uddi, /peer, /services/ — so a request tunneled here and the same
+// request POSTed over SOAP/HTTP reach identical application logic; only
+// the framing and the per-operation signature differ.
+//
+// Routes see the session's peer as caller: a verified home on a signed
+// session, "" on an anonymous one. The server only dispatches anonymous
+// requests while its provider runs open (see Session.stale), so a face
+// may read caller "" as "open mode, nothing to enforce" — the same
+// reading identity.Require gives an unsigned HTTP request.
 package transport
 
 import (
@@ -71,8 +77,12 @@ type BinServer struct {
 	disabled bool
 }
 
-// NewBinServer builds a server over the given handshake provider.
+// NewBinServer builds a server over the given handshake provider; nil
+// means Anonymous, the face of an endpoint with no credentials.
 func NewBinServer(auth SessionAuth) *BinServer {
+	if auth == nil {
+		auth = Anonymous
+	}
 	return &BinServer{
 		auth:   auth,
 		nowFn:  time.Now,
@@ -147,11 +157,13 @@ func (s *BinServer) acceptLocal(hello []byte) (accept []byte, sess *Session, err
 
 // handleRequest serves one MAC'd 'Q' payload against sess, appending the
 // 'S' payload to dst (a caller-owned scratch buffer reused across
-// frames). An error poisons the lane: expired sessions surface
-// errSessionExpired (the dialer rekeys), anything else means the frame
-// failed verification and the connection cannot be trusted further.
+// frames). An error poisons the lane: stale sessions — expired, or
+// anonymous on a server that has since gained an identity — surface
+// errSessionExpired (the dialer rekeys, or falls back when its new hello
+// is refused), anything else means the frame failed verification and
+// the connection cannot be trusted further.
 func (s *BinServer) handleRequest(ctx context.Context, sess *Session, payload, dst []byte) ([]byte, error) {
-	if sess.Expired(s.nowFn()) {
+	if sess.stale(s.auth, s.nowFn()) {
 		return nil, errSessionExpired
 	}
 	q, err := decodeRequest(sess, payload)

@@ -5,7 +5,8 @@
 //
 //   - credentials: per-operation request signing on the SOAP/HTTP path
 //     (exactly what NewAuthClientOver built), and the session handshake
-//     on the binary path;
+//     on the binary path — signed with an identity, anonymous without
+//     one (anon.go), so open and secured homes negotiate the same wire;
 //   - protocol negotiation: whether a given authority speaks the binary
 //     fast path, discovered once and remembered, with degradation back
 //     to SOAP that never drops application state (the request body —
@@ -86,14 +87,15 @@ type Dialer struct {
 	// response signatures; nil or inactive means plain HTTP (open
 	// mode).
 	Creds Credentials
-	// Session is the binary handshake provider; nil or inactive
-	// disables fast-path negotiation entirely.
+	// Session is the binary handshake provider; nil disables fast-path
+	// negotiation entirely.
 	Session SessionAuth
 	// Transport, when set, carries the HTTP path (the MemNet seam) and
 	// restricts binary negotiation to in-process authorities.
 	Transport http.RoundTripper
-	// Binary gates fast-path negotiation. NewDialer turns it on when
-	// the credentials can run session handshakes.
+	// Binary gates fast-path negotiation. NewDialer turns it on
+	// whenever it has a session provider; SetBinary changes it once the
+	// dialer is in use.
 	Binary bool
 	// Timeout, when set, bounds each HTTP request (the old
 	// ClientWithTimeout behaviour).
@@ -116,18 +118,30 @@ type linkState struct {
 	lastStart  time.Time // newest session establishment
 }
 
-// NewDialer builds a dialer for the given credentials. When the
-// credentials also implement SessionAuth (a home identity does), binary
-// negotiation is enabled; open-mode dialers stay SOAP-only and
-// byte-identical to the pre-session wire.
+// NewDialer builds a dialer for the given credentials, with binary
+// negotiation on. Credentials that also implement SessionAuth (a home's
+// identity.Auth does) run its handshakes — signed once an identity is
+// installed, anonymous before; nil credentials run anonymous sessions
+// (Anonymous). Other credentials sign SOAP/HTTP only and never negotiate.
 func NewDialer(creds Credentials) *Dialer {
-	d := &Dialer{Creds: creds}
-	if sa, ok := creds.(SessionAuth); ok && creds != nil {
-		d.Session = sa
-		d.Binary = true
+	d := &Dialer{Creds: creds, Session: Anonymous, Binary: true}
+	if creds != nil {
+		d.Session, d.Binary = nil, false
+		if sa, ok := creds.(SessionAuth); ok {
+			d.Session, d.Binary = sa, true
+		}
 	}
 	return d
 }
+
+// openDialer backs OpenDialer.
+var openDialer = NewDialer(nil)
+
+// OpenDialer returns the process-wide dialer for clients with no
+// credentials of their own (vsr.New): anonymous sessions, one link pool
+// per authority shared by every such client — the binary counterpart of
+// Shared.
+func OpenDialer() *Dialer { return openDialer }
 
 // now returns the dialer clock.
 func (d *Dialer) now() time.Time {
@@ -165,9 +179,20 @@ func (d *Dialer) HTTPClient() *http.Client {
 	return d.httpC
 }
 
+// SetBinary turns fast-path negotiation on or off; safe while exchanges
+// are in flight (they finish on the wire they started on).
+func (d *Dialer) SetBinary(on bool) {
+	d.mu.Lock()
+	d.Binary = on
+	d.mu.Unlock()
+}
+
 // binaryEligible reports whether fast-path negotiation is even possible.
 func (d *Dialer) binaryEligible() bool {
-	return d.Binary && d.Session != nil && d.Session.SessionActive()
+	d.mu.Lock()
+	on := d.Binary
+	d.mu.Unlock()
+	return on && d.Session != nil
 }
 
 // link returns (creating if needed) the state for an authority.
@@ -234,6 +259,13 @@ func (d *Dialer) Exchange(ctx context.Context, rawURL, contentType, action strin
 		l.discard()
 	} else {
 		d.release(st, l)
+	}
+	if err := ctx.Err(); err != nil {
+		// The caller's context ended while the exchange ran — on a local
+		// lane the handler even saw it end. An HTTP round trip would have
+		// been abandoned at that moment, so report the context, not the
+		// (possibly context-shaped) reply.
+		return nil, fmt.Errorf("transport: binary exchange: %w", err)
 	}
 	return res, nil
 }
@@ -475,13 +507,14 @@ func copyBody(b []byte) []byte {
 	return append([]byte(nil), b...)
 }
 
-// exchange runs one request, rekeying in place when the session lifetime
-// has elapsed (proactively on the dialer clock, or reactively when the
-// listener says 'E' expired).
+// exchange runs one request, rekeying in place when the session is
+// stale (proactively: its lifetime elapsed on the dialer clock, or it is
+// anonymous and an identity has since been installed) or when the
+// listener says 'E' expired.
 func (l *binLink) exchange(ctx context.Context, path, contentType, action string, body []byte) (*BinResult, error) {
 	now := l.d.now()
 	if l.lane != nil {
-		if l.lane.client.Expired(now) {
+		if l.lane.client.stale(l.d.Session, now) {
 			if err := l.lane.rekey(l.d.Session); err != nil {
 				return nil, err
 			}
@@ -501,7 +534,7 @@ func (l *binLink) exchange(ctx context.Context, path, contentType, action string
 		}
 		return &BinResult{Status: resp.Status, ContentType: resp.ContentType, Body: copyBody(resp.Body)}, nil
 	}
-	if l.sess.Expired(now) {
+	if l.sess.stale(l.d.Session, now) {
 		if err := l.rekeyConn(); err != nil {
 			return nil, err
 		}

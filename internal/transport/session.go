@@ -1,9 +1,10 @@
-// Session-keyed authentication for the binary fast path: one signed
-// mutual handshake per connection establishes an HMAC session, so
-// steady-state operations pay a MAC instead of the per-operation ed25519
-// sign/verify the SOAP path carries. The handshake itself is owned by a
-// SessionAuth provider (internal/core/identity); the transport only sees
-// opaque blobs and the resulting Session key material.
+// Session-keyed authentication for the binary fast path: one handshake
+// per connection establishes an HMAC session, so steady-state operations
+// pay a MAC instead of the per-operation ed25519 sign/verify the SOAP
+// path carries. The handshake is owned by a SessionAuth provider — signed
+// by a home identity (internal/core/identity) or anonymous (anon.go); the
+// transport only sees opaque blobs and the resulting Session key
+// material.
 package transport
 
 import (
@@ -15,7 +16,7 @@ import (
 	"time"
 )
 
-// Session is one direction-pair of HMAC keys established by a signed
+// Session is one direction-pair of HMAC keys established by a
 // handshake, bound to a single binary connection (or one in-process
 // lane). Counters are strictly increasing per direction; because every
 // connection is serial, a gap or repeat can only mean replay or loss.
@@ -23,7 +24,8 @@ type Session struct {
 	// ID names the session in audit events; it is derived from the
 	// handshake transcript, not from key material.
 	ID string
-	// Peer is the authenticated remote home.
+	// Peer is the authenticated remote home; "" on an anonymous session
+	// (see anon.go).
 	Peer string
 	// Established and Expiry bound the session lifetime; an expired
 	// session is rekeyed in place by a fresh handshake on the same
@@ -33,6 +35,8 @@ type Session struct {
 
 	sendKey [32]byte
 	recvKey [32]byte
+	// anon marks a session keyed by the anonymous handshake.
+	anon bool
 
 	mu      sync.Mutex
 	sendCtr uint64
@@ -60,6 +64,17 @@ func (s *Session) Expired(now time.Time) bool { return now.After(s.Expiry) }
 
 // Age returns the session age at now.
 func (s *Session) Age(now time.Time) time.Duration { return now.Sub(s.Established) }
+
+// Anonymous reports whether the session came from an anonymous
+// handshake: no peer was authenticated.
+func (s *Session) Anonymous() bool { return s.anon }
+
+// stale reports whether the session must be rekeyed before it carries
+// another request: its lifetime elapsed, or it is anonymous while its
+// provider now runs signed handshakes (an identity was installed).
+func (s *Session) stale(auth SessionAuth, now time.Time) bool {
+	return s.Expired(now) || (s.anon && auth.SessionSigned())
+}
 
 // nextSendCtr consumes one send counter.
 func (s *Session) nextSendCtr() uint64 {
@@ -125,12 +140,15 @@ func (s *Session) verifyRecvMAC(payload []byte) ([]byte, error) {
 
 // SessionAuth is the handshake provider behind the binary fast path.
 // internal/core/identity implements it over the home's ed25519 identity
-// and trust store; the transport treats hello/accept blobs as opaque.
+// and trust store, running anonymous handshakes while no identity is
+// installed; Anonymous serves endpoints with no credentials. The
+// transport treats hello/accept blobs as opaque.
 type SessionAuth interface {
-	// SessionActive reports whether handshakes are possible — an
-	// identity is installed. When false the dialer never attempts
-	// binary negotiation and every call stays on the SOAP/HTTP path.
-	SessionActive() bool
+	// SessionSigned reports whether handshakes are signed — an identity
+	// is installed. When false the provider runs anonymous handshakes
+	// (see anon.go), and any anonymous session it holds ends the moment
+	// this turns true.
+	SessionSigned() bool
 	// NewSessionClient starts one dialing-side handshake.
 	NewSessionClient() (SessionClient, error)
 	// AcceptSession processes a dialer's hello blob, returning the

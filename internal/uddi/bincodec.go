@@ -42,7 +42,7 @@ const (
 	binUDDIGet     = 'G' // key
 	binUDDIWatch   = 'W' // uvarint since, uvarint timeoutMS, uvarint sinceEpoch
 	// Replication requests (private repository face only; see replica.go).
-	binUDDIReplSync   = 'Y' // (empty)
+	binUDDIReplSync   = 'Y' // uvarint requester epoch
 	binUDDIReplWatch  = 'V' // uvarint since, uvarint timeoutMS, uvarint epoch
 	binUDDIReplStatus = 'Q' // (empty)
 )
@@ -54,7 +54,7 @@ const (
 	binUDDIChanges = 'C' // uvarint next, bool resync, uvarint epoch, uvarint n, n × (uvarint seq, op byte, entry)
 	binUDDIError   = 'E' // code, info — the dispositionReport twin
 	// Replication responses.
-	binUDDIReplState   = 'R' // uvarint seq, uvarint epoch, leader, uvarint n, n × (uvarint expMS, entry)
+	binUDDIReplState   = 'R' // uvarint seq, uvarint epoch, leader, uvarint boundary, uvarint n, n × (uvarint expMS, entry)
 	binUDDIReplChange  = 'H' // uvarint next, bool resync, uvarint epoch, leader, uvarint n, n × (uvarint seq, op byte, uvarint expMS, entry)
 	binUDDIReplStatusR = 'T' // uvarint seq, uvarint epoch, leader, role, replicaOf
 )
@@ -166,8 +166,8 @@ func encodeBinWatch(since, sinceEpoch uint64, timeout time.Duration) []byte {
 	return b
 }
 
-func encodeBinReplSyncReq() []byte {
-	return []byte{binUDDIVersion, binUDDIReplSync}
+func encodeBinReplSyncReq(epoch uint64) []byte {
+	return binary.AppendUvarint([]byte{binUDDIVersion, binUDDIReplSync}, epoch)
 }
 
 func encodeBinReplStatusReq() []byte {
@@ -233,6 +233,7 @@ func encodeBinReplState(st ReplState) []byte {
 	b = binary.AppendUvarint(b, st.Seq)
 	b = binary.AppendUvarint(b, st.Epoch)
 	b = appendWALString(b, st.Leader)
+	b = binary.AppendUvarint(b, st.Boundary)
 	b = binary.AppendUvarint(b, uint64(len(st.Entries)))
 	for i := range st.Entries {
 		var expMS uint64
@@ -382,6 +383,7 @@ func decodeBinReplState(data []byte) (ReplState, error) {
 	st.Seq = r.uvarint()
 	st.Epoch = r.uvarint()
 	st.Leader = r.str()
+	st.Boundary = r.uvarint()
 	n := int(r.uvarint())
 	if r.err != nil {
 		return ReplState{}, r.err
@@ -491,7 +493,10 @@ type BinOptions struct {
 	// OwnHome, when non-empty, makes the face private to that home —
 	// the binary twin of the identity middleware's ownOnly policy on
 	// /uddi. Foreign callers get E_userMismatch, decoding to
-	// service.ErrForbidden exactly like the HTTP face's refusal.
+	// service.ErrForbidden exactly like the HTTP face's refusal. An
+	// anonymous caller ("") passes: the transport only serves anonymous
+	// sessions while the home runs open, when the HTTP face enforces
+	// nothing either.
 	OwnHome string
 	// ReadOnly restricts the face to the inquiry operations, as the
 	// /peer XML face is: publication records get E_operatorMismatch.
@@ -525,7 +530,7 @@ func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 			}
 			return binError(http.StatusUnsupportedMediaType, "E_unsupported", "binary registry face: unknown content type "+req.ContentType)
 		}
-		if opts.OwnHome != "" && caller != opts.OwnHome {
+		if opts.OwnHome != "" && caller != "" && caller != opts.OwnHome {
 			return binError(http.StatusForbidden, "E_userMismatch",
 				"identity: this face is private to home "+opts.OwnHome+": "+service.ErrForbidden.Error())
 		}
@@ -664,10 +669,12 @@ func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
 				Body: encodeBinReplStatus(s.replStatusNow())}
 		case binUDDIReplSync:
-			entries, deadlines, seq, epoch, leader := s.ReplState()
+			reqEpoch := r.uvarint()
+			if r.err != nil {
+				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
+			}
 			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinReplState(ReplState{Seq: seq, Epoch: epoch, Leader: leader,
-					Entries: entries, Deadlines: deadlines})}
+				Body: encodeBinReplState(s.replStateFor(reqEpoch))}
 		case binUDDIReplWatch:
 			since := r.uvarint()
 			timeout := time.Duration(r.uvarint()) * time.Millisecond

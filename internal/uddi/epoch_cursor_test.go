@@ -204,7 +204,7 @@ func TestWatchCursorAcrossPromotion(t *testing.T) {
 		// epoch cursor can be safely replayed — only resynced.
 		r := NewServer()
 		defer r.Close()
-		st, err := c.ReplSync(ctx)
+		st, err := c.ReplSync(ctx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

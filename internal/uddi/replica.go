@@ -437,9 +437,18 @@ type ReplStatus struct {
 
 // ReplState is a full registry dump for replica attach.
 type ReplState struct {
-	Seq       uint64
-	Epoch     uint64
-	Leader    string
+	Seq    uint64
+	Epoch  uint64
+	Leader string
+	// Boundary is where the requester's regime ended in this node's
+	// history: the journal position of this node's epoch mark for the
+	// first regime after the epoch the requester named (see
+	// epochBoundaryLocked). A deposed leader's writes journaled above it
+	// never reached this regime; at or below it they did, so an entry
+	// the dump lacks there was removed by this regime. 0 when the
+	// requester named no older epoch or the mark predates this node's
+	// memory.
+	Boundary  uint64
 	Entries   []Entry
 	Deadlines []time.Time
 }
@@ -452,6 +461,20 @@ type ReplChanges struct {
 	Resync  bool
 	Epoch   uint64
 	Leader  string
+}
+
+// replStateFor is the state dump answering a repl_sync from a node at
+// reqEpoch, carrying the regime boundary that node's handback needs.
+func (s *Server) replStateFor(reqEpoch uint64) ReplState {
+	var boundary uint64
+	s.jmu.Lock()
+	if reqEpoch > 0 && reqEpoch < s.epoch {
+		boundary, _ = s.epochBoundaryLocked(reqEpoch)
+	}
+	s.jmu.Unlock()
+	entries, deadlines, seq, epoch, leader := s.ReplState()
+	return ReplState{Seq: seq, Epoch: epoch, Leader: leader, Boundary: boundary,
+		Entries: entries, Deadlines: deadlines}
 }
 
 func (s *Server) replStatusNow() ReplStatus {
@@ -491,16 +514,26 @@ func (s *Server) handleReplStatus(w http.ResponseWriter) {
 	writeXML(w, xw.Bytes())
 }
 
-func (s *Server) handleReplSync(w http.ResponseWriter) {
-	entries, deadlines, seq, epoch, leader := s.ReplState()
+func (s *Server) handleReplSync(w http.ResponseWriter, root *xmltree.Element) {
+	var reqEpoch uint64
+	if t := root.ChildText("epoch"); t != "" {
+		v, err := strconv.ParseUint(t, 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "E_fatalError", "bad epoch "+t)
+			return
+		}
+		reqEpoch = v
+	}
+	st := s.replStateFor(reqEpoch)
 	xw := xmltree.NewWriter()
 	xw.Open("replState",
-		"seq", strconv.FormatUint(seq, 10),
-		"epoch", strconv.FormatUint(epoch, 10),
-		"leader", leader,
+		"seq", strconv.FormatUint(st.Seq, 10),
+		"epoch", strconv.FormatUint(st.Epoch, 10),
+		"leader", st.Leader,
+		"boundary", strconv.FormatUint(st.Boundary, 10),
 	)
-	for i, e := range entries {
-		xw.Open("replEntry", "expiresms", strconv.FormatInt(deadlines[i].UnixMilli(), 10))
+	for i, e := range st.Entries {
+		xw.Open("replEntry", "expiresms", strconv.FormatInt(st.Deadlines[i].UnixMilli(), 10))
 		entryToXML(xw, e)
 		xw.Close()
 	}
@@ -608,15 +641,18 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 	return st, nil
 }
 
-// ReplSync fetches the leader's full state dump — the attach path.
-func (c *Client) ReplSync(ctx context.Context) (ReplState, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinReplSyncReq()); err != nil {
+// ReplSync fetches the leader's full state dump — the attach path. epoch
+// is the requester's own epoch: a deposed leader rejoining gets the
+// regime boundary its handback needs in ReplState.Boundary.
+func (c *Client) ReplSync(ctx context.Context, epoch uint64) (ReplState, error) {
+	if body, ok, err := c.binExchange(ctx, encodeBinReplSyncReq(epoch)); err != nil {
 		return ReplState{}, err
 	} else if ok {
 		return decodeBinReplState(body)
 	}
 	w := xmltree.NewWriter()
 	w.Open("repl_sync")
+	w.Leaf("epoch", strconv.FormatUint(epoch, 10))
 	root, err := c.roundTrip(ctx, w.Bytes())
 	if err != nil {
 		return ReplState{}, err
@@ -632,6 +668,11 @@ func (c *Client) ReplSync(ctx context.Context) (ReplState, error) {
 		return ReplState{}, fmt.Errorf("uddi: bad replState epoch: %w", err)
 	}
 	st.Leader = root.Attr("leader")
+	if b := root.Attr("boundary"); b != "" {
+		if st.Boundary, err = strconv.ParseUint(b, 10, 64); err != nil {
+			return ReplState{}, fmt.Errorf("uddi: bad replState boundary: %w", err)
+		}
+	}
 	for _, el := range root.All("replEntry") {
 		expMS, err := strconv.ParseInt(el.Attr("expiresms"), 10, 64)
 		if err != nil {

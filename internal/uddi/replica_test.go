@@ -426,11 +426,11 @@ func TestReplFramesXMLBinaryEquivalence(t *testing.T) {
 	}
 
 	// The state-transfer frames agree the same way.
-	stXML, err := c.ReplSync(ctx)
+	stXML, err := c.ReplSync(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp = binServe(leader, BinOptions{}, "home-a", encodeBinReplSyncReq())
+	resp = binServe(leader, BinOptions{}, "home-a", encodeBinReplSyncReq(0))
 	stBin, err := decodeBinReplState(resp.Body)
 	if err != nil {
 		t.Fatal(err)

@@ -734,7 +734,7 @@ func (s *Server) handler(viewFor func(*http.Request) View, readOnly bool) http.H
 			}
 		case "repl_sync":
 			if repl() {
-				s.handleReplSync(w)
+				s.handleReplSync(w, root)
 			}
 		case "repl_watch":
 			if repl() {
