@@ -62,7 +62,7 @@ func main() {
 		if err := identity.Configure(auth, trust, nil, nil); err != nil {
 			log.Fatal(err)
 		}
-		authHTTP = transport.NewAuthClient(auth)
+		authHTTP = transport.NewDialer(auth).HTTPClient()
 	} else if len(trust) > 0 {
 		log.Fatal("homectl: -trust requires -identity")
 	}

@@ -249,6 +249,33 @@ func TestHTTPPollAndPush(t *testing.T) {
 	mu.Unlock()
 }
 
+// TestHTTPPollEscapesTopic: topics come from user-written scene files,
+// so characters with meaning in a query string must reach the hub as
+// part of the topic — not break the request or poll another topic.
+func TestHTTPPollEscapesTopic(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	srv := httptest.NewServer(Handler(h))
+	defer srv.Close()
+	client := &Client{BaseURL: srv.URL}
+	for _, topic := range []string{"room 1/motion", "a&b", "a+b", "x#y"} {
+		t.Run(topic, func(t *testing.T) {
+			ev := motionEvent(1)
+			ev.Topic = topic
+			h.Publish(ev)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			evs, _, err := client.Poll(ctx, 0, topic, 0)
+			if err != nil {
+				t.Fatalf("poll %q: %v", topic, err)
+			}
+			if len(evs) != 1 || evs[0].Topic != topic {
+				t.Fatalf("poll %q returned %d events %+v, want the one on that topic", topic, len(evs), evs)
+			}
+		})
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)

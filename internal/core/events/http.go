@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"time"
@@ -177,7 +178,7 @@ func Handler(h *Hub) http.Handler {
 // transport; the seed built a fresh http.Client (and connection) per
 // subscription. The timeout bounds each POST because a dead callback
 // must not park its pusher goroutine.
-var pushClient = transport.ClientWithTimeout(5 * time.Second)
+var pushClient = (&transport.Dialer{Timeout: 5 * time.Second}).HTTPClient()
 
 // pushDeliverer POSTs one event per request to the callback URL.
 func pushDeliverer(callback string) func(service.Event) error {
@@ -209,14 +210,18 @@ func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return transport.Client()
+	return transport.OpenDialer().HTTPClient()
 }
 
 // Poll long-polls the remote hub.
 func (c *Client) Poll(ctx context.Context, since uint64, topic string, timeout time.Duration) ([]service.Event, uint64, error) {
-	u := fmt.Sprintf("%s/poll?since=%d&topic=%s&timeoutms=%d",
-		c.BaseURL, since, topic, timeout.Milliseconds())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
+	// Topics come from user-written scene files: escape them, or a space
+	// breaks the request and '&', '+' or '#' silently poll another topic.
+	q := url.Values{}
+	q.Set("since", strconv.FormatUint(since, 10))
+	q.Set("topic", topic)
+	q.Set("timeoutms", strconv.FormatInt(timeout.Milliseconds(), 10))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/poll?"+q.Encode(), nil)
 	if err != nil {
 		return nil, since, err
 	}

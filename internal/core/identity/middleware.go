@@ -90,8 +90,8 @@ func Require(auth *Auth, ownOnly bool, deny DenyWriter, next http.Handler) http.
 		// for an *unverified* request would bind this home's signature to
 		// an attacker-chosen nonce — an oracle for forging "authentic"
 		// refusals to third parties. Unverified callers get their denial
-		// unsigned; verifying clients surface it as unverified peer
-		// refusal (transport.NewAuthClient).
+		// unsigned; a verifying client (transport.Dialer's HTTPClient)
+		// surfaces it as an unverified peer refusal.
 		if verr == nil {
 			auth.SignResponse(buf.header, nonce, buf.body.Bytes())
 		}

@@ -116,7 +116,7 @@ func TestCrossHomeCallAuthenticated(t *testing.T) {
 	if err := xauth.Trust("home-a", a.id.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
-	strange := &soap.Client{URL: remote.Endpoint, HTTP: transport.NewAuthClient(xauth)}
+	strange := &soap.Client{URL: remote.Endpoint, HTTP: transport.NewDialer(xauth).HTTPClient()}
 	if _, err := strange.Call(ctx, Namespace("test:svc")+"#Where", call); !errors.Is(err, service.ErrUnauthenticated) {
 		t.Errorf("untrusted-home gateway call: %v, want ErrUnauthenticated", err)
 	}

@@ -453,9 +453,9 @@ func (g *VSG) buildMux() *http.ServeMux {
 		ops.AuditHandler(func() *audit.Log { return g.auditLog.Load() })))
 	// The binary fast-path face: session callers — signed once auth has
 	// an identity, anonymous before — reach the same inbound dispatch as
-	// the SOAP face. Binary-encoded calls skip the XML codec entirely;
-	// anything else (tunneled XML) replays through the ordinary HTTP
-	// handler with the caller injected.
+	// the SOAP face, with calls in the binary encoding and no XML codec.
+	// A frame in any other encoding is refused with a Client fault before
+	// dispatch: SOAP envelopes belong to the HTTP face.
 	var sessions transport.SessionAuth
 	if g.auth != nil {
 		sessions = g.auth
@@ -464,15 +464,7 @@ func (g *VSG) buildMux() *http.ServeMux {
 	if g.binaryOff {
 		g.bin.SetEnabled(false)
 	}
-	xmlFace := identity.BinFace(g.auth, false, soap.AuthFaultWriter,
-		soap.NewHTTPHandler(inbound{g: g}))
-	g.bin.Handle(servicesPath, transport.BinHandlerFunc(
-		func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
-			if req.ContentType == soap.BinCallContentType {
-				return g.serveBinCall(ctx, caller, req)
-			}
-			return xmlFace.ServeBin(ctx, caller, req)
-		}))
+	g.bin.Handle(servicesPath, transport.BinHandlerFunc(g.serveBinCall))
 	return mux
 }
 
@@ -480,8 +472,13 @@ func (g *VSG) buildMux() *http.ServeMux {
 // inbound dispatch under the session-verified caller, EncodeBinResponse
 // — the exact semantics of the SOAP face with the XML codec replaced by
 // the compact framing. Faults ride status 500, as SOAP 1.1 requires,
-// so both paths classify outcomes identically.
+// so both paths classify outcomes identically; a request in any other
+// encoding is a Client fault that never reaches dispatch.
 func (g *VSG) serveBinCall(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
+	if req.ContentType != soap.BinCallContentType {
+		return binFaultResponse(&soap.Fault{Code: "Client",
+			String: "vsg: binary face: unsupported content type " + req.ContentType})
+	}
 	call, err := soap.DecodeBinCall(req.Body)
 	if err != nil {
 		return binFaultResponse(&soap.Fault{Code: "Client", String: err.Error()})

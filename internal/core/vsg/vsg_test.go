@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"homeconnect/internal/core/vsr"
 	"homeconnect/internal/service"
+	"homeconnect/internal/soap"
 	"homeconnect/internal/transport"
 	"homeconnect/internal/uddi"
 	"homeconnect/internal/vclock"
@@ -655,5 +657,55 @@ func TestExportUnwindsFailedRegistration(t *testing.T) {
 	}
 	if ids := gw.Exports(); len(ids) != 0 {
 		t.Fatalf("failed export left %v installed", ids)
+	}
+}
+
+// countingLamp counts every invocation that reaches it.
+type countingLamp struct {
+	fakeLamp
+	calls atomic.Int64
+}
+
+func (l *countingLamp) Invoke(ctx context.Context, op string, args []service.Value) (service.Value, error) {
+	l.calls.Add(1)
+	return l.fakeLamp.Invoke(ctx, op, args)
+}
+
+// TestBinaryFaceRefusesXMLEnvelope: a SOAP envelope framed over a
+// negotiated binary link gets a Client fault from /services/ and never
+// reaches inbound dispatch — envelopes belong to the HTTP face.
+func TestBinaryFaceRefusesXMLEnvelope(t *testing.T) {
+	r := newRig(t)
+	ctx := context.Background()
+	lamp := &countingLamp{}
+	if err := r.gw1.Export(ctx, lampDesc("jini:lamp-1"), lamp); err != nil {
+		t.Fatal(err)
+	}
+	env, err := soap.EncodeCall(soap.Call{Namespace: Namespace("jini:lamp-1"), Operation: "Level"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := transport.NewDialer(nil)
+	defer d.Close()
+	url := r.gw1.EndpointFor("jini:lamp-1")
+	res, err := d.Exchange(ctx, url, `text/xml; charset="utf-8"`, Namespace("jini:lamp-1")+"#Level", env)
+	if err != nil {
+		t.Fatalf("exchange: %v", err)
+	}
+	if p := d.ProtocolFor(url); p != "binary" {
+		t.Fatalf("link is %q, want binary", p)
+	}
+	_, fault, err := soap.DecodeBinResponse(res.Body)
+	if err != nil || fault == nil || fault.Code != "Client" {
+		t.Fatalf("status %d, fault %+v, err %v: want a Client fault", res.Status, fault, err)
+	}
+	if res.Status != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", res.Status)
+	}
+	if n := lamp.calls.Load(); n != 0 {
+		t.Errorf("inbound handler reached %d times", n)
+	}
+	if in, _, _ := r.gw1.Stats(); in != 0 {
+		t.Errorf("inbound counter %d, want 0", in)
 	}
 }

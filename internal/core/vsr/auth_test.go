@@ -65,7 +65,7 @@ func newAuthFixture(t *testing.T) *authFixture {
 func (f *authFixture) client(url string, as *identity.Auth) *VSR {
 	v := New(url)
 	if as != nil {
-		v.SetHTTPClient(transport.NewAuthClient(as))
+		v.SetHTTPClient(transport.NewDialer(as).HTTPClient())
 	}
 	return v
 }

@@ -518,9 +518,7 @@ func newServer(reg *uddi.Server, auth *identity.Auth) *Server {
 	// resolve and watch here. Peers get the read-only /peer face.
 	mux.Handle("/uddi", identity.Require(auth, true, uddi.AuthErrorWriter, reg.Handler()))
 	// The peer face admits any trusted home; the mounted handler's
-	// per-caller view decides what each one sees. peerInner is shared
-	// with the binary face, which authenticates at the session handshake
-	// instead of per request.
+	// per-caller view decides what each one sees.
 	peerInner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.peerMu.RLock()
 		h := s.peerH
@@ -536,18 +534,16 @@ func newServer(reg *uddi.Server, auth *identity.Auth) *Server {
 	// policy: /uddi stays private to this home, /peer admits any session
 	// peer. Its handshakes are signed once the home has an identity and
 	// anonymous before (or forever, with no auth at all). Registry
-	// operations in the native binary encoding dispatch straight onto the
-	// store; tunneled XML falls back to the HTTP handlers unchanged.
+	// operations arrive in the native binary encoding and dispatch
+	// straight onto the store; XML documents belong to the HTTP faces
+	// above, and a frame carrying one is refused.
 	var sessions transport.SessionAuth
 	ownHome := ""
 	if auth != nil {
 		sessions, ownHome = auth, auth.Home()
 	}
 	s.bin = transport.NewBinServer(sessions)
-	s.bin.Handle("/uddi", reg.BinHandler(uddi.BinOptions{
-		OwnHome:  ownHome,
-		Fallback: identity.BinFace(auth, true, uddi.AuthErrorWriter, reg.Handler()),
-	}))
+	s.bin.Handle("/uddi", reg.BinHandler(uddi.BinOptions{OwnHome: ownHome}))
 	s.bin.Handle("/peer", reg.BinHandler(uddi.BinOptions{
 		ReadOnly: true,
 		ViewFor: func(caller string) (uddi.View, bool) {
@@ -559,7 +555,6 @@ func newServer(reg *uddi.Server, auth *identity.Auth) *Server {
 			}
 			return vf(caller), true
 		},
-		Fallback: identity.BinFace(auth, false, uddi.AuthErrorWriter, peerInner),
 	}))
 	// The operability faces are read-only and, like /uddi, private to the
 	// home's own identity; they serve 404 until MountOps supplies
@@ -620,11 +615,10 @@ func (s *Server) MountPeer(h http.Handler) {
 
 // MountPeerView installs the binary-native twin of the peering face:
 // the per-caller export view the native registry encoding filters
-// through. Mount it alongside MountPeer — the XML face serves HTTP and
-// tunneled documents, the view serves native binary records; both must
-// apply the same policy. A nil view unmounts (native peer requests are
-// then refused, and tunneled XML still answers through the mounted
-// handler).
+// through. Mount it alongside MountPeer — the XML face serves HTTP, the
+// view serves native binary records; both must apply the same policy. A
+// nil view unmounts (native peer requests are then refused, while HTTP
+// still answers through the mounted handler).
 func (s *Server) MountPeerView(viewFor func(caller string) uddi.View) {
 	s.peerMu.Lock()
 	s.peerView = viewFor

@@ -134,7 +134,7 @@ func TestAuditDenyRoundTrip(t *testing.T) {
 
 	// HTTP round trip: the repository's /audit face returns the same
 	// records, and ?verify=1 recomputes the chain and roots.
-	client := transport.NewAuthClient(a.fed.Auth())
+	client := transport.NewDialer(a.fed.Auth()).HTTPClient()
 	var snap ops.AuditSnapshot
 	opsGetJSON(t, client, opsBase(a.fed.VSRURL())+"/audit?n=200&verify=1", &snap)
 	if !snap.Enabled {
@@ -196,7 +196,7 @@ func TestAuditDenyRoundTrip(t *testing.T) {
 	// is refused, and so is a signed GET from the *other* home.
 	for name, c := range map[string]*http.Client{
 		"unsigned":     http.DefaultClient,
-		"other-signed": transport.NewAuthClient(b.fed.Auth()),
+		"other-signed": transport.NewDialer(b.fed.Auth()).HTTPClient(),
 	} {
 		resp, err := c.Get(opsBase(a.fed.VSRURL()) + "/audit")
 		if err != nil {

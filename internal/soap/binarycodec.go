@@ -20,7 +20,8 @@ import (
 )
 
 // BinCallContentType discriminates a binary-encoded call (or response)
-// body on the fast path; XML faces tunnel with their usual text/xml.
+// body on the fast path, the only encoding its frames carry; XML
+// envelopes go over HTTP.
 const BinCallContentType = "application/x-homeconnect-bincall"
 
 const binCodecVersion = 1
@@ -211,6 +212,10 @@ func DecodeBinCall(data []byte) (Call, error) {
 	n := r.uvarint("arg count")
 	if r.err != nil {
 		return Call{}, r.err
+	}
+	if c.Operation == "" {
+		// EncodeBinCall never writes one, and the XML twin cannot carry one.
+		return Call{}, fmt.Errorf("soap: bincall: empty operation name")
 	}
 	if n > uint64(len(data)) {
 		return Call{}, fmt.Errorf("soap: bincall arg count %d exceeds body", n)

@@ -73,7 +73,7 @@ func (c *Client) httpClient() *http.Client {
 	if c.Dialer != nil {
 		return c.Dialer.HTTPClient()
 	}
-	return transport.Client()
+	return transport.OpenDialer().HTTPClient()
 }
 
 // Call POSTs the request envelope with the given SOAPAction and decodes the

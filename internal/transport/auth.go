@@ -49,44 +49,18 @@ type Credentials interface {
 	VerifyResponse(h http.Header, exchange string, body []byte) error
 }
 
-// NewAuthClient returns an http.Client over the shared keep-alive
-// transport that signs every request and verifies every response with
-// creds. Like Client, it sets no overall timeout — deadlines come from
-// request contexts.
-//
-// Deprecated: use NewDialer(creds).HTTPClient(), which adds binary
-// fast-path negotiation on top of the same signing round tripper.
-func NewAuthClient(creds Credentials) *http.Client {
-	return &http.Client{Transport: &authRoundTripper{creds: creds}}
-}
-
-// NewAuthClientOver is NewAuthClient with the underlying round trips
-// routed through rt instead of the shared TCP transport — how simulated
-// homes sign traffic that never leaves the process. A nil rt falls back
-// to the shared transport.
-func NewAuthClientOver(creds Credentials, rt http.RoundTripper) *http.Client {
-	return &http.Client{Transport: &authRoundTripper{creds: creds, next: rt}}
-}
-
 // authRoundTripper signs requests and verifies responses around an
-// underlying transport — the shared keep-alive transport by default, or
-// an injected one (a MemNet for socketless simulation).
+// underlying transport — the shared keep-alive transport, or an injected
+// one (a MemNet for socketless simulation). Dialer.HTTPClient builds it.
 type authRoundTripper struct {
 	creds Credentials
 	next  http.RoundTripper
 }
 
-func (rt *authRoundTripper) transport() http.RoundTripper {
-	if rt.next != nil {
-		return rt.next
-	}
-	return shared
-}
-
 // RoundTrip implements http.RoundTripper.
 func (rt *authRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !rt.creds.Active() {
-		return rt.transport().RoundTrip(req)
+		return rt.next.RoundTrip(req)
 	}
 	var body []byte
 	if req.Body != nil {
@@ -99,7 +73,7 @@ func (rt *authRoundTripper) RoundTrip(req *http.Request) (*http.Response, error)
 		req.Body = io.NopCloser(bytes.NewReader(body))
 	}
 	exchange := rt.creds.SignRequest(req.Header, body)
-	resp, err := rt.transport().RoundTrip(req)
+	resp, err := rt.next.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}

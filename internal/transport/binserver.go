@@ -2,9 +2,11 @@
 // connection with one handshake (SessionAuth: signed, or anonymous in
 // open mode), then serves MAC'd request frames against a path-prefix
 // route table. The routes are the same faces the HTTP mux serves —
-// /uddi, /peer, /services/ — so a request tunneled here and the same
-// request POSTed over SOAP/HTTP reach identical application logic; only
-// the framing and the per-operation signature differ.
+// /uddi, /peer, /services/ — and carry each operation in its native
+// binary encoding: a request framed here and its XML twin POSTed over
+// SOAP/HTTP reach identical application logic. XML documents never ride
+// these frames; a face refuses any content type it has no native
+// decoder for.
 //
 // Routes see the session's peer as caller: a verified home on a signed
 // session, "" on an anonymous one. The server only dispatches anonymous
@@ -23,12 +25,12 @@ import (
 	"time"
 )
 
-// BinRequest is one tunneled request as a route handler sees it.
+// BinRequest is one framed request as a route handler sees it.
 type BinRequest struct {
 	// Path is the request path, e.g. "/uddi" or "/services/x10:lamp-1".
 	Path string
-	// ContentType describes Body: text/xml for tunneled XML faces,
-	// soap.BinCallContentType for the binary call encoding.
+	// ContentType names Body's native encoding: uddi.BinContentType
+	// for registry records, soap.BinCallContentType for calls.
 	ContentType string
 	// Action carries the SOAPAction equivalent, when the face uses one.
 	Action string
@@ -45,7 +47,7 @@ type BinResponse struct {
 	Body        []byte
 }
 
-// BinHandler serves tunneled requests for one path prefix. caller is the
+// BinHandler serves framed requests for one path prefix. caller is the
 // session-authenticated remote home — the same principal the per-op
 // signature middleware would have established.
 type BinHandler interface {

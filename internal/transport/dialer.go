@@ -1,22 +1,21 @@
 // Dialer is the one client-construction surface for everything that
-// crosses a home boundary. It replaces the four ad-hoc constructions
-// that grew over PRs 3–7 — Client(), ClientWithTimeout(), NewAuthClient,
-// MemNet.AuthClient — with a single object that owns:
+// crosses a home boundary. It owns:
 //
-//   - credentials: per-operation request signing on the SOAP/HTTP path
-//     (exactly what NewAuthClientOver built), and the session handshake
-//     on the binary path — signed with an identity, anonymous without
-//     one (anon.go), so open and secured homes negotiate the same wire;
+//   - credentials: per-operation request signing on the SOAP/HTTP path,
+//     and the session handshake on the binary path — signed with an
+//     identity, anonymous without one (anon.go), so open and secured
+//     homes negotiate the same wire;
 //   - protocol negotiation: whether a given authority speaks the binary
 //     fast path, discovered once and remembered, with degradation back
-//     to SOAP that never drops application state (the request body —
-//     watch cursor included — is simply re-sent over HTTP);
+//     to SOAP that never drops application state (the request — watch
+//     cursor included — is simply re-sent over HTTP);
 //   - the MemNet seam: a custom RoundTripper carries the HTTP path, and
 //     confines binary negotiation to in-process authorities.
 //
-// soap, uddi, events, upnp and peer clients take a *Dialer; the old
-// entry points remain as deprecated aliases so out-of-tree callers keep
-// compiling.
+// The soap, uddi and peer clients take a *Dialer and negotiate through
+// it. The events and upnp clients speak HTTP only and take an
+// *http.Client, which a Dialer's HTTPClient supplies
+// (OpenDialer().HTTPClient() when none is given).
 package transport
 
 import (
@@ -97,8 +96,8 @@ type Dialer struct {
 	// whenever it has a session provider; SetBinary changes it once the
 	// dialer is in use.
 	Binary bool
-	// Timeout, when set, bounds each HTTP request (the old
-	// ClientWithTimeout behaviour).
+	// Timeout, when set, bounds each HTTP request, for delivery paths
+	// without a context discipline (push callbacks).
 	Timeout time.Duration
 
 	mu    sync.Mutex
@@ -220,11 +219,13 @@ type BinResult struct {
 }
 
 // Exchange runs one request over the binary fast path to rawURL's
-// authority. ErrBinaryUnavailable means the authority has not (or no
-// longer) negotiated binary — re-send the same body over HTTPClient();
-// because the request body carries all application state (watch cursors
-// included), nothing is lost in the downgrade. Context cancellation
-// surfaces as the context's error, never as a downgrade.
+// authority. contentType names a native binary encoding (binuddi, the
+// binary call framing); XML documents go over HTTPClient, never here.
+// ErrBinaryUnavailable means the authority has not (or no longer)
+// negotiated binary — re-send the operation over HTTPClient(); because
+// the request carries all application state (watch cursors included),
+// nothing is lost in the downgrade. Context cancellation surfaces as the
+// context's error, never as a downgrade.
 func (d *Dialer) Exchange(ctx context.Context, rawURL, contentType, action string, body []byte) (*BinResult, error) {
 	if !d.binaryEligible() {
 		return nil, ErrBinaryUnavailable

@@ -22,7 +22,7 @@
 //	'E' error    listener → dialer: a refusal or session fault, as a
 //	             (code, message) pair. Pre-session and session-expired
 //	             conditions travel this way.
-//	'Q' request  one tunneled request: replay counter, path, content
+//	'Q' request  one framed request: replay counter, path, content
 //	             type, action, body, then a 32-byte HMAC-SHA256 over
 //	             everything before it under the session's send key.
 //	'S' response replay counter (echoing the request), status, content

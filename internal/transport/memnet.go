@@ -48,16 +48,6 @@ func (m *MemNet) Client() *http.Client {
 	return &http.Client{Transport: m}
 }
 
-// AuthClient returns a credential-signing client (see NewAuthClient)
-// whose underlying round trips ride this network instead of the shared
-// TCP transport.
-//
-// Deprecated: use Dialer, which owns the credential and transport seams
-// together: m.Dialer(creds).HTTPClient() is the equivalent client.
-func (m *MemNet) AuthClient(creds Credentials) *http.Client {
-	return NewAuthClientOver(creds, m)
-}
-
 // Dialer returns a Dialer whose HTTP path rides this network. Binary
 // negotiation stays confined to in-process authorities (RegisterLocal),
 // since a memory network has no socket to dial.

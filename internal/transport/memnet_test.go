@@ -90,7 +90,7 @@ func TestMemNetAuthClientSignsOverMemNet(t *testing.T) {
 	m.Handle("h", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Echo", r.Header.Get("X-Sig"))
 	}))
-	resp, err := m.AuthClient(memCreds{}).Get("http://h/")
+	resp, err := m.Dialer(memCreds{}).HTTPClient().Get("http://h/")
 	if err != nil {
 		t.Fatalf("signed round trip over memnet: %v", err)
 	}

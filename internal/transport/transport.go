@@ -36,29 +36,6 @@ var shared = &http.Transport{
 	ExpectContinueTimeout: time.Second,
 }
 
-// client is the shared deadline-free client; callers bound requests with
-// contexts.
-var client = &http.Client{Transport: shared}
-
 // Shared returns the process-wide transport, for callers assembling their
 // own http.Client (custom redirect policy, cookies).
 func Shared() *http.Transport { return shared }
-
-// Client returns the shared HTTP client. It sets no overall timeout:
-// per-call deadlines come from request contexts, and long-poll requests
-// (event and registry watches) legitimately park longer than any sane
-// global timeout.
-//
-// Deprecated: construct a Dialer (NewDialer(nil) for an anonymous one)
-// and use its HTTPClient; the Dialer additionally owns credentials and
-// binary fast-path negotiation. Client remains for out-of-tree callers.
-func Client() *http.Client { return client }
-
-// ClientWithTimeout returns a client over the shared transport with an
-// overall per-request timeout, for delivery paths without a context
-// discipline (push callbacks).
-//
-// Deprecated: set Dialer.Timeout and use Dialer.HTTPClient instead.
-func ClientWithTimeout(d time.Duration) *http.Client {
-	return &http.Client{Transport: shared, Timeout: d}
-}

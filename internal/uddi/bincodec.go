@@ -26,12 +26,12 @@ import (
 )
 
 // BinContentType marks a binary-native registry request or response
-// inside a fast-path frame. Anything else on a registry face is treated
-// as tunneled XML and handed to the HTTP handler.
+// inside a fast-path frame. A registry face refuses any other content
+// type: XML documents go to the HTTP face.
 const BinContentType = "application/x-homeconnect-binuddi"
 
-// binUDDIVersion versions the record grammar; a decoder seeing a higher
-// version refuses, and the client falls back to XML.
+// binUDDIVersion versions the record grammar; a decoder seeing any other
+// version refuses the record.
 const binUDDIVersion = 1
 
 // Request records.
@@ -92,12 +92,8 @@ func decodeBinEntry(r *walReader) Entry {
 	e.AccessPoint = r.str()
 	e.TModel = r.str()
 	e.WSDL = r.str()
-	ncats := int(r.uvarint())
-	if r.err == nil && ncats > 0 {
-		if ncats > maxWALFrame {
-			r.err = fmt.Errorf("uddi: category count out of range")
-			return Entry{}
-		}
+	ncats := r.count()
+	if ncats > 0 {
 		e.Categories = make(map[string]string, ncats)
 		for i := 0; i < ncats; i++ {
 			k := r.str()
@@ -105,6 +101,20 @@ func decodeBinEntry(r *walReader) Entry {
 		}
 	}
 	return e
+}
+
+// count reads an element count. Every element takes at least one byte,
+// so a count larger than the bytes left is malformed and must not size an
+// allocation: it fails the reader and reads as zero.
+func (r *walReader) count() int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)-r.off) {
+		r.err = fmt.Errorf("uddi: count %d exceeds the record", n)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 // binReaderFor validates the version/op header and positions a reader
@@ -326,12 +336,9 @@ func decodeBinKeys(data []byte) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := int(r.uvarint())
+	n := r.count()
 	if r.err != nil {
 		return nil, r.err
-	}
-	if n > maxWALFrame {
-		return nil, fmt.Errorf("uddi: key count out of range")
 	}
 	keys := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -346,12 +353,9 @@ func decodeBinEntries(data []byte) ([]Entry, uint64, error) {
 		return nil, 0, err
 	}
 	seq := r.uvarint()
-	n := int(r.uvarint())
+	n := r.count()
 	if r.err != nil {
 		return nil, 0, r.err
-	}
-	if n > maxWALFrame {
-		return nil, 0, fmt.Errorf("uddi: entry count out of range")
 	}
 	var entries []Entry
 	for i := 0; i < n; i++ {
@@ -384,12 +388,9 @@ func decodeBinReplState(data []byte) (ReplState, error) {
 	st.Epoch = r.uvarint()
 	st.Leader = r.str()
 	st.Boundary = r.uvarint()
-	n := int(r.uvarint())
+	n := r.count()
 	if r.err != nil {
 		return ReplState{}, r.err
-	}
-	if n > maxWALFrame {
-		return ReplState{}, fmt.Errorf("uddi: state entry count out of range")
 	}
 	for i := 0; i < n; i++ {
 		expMS := r.uvarint()
@@ -420,12 +421,9 @@ func decodeBinReplChanges(data []byte) (ReplChanges, error) {
 	}
 	rc.Epoch = r.uvarint()
 	rc.Leader = r.str()
-	n := int(r.uvarint())
+	n := r.count()
 	if r.err != nil {
 		return ReplChanges{}, r.err
-	}
-	if n > maxWALFrame {
-		return ReplChanges{}, fmt.Errorf("uddi: repl change count out of range")
 	}
 	for i := 0; i < n; i++ {
 		seq := r.uvarint()
@@ -463,12 +461,9 @@ func decodeBinChanges(data []byte) (changes []Change, next, epoch uint64, resync
 		}
 	}
 	epoch = r.uvarint()
-	n := int(r.uvarint())
+	n := r.count()
 	if r.err != nil {
 		return nil, 0, 0, false, r.err
-	}
-	if n > maxWALFrame {
-		return nil, 0, 0, false, fmt.Errorf("uddi: change count out of range")
 	}
 	for i := 0; i < n; i++ {
 		seq := r.uvarint()
@@ -505,10 +500,6 @@ type BinOptions struct {
 	// on a peering face). ok=false refuses service entirely — the face
 	// exists but is not mounted yet.
 	ViewFor func(caller string) (View, bool)
-	// Fallback serves anything that is not a binary-native record —
-	// normally identity.BinFace wrapping the XML HTTP handler, keeping
-	// tunneled XML working on the same path.
-	Fallback transport.BinHandler
 }
 
 // binError renders a protocol-level refusal in the binary encoding with
@@ -520,14 +511,11 @@ func binError(status int, code, info string) *transport.BinResponse {
 
 // BinHandler returns the registry's binary-native face: UDDI operations
 // as compact WAL-style records, dispatched straight onto the store with
-// no XML in between. Requests with any other content type go to
-// opts.Fallback untouched, so one path serves both encodings.
+// no XML in between. A request with any other content type is refused
+// with 415 E_unsupported before it reaches the store.
 func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 	return transport.BinHandlerFunc(func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
 		if req.ContentType != BinContentType {
-			if opts.Fallback != nil {
-				return opts.Fallback.ServeBin(ctx, caller, req)
-			}
 			return binError(http.StatusUnsupportedMediaType, "E_unsupported", "binary registry face: unknown content type "+req.ContentType)
 		}
 		if opts.OwnHome != "" && caller != "" && caller != opts.OwnHome {
@@ -566,8 +554,8 @@ func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 		switch op {
 		case binUDDISaveAll:
 			ttl := time.Duration(r.uvarint()) * time.Millisecond
-			n := int(r.uvarint())
-			if r.err != nil || n <= 0 || n > maxWALFrame {
+			n := r.count()
+			if r.err != nil || n == 0 {
 				return binError(http.StatusBadRequest, "E_fatalError", "bad save record")
 			}
 			entries := make([]Entry, 0, n)
@@ -590,8 +578,8 @@ func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 				Body: encodeBinKeys(nil)}
 		case binUDDIFind:
 			q := Query{Name: r.str(), TModel: r.str()}
-			n := int(r.uvarint())
-			if r.err != nil || n > maxWALFrame {
+			n := r.count()
+			if r.err != nil {
 				return binError(http.StatusBadRequest, "E_fatalError", "bad find record")
 			}
 			if n > 0 {

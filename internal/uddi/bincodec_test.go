@@ -134,7 +134,7 @@ func TestBinHandlerErrorParity(t *testing.T) {
 	}
 
 	// The authentication code the session layer would emit maps to
-	// ErrUnauthenticated, mirroring roundTrip's dispositionReport switch.
+	// ErrUnauthenticated, mirroring postAt's dispositionReport switch.
 	if err := binErrorOf("E_authTokenRequired", "x"); !errors.Is(err, service.ErrUnauthenticated) {
 		t.Fatalf("E_authTokenRequired = %v, want ErrUnauthenticated", err)
 	}
@@ -177,19 +177,47 @@ func TestBinHandlerViewFilters(t *testing.T) {
 	}
 }
 
-func TestBinHandlerFallsBackOnOtherContent(t *testing.T) {
+// TestBinHandlerRefusesNonNativeContent: binary frames carry only
+// native records, so every registry face — private, read-only and view —
+// answers any other content type with 415 E_unsupported before the store
+// sees the request. The body is a well-formed save record: had it been
+// dispatched, the journal would have moved.
+func TestBinHandlerRefusesNonNativeContent(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
-	called := false
-	fallback := transport.BinHandlerFunc(func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
-		called = true
-		return &transport.BinResponse{Status: 200, ContentType: "text/xml", Body: []byte("<ok/>")}
-	})
-	h := s.BinHandler(BinOptions{Fallback: fallback})
-	resp := h.ServeBin(context.Background(), "home-a",
-		&transport.BinRequest{Path: "/uddi", ContentType: `text/xml; charset="utf-8"`, Body: []byte("<find_service/>")})
-	if !called || resp.Status != 200 {
-		t.Fatalf("tunneled XML did not reach the fallback (called=%v status=%d)", called, resp.Status)
+	faces := map[string]BinOptions{
+		"private":   {OwnHome: "home-a"},
+		"read-only": {ReadOnly: true},
+		"view": {ViewFor: func(string) (View, bool) {
+			return func(e Entry) (Entry, bool) { return e, true }, true
+		}},
+	}
+	contentTypes := []string{
+		`text/xml; charset="utf-8"`,
+		"text/xml",
+		"application/soap+xml",
+		"application/x-homeconnect-bincall",
+		BinContentType + "; v=2",
+		"APPLICATION/X-HOMECONNECT-BINUDDI",
+		"",
+	}
+	body := encodeBinSaveAll([]Entry{lampEntry()}, time.Hour)
+	for name, opts := range faces {
+		h := s.BinHandler(opts)
+		for _, ct := range contentTypes {
+			before := s.Seq()
+			resp := h.ServeBin(context.Background(), "home-a",
+				&transport.BinRequest{Path: "/uddi", ContentType: ct, Body: body})
+			if resp.Status != 415 {
+				t.Errorf("%s face, %q: status %d, want 415", name, ct, resp.Status)
+			}
+			if _, err := decodeBinKeys(resp.Body); err == nil || !strings.Contains(err.Error(), "E_unsupported") {
+				t.Errorf("%s face, %q: refusal decodes as %v, want E_unsupported", name, ct, err)
+			}
+			if s.Seq() != before {
+				t.Errorf("%s face, %q: journal moved %d -> %d", name, ct, before, s.Seq())
+			}
+		}
 	}
 }
 
@@ -223,5 +251,11 @@ func TestBinCodecRejectsMalformed(t *testing.T) {
 	}
 	if _, _, _, _, err := decodeBinChanges([]byte{binUDDIVersion, binUDDIChanges, 0}); err == nil {
 		t.Error("truncated change list decoded")
+	}
+	// A count of 1<<63 wraps negative as an int; it must fail the
+	// decode, not size an allocation.
+	if _, err := decodeBinKeys([]byte{binUDDIVersion, binUDDIKeys,
+		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}); err == nil {
+		t.Error("key count of 1<<63 decoded")
 	}
 }

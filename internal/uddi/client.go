@@ -16,10 +16,10 @@ import (
 	"homeconnect/internal/xmltree"
 )
 
-// Client talks to a registry server over HTTP — or, when a Dialer is
-// set and the server's authority has negotiated it, over the binary
-// fast path, with the identical UDDI document tunneled in a binary
-// frame instead of an HTTP POST.
+// Client talks to a registry server. With a Dialer, each operation goes
+// as a binary-native record over the fast path wherever the endpoint has
+// negotiated one, and as its XML document over HTTP wherever it has not;
+// without a Dialer, every operation is an XML document over HTTP.
 type Client struct {
 	// HTTP is the underlying client; the Dialer's HTTP side when a
 	// Dialer is set, else the shared keep-alive transport.
@@ -50,74 +50,91 @@ func (c *Client) httpClient() *http.Client {
 	if c.Dialer != nil {
 		return c.Dialer.HTTPClient()
 	}
-	return transport.Client()
+	return transport.OpenDialer().HTTPClient()
 }
 
-// roundTrip POSTs doc and returns the parsed response root. With a
-// Dialer, the binary fast path is tried first; because the whole
-// request — watch cursors included — is the document body, a downgrade
-// to SOAP/HTTP simply re-sends the same bytes and loses nothing. With a
-// Resolver, failover-worthy errors (endpoint down, ErrNotLeader) move
-// to the next endpoint before surfacing.
-func (c *Client) roundTrip(ctx context.Context, doc []byte) (*xmltree.Element, error) {
+// call runs one registry operation: rec is its binary-native record, doc
+// builds its XML document. Each attempt sends rec to the current endpoint
+// over the Dialer; only when that endpoint has no binary fast path does
+// it POST the document — built once, on first need — to the same
+// endpoint over HTTP. Because the operation carries all its state (watch
+// cursors included), switching wires loses nothing. On success exactly
+// one of body (a binary record) and root (the parsed XML response) is
+// set. With a Resolver, failover-worthy errors from either wire (endpoint
+// down, ErrNotLeader) move to the next endpoint before surfacing.
+func (c *Client) call(ctx context.Context, rec []byte, doc func() []byte) (body []byte, root *xmltree.Element, err error) {
 	attempts := 1
 	if c.Resolver != nil {
 		// One extra attempt over the set size, so a not-leader redirect to
 		// a pinned leader still has a try left after a full rotation.
 		attempts = c.Resolver.Len() + 1
 	}
-	var root *xmltree.Element
-	var err error
+	var xml []byte
 	for i := 0; i < attempts; i++ {
 		url := c.endpoint()
-		root, err = c.roundTripAt(ctx, url, doc)
-		if err == nil || c.Resolver == nil || ctx.Err() != nil || !FailoverWorthy(err) {
-			return root, err
+		body, err = c.exchangeAt(ctx, url, rec)
+		if errors.Is(err, transport.ErrBinaryUnavailable) {
+			if xml == nil {
+				xml = doc()
+			}
+			root, err = c.postAt(ctx, url, xml)
+		}
+		if err == nil {
+			return body, root, nil
+		}
+		if c.Resolver == nil || ctx.Err() != nil || !FailoverWorthy(err) {
+			return nil, nil, err
 		}
 		if h := LeaderHint(err); h != "" && c.Resolver.Pin(h) {
 			continue
 		}
 		c.Resolver.Fail(url)
 	}
-	return root, err
+	return nil, nil, err
 }
 
-// roundTripAt is one roundTrip attempt against one endpoint.
-func (c *Client) roundTripAt(ctx context.Context, url string, doc []byte) (*xmltree.Element, error) {
-	var data []byte
-	var status int
-	var statusText string
-	if c.Dialer != nil {
-		res, err := c.Dialer.Exchange(ctx, url, `text/xml; charset="utf-8"`, "", doc)
-		switch {
-		case err == nil:
-			data, status = res.Body, res.Status
-			statusText = fmt.Sprintf("%d %s", status, http.StatusText(status))
-			if len(data) > maxRequestBytes {
-				data = data[:maxRequestBytes]
-			}
-		case errors.Is(err, transport.ErrBinaryUnavailable):
-			// fall through to HTTP
-		default:
-			return nil, fmt.Errorf("uddi: %w", &endpointDownError{err})
+// exchangeAt sends one binary-native record to url over the Dialer.
+// transport.ErrBinaryUnavailable (always, without a Dialer) means the
+// endpoint has no fast path and the operation goes over HTTP instead.
+func (c *Client) exchangeAt(ctx context.Context, url string, rec []byte) ([]byte, error) {
+	if c.Dialer == nil {
+		return nil, transport.ErrBinaryUnavailable
+	}
+	res, err := c.Dialer.Exchange(ctx, url, BinContentType, "", rec)
+	if errors.Is(err, transport.ErrBinaryUnavailable) {
+		return nil, err
+	}
+	if err != nil {
+		return nil, fmt.Errorf("uddi: %w", &endpointDownError{err})
+	}
+	// Decode refusals here rather than in the caller: by the time the
+	// caller decodes the record the endpoint choice is spent, so a
+	// replica's E_notLeader must become an error now for the failover
+	// loop to act.
+	if len(res.Body) >= 2 && res.Body[0] == binUDDIVersion && res.Body[1] == binUDDIError {
+		r := walReader{b: res.Body, off: 2}
+		if code, info := r.str(), r.str(); r.err == nil {
+			return nil, binErrorOf(code, info)
 		}
 	}
-	if data == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(doc))
-		if err != nil {
-			return nil, fmt.Errorf("uddi: build request: %w", err)
-		}
-		req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return nil, fmt.Errorf("uddi: %w", &endpointDownError{err})
-		}
-		defer resp.Body.Close()
-		data, err = io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
-		if err != nil {
-			return nil, fmt.Errorf("uddi: read response: %w", err)
-		}
-		status, statusText = resp.StatusCode, resp.Status
+	return res.Body, nil
+}
+
+// postAt POSTs one XML document to url over HTTP and parses the reply.
+func (c *Client) postAt(ctx context.Context, url string, doc []byte) (*xmltree.Element, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(doc))
+	if err != nil {
+		return nil, fmt.Errorf("uddi: build request: %w", err)
+	}
+	req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("uddi: %w", &endpointDownError{err})
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
+	if err != nil {
+		return nil, fmt.Errorf("uddi: read response: %w", err)
 	}
 	root, err := xmltree.Parse(data)
 	if err != nil {
@@ -127,70 +144,13 @@ func (c *Client) roundTripAt(ctx context.Context, url string, doc []byte) (*xmlt
 		// Refusals surface as typed sentinels — auth errors so callers can
 		// tell a locked door from a broken one, replication errors so the
 		// failover loop can tell a replica from a dead endpoint. The same
-		// mapping serves the binary path (binErrorOf).
+		// mapping serves the binary wire (binErrorOf).
 		return nil, binErrorOf(root.ChildText("errCode"), root.ChildText("errInfo"))
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("uddi: http status %s", statusText)
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("uddi: http status %s", resp.Status)
 	}
 	return root, nil
-}
-
-// binExchange sends a binary-native registry record over the fast path.
-// ok=false means the fast path is not available (no dialer, negotiation
-// refused, or a server that only speaks XML answered) and the caller
-// must re-send the operation as an XML document; err is a hard failure
-// — including a decoded registry refusal, which must NOT downgrade:
-// a locked door answers the same on every wire. Failover-worthy errors
-// rotate through the Resolver exactly as on the XML path.
-func (c *Client) binExchange(ctx context.Context, req []byte) (body []byte, ok bool, err error) {
-	if c.Dialer == nil {
-		return nil, false, nil
-	}
-	attempts := 1
-	if c.Resolver != nil {
-		attempts = c.Resolver.Len() + 1
-	}
-	for i := 0; i < attempts; i++ {
-		url := c.endpoint()
-		body, ok, err = c.binExchangeAt(ctx, url, req)
-		if err == nil || c.Resolver == nil || ctx.Err() != nil || !FailoverWorthy(err) {
-			return body, ok, err
-		}
-		if h := LeaderHint(err); h != "" && c.Resolver.Pin(h) {
-			continue
-		}
-		c.Resolver.Fail(url)
-	}
-	return body, ok, err
-}
-
-// binExchangeAt is one binExchange attempt against one endpoint.
-func (c *Client) binExchangeAt(ctx context.Context, url string, req []byte) (body []byte, ok bool, err error) {
-	res, err := c.Dialer.Exchange(ctx, url, BinContentType, "", req)
-	if err != nil {
-		if errors.Is(err, transport.ErrBinaryUnavailable) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("uddi: %w", &endpointDownError{err})
-	}
-	if len(res.Body) > 0 && res.Body[0] == binUDDIVersion {
-		// Pre-decode redirect refusals here: by the time the caller decodes
-		// the record the endpoint choice is already spent, so a replica's
-		// E_notLeader must become an error now for the failover loop to act.
-		if len(res.Body) >= 2 && res.Body[1] == binUDDIError {
-			r := &walReader{b: res.Body, off: 2}
-			code, info := r.str(), r.str()
-			if r.err == nil && (code == "E_notLeader" || code == "E_staleEpoch") {
-				return nil, false, binErrorOf(code, info)
-			}
-		}
-		return res.Body, true, nil
-	}
-	// The frame went through but the answer is not a binary record: a
-	// registry that predates the native encoding tunneled it to its XML
-	// handler, which could not parse it. Re-send as XML.
-	return nil, false, nil
 }
 
 // authError is a registry auth refusal: the server's message verbatim,
@@ -207,33 +167,33 @@ func (e *authError) Unwrap() error { return e.kind }
 // Save publishes the entry with the given TTL and returns the assigned
 // service key.
 func (c *Client) Save(ctx context.Context, e Entry, ttl time.Duration) (string, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinSaveAll([]Entry{e}, ttl)); err != nil {
-		return "", err
-	} else if ok {
-		keys, err := decodeBinKeys(body)
-		if err != nil {
-			return "", err
+	body, root, err := c.call(ctx, encodeBinSaveAll([]Entry{e}, ttl), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("save_service")
+		entryToXML(w, e)
+		if ttl > 0 {
+			w.Leaf("ttlms", strconv.Itoa(int(ttl/time.Millisecond)))
 		}
-		if len(keys) != 1 {
-			return "", fmt.Errorf("uddi: save_service returned %d keys", len(keys))
-		}
-		return keys[0], nil
-	}
-	w := xmltree.NewWriter()
-	w.Open("save_service")
-	entryToXML(w, e)
-	if ttl > 0 {
-		w.Leaf("ttlms", strconv.Itoa(int(ttl/time.Millisecond)))
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+		return w.Bytes()
+	})
 	if err != nil {
 		return "", err
 	}
-	key := root.ChildText("serviceKey")
-	if key == "" {
-		return "", fmt.Errorf("uddi: save_service response missing serviceKey")
+	if root != nil {
+		key := root.ChildText("serviceKey")
+		if key == "" {
+			return "", fmt.Errorf("uddi: save_service response missing serviceKey")
+		}
+		return key, nil
 	}
-	return key, nil
+	keys, err := decodeBinKeys(body)
+	if err != nil {
+		return "", err
+	}
+	if len(keys) != 1 {
+		return "", fmt.Errorf("uddi: save_service returned %d keys", len(keys))
+	}
+	return keys[0], nil
 }
 
 // SaveAll publishes every entry under one TTL in a single round trip and
@@ -243,33 +203,27 @@ func (c *Client) SaveAll(ctx context.Context, entries []Entry, ttl time.Duration
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	if body, ok, err := c.binExchange(ctx, encodeBinSaveAll(entries, ttl)); err != nil {
-		return nil, err
-	} else if ok {
-		keys, err := decodeBinKeys(body)
-		if err != nil {
-			return nil, err
+	body, root, err := c.call(ctx, encodeBinSaveAll(entries, ttl), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("save_services")
+		if ttl > 0 {
+			w.Leaf("ttlms", strconv.Itoa(int(ttl/time.Millisecond)))
 		}
-		if len(keys) != len(entries) {
-			return nil, fmt.Errorf("uddi: save_services returned %d keys for %d entries", len(keys), len(entries))
+		for _, e := range entries {
+			entryToXML(w, e)
 		}
-		return keys, nil
-	}
-	w := xmltree.NewWriter()
-	w.Open("save_services")
-	if ttl > 0 {
-		w.Leaf("ttlms", strconv.Itoa(int(ttl/time.Millisecond)))
-	}
-	for _, e := range entries {
-		entryToXML(w, e)
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+		return w.Bytes()
+	})
 	if err != nil {
 		return nil, err
 	}
 	var keys []string
-	for _, el := range root.All("serviceKey") {
-		keys = append(keys, strings.TrimSpace(el.Text))
+	if root != nil {
+		for _, el := range root.All("serviceKey") {
+			keys = append(keys, strings.TrimSpace(el.Text))
+		}
+	} else if keys, err = decodeBinKeys(body); err != nil {
+		return nil, err
 	}
 	if len(keys) != len(entries) {
 		return nil, fmt.Errorf("uddi: save_services returned %d keys for %d entries", len(keys), len(entries))
@@ -297,39 +251,39 @@ func (c *Client) Watch(ctx context.Context, since uint64, timeout time.Duration)
 // below its old cursor, because a lower next under a newer epoch is the
 // replay point, not a stale answer.
 func (c *Client) WatchEpoch(ctx context.Context, since, sinceEpoch uint64, timeout time.Duration) (changes []Change, next, nextEpoch uint64, resync bool, err error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinWatch(since, sinceEpoch, timeout)); err != nil {
-		return nil, 0, 0, false, err
-	} else if ok {
-		return decodeBinChanges(body)
-	}
-	w := xmltree.NewWriter()
-	w.Open("watch")
-	w.Leaf("since", strconv.FormatUint(since, 10))
-	if timeout > 0 {
-		w.Leaf("timeoutms", strconv.Itoa(int(timeout/time.Millisecond)))
-	}
-	if sinceEpoch > 0 {
-		w.Leaf("epoch", strconv.FormatUint(sinceEpoch, 10))
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+	body, root, err := c.call(ctx, encodeBinWatch(since, sinceEpoch, timeout), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("watch")
+		w.Leaf("since", strconv.FormatUint(since, 10))
+		if timeout > 0 {
+			w.Leaf("timeoutms", strconv.Itoa(int(timeout/time.Millisecond)))
+		}
+		if sinceEpoch > 0 {
+			w.Leaf("epoch", strconv.FormatUint(sinceEpoch, 10))
+		}
+		return w.Bytes()
+	})
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	return decodeChangeList(root)
+	if root != nil {
+		return decodeChangeList(root)
+	}
+	return decodeBinChanges(body)
 }
 
 // Delete removes the registration with the given key.
 func (c *Client) Delete(ctx context.Context, key string) error {
-	if body, ok, err := c.binExchange(ctx, encodeBinDelete(key)); err != nil {
-		return err
-	} else if ok {
-		_, err := decodeBinKeys(body)
+	body, root, err := c.call(ctx, encodeBinDelete(key), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("delete_service")
+		w.Leaf("serviceKey", key)
+		return w.Bytes()
+	})
+	if err != nil || root != nil {
 		return err
 	}
-	w := xmltree.NewWriter()
-	w.Open("delete_service")
-	w.Leaf("serviceKey", key)
-	_, err := c.roundTrip(ctx, w.Bytes())
+	_, err = decodeBinKeys(body)
 	return err
 }
 
@@ -345,31 +299,30 @@ func (c *Client) Find(ctx context.Context, q Query) ([]Entry, error) {
 // entry, the cached copy is stale; a concurrent change with a lower or
 // equal number was already reflected in the inquiry.
 func (c *Client) FindSeq(ctx context.Context, q Query) ([]Entry, uint64, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinFind(q)); err != nil {
-		return nil, 0, err
-	} else if ok {
-		entries, seq, err := decodeBinEntries(body)
-		return entries, seq, err
-	}
-	w := xmltree.NewWriter()
-	w.Open("find_service")
-	if q.Name != "" {
-		w.Leaf("name", q.Name)
-	}
-	if q.TModel != "" {
-		w.Leaf("tModel", q.TModel)
-	}
-	keys := make([]string, 0, len(q.Categories))
-	for k := range q.Categories {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w.SelfClose("category", "keyName", k, "keyValue", q.Categories[k])
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+	body, root, err := c.call(ctx, encodeBinFind(q), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("find_service")
+		if q.Name != "" {
+			w.Leaf("name", q.Name)
+		}
+		if q.TModel != "" {
+			w.Leaf("tModel", q.TModel)
+		}
+		keys := make([]string, 0, len(q.Categories))
+		for k := range q.Categories {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			w.SelfClose("category", "keyName", k, "keyValue", q.Categories[k])
+		}
+		return w.Bytes()
+	})
 	if err != nil {
 		return nil, 0, err
+	}
+	if root == nil {
+		return decodeBinEntries(body)
 	}
 	// Older registries omit the attribute; zero means "no fence".
 	seq, _ := strconv.ParseUint(root.Attr("seq"), 10, 64)
@@ -387,21 +340,21 @@ func (c *Client) FindSeq(ctx context.Context, q Query) ([]Entry, uint64, error) 
 // Get fetches one entry by key; found is false for unknown or expired
 // keys.
 func (c *Client) Get(ctx context.Context, key string) (Entry, bool, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinGet(key)); err != nil {
+	body, root, err := c.call(ctx, encodeBinGet(key), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("get_serviceDetail")
+		w.Leaf("serviceKey", key)
+		return w.Bytes()
+	})
+	if err != nil {
 		return Entry{}, false, err
-	} else if ok {
+	}
+	if root == nil {
 		entries, _, err := decodeBinEntries(body)
 		if err != nil || len(entries) == 0 {
 			return Entry{}, false, err
 		}
 		return entries[0], true, nil
-	}
-	w := xmltree.NewWriter()
-	w.Open("get_serviceDetail")
-	w.Leaf("serviceKey", key)
-	root, err := c.roundTrip(ctx, w.Bytes())
-	if err != nil {
-		return Entry{}, false, err
 	}
 	svc := root.Child("service")
 	if svc == nil {

@@ -614,16 +614,16 @@ func (s *Server) handleReplWatch(ctx context.Context, w http.ResponseWriter, roo
 // ReplStatus asks an endpoint where it stands: journal position, epoch,
 // role. The election probe.
 func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinReplStatusReq()); err != nil {
-		return ReplStatus{}, err
-	} else if ok {
-		return decodeBinReplStatus(body)
-	}
-	w := xmltree.NewWriter()
-	w.Open("repl_status")
-	root, err := c.roundTrip(ctx, w.Bytes())
+	body, root, err := c.call(ctx, encodeBinReplStatusReq(), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("repl_status")
+		return w.Bytes()
+	})
 	if err != nil {
 		return ReplStatus{}, err
+	}
+	if root == nil {
+		return decodeBinReplStatus(body)
 	}
 	if root.Name.Local != "replStatus" {
 		return ReplStatus{}, fmt.Errorf("uddi: repl_status response root %s", root.Name.Local)
@@ -645,17 +645,17 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 // is the requester's own epoch: a deposed leader rejoining gets the
 // regime boundary its handback needs in ReplState.Boundary.
 func (c *Client) ReplSync(ctx context.Context, epoch uint64) (ReplState, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinReplSyncReq(epoch)); err != nil {
-		return ReplState{}, err
-	} else if ok {
-		return decodeBinReplState(body)
-	}
-	w := xmltree.NewWriter()
-	w.Open("repl_sync")
-	w.Leaf("epoch", strconv.FormatUint(epoch, 10))
-	root, err := c.roundTrip(ctx, w.Bytes())
+	body, root, err := c.call(ctx, encodeBinReplSyncReq(epoch), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("repl_sync")
+		w.Leaf("epoch", strconv.FormatUint(epoch, 10))
+		return w.Bytes()
+	})
 	if err != nil {
 		return ReplState{}, err
+	}
+	if root == nil {
+		return decodeBinReplState(body)
 	}
 	if root.Name.Local != "replState" {
 		return ReplState{}, fmt.Errorf("uddi: repl_sync response root %s", root.Name.Local)
@@ -695,21 +695,21 @@ func (c *Client) ReplSync(ctx context.Context, epoch uint64) (ReplState, error) 
 // ReplWatch long-polls the leader's feed from since, announcing the
 // highest epoch this replica has seen so a deposed leader fences itself.
 func (c *Client) ReplWatch(ctx context.Context, since, epoch uint64, timeout time.Duration) (ReplChanges, error) {
-	if body, ok, err := c.binExchange(ctx, encodeBinReplWatchReq(since, epoch, timeout)); err != nil {
-		return ReplChanges{}, err
-	} else if ok {
-		return decodeBinReplChanges(body)
-	}
-	w := xmltree.NewWriter()
-	w.Open("repl_watch")
-	w.Leaf("since", strconv.FormatUint(since, 10))
-	w.Leaf("epoch", strconv.FormatUint(epoch, 10))
-	if timeout > 0 {
-		w.Leaf("timeoutms", strconv.Itoa(int(timeout/time.Millisecond)))
-	}
-	root, err := c.roundTrip(ctx, w.Bytes())
+	body, root, err := c.call(ctx, encodeBinReplWatchReq(since, epoch, timeout), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("repl_watch")
+		w.Leaf("since", strconv.FormatUint(since, 10))
+		w.Leaf("epoch", strconv.FormatUint(epoch, 10))
+		if timeout > 0 {
+			w.Leaf("timeoutms", strconv.Itoa(int(timeout/time.Millisecond)))
+		}
+		return w.Bytes()
+	})
 	if err != nil {
 		return ReplChanges{}, err
+	}
+	if root == nil {
+		return decodeBinReplChanges(body)
 	}
 	if root.Name.Local != "replChangeList" {
 		return ReplChanges{}, fmt.Errorf("uddi: repl_watch response root %s", root.Name.Local)

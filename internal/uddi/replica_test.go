@@ -10,11 +10,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,6 +139,65 @@ func TestClientFailover(t *testing.T) {
 			t.Fatal("Find with every endpoint dead returned nil error")
 		}
 	})
+}
+
+// TestClientFailoverSendsOnlyNativeRecords: a resolver-backed client
+// with a Dialer whose first endpoint is dead fails over to a live member
+// that speaks the binary fast path, and sends it the native record — one
+// loop, so the dead endpoint's lack of binary never leaks an XML
+// document into the live member's frames.
+func TestClientFailoverSendsOnlyNativeRecords(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + ln.Addr().String() + "/uddi"
+	ln.Close()
+
+	s := NewServer()
+	defer s.Close()
+	s.Save(lampEntry(), time.Hour)
+	var mu sync.Mutex
+	var seen []string
+	native := s.BinHandler(BinOptions{})
+	bs := transport.NewBinServer(nil)
+	defer bs.Close()
+	bs.Handle("/uddi", transport.BinHandlerFunc(func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
+		mu.Lock()
+		seen = append(seen, req.ContentType)
+		mu.Unlock()
+		return native.ServeBin(ctx, caller, req)
+	}))
+	const liveAuthority = "one-encoding-live.test:1"
+	transport.RegisterLocal(liveAuthority, bs)
+	defer transport.UnregisterLocal(liveAuthority)
+	liveURL := "http://" + liveAuthority + "/uddi"
+
+	d := transport.NewDialer(nil)
+	defer d.Close()
+	c := &Client{Dialer: d, Resolver: transport.NewResolver(deadURL, liveURL)}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	entries, seq, err := c.FindSeq(ctx, Query{})
+	if err != nil {
+		t.Fatalf("FindSeq through a dead head: %v", err)
+	}
+	if len(entries) != 1 || seq != s.Seq() {
+		t.Fatalf("FindSeq = %d entries at seq %d, want 1 at %d", len(entries), seq, s.Seq())
+	}
+	if got := c.Resolver.Current(); got != liveURL {
+		t.Fatalf("resolver on %q, want the live member", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) == 0 {
+		t.Fatal("the live member saw no binary request")
+	}
+	for _, ct := range seen {
+		if ct != BinContentType {
+			t.Errorf("live member received content type %q over binary, want only %q", ct, BinContentType)
+		}
+	}
 }
 
 func TestSetEpochFencing(t *testing.T) {

@@ -221,11 +221,11 @@ func TestServerHandlerRejectsBadRequests(t *testing.T) {
 	c := &Client{URL: srv.URL}
 
 	// Unknown root element.
-	if _, err := c.roundTrip(context.Background(), []byte("<bogus_request/>")); err == nil {
+	if _, err := c.postAt(context.Background(), srv.URL, []byte("<bogus_request/>")); err == nil {
 		t.Error("bogus request accepted")
 	}
 	// Malformed XML.
-	if _, err := c.roundTrip(context.Background(), []byte("<<<")); err == nil {
+	if _, err := c.postAt(context.Background(), srv.URL, []byte("<<<")); err == nil {
 		t.Error("malformed request accepted")
 	}
 }

@@ -24,7 +24,7 @@ func (c *ControlPoint) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return transport.Client()
+	return transport.OpenDialer().HTTPClient()
 }
 
 // RemoteService is a fully resolved service on a remote device.
