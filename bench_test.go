@@ -498,6 +498,51 @@ func BenchmarkBootReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshot measures one registry snapshot at 1024 device
+// entries, the unit of work every durable vsrd repeats each
+// SnapshotEvery records: the record scan and the streamed, CRC-framed
+// write, including the snapshot file's fsync (the WAL itself runs fsync
+// off). Between snapshots one entry is renewed, untimed, so each
+// snapshot covers a new journal position.
+func BenchmarkSnapshot(b *testing.B) {
+	reg, err := uddi.NewManualDurableServer(uddi.DurabilityOptions{
+		Dir: b.TempDir(), Fsync: uddi.FsyncOff, SnapshotEvery: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(reg.Close)
+	entries := make([]uddi.Entry, 1024)
+	for i := range entries {
+		// The device shape the perfbench workloads register.
+		id := fmt.Sprintf("dev%d:d-%05d", i%8, i)
+		entries[i], err = vsr.EntryFor(service.Description{
+			ID: id, Name: id, Middleware: fmt.Sprintf("dev%d", i%8),
+			Interface: service.Interface{Name: "Switch", Operations: []service.Operation{
+				{Name: "Set", Inputs: []service.Parameter{{Name: "on", Type: service.KindBool}}, Output: service.KindVoid},
+			}},
+		}, "http://127.0.0.1:9/services/"+id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reg.Save(entries[i], time.Hour)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		reg.Save(entries[i%len(entries)], time.Hour)
+		b.StartTimer()
+		if err := reg.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if d := reg.Durability(); d.Snapshots < uint64(b.N) || d.LastError != "" {
+		b.Fatalf("wrote %d of %d snapshots (last error %q)", d.Snapshots, b.N, d.LastError)
+	}
+}
+
 // BenchmarkRegistryFind measures one in-process registry inquiry, the
 // work behind every uncached gateway resolve, at two registry sizes:
 // by service ID (the homeconnect.id category vsr.Lookup sends; one hit)

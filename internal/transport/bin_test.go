@@ -457,3 +457,65 @@ func TestBinServerRequestBeforeHandshake(t *testing.T) {
 		t.Fatalf("pre-handshake request answered %q %v, want %q", code, err, binErrBad)
 	}
 }
+
+// TestLargeExchangeReleasesFrameBuffers: after a 1 MiB request and reply,
+// the next small exchange leaves neither the link (over a connection or
+// an in-process lane) nor the server's connection with a frame buffer
+// larger than maxIdleFrameBuf, and further small frames reuse theirs.
+func TestLargeExchangeReleasesFrameBuffers(t *testing.T) {
+	srv := NewBinServer(&fakeAuth{home: "b"})
+	srv.Handle("/", BinHandlerFunc(func(ctx context.Context, caller string, req *BinRequest) *BinResponse {
+		return &BinResponse{Status: 200, ContentType: "application/octet-stream", Body: req.Body}
+	}))
+	sizes := []int{1 << 20, 100, 100}
+	// check inspects the buffers after exchange i of sizes.
+	check := func(i int, bufs map[string][]byte) {
+		t.Helper()
+		for name, b := range bufs {
+			if i >= 1 && cap(b) > maxIdleFrameBuf {
+				t.Errorf("after exchange %d (%d bytes) %s keeps %d bytes", i, sizes[i], name, cap(b))
+			}
+			if i == 2 && cap(b) == 0 {
+				t.Errorf("after exchange %d (%d bytes) %s was not kept for reuse", i, sizes[i], name)
+			}
+		}
+	}
+
+	client, server := sessionPair(time.Hour)
+	cliEnd, srvEnd := net.Pipe()
+	defer cliEnd.Close()
+	defer srvEnd.Close()
+	c := &srvConn{conn: srvEnd, sess: server}
+	l := &binLink{d: &Dialer{Session: &fakeAuth{home: "a"}}, conn: cliEnd, sess: client}
+	for i, size := range sizes {
+		served := make(chan bool, 1)
+		go func() { served <- srv.serveFrame(context.Background(), c) }()
+		body := bytes.Repeat([]byte{0x5A}, size)
+		res, err := l.exchange(context.Background(), "/echo", "application/octet-stream", "", body)
+		if err != nil {
+			t.Fatalf("%d-byte exchange: %v", size, err)
+		}
+		if !<-served {
+			t.Fatalf("%d-byte exchange: server dropped the connection", size)
+		}
+		if !bytes.Equal(res.Body, body) {
+			t.Fatalf("%d-byte exchange: echoed %d bytes", size, len(res.Body))
+		}
+		check(i, map[string][]byte{
+			"link buf": l.buf, "link enc": l.enc, "link wbuf": l.wbuf,
+			"conn buf": c.buf, "conn out": c.out, "conn fbuf": c.fbuf,
+		})
+	}
+
+	lane, err := newLocalLane(&fakeAuth{home: "a"}, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ll := &binLink{d: l.d, lane: lane}
+	for i, size := range sizes {
+		if _, err := ll.exchange(context.Background(), "/echo", "application/octet-stream", "", make([]byte, size)); err != nil {
+			t.Fatalf("%d-byte lane exchange: %v", size, err)
+		}
+		check(i, map[string][]byte{"lane enc": lane.enc, "lane frame": lane.frame, "lane read": lane.read})
+	}
+}

@@ -198,79 +198,92 @@ func (s *BinServer) ServeConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	var sess *Session
+	c := &srvConn{conn: conn}
 	defer func() {
-		if sess != nil {
-			s.auth.NoteSessionEnd(sess, false)
+		if c.sess != nil {
+			s.auth.NoteSessionEnd(c.sess, false)
 		}
 	}()
-	// buf holds incoming frames, out the encoded response payload, fbuf
-	// the framed response — each grown once and reused for the life of
-	// the connection.
-	var buf, out, fbuf []byte
 	ctx := context.Background()
-	for {
-		payload, nbuf, err := readFrame(conn, buf)
-		if err != nil {
-			return
-		}
-		buf = nbuf
-		if len(payload) == 0 {
-			return
-		}
-		switch payload[0] {
-		case opHello:
-			blob, err := decodeBlob(payload)
-			if err != nil {
-				writeFrame(conn, encodeError(binErrBad, err.Error()))
-				return
-			}
-			s.mu.Lock()
-			disabled := s.disabled
-			s.mu.Unlock()
-			if disabled {
-				writeFrame(conn, encodeError(binErrRefused, "transport: binary protocol disabled on this endpoint"))
-				return
-			}
-			accept, next, err := s.auth.AcceptSession(blob)
-			if err != nil {
-				writeFrame(conn, encodeError(binErrRefused, err.Error()))
-				return
-			}
-			if sess != nil {
-				s.auth.NoteSessionEnd(sess, true)
-			}
-			sess = next
-			if err := writeFrame(conn, encodeAccept(accept)); err != nil {
-				return
-			}
-		case opRequest:
-			if sess == nil {
-				writeFrame(conn, encodeError(binErrBad, "request before handshake"))
-				return
-			}
-			var err error
-			out, err = s.handleRequest(ctx, sess, payload, out[:0])
-			switch {
-			case errors.Is(err, errSessionExpired):
-				// Tell the dialer to rekey; the connection stays up.
-				if writeFrame(conn, encodeError(binErrExpired, "session expired; rekey")) != nil {
-					return
-				}
-			case err != nil:
-				writeFrame(conn, encodeError(binErrBad, err.Error()))
-				return
-			default:
-				fbuf = appendFrame(fbuf[:0], out)
-				if _, err := conn.Write(fbuf); err != nil {
-					return
-				}
-			}
-		default:
-			writeFrame(conn, encodeError(binErrBad, fmt.Sprintf("unexpected op %q", payload[0])))
-			return
-		}
+	for s.serveFrame(ctx, c) {
 	}
+}
+
+// srvConn is one accepted connection's frame-loop state.
+type srvConn struct {
+	conn net.Conn
+	sess *Session
+	// buf holds incoming frames, out the encoded response payload, fbuf
+	// the framed response, each reused across frames (see
+	// maxIdleFrameBuf).
+	buf, out, fbuf []byte
+}
+
+// serveFrame reads and answers one frame, reporting whether the
+// connection stays up.
+func (s *BinServer) serveFrame(ctx context.Context, c *srvConn) bool {
+	defer c.releaseBuffers()
+	payload, nbuf, err := readFrame(c.conn, c.buf)
+	if err != nil {
+		return false
+	}
+	c.buf = nbuf
+	if len(payload) == 0 {
+		return false
+	}
+	conn := c.conn
+	switch payload[0] {
+	case opHello:
+		blob, err := decodeBlob(payload)
+		if err != nil {
+			writeFrame(conn, encodeError(binErrBad, err.Error()))
+			return false
+		}
+		s.mu.Lock()
+		disabled := s.disabled
+		s.mu.Unlock()
+		if disabled {
+			writeFrame(conn, encodeError(binErrRefused, "transport: binary protocol disabled on this endpoint"))
+			return false
+		}
+		accept, next, err := s.auth.AcceptSession(blob)
+		if err != nil {
+			writeFrame(conn, encodeError(binErrRefused, err.Error()))
+			return false
+		}
+		if c.sess != nil {
+			s.auth.NoteSessionEnd(c.sess, true)
+		}
+		c.sess = next
+		return writeFrame(conn, encodeAccept(accept)) == nil
+	case opRequest:
+		if c.sess == nil {
+			writeFrame(conn, encodeError(binErrBad, "request before handshake"))
+			return false
+		}
+		var err error
+		c.out, err = s.handleRequest(ctx, c.sess, payload, c.out[:0])
+		switch {
+		case errors.Is(err, errSessionExpired):
+			// Tell the dialer to rekey; the connection stays up.
+			return writeFrame(conn, encodeError(binErrExpired, "session expired; rekey")) == nil
+		case err != nil:
+			writeFrame(conn, encodeError(binErrBad, err.Error()))
+			return false
+		}
+		c.fbuf = appendFrame(c.fbuf[:0], c.out)
+		_, err = conn.Write(c.fbuf)
+		return err == nil
+	default:
+		writeFrame(conn, encodeError(binErrBad, fmt.Sprintf("unexpected op %q", payload[0])))
+		return false
+	}
+}
+
+// releaseBuffers drops any frame buffer that outgrew its last frame past
+// maxIdleFrameBuf, so a connection does not pin its largest frame.
+func (c *srvConn) releaseBuffers() {
+	c.buf, c.out, c.fbuf = trimFrameBuf(c.buf), trimFrameBuf(c.out), trimFrameBuf(c.fbuf)
 }
 
 // Close shuts the server: open connections are closed and new ones

@@ -490,9 +490,10 @@ type binLink struct {
 	lane *localLane
 	conn net.Conn
 	sess *Session // TCP-side session (lane keeps its own pair)
-	buf  []byte   // readFrame buffer, reused across exchanges
-	enc  []byte   // encoded request payload scratch (conn path)
-	wbuf []byte   // framed request scratch (conn path)
+	// Frame buffers, reused across exchanges (see maxIdleFrameBuf).
+	buf  []byte // readFrame buffer
+	enc  []byte // encoded request payload scratch (conn path)
+	wbuf []byte // framed request scratch (conn path)
 	// interrupted marks a conn whose cancellation hook ran (or may still
 	// run) after its exchange: its deadline is no longer ours to trust.
 	interrupted bool
@@ -513,6 +514,8 @@ func copyBody(b []byte) []byte {
 // anonymous and an identity has since been installed) or when the
 // listener says 'E' expired.
 func (l *binLink) exchange(ctx context.Context, path, contentType, action string, body []byte) (*BinResult, error) {
+	// Runs after the response body is copied out of the buffers.
+	defer l.releaseBuffers()
 	now := l.d.now()
 	if l.lane != nil {
 		if l.lane.client.stale(l.d.Session, now) {
@@ -553,6 +556,15 @@ func (l *binLink) exchange(ctx context.Context, path, contentType, action string
 		return nil, err
 	}
 	return &BinResult{Status: resp.Status, ContentType: resp.ContentType, Body: copyBody(resp.Body)}, nil
+}
+
+// releaseBuffers drops any frame buffer that outgrew its last frame past
+// maxIdleFrameBuf, so a pooled link does not pin its largest frame.
+func (l *binLink) releaseBuffers() {
+	l.buf, l.enc, l.wbuf = trimFrameBuf(l.buf), trimFrameBuf(l.enc), trimFrameBuf(l.wbuf)
+	if ln := l.lane; ln != nil {
+		ln.enc, ln.frame, ln.read = trimFrameBuf(ln.enc), trimFrameBuf(ln.frame), trimFrameBuf(ln.read)
+	}
 }
 
 // exchangeConn runs one request over the TCP link. retry reports an 'E'

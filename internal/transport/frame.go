@@ -57,6 +57,23 @@ const (
 // reason.
 const maxBinFrame = 4 << 20
 
+// maxIdleFrameBuf is the largest frame buffer a connection keeps once
+// its frames are small again. Buffers are reused so small frames
+// allocate nothing, and a run of large frames (a batched save, a replica
+// catch-up) shares one large buffer: dropping it after every large frame
+// would re-grow it for the next one. The first small frame after such a
+// run drops it, so it is not pinned for the life of the connection.
+const maxIdleFrameBuf = 64 << 10
+
+// trimFrameBuf returns b for reuse, or nil when b's capacity exceeds
+// maxIdleFrameBuf but the frame it last held did not.
+func trimFrameBuf(b []byte) []byte {
+	if cap(b) > maxIdleFrameBuf && len(b) <= maxIdleFrameBuf {
+		return nil
+	}
+	return b
+}
+
 // macSize is the length of the HMAC-SHA256 trailer on request and
 // response payloads.
 const macSize = 32

@@ -1,7 +1,15 @@
 package uddi
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"log"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,4 +88,100 @@ func FuzzBinHandler(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRecover: every byte boot recovery reads from a data directory.
+// The input becomes a WAL segment (snapshot false) or a snapshot file
+// (snapshot true) after its magic, and the directory is opened. Opening
+// must never panic; a registry that opens must count what it restored
+// consistently under a fixed clock; and no entry may come from a frame
+// whose CRC fails — nor, in a WAL, from any frame after one.
+func FuzzRecover(f *testing.F) {
+	wal, snap := recoverSeeds(f)
+	f.Add(false, wal)
+	f.Add(true, snap)
+	log.SetOutput(io.Discard)
+	f.Cleanup(func() { log.SetOutput(os.Stderr) })
+	f.Fuzz(func(t *testing.T, snapshot bool, data []byte) {
+		dir := t.TempDir()
+		name, magic := "wal-0000000000000001.log", walMagic
+		if snapshot {
+			name, magic = "snap-0000000000000001.snap", snapMagic
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), append([]byte(magic), data...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewManualDurableServer(DurabilityOptions{Dir: dir, Fsync: FsyncOff, SnapshotEvery: -1,
+			Clock: func() time.Time { return goldenNow }})
+		if err != nil {
+			return
+		}
+		defer s.CrashClose()
+		rec := s.Recovery()
+		if got := s.Len(); rec.Entries-rec.LapsedAtBoot != got {
+			t.Fatalf("recovery restored %d entries, %d lapsed, but Len() = %d", rec.Entries, rec.LapsedAtBoot, got)
+		}
+		frames := crcValidFrames(data, snapshot)
+		for _, e := range s.Find(Query{}) {
+			if !slices.ContainsFunc(frames, func(p []byte) bool { return bytes.Contains(p, []byte(e.Key)) }) {
+				t.Fatalf("entry %q restored from no CRC-valid frame", e.Key)
+			}
+		}
+	})
+}
+
+// crcValidFrames returns the payloads of data's leading frames whose CRC
+// checks out, up to the first that does not. A snapshot's one frame must
+// also end at end of file.
+func crcValidFrames(data []byte, snapshot bool) [][]byte {
+	var out [][]byte
+	for off := 0; off+8 <= len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		end := off + 8 + n
+		if end > len(data) || (snapshot && end != len(data)) ||
+			crc32.ChecksumIEEE(data[off+8:end]) != binary.LittleEndian.Uint32(data[off+4:]) {
+			break
+		}
+		out = append(out, data[off+8:end])
+		off = end
+	}
+	return out
+}
+
+// recoverSeeds returns a real WAL (both segments a snapshot leaves,
+// joined) and a real snapshot, each without its magic. The entries are
+// small so that minimizing an input the fuzzer finds stays quick.
+func recoverSeeds(f *testing.F) (wal, snap []byte) {
+	dir := f.TempDir()
+	s, err := NewManualDurableServer(DurabilityOptions{Dir: dir, Fsync: FsyncOff, SnapshotEvery: -1,
+		Clock: func() time.Time { return goldenNow }})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range []Entry{{Key: "k1", Name: "a"}, {Key: "k2", Categories: map[string]string{"r": "d"}}} {
+		s.Save(e, time.Hour)
+	}
+	if err := s.Snapshot(); err != nil {
+		f.Fatal(err)
+	}
+	s.Save(Entry{Key: "k3", WSDL: "<d/>"}, time.Minute)
+	s.Delete("k1")
+	s.CrashClose()
+	// Every file's frames, after its magic, in sequence order.
+	read := func(glob, magic string) []byte {
+		m, _ := filepath.Glob(filepath.Join(dir, glob))
+		if len(m) == 0 {
+			f.Fatalf("no %s written", glob)
+		}
+		var out []byte
+		for _, path := range m {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, data[len(magic):]...)
+		}
+		return out
+	}
+	return read("wal-*.log", walMagic), read("snap-*.snap", snapMagic)
 }

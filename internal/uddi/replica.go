@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -328,8 +327,10 @@ func (s *Server) ApplyReplicatedState(entries []Entry, deadlines []time.Time, se
 	for i := range s.shards {
 		s.shards[i].reset()
 	}
+	recs := make([]*record, len(entries))
 	for i, e := range entries {
-		s.shardFor(e.Key).put(&record{entry: e.Clone(), expires: deadlines[i]})
+		recs[i] = &record{entry: e.Clone(), expires: deadlines[i]}
+		s.shardFor(e.Key).put(recs[i])
 	}
 	s.jmu.Lock()
 	s.seq = seq
@@ -341,7 +342,7 @@ func (s *Server) ApplyReplicatedState(entries []Entry, deadlines []time.Time, se
 	if epoch >= s.epoch {
 		s.epoch, s.epochLeader = epoch, leader
 	}
-	err := s.walResetLocked(entries, deadlines, seq, s.epoch, s.epochLeader)
+	err := s.walResetLocked(recs, seq, s.epoch, s.epochLeader)
 	close(s.wake)
 	s.wake = make(chan struct{})
 	s.jmu.Unlock()
@@ -352,10 +353,11 @@ func (s *Server) ApplyReplicatedState(entries []Entry, deadlines []time.Time, se
 }
 
 // walResetLocked discards the entire on-disk history and restarts it at
-// seq: every segment and snapshot is removed, a fresh snapshot of the
-// given state is written at seq, and a new segment opens at seq+1.
-// Called under jmu (and, from ApplyReplicatedState, all shard locks).
-func (s *Server) walResetLocked(entries []Entry, deadlines []time.Time, seq, epoch uint64, leader string) error {
+// seq: every segment and snapshot is removed, a fresh snapshot of recs
+// (the records just installed; sorted here) is written at seq, and a new
+// segment opens at seq+1. Called under jmu (and, from
+// ApplyReplicatedState, all shard locks).
+func (s *Server) walResetLocked(recs []*record, seq, epoch uint64, leader string) error {
 	w := s.wal
 	if w == nil {
 		return nil
@@ -373,11 +375,9 @@ func (s *Server) walResetLocked(entries []Entry, deadlines []time.Time, seq, epo
 	}
 	w.snaps = w.snaps[:0]
 
-	es := append([]Entry(nil), entries...)
-	ds := append([]time.Time(nil), deadlines...)
-	sort.Sort(&snapOrder{es, ds})
+	sortByKey(recs)
 	path := filepath.Join(w.dir, fmt.Sprintf("snap-%016x.snap", seq))
-	if err := writeSnapshot(path, seq, es, ds, epoch, leader); err != nil {
+	if err := writeSnapshot(path, seq, recs, epoch, leader); err != nil {
 		w.lastErr = "reset: " + err.Error()
 		return err
 	}
@@ -403,21 +403,15 @@ func (s *Server) ReplState() (entries []Entry, deadlines []time.Time, seq, epoch
 	seq, epoch, leader = s.seq, s.epoch, s.epochLeader
 	s.jmu.Unlock()
 	now := s.now()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, rec := range sh.entries {
-			if now.After(rec.expires) {
-				// Lapsed but unswept: the expire record is still coming on
-				// the feed, where it deletes an absent key — a no-op.
-				continue
-			}
-			entries = append(entries, rec.entry.Clone())
-			deadlines = append(deadlines, rec.expires)
+	for _, rec := range s.sortedRecords() {
+		if now.After(rec.expires) {
+			// Lapsed but unswept: the expire record is still coming on
+			// the feed, where it deletes an absent key — a no-op.
+			continue
 		}
-		sh.mu.RUnlock()
+		entries = append(entries, rec.entry.Clone())
+		deadlines = append(deadlines, rec.expires)
 	}
-	sort.Sort(&snapOrder{entries, deadlines})
 	return entries, deadlines, seq, epoch, leader
 }
 

@@ -20,7 +20,9 @@
 //	snap-<seq>.snap Snapshots; <seq> names the journal position the
 //	                snapshot covers. snapMagic then one frame whose
 //	                payload is version, uvarint seq, uvarint count, and
-//	                count (expiry, entry) groups. Written to a .tmp file,
+//	                count (expiry, entry) groups. The frame ends at end of
+//	                file, so the file's length bounds it (maxWALFrame
+//	                bounds WAL records only). Written to a .tmp file,
 //	                fsynced, then renamed; the two newest are kept so a
 //	                corrupt snapshot falls back to its predecessor.
 //
@@ -31,12 +33,15 @@
 package uddi
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -69,9 +74,15 @@ const (
 	// snapshots when the owner doesn't say.
 	defaultSnapshotEvery = 1024
 
-	// maxWALFrame bounds a frame read during recovery so a corrupt length
-	// word cannot ask for gigabytes.
+	// maxWALFrame bounds a WAL frame read during recovery so a corrupt
+	// length word cannot ask for gigabytes. A snapshot frame is bounded by
+	// its file's length instead.
 	maxWALFrame = 4 << 20
+
+	// snapBufSize is the snapshot writer's buffer. Entries stream through
+	// it one at a time, so writing a snapshot takes the same memory at
+	// any registry size.
+	snapBufSize = 64 << 10
 
 	// snapshotsKept is how many snapshot generations stay on disk; the
 	// older one is the fallback when the newest fails its CRC.
@@ -313,7 +324,7 @@ func (s *Server) recover(w *wal) error {
 		off = len(walMagic)
 		cleanAt := int64(-1)
 		for off < len(data) {
-			payload, next, ferr := readWALFrame(data, off)
+			payload, next, ferr := readWALFrame(data, off, maxWALFrame)
 			if ferr != nil {
 				truncated = s.truncateWAL(w, i, sg.path, int64(off), int64(len(data)-off))
 				break
@@ -534,25 +545,21 @@ func (s *Server) Snapshot() error {
 func (s *Server) snapshotNow() error {
 	s.jmu.Lock()
 	seq := s.seq
+	if s.wal.haveSnap && seq == s.wal.snapSeq {
+		// Nothing journaled since the newest snapshot. Writing it again
+		// would reuse its file and segment names, and pruning the
+		// duplicates would delete the live snapshot and segment.
+		s.wal.snapBusy = false
+		s.jmu.Unlock()
+		return nil
+	}
 	dir := s.wal.dir
 	epoch, leader := s.epoch, s.epochLeader
 	s.jmu.Unlock()
 
-	var entries []Entry
-	var deadlines []time.Time
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, rec := range sh.entries {
-			entries = append(entries, rec.entry.Clone())
-			deadlines = append(deadlines, rec.expires)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Sort(&snapOrder{entries, deadlines})
-
+	recs := s.sortedRecords()
 	path := filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", seq))
-	err := writeSnapshot(path, seq, entries, deadlines, epoch, leader)
+	err := writeSnapshot(path, seq, recs, epoch, leader)
 
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
@@ -604,6 +611,30 @@ func (s *Server) snapshotNow() error {
 		w.snaps = w.snaps[1:]
 	}
 	return nil
+}
+
+// sortedRecords collects every installed record, sorted by key. The
+// scan takes pointers, not clones: an installed record is never mutated
+// (Save installs a clone, put replaces the pointer, Get and Find clone on
+// the way out), so the pointers stay valid after each shard lock is
+// released.
+func (s *Server) sortedRecords() []*record {
+	var recs []*record
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, rec := range sh.entries {
+			recs = append(recs, rec)
+		}
+		sh.mu.RUnlock()
+	}
+	sortByKey(recs)
+	return recs
+}
+
+// sortByKey orders records by key, for stable snapshot and dump bytes.
+func sortByKey(recs []*record) {
+	slices.SortFunc(recs, func(a, b *record) int { return strings.Compare(a.entry.Key, b.entry.Key) })
 }
 
 // newSegment creates and opens a fresh WAL segment whose first record
@@ -757,11 +788,17 @@ func appendWALString(b []byte, v string) []byte {
 	return append(b, v...)
 }
 
-// appendWALRecord appends the framed payload for one mutation. Category
-// pairs are sorted so identical entries encode identically.
+// appendWALRecord appends the framed payload for one mutation.
 func appendWALRecord(b []byte, op byte, seq uint64, e Entry, expires time.Time) []byte {
 	b = append(b, recVersion, op)
 	b = binary.AppendUvarint(b, seq)
+	return appendWALEntry(b, e, expires)
+}
+
+// appendWALEntry appends one (expiry, entry) group, the encoding WAL
+// records and snapshots share. Category pairs are sorted so identical
+// entries encode identically.
+func appendWALEntry(b []byte, e Entry, expires time.Time) []byte {
 	var expMS uint64
 	if !expires.IsZero() {
 		expMS = uint64(expires.UnixMilli())
@@ -775,7 +812,10 @@ func appendWALRecord(b []byte, op byte, seq uint64, e Entry, expires time.Time) 
 	b = appendWALString(b, e.WSDL)
 	b = binary.AppendUvarint(b, uint64(len(e.Categories)))
 	if len(e.Categories) > 0 {
-		keys := make([]string, 0, len(e.Categories))
+		// Sized for the usual bag (vsr sends two pairs plus context) so
+		// the sort scratch stays on the stack.
+		var small [8]string
+		keys := small[:0]
 		for k := range e.Categories {
 			keys = append(keys, k)
 		}
@@ -788,15 +828,16 @@ func appendWALRecord(b []byte, op byte, seq uint64, e Entry, expires time.Time) 
 	return b
 }
 
-// readWALFrame validates the frame at data[off:] and returns its payload
-// and the offset just past it.
-func readWALFrame(data []byte, off int) (payload []byte, next int, err error) {
+// readWALFrame validates the frame at data[off:], whose payload may be
+// at most limit bytes, and returns its payload and the offset just past
+// it.
+func readWALFrame(data []byte, off, limit int) (payload []byte, next int, err error) {
 	if off+8 > len(data) {
 		return nil, 0, fmt.Errorf("uddi: truncated frame header")
 	}
 	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
 	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n <= 0 || n > maxWALFrame || off+8+n > len(data) {
+	if n <= 0 || n > limit || off+8+n > len(data) {
 		return nil, 0, fmt.Errorf("uddi: frame length %d out of range", n)
 	}
 	payload = data[off+8 : off+8+n]
@@ -848,12 +889,8 @@ func decodeWALEntry(r *walReader) (Entry, time.Time) {
 	e.AccessPoint = r.str()
 	e.TModel = r.str()
 	e.WSDL = r.str()
-	ncats := int(r.uvarint())
-	if r.err == nil && ncats > 0 {
-		if ncats > maxWALFrame {
-			r.err = fmt.Errorf("uddi: category count out of range")
-			return Entry{}, time.Time{}
-		}
+	ncats := r.count()
+	if ncats > 0 {
 		e.Categories = make(map[string]string, ncats)
 		for i := 0; i < ncats; i++ {
 			k := r.str()
@@ -894,53 +931,16 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	return rec, r.err
 }
 
-// writeSnapshot writes an atomic snapshot: tmp file, fsync, rename, and
-// a best-effort directory sync so the rename itself is durable. The
-// replication epoch and leader name ride at the payload tail, after the
-// entry groups, so pre-replication snapshots (which simply end at the
-// last entry) still load.
-func writeSnapshot(path string, seq uint64, entries []Entry, deadlines []time.Time, epoch uint64, leader string) error {
-	b := make([]byte, 8, 1024)
-	b = append(b, recVersion)
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for i, e := range entries {
-		var expMS uint64
-		if !deadlines[i].IsZero() {
-			expMS = uint64(deadlines[i].UnixMilli())
-		}
-		b = binary.AppendUvarint(b, expMS)
-		b = appendWALString(b, e.Key)
-		b = appendWALString(b, e.Name)
-		b = appendWALString(b, e.Description)
-		b = appendWALString(b, e.AccessPoint)
-		b = appendWALString(b, e.TModel)
-		b = appendWALString(b, e.WSDL)
-		b = binary.AppendUvarint(b, uint64(len(e.Categories)))
-		keys := make([]string, 0, len(e.Categories))
-		for k := range e.Categories {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendWALString(b, k)
-			b = appendWALString(b, e.Categories[k])
-		}
-	}
-	b = binary.AppendUvarint(b, epoch)
-	b = appendWALString(b, leader)
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-
+// writeSnapshot writes recs, sorted by key, as an atomic snapshot: tmp
+// file, fsync, rename, and a best-effort directory sync so the rename
+// itself is durable.
+func writeSnapshot(path string, seq uint64, recs []*record, epoch uint64, leader string) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteString(snapMagic); err == nil {
-		_, err = f.Write(b)
-	}
+	err = streamSnapshot(f, seq, recs, epoch, leader)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -962,6 +962,49 @@ func writeSnapshot(path string, seq uint64, entries []Entry, deadlines []time.Ti
 	return nil
 }
 
+// streamSnapshot writes snapMagic and the snapshot frame to f through a
+// snapBufSize buffer, one entry group at a time, keeping a running CRC
+// and length. The frame header goes out as zeros and is patched in place
+// once the payload is written. The replication epoch and leader name
+// ride at the payload tail, after the entry groups, so pre-replication
+// snapshots (which simply end at the last entry) still load.
+func streamSnapshot(f *os.File, seq uint64, recs []*record, epoch uint64, leader string) error {
+	bw := bufio.NewWriterSize(f, snapBufSize)
+	var sum uint32
+	var n int64
+	// bufio.Writer errors are sticky: Flush reports the first one.
+	emit := func(b []byte) {
+		sum = crc32.Update(sum, crc32.IEEETable, b)
+		n += int64(len(b))
+		bw.Write(b)
+	}
+	var hdr [8]byte
+	bw.WriteString(snapMagic)
+	bw.Write(hdr[:])
+	b := make([]byte, 0, 4096)
+	b = append(b, recVersion)
+	b = binary.AppendUvarint(b, seq)
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	emit(b)
+	for _, rec := range recs {
+		b = appendWALEntry(b[:0], rec.entry, rec.expires)
+		emit(b)
+	}
+	b = binary.AppendUvarint(b[:0], epoch)
+	b = appendWALString(b, leader)
+	emit(b)
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if n > math.MaxUint32 {
+		return fmt.Errorf("uddi: snapshot payload of %d bytes overflows its length word", n)
+	}
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], sum)
+	_, err := f.WriteAt(hdr[:], int64(len(snapMagic)))
+	return err
+}
+
 // loadSnapshot reads and validates one snapshot file. The epoch/leader
 // tail is optional: snapshots written before replication end at the last
 // entry group and load with epoch 0.
@@ -973,7 +1016,9 @@ func loadSnapshot(path string) (entries []Entry, deadlines []time.Time, seq, epo
 	if !strings.HasPrefix(string(data[:min(len(data), len(snapMagic))]), snapMagic) {
 		return nil, nil, 0, 0, "", fmt.Errorf("uddi: bad snapshot magic")
 	}
-	payload, next, err := readWALFrame(data, len(snapMagic))
+	// The one frame must end at end of file: the file's length, not
+	// maxWALFrame, bounds it.
+	payload, next, err := readWALFrame(data, len(snapMagic), len(data))
 	if err != nil {
 		return nil, nil, 0, 0, "", err
 	}
@@ -985,12 +1030,9 @@ func loadSnapshot(path string) (entries []Entry, deadlines []time.Time, seq, epo
 	}
 	r := &walReader{b: payload, off: 1}
 	seq = r.uvarint()
-	count := int(r.uvarint())
+	count := r.count()
 	if r.err != nil {
 		return nil, nil, 0, 0, "", r.err
-	}
-	if count < 0 || count > maxWALFrame {
-		return nil, nil, 0, 0, "", fmt.Errorf("uddi: snapshot count out of range")
 	}
 	entries = make([]Entry, 0, count)
 	deadlines = make([]time.Time, 0, count)
@@ -1040,18 +1082,4 @@ func scanWALDir(dir string) (snaps, segs []walFile, err error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].seq < snaps[j].seq })
 	return snaps, segs, nil
-}
-
-// snapOrder sorts snapshot entries (and their deadlines, in lockstep) by
-// key, for stable snapshot bytes.
-type snapOrder struct {
-	entries   []Entry
-	deadlines []time.Time
-}
-
-func (o *snapOrder) Len() int           { return len(o.entries) }
-func (o *snapOrder) Less(i, j int) bool { return o.entries[i].Key < o.entries[j].Key }
-func (o *snapOrder) Swap(i, j int) {
-	o.entries[i], o.entries[j] = o.entries[j], o.entries[i]
-	o.deadlines[i], o.deadlines[j] = o.deadlines[j], o.deadlines[i]
 }

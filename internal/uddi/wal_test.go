@@ -5,8 +5,11 @@
 package uddi
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -410,6 +413,126 @@ func TestSnapshotPrunesSegments(t *testing.T) {
 	d := s.Durability()
 	if d.Snapshots == 0 || d.SnapshotSeq == 0 {
 		t.Fatalf("snapshot trigger never fired: %+v", d)
+	}
+}
+
+// TestRepeatedSnapshotKeepsFiles: snapshots forced with nothing journaled
+// in between leave the newest snapshot and the active segment on disk,
+// so later writes still survive a restart.
+func TestRepeatedSnapshotKeepsFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := durableServer(t, dir, DurabilityOptions{SnapshotEvery: -1})
+	s.Save(entryNamed("before"), time.Hour)
+	for i := 0; i < 3; i++ {
+		if err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Save(entryNamed("after"), time.Hour)
+	s.CrashClose()
+	if len(snapFiles(t, dir)) == 0 || len(walSegments(t, dir)) == 0 {
+		t.Fatalf("snapshots %v, segments %v: live files deleted", snapFiles(t, dir), walSegments(t, dir))
+	}
+	s2 := durableServer(t, dir, DurabilityOptions{SnapshotEvery: -1})
+	defer s2.Close()
+	if s2.Len() != 2 {
+		t.Fatalf("recovered %d of 2 entries (%+v)", s2.Len(), s2.Recovery())
+	}
+}
+
+// TestSnapshotDuringWrites: snapshots scan record pointers outside the
+// shard locks while saves replace those records; every write still
+// survives a restart.
+func TestSnapshotDuringWrites(t *testing.T) {
+	dir := t.TempDir()
+	s := durableServer(t, dir, DurabilityOptions{SnapshotEvery: -1})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			s.Save(deviceEntry(i%300), time.Hour)
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		if err := s.Snapshot(); err != nil {
+			t.Error(err)
+		}
+	}
+	<-done
+	want := s.Len()
+	s.CrashClose()
+	s2 := durableServer(t, dir, DurabilityOptions{SnapshotEvery: -1})
+	defer s2.Close()
+	if got := s2.Len(); got != want || got != 300 {
+		t.Fatalf("recovered %d entries, want %d (%+v)", got, want, s2.Recovery())
+	}
+}
+
+// TestSnapshotOverFrameBound: a registry whose snapshot outgrows the
+// 4 MiB WAL frame bound still recovers whole. 4096 device entries make a
+// ~5 MB snapshot; once the segments under both kept generations are
+// pruned, rejecting those snapshots would lose most of the registry.
+func TestSnapshotOverFrameBound(t *testing.T) {
+	const devices = 4096
+	dir := t.TempDir()
+	s := durableServer(t, dir, DurabilityOptions{SnapshotEvery: 1024})
+	for round := 0; round < 3; round++ {
+		for i := 0; i < devices; i++ {
+			s.Save(deviceEntry(i), time.Hour)
+			s.Sweep()
+		}
+	}
+	preSeq := s.Seq()
+	s.CrashClose()
+	snaps := snapFiles(t, dir)
+	if len(snaps) == 0 {
+		t.Fatal("no snapshot written")
+	}
+	if st, err := os.Stat(snaps[len(snaps)-1]); err != nil || st.Size() <= maxWALFrame {
+		t.Fatalf("newest snapshot %v (err %v), want one over the %d-byte frame bound", st.Size(), err, maxWALFrame)
+	}
+
+	s2 := durableServer(t, dir, DurabilityOptions{SnapshotEvery: 1024})
+	defer s2.Close()
+	rec := s2.Recovery()
+	if rec.SnapshotFallback || rec.SnapshotSeq == 0 {
+		t.Fatalf("newest snapshot not loaded: %+v", rec)
+	}
+	if s2.Len() != devices || s2.Seq() != preSeq {
+		t.Fatalf("recovered %d of %d entries at seq %d, want seq %d (%+v)", s2.Len(), devices, s2.Seq(), preSeq, rec)
+	}
+}
+
+// TestWALDecodersRejectAbsurdCounts: a CRC-valid WAL record or snapshot
+// that declares far more categories or entries than its bytes can hold
+// fails to decode, without sizing a map or slice for the declared count.
+func TestWALDecodersRejectAbsurdCounts(t *testing.T) {
+	const absurd = 1 << 20
+	// A WAL add record: seq 1, expiry 0, six empty strings, then the
+	// category count.
+	record := binary.AppendUvarint([]byte{recVersion, opWALAdd, 1, 0, 0, 0, 0, 0, 0, 0}, absurd)
+	// A snapshot payload: seq 1, then the entry count.
+	payload := binary.AppendUvarint([]byte{recVersion, 1}, absurd)
+	snap := filepath.Join(t.TempDir(), "snap-0000000000000001.snap")
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(snap, append(append([]byte(snapMagic), frame...), payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, werr := decodeWALRecord(record)
+	_, _, _, _, _, serr := loadSnapshot(snap)
+	runtime.ReadMemStats(&after)
+	if werr == nil {
+		t.Error("WAL record with an absurd category count decoded")
+	}
+	if serr == nil {
+		t.Error("snapshot with an absurd entry count loaded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting absurd counts allocated %d bytes", grew)
 	}
 }
 
