@@ -24,6 +24,7 @@ import (
 	"homeconnect/internal/core/events"
 	"homeconnect/internal/core/identity"
 	"homeconnect/internal/core/pcm"
+	"homeconnect/internal/core/replica"
 	"homeconnect/internal/core/scene"
 	"homeconnect/internal/core/vsg"
 	"homeconnect/internal/core/vsr"
@@ -512,20 +513,9 @@ func BenchmarkSnapshot(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(reg.Close)
-	entries := make([]uddi.Entry, 1024)
-	for i := range entries {
-		// The device shape the perfbench workloads register.
-		id := fmt.Sprintf("dev%d:d-%05d", i%8, i)
-		entries[i], err = vsr.EntryFor(service.Description{
-			ID: id, Name: id, Middleware: fmt.Sprintf("dev%d", i%8),
-			Interface: service.Interface{Name: "Switch", Operations: []service.Operation{
-				{Name: "Set", Inputs: []service.Parameter{{Name: "on", Type: service.KindBool}}, Output: service.KindVoid},
-			}},
-		}, "http://127.0.0.1:9/services/"+id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg.Save(entries[i], time.Hour)
+	entries := benchDeviceEntries(b, 1024)
+	for _, e := range entries {
+		reg.Save(e, time.Hour)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -541,6 +531,77 @@ func BenchmarkSnapshot(b *testing.B) {
 	if d := reg.Durability(); d.Snapshots < uint64(b.N) || d.LastError != "" {
 		b.Fatalf("wrote %d of %d snapshots (last error %q)", d.Snapshots, b.N, d.LastError)
 	}
+}
+
+// benchDeviceEntries builds n registry entries of the device shape the
+// perfbench workloads register: vsr.EntryFor of a one-operation Switch,
+// about 1.3 KB encoded.
+func benchDeviceEntries(b *testing.B, n int) []uddi.Entry {
+	b.Helper()
+	entries := make([]uddi.Entry, n)
+	for i := range entries {
+		id := fmt.Sprintf("dev%d:d-%05d", i%8, i)
+		var err error
+		entries[i], err = vsr.EntryFor(service.Description{
+			ID: id, Name: id, Middleware: fmt.Sprintf("dev%d", i%8),
+			Interface: service.Interface{Name: "Switch", Operations: []service.Operation{
+				{Name: "Set", Inputs: []service.Parameter{{Name: "on", Type: service.KindBool}}, Output: service.KindVoid},
+			}},
+		}, "http://127.0.0.1:9/services/"+id)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return entries
+}
+
+// BenchmarkStateTransfer measures one replica attach to a leader holding
+// 1024 device entries, through both codec ends of the binary registry
+// face: the leader encodes the state, the in-process HCB1 lane carries
+// it, and a fresh replica decodes and installs it (non-durable, so no
+// WAL reset). A fresh replica each op keeps record reuse out of the
+// figure: it measures the transfer, not what the replica already held.
+func BenchmarkStateTransfer(b *testing.B) {
+	leaderReg := uddi.NewManualServer()
+	b.Cleanup(leaderReg.Close)
+	for _, e := range benchDeviceEntries(b, 1024) {
+		leaderReg.Save(e, time.Hour)
+	}
+	srv, err := vsr.StartServerWith("127.0.0.1:0", leaderReg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	srv.SetBinaryEnabled(true)
+	d := transport.NewDialer(nil)
+	b.Cleanup(d.Close)
+	ctx := context.Background()
+	attach := func() *uddi.Server {
+		reg := uddi.NewManualServer()
+		node, err := replica.New(replica.Config{Self: "http://replica.invalid/uddi",
+			Set: []string{srv.URL()}, Registry: reg, Dialer: d})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := node.JoinAs(ctx, srv.URL()); err != nil {
+			b.Fatal(err)
+		}
+		return reg
+	}
+	reg := attach() // negotiates the binary link outside the timing
+	if n := reg.Len(); n != 1024 || d.ProtocolFor(srv.URL()) != "binary" {
+		b.Fatalf("attached %d of 1024 entries over %q", n, d.ProtocolFor(srv.URL()))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		reg.Close()
+		b.StartTimer()
+		reg = attach()
+	}
+	b.StopTimer()
+	reg.Close()
 }
 
 // BenchmarkRegistryFind measures one in-process registry inquiry, the

@@ -4,7 +4,9 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,14 +15,16 @@ import (
 )
 
 func TestStartServerRejectsPeerFlagsWithoutHome(t *testing.T) {
-	if _, err := startServer(config{addr: "127.0.0.1:0", peers: []string{"http://x/peer"}}); err == nil {
-		t.Error("peers without -home accepted")
+	if _, err := startServer(config{addr: "127.0.0.1:0", peers: []string{"http://x/peer"}}); err == nil ||
+		!strings.Contains(err.Error(), "-peer") || !strings.Contains(err.Error(), "require -home") {
+		t.Errorf("peers without -home: err = %v, want the flags named", err)
 	}
 	if _, err := startServer(config{addr: "127.0.0.1:0", deny: []string{"x10:*"}}); err == nil {
 		t.Error("export policy without -home accepted")
 	}
-	if _, err := startServer(config{addr: "127.0.0.1:0", idFile: "x.id"}); err == nil {
-		t.Error("-identity without -home accepted")
+	if _, err := startServer(config{addr: "127.0.0.1:0", idFile: "x.id"}); err == nil ||
+		!strings.Contains(err.Error(), "-identity") {
+		t.Errorf("-identity without -home: err = %v, want the flag named", err)
 	}
 	if _, err := startServer(config{addr: "127.0.0.1:0", trust: []string{"a=bb"}}); err == nil {
 		t.Error("-trust without -home accepted")
@@ -68,11 +72,14 @@ func TestStartServerArmsIdentity(t *testing.T) {
 }
 
 func TestStartServerRejectsDurabilityFlagsWithoutDataDir(t *testing.T) {
-	if _, err := startServer(config{addr: "127.0.0.1:0", fsync: "off"}); err == nil {
-		t.Error("-fsync without -data-dir accepted")
-	}
-	if _, err := startServer(config{addr: "127.0.0.1:0", snapshotEvery: 16}); err == nil {
-		t.Error("-snapshot-every without -data-dir accepted")
+	for _, cfg := range []config{
+		{addr: "127.0.0.1:0", fsync: "off"},
+		{addr: "127.0.0.1:0", snapshotEvery: 16},
+		{addr: "127.0.0.1:0", fsync: "always", replicaOf: "127.0.0.1:1"},
+	} {
+		if _, err := startServer(cfg); err == nil || !strings.Contains(err.Error(), "require -data-dir") {
+			t.Errorf("fsync %q, snapshot-every %d without -data-dir: err = %v", cfg.fsync, cfg.snapshotEvery, err)
+		}
 	}
 	if _, err := startServer(config{addr: "127.0.0.1:0", dataDir: t.TempDir(), fsync: "sometimes"}); err == nil {
 		t.Error("unknown fsync policy accepted")
@@ -205,5 +212,47 @@ func TestStartServerPeersTwoRepositories(t *testing.T) {
 	}
 	if _, err := vb.Lookup(ctx, "home-a/x10:lamp-1"); err == nil {
 		t.Error("export-denied service replicated")
+	}
+}
+
+// TestReplicaAttachesLargeRegistryOverBinary starts two real members on
+// loopback with the binary fast path on. The leader holds 5000 device
+// entries, over 4 MiB encoded: more than one HCB1 frame may carry and
+// more than one HTTP response may. The replica must attach over HCB1
+// and hold every entry.
+func TestReplicaAttachesLargeRegistryOverBinary(t *testing.T) {
+	leader, err := startServer(config{addr: "127.0.0.1:0", binary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	const n = 5000
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("dev%d:d-%05d", i%8, i)
+		e, err := vsr.EntryFor(service.Description{
+			ID: id, Name: id, Middleware: fmt.Sprintf("dev%d", i%8),
+			Interface: service.Interface{Name: "Switch", Operations: []service.Operation{
+				{Name: "Set", Inputs: []service.Parameter{{Name: "on", Type: service.KindBool}}, Output: service.KindVoid},
+			}},
+		}, "http://127.0.0.1:9/services/"+id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leader.Registry().Save(e, time.Hour)
+	}
+	replica, err := startServer(config{addr: "127.0.0.1:0", binary: true, replicaOf: leader.URL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	if replica.replicationWarn != nil {
+		t.Fatalf("attach failed: %v", replica.replicationWarn)
+	}
+	if got := replica.Registry().Len(); got != n {
+		t.Fatalf("replica holds %d of %d entries", got, n)
+	}
+	st := replica.node.Status()
+	if !st.Attached || st.Proto != "binary" || st.Seq != leader.Registry().Seq() {
+		t.Fatalf("replica status %+v, want attached over binary at the leader's seq %d", st, leader.Registry().Seq())
 	}
 }

@@ -335,15 +335,16 @@ func (l *Link) drop(remoteID string) {
 	}
 }
 
-// reconcile replaces incremental state with ground truth: a full snapshot
-// of the remote export face, upserted entry by entry, followed by the
-// withdrawal of anything imported earlier that the snapshot no longer
-// contains. It runs on connect (the journal may predate us), on resync
-// (the journal skipped past us), and periodically as anti-entropy. It
-// returns the journal position the snapshot reflects; ok is false when
-// nothing was reconciled. A failed snapshot changes nothing: imported
-// entries keep serving until TTL, exactly the degraded mode a broken
-// watch causes. Caller holds syncMu.
+// reconcile replaces incremental state with ground truth: a walk over
+// the remote export face's pages, upserted entry by entry, followed —
+// only after the last page — by the withdrawal of anything imported
+// earlier that no page contained. It runs on connect (the journal may
+// predate us), on resync (the journal skipped past us), and periodically
+// as anti-entropy. It returns the journal position of the first page:
+// every page was read at or after it, so the watch replaying from there
+// converges; ok is false when nothing was reconciled. A walk that fails
+// withdraws nothing: imported entries keep serving until TTL, exactly
+// the degraded mode a broken watch causes. Caller holds syncMu.
 func (l *Link) reconcile(ctx context.Context) (seq uint64, ok bool) {
 	l.mu.Lock()
 	if l.stopped {
@@ -352,18 +353,27 @@ func (l *Link) reconcile(ctx context.Context) (seq uint64, ok bool) {
 	}
 	l.mu.Unlock()
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	remotes, seq, err := l.remote.FindSeq(sctx, vsr.Query{})
-	cancel()
-	if err != nil {
-		l.mu.Lock()
-		l.st.LastError = err.Error()
-		l.mu.Unlock()
-		return 0, false
-	}
-	seen := make(map[string]bool, len(remotes))
-	for _, r := range remotes {
-		l.upsert(r)
-		seen[r.Desc.ID] = true
+	defer cancel()
+	seen := make(map[string]bool)
+	for after := ""; ; {
+		remotes, next, pseq, err := l.remote.Page(sctx, after)
+		if err != nil {
+			l.mu.Lock()
+			l.st.LastError = err.Error()
+			l.mu.Unlock()
+			return 0, false
+		}
+		if after == "" {
+			seq = pseq
+		}
+		for _, r := range remotes {
+			l.upsert(r)
+			seen[r.Desc.ID] = true
+		}
+		if next == "" {
+			break
+		}
+		after = next
 	}
 	l.mu.Lock()
 	var stale []string

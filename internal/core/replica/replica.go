@@ -3,10 +3,10 @@
 // this process plays and drives the machinery that keeps the role true.
 //
 // A Node is one member of an ordered replica set. As a replica it
-// attaches to the leader with a state transfer (repl_sync), then mirrors
-// the leader's journal change-for-change (repl_watch), applying each
-// record under the leader's sequence number into its own registry — and
-// its own WAL, so a replica restart recovers locally instead of
+// attaches to the leader with a paged state transfer (state_page), then
+// mirrors the leader's journal change-for-change (repl_watch), applying
+// each record under the leader's sequence number into its own registry —
+// and its own WAL, so a replica restart recovers locally instead of
 // re-transferring. As a leader it serves writes and watches for rival
 // regimes. When the feed dies, the node runs a deterministic election:
 // every member probes every member, the highest replicated sequence
@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -96,6 +97,10 @@ type Status struct {
 	HandedBack int    `json:"handed_back,omitempty"`
 	LastError  string `json:"last_error,omitempty"`
 	LastFeed   string `json:"last_feed,omitempty"`
+	// Proto is the wire a replica's transfer and feed ride: "binary" once
+	// the leader negotiated the fast path, "soap" otherwise. Empty on a
+	// leader, without a Dialer, or before first contact.
+	Proto string `json:"proto,omitempty"`
 }
 
 // Node is one replica-set member's coordination state machine. All
@@ -226,6 +231,9 @@ func (n *Node) Status() Status {
 		st.Role, st.Leader = "leader", n.cfg.Self
 		st.Attached = true
 	}
+	if st.Role == "replica" && n.cfg.Dialer != nil {
+		st.Proto = n.cfg.Dialer.ProtocolFor(st.Leader)
+	}
 	return st
 }
 
@@ -326,11 +334,13 @@ func (n *Node) JoinAs(ctx context.Context, leader string) error {
 	return n.AttachOnce(ctx)
 }
 
-// AttachOnce performs one state transfer from the current leader: fetch
-// the leader's dump, hand back any acknowledged writes only this node's
-// WAL knows about (the restarted-old-leader case), and re-ground the
-// local registry — entries, journal position, epoch, and a reset WAL —
-// on the dump. On success the feed cursor is the dump's position.
+// AttachOnce performs one state transfer from the current leader: walk
+// the leader's state in pages, hand back any acknowledged writes only
+// this node's WAL knows about (the restarted-old-leader case), and
+// re-ground the local registry — entries, journal position, epoch, and a
+// reset WAL — on the transfer. On success the feed cursor is the first
+// page's position: every page was read at or after it, so replaying the
+// journal from there over the pages converges on the leader's state.
 func (n *Node) AttachOnce(ctx context.Context) error {
 	n.mu.Lock()
 	leader := n.leader
@@ -338,36 +348,35 @@ func (n *Node) AttachOnce(ctx context.Context) error {
 	if leader == "" || leader == n.cfg.Self {
 		return ErrNoLeader
 	}
-	ownEpoch, _ := n.cfg.Registry.Epoch()
-	st, err := n.client(leader).ReplSync(ctx, ownEpoch)
+	first, st, err := n.transfer(ctx, leader)
 	if err != nil {
 		n.fail(err)
 		return err
 	}
-	handed, herr := n.handback(ctx, leader, &st)
+	handed, herr := n.handback(ctx, leader, &first, st)
 	if herr != nil {
 		n.fail(herr)
 		return herr
 	}
-	epochLeader := st.Leader
+	epochLeader := first.Leader
 	if epochLeader == "" {
 		epochLeader = leader
 	}
-	if err := n.cfg.Registry.ApplyReplicatedState(st.Entries, st.Deadlines, st.Seq, st.Epoch, epochLeader); err != nil {
+	if err := st.Install(first.Seq, first.Epoch, epochLeader); err != nil {
 		n.fail(err)
 		return err
 	}
 	now := n.cfg.Clock.Now()
 	n.mu.Lock()
-	n.cursor = st.Seq
-	n.leaderSeq = st.Seq
+	n.cursor = first.Seq
+	n.leaderSeq = first.Seq
 	n.attached = true
 	n.handed += handed
 	n.lastErr = ""
 	n.lastFeed = now
 	n.mu.Unlock()
 	detail := fmt.Sprintf("attached to %s at seq %d, epoch %d (%d entries)",
-		leader, st.Seq, st.Epoch, len(st.Entries))
+		leader, first.Seq, first.Epoch, st.Len())
 	if handed > 0 {
 		detail += fmt.Sprintf("; handed back %d unreplicated acknowledged writes", handed)
 	}
@@ -375,36 +384,68 @@ func (n *Node) AttachOnce(ctx context.Context) error {
 	return nil
 }
 
+// maxAttachRestarts bounds how often one attach restarts its page walk
+// because the leader's regime changed under it; past that the attach
+// fails and the Run loop's retry (or election) takes over.
+const maxAttachRestarts = 3
+
+// transfer walks the leader's state page by page into a staging area of
+// the local registry and returns the first page (its position, regime
+// and boundary; no entries) with the staged transfer. A page read under
+// a different epoch or leader than the first belongs to another regime's
+// history, so the walk restarts from the first page.
+func (n *Node) transfer(ctx context.Context, leader string) (uddi.Page, *uddi.Staging, error) {
+	cl := n.client(leader)
+	ownEpoch, _ := n.cfg.Registry.Epoch()
+	for restarts := 0; restarts <= maxAttachRestarts; restarts++ {
+		st := n.cfg.Registry.Stage()
+		var first uddi.Page
+		for after := ""; ; {
+			p, err := cl.Page(ctx, after, ownEpoch)
+			if err != nil {
+				return uddi.Page{}, nil, err
+			}
+			if after == "" {
+				first = uddi.Page{Seq: p.Seq, Epoch: p.Epoch, Leader: p.Leader, Boundary: p.Boundary}
+			} else if p.Epoch != first.Epoch || p.Leader != first.Leader {
+				break
+			}
+			if err := st.Add(&p); err != nil {
+				return uddi.Page{}, nil, fmt.Errorf("replica: state transfer from %s: %w", leader, err)
+			}
+			if p.Next == "" {
+				return first, st, nil
+			}
+			after = p.Next
+		}
+	}
+	return uddi.Page{}, nil, fmt.Errorf("replica: state transfer from %s: regime changed %d times mid-transfer",
+		leader, maxAttachRestarts+1)
+}
+
 // handback re-registers acknowledged writes that exist only in this
 // node's WAL with the new leader, before the attach discards them. It
 // runs only on a deposed leader rejoining a newer regime — a replica
 // that merely fell behind must NOT resurrect entries its leader deleted.
 // The candidates are the local writes journaled above the regime
-// boundary the leader's dump names (st.Boundary): everything at or below
-// it was replicated into the new regime, so such an entry missing from
-// the dump is one the new regime removed, and stays removed. Each
-// candidate that survives locally and is absent from the dump is saved
-// back under its own key with its remaining lifetime, so nothing a
-// client got an acknowledgment for is lost to the failover, and lease
-// semantics are preserved. When the local journal no longer reaches
-// back to the boundary, every local entry absent from the dump is a
-// candidate: losing an acknowledged write is the worse failure.
-func (n *Node) handback(ctx context.Context, leader string, st *uddi.ReplState) (int, error) {
+// boundary the leader's first page names (first.Boundary): everything
+// at or below it was replicated into the new regime, so such an entry
+// missing from the transfer is one the new regime removed, and stays
+// removed. Each candidate that survives locally and is absent from the
+// transfer is saved back under its own key with its remaining lifetime,
+// so nothing a client got an acknowledgment for is lost to the failover,
+// and lease semantics are preserved. When the local journal no longer
+// reaches back to the boundary, every local entry absent from the
+// transfer is a candidate: losing an acknowledged write is the worse
+// failure. Only the candidates are copied out of the registry.
+func (n *Node) handback(ctx context.Context, leader string, first *uddi.Page, st *uddi.Staging) (int, error) {
 	reg := n.cfg.Registry
 	epoch, epochLeader := reg.Epoch()
-	if epochLeader != n.cfg.Self || epoch >= st.Epoch {
+	if epochLeader != n.cfg.Self || epoch >= first.Epoch {
 		return 0, nil
-	}
-	entries, deadlines, _, _, _ := reg.ReplState()
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	have := make(map[string]bool, len(st.Entries))
-	for _, e := range st.Entries {
-		have[e.Key] = true
 	}
 	var unreplicated map[string]bool // nil: the journal does not reach the boundary
-	if changes, _, resync := reg.Changes(st.Boundary); !resync {
+	if changes, _, resync := reg.Changes(first.Boundary); !resync {
 		unreplicated = make(map[string]bool, len(changes))
 		for _, c := range changes {
 			if c.Op == uddi.OpAdd || c.Op == uddi.OpUpdate {
@@ -413,18 +454,31 @@ func (n *Node) handback(ctx context.Context, leader string, st *uddi.ReplState) 
 		}
 	}
 	now := n.cfg.Clock.Now()
+	type lease struct {
+		key       string
+		remaining time.Duration
+	}
+	var cands []lease
+	reg.Leases(func(key string, expires time.Time) {
+		if st.Has(key) || (unreplicated != nil && !unreplicated[key]) {
+			return
+		}
+		if remaining := expires.Sub(now); remaining > 0 {
+			cands = append(cands, lease{key, remaining})
+		}
+	})
+	// Key order, so the new leader journals a handback identically on
+	// every run.
+	sort.Slice(cands, func(i, j int) bool { return cands[i].key < cands[j].key })
 	cl := n.client(leader)
 	handed := 0
-	for i, e := range entries {
-		if have[e.Key] || (unreplicated != nil && !unreplicated[e.Key]) {
+	for _, c := range cands {
+		e, ok := reg.Get(c.key)
+		if !ok {
 			continue
 		}
-		remaining := deadlines[i].Sub(now)
-		if remaining <= 0 {
-			continue
-		}
-		if _, err := cl.Save(ctx, e, remaining); err != nil {
-			return handed, fmt.Errorf("replica: handback of %s: %w", e.Key, err)
+		if _, err := cl.Save(ctx, e, c.remaining); err != nil {
+			return handed, fmt.Errorf("replica: handback of %s: %w", c.key, err)
 		}
 		handed++
 	}

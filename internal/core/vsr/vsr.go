@@ -240,6 +240,26 @@ func (v *VSR) FindSeq(ctx context.Context, q Query) ([]Remote, uint64, error) {
 	return out, seq, nil
 }
 
+// Page returns one key-ordered, byte-bounded page of the repository's
+// services: those keyed after `after` ("" for the first page), the
+// continuation key of the next page ("" after the last), and the journal
+// position the page was read at. A reader that walks every page and then
+// follows the watch from the first page's position converges on the
+// repository's state. Malformed entries are skipped, as in Find.
+func (v *VSR) Page(ctx context.Context, after string) (remotes []Remote, next string, seq uint64, err error) {
+	p, err := v.client.Page(ctx, after, 0)
+	if err != nil {
+		return nil, "", 0, fmt.Errorf("vsr: page: %w", err)
+	}
+	remotes = make([]Remote, 0, len(p.Entries))
+	for _, e := range p.Entries {
+		if r, err := remoteFromEntry(e); err == nil {
+			remotes = append(remotes, r)
+		}
+	}
+	return remotes, p.Next, p.Seq, nil
+}
+
 // Lookup returns the single service with the given federation ID.
 func (v *VSR) Lookup(ctx context.Context, id string) (Remote, error) {
 	r, _, err := v.LookupSeq(ctx, id)

@@ -16,6 +16,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -212,6 +213,7 @@ func (s *BinServer) ServeConn(conn net.Conn) {
 // srvConn is one accepted connection's frame-loop state.
 type srvConn struct {
 	conn net.Conn
+	rd   *bufio.Reader // frames are read through it (see frameReadBuf)
 	sess *Session
 	// buf holds incoming frames, out the encoded response payload, fbuf
 	// the framed response, each reused across frames (see
@@ -223,7 +225,7 @@ type srvConn struct {
 // connection stays up.
 func (s *BinServer) serveFrame(ctx context.Context, c *srvConn) bool {
 	defer c.releaseBuffers()
-	payload, nbuf, err := readFrame(c.conn, c.buf)
+	payload, nbuf, err := readFrame(frameReader(&c.rd, c.conn), c.buf)
 	if err != nil {
 		return false
 	}

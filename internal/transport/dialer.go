@@ -19,6 +19,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -350,18 +351,18 @@ func (d *Dialer) negotiate(st *linkState, authority string) (*binLink, error) {
 		conn.Close()
 		return nil, err
 	}
-	payload, _, err := readFrame(conn, nil)
+	l := &binLink{d: d, st: st, conn: conn}
+	payload, _, err := readFrame(frameReader(&l.rd, conn), nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	sess, err := finishAccept(hc, payload)
-	if err != nil {
+	if l.sess, err = finishAccept(hc, payload); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	return &binLink{d: d, st: st, conn: conn, sess: sess}, nil
+	return l, nil
 }
 
 // finishAccept folds an accept-or-error payload into a session.
@@ -489,7 +490,8 @@ type binLink struct {
 	// Exactly one of lane / conn is set.
 	lane *localLane
 	conn net.Conn
-	sess *Session // TCP-side session (lane keeps its own pair)
+	rd   *bufio.Reader // conn's frames are read through it (see frameReadBuf)
+	sess *Session      // TCP-side session (lane keeps its own pair)
 	// Frame buffers, reused across exchanges (see maxIdleFrameBuf).
 	buf  []byte // readFrame buffer
 	enc  []byte // encoded request payload scratch (conn path)
@@ -593,7 +595,7 @@ func (l *binLink) exchangeConn(ctx context.Context, path, contentType, action st
 	if _, err := l.conn.Write(l.wbuf); err != nil {
 		return binResponse{}, false, err
 	}
-	payload, nbuf, err := readFrame(l.conn, l.buf)
+	payload, nbuf, err := readFrame(frameReader(&l.rd, l.conn), l.buf)
 	if err != nil {
 		return binResponse{}, false, err
 	}
@@ -623,7 +625,7 @@ func (l *binLink) rekeyConn() error {
 	if err := writeFrame(l.conn, encodeHello(hc.Hello())); err != nil {
 		return err
 	}
-	payload, nbuf, err := readFrame(l.conn, l.buf)
+	payload, nbuf, err := readFrame(frameReader(&l.rd, l.conn), l.buf)
 	if err != nil {
 		return err
 	}

@@ -33,6 +33,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -72,6 +73,21 @@ func trimFrameBuf(b []byte) []byte {
 		return nil
 	}
 	return b
+}
+
+// frameReadBuf sizes the buffered reader every connection reads its
+// frames through, handshake included: a frame under it costs one read
+// call for header and payload together, and a larger payload is read
+// straight into the frame buffer past the reader.
+const frameReadBuf = 4 << 10
+
+// frameReader returns *rd, first wrapping conn in a frameReadBuf reader
+// if there is none yet.
+func frameReader(rd **bufio.Reader, conn io.Reader) *bufio.Reader {
+	if *rd == nil {
+		*rd = bufio.NewReaderSize(conn, frameReadBuf)
+	}
+	return *rd
 }
 
 // macSize is the length of the HMAC-SHA256 trailer on request and

@@ -41,8 +41,9 @@ const (
 	binUDDIFind    = 'F' // name, tModel, uvarint n, n × (key, value)
 	binUDDIGet     = 'G' // key
 	binUDDIWatch   = 'W' // uvarint since, uvarint timeoutMS, uvarint sinceEpoch
+	// Paged state transfer (every face; see page.go).
+	binUDDIPage = 'P' // uvarint requester epoch, after key
 	// Replication requests (private repository face only; see replica.go).
-	binUDDIReplSync   = 'Y' // uvarint requester epoch
 	binUDDIReplWatch  = 'V' // uvarint since, uvarint timeoutMS, uvarint epoch
 	binUDDIReplStatus = 'Q' // (empty)
 )
@@ -53,8 +54,8 @@ const (
 	binUDDIEntries = 'L' // uvarint seq, uvarint n, n × entry
 	binUDDIChanges = 'C' // uvarint next, bool resync, uvarint epoch, uvarint n, n × (uvarint seq, op byte, entry)
 	binUDDIError   = 'E' // code, info — the dispositionReport twin
+	binUDDIPageR   = 'N' // uvarint seq, uvarint epoch, leader, uvarint boundary, { 1, uvarint expMS, entry }*, 0, next key
 	// Replication responses.
-	binUDDIReplState   = 'R' // uvarint seq, uvarint epoch, leader, uvarint boundary, uvarint n, n × (uvarint expMS, entry)
 	binUDDIReplChange  = 'H' // uvarint next, bool resync, uvarint epoch, leader, uvarint n, n × (uvarint seq, op byte, uvarint expMS, entry)
 	binUDDIReplStatusR = 'T' // uvarint seq, uvarint epoch, leader, role, replicaOf
 )
@@ -176,8 +177,9 @@ func encodeBinWatch(since, sinceEpoch uint64, timeout time.Duration) []byte {
 	return b
 }
 
-func encodeBinReplSyncReq(epoch uint64) []byte {
-	return binary.AppendUvarint([]byte{binUDDIVersion, binUDDIReplSync}, epoch)
+func encodeBinPageReq(after string, epoch uint64) []byte {
+	b := binary.AppendUvarint([]byte{binUDDIVersion, binUDDIPage}, epoch)
+	return appendWALString(b, after)
 }
 
 func encodeBinReplStatusReq() []byte {
@@ -236,24 +238,6 @@ func encodeBinError(code, info string) []byte {
 	b := []byte{binUDDIVersion, binUDDIError}
 	b = appendWALString(b, code)
 	return appendWALString(b, info)
-}
-
-func encodeBinReplState(st ReplState) []byte {
-	b := []byte{binUDDIVersion, binUDDIReplState}
-	b = binary.AppendUvarint(b, st.Seq)
-	b = binary.AppendUvarint(b, st.Epoch)
-	b = appendWALString(b, st.Leader)
-	b = binary.AppendUvarint(b, st.Boundary)
-	b = binary.AppendUvarint(b, uint64(len(st.Entries)))
-	for i := range st.Entries {
-		var expMS uint64
-		if !st.Deadlines[i].IsZero() {
-			expMS = uint64(st.Deadlines[i].UnixMilli())
-		}
-		b = binary.AppendUvarint(b, expMS)
-		b = appendBinEntry(b, &st.Entries[i])
-	}
-	return b
 }
 
 func encodeBinReplChanges(rc ReplChanges) []byte {
@@ -376,32 +360,6 @@ func decodeBinReplStatus(data []byte) (ReplStatus, error) {
 	st.Role = r.str()
 	st.ReplicaOf = r.str()
 	return st, r.err
-}
-
-func decodeBinReplState(data []byte) (ReplState, error) {
-	r, err := decodeBinReply(data, binUDDIReplState)
-	if err != nil {
-		return ReplState{}, err
-	}
-	var st ReplState
-	st.Seq = r.uvarint()
-	st.Epoch = r.uvarint()
-	st.Leader = r.str()
-	st.Boundary = r.uvarint()
-	n := r.count()
-	if r.err != nil {
-		return ReplState{}, r.err
-	}
-	for i := 0; i < n; i++ {
-		expMS := r.uvarint()
-		e := decodeBinEntry(r)
-		if r.err != nil {
-			return ReplState{}, r.err
-		}
-		st.Entries = append(st.Entries, e)
-		st.Deadlines = append(st.Deadlines, time.UnixMilli(int64(expMS)))
-	}
-	return st, nil
 }
 
 func decodeBinReplChanges(data []byte) (ReplChanges, error) {
@@ -542,7 +500,7 @@ func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 				return binError(http.StatusMisdirectedRequest, "E_notLeader", notLeaderInfo(rs.leader))
 			}
 		}
-		if op == binUDDIReplSync || op == binUDDIReplWatch || op == binUDDIReplStatus {
+		if op == binUDDIReplWatch || op == binUDDIReplStatus {
 			// The replication records serve full entries with their lease
 			// deadlines; they belong to the private face only, never behind
 			// a peer view or a read-only mount.
@@ -637,32 +595,22 @@ func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 				// Client went away mid-poll; nothing useful to write.
 				return binError(http.StatusRequestTimeout, "E_fatalError", err.Error())
 			}
-			if view != nil {
-				// A filtered-to-empty round reads as an empty poll, exactly
-				// like the XML face: the cursor advances past hidden changes.
-				kept := changes[:0]
-				for _, c := range changes {
-					ve, ok := view(c.Entry)
-					if !ok {
-						continue
-					}
-					c.Entry = ve
-					kept = append(kept, c)
-				}
-				changes = kept
-			}
+			// A filtered-to-empty round reads as an empty poll, exactly like
+			// the XML face: the cursor advances past hidden changes.
+			changes, next = cutChanges(changes, next, view)
 			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
 				Body: encodeBinChanges(changes, next, nextEpoch, resync)}
 		case binUDDIReplStatus:
 			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
 				Body: encodeBinReplStatus(s.replStatusNow())}
-		case binUDDIReplSync:
+		case binUDDIPage:
 			reqEpoch := r.uvarint()
+			after := r.str()
 			if r.err != nil {
 				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
 			}
 			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinReplState(s.replStateFor(reqEpoch))}
+				Body: s.encodeBinPage(reqEpoch, after, pageView(view, opts.ReadOnly))}
 		case binUDDIReplWatch:
 			since := r.uvarint()
 			timeout := time.Duration(r.uvarint()) * time.Millisecond
@@ -680,6 +628,7 @@ func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
 			if err != nil {
 				return binError(http.StatusRequestTimeout, "E_fatalError", err.Error())
 			}
+			changes, next = cutChanges(changes, next, nil)
 			epoch, leader := s.Epoch()
 			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
 				Body: encodeBinReplChanges(ReplChanges{Changes: changes, Next: next,

@@ -26,20 +26,6 @@ var hostileEntry = Entry{
 	Categories:  map[string]string{"k<1>": "v&1", "k2": ""},
 }
 
-func entriesEqual(a, b Entry) bool {
-	if a.Key != b.Key || a.Name != b.Name || a.Description != b.Description ||
-		a.AccessPoint != b.AccessPoint || a.TModel != b.TModel || a.WSDL != b.WSDL ||
-		len(a.Categories) != len(b.Categories) {
-		return false
-	}
-	for k, v := range a.Categories {
-		if b.Categories[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 func TestBinEntryRoundTrip(t *testing.T) {
 	for _, want := range []Entry{{}, {Key: "k", Name: "n"}, hostileEntry} {
 		b := appendBinEntry(nil, &want)

@@ -204,11 +204,7 @@ func TestWatchCursorAcrossPromotion(t *testing.T) {
 		// epoch cursor can be safely replayed — only resynced.
 		r := NewServer()
 		defer r.Close()
-		st, err := c.ReplSync(ctx, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.ApplyReplicatedState(st.Entries, st.Deadlines, st.Seq, st.Epoch, st.Leader); err != nil {
+		if _, err := pullPages(func(after string) (Page, error) { return c.Page(ctx, after, 0) }, r); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, resync := r.ChangesEpoch(2, 1, false); !resync {

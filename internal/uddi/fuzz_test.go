@@ -26,7 +26,7 @@ var binDecoders = map[byte]func([]byte) error{
 		_, _, _, _, err := decodeBinChanges(b)
 		return err
 	},
-	binUDDIReplSync:   func(b []byte) error { _, err := decodeBinReplState(b); return err },
+	binUDDIPage:       func(b []byte) error { _, err := decodeBinPage(b); return err },
 	binUDDIReplWatch:  func(b []byte) error { _, err := decodeBinReplChanges(b); return err },
 	binUDDIReplStatus: func(b []byte) error { _, err := decodeBinReplStatus(b); return err },
 }
@@ -43,7 +43,8 @@ func FuzzBinHandler(f *testing.F) {
 		encodeBinFind(Query{Name: "%", Categories: map[string]string{"k": "v"}}),
 		encodeBinGet("uuid:lamp"),
 		encodeBinWatch(0, 0, 0),
-		encodeBinReplSyncReq(1),
+		encodeBinPageReq("", 1),
+		encodeBinPageReq("uuid:lamp", 0),
 		encodeBinReplWatchReq(0, 0, 0),
 		encodeBinReplStatusReq(),
 	} {

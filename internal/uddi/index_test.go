@@ -275,8 +275,8 @@ func TestFindPostingsDifferential(t *testing.T) {
 					deadlines = append(deadlines, clk.now().Add(g.ttl()-2*time.Second))
 				}
 				epoch, leader := s.Epoch()
-				if err := s.ApplyReplicatedState(entries, deadlines, s.Seq()+uint64(g.r.Intn(4)), epoch, leader); err != nil {
-					t.Fatalf("seed %d step %d: ApplyReplicatedState: %v", seed, step, err)
+				if err := applyState(s, entries, deadlines, s.Seq()+uint64(g.r.Intn(4)), epoch, leader); err != nil {
+					t.Fatalf("seed %d step %d: state transfer: %v", seed, step, err)
 				}
 			default:
 				what = "durable reopen"

@@ -1,0 +1,485 @@
+// page.go is the registry's paged state transfer: the one bulk read a
+// replica attach and a peer reconcile share. A page is a key-ordered run
+// of live records bounded by its encoded size, so no reply — and no
+// buffer on either end — grows with the registry. The reader walks pages
+// by continuation key and then follows the change journal from the first
+// page's position: a page may already hold changes journaled after that
+// position, and replaying them over it is idempotent, the same fuzziness
+// contract snapshots have.
+package uddi
+
+import (
+	"container/heap"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"net/http"
+	"sort"
+	"strconv"
+	"time"
+
+	"homeconnect/internal/xmltree"
+)
+
+// pageBytes bounds the encoded size of one state-transfer page and of
+// one watch or repl_watch batch. An encoder stops adding records once
+// its output passes the bound, so a reply holds at most pageBytes plus
+// one record: a single larger record travels alone.
+const pageBytes = 64 << 10
+
+// pageSlack is the headroom a page buffer is sized with beyond
+// pageBytes: room for the record that crosses the bound (a device entry
+// is about 1.3 KB) and the trailer, so the buffer is allocated once.
+const pageSlack = 4 << 10
+
+// Page is one key-ordered, byte-bounded run of a registry's live
+// entries, with the journal position and regime it was read at.
+type Page struct {
+	// Seq is the journal position read before the page's scan.
+	Seq uint64
+	// Epoch and Leader are the regime the page was read under; Leader is
+	// empty on a peer face.
+	Epoch  uint64
+	Leader string
+	// Boundary is where the requester's regime ended in this node's
+	// history: the journal position of this node's epoch mark for the
+	// first regime after the epoch the requester named (see
+	// epochBoundaryLocked). A deposed leader's writes journaled above it
+	// never reached this regime; at or below it they did, so an entry the
+	// transfer lacks there was removed by this regime. 0 when the
+	// requester named no older epoch, the mark predates this node's
+	// memory, or on a peer face.
+	Boundary uint64
+	// Next is the continuation key: the next page holds the entries keyed
+	// after it. Empty on the last page.
+	Next    string
+	Entries []Entry
+	// Deadlines are the entries' lease deadlines, index for index; zero
+	// on a peer face, which does not serve leases.
+	Deadlines []time.Time
+}
+
+// pageHeader is a page's position, regime and the requester's boundary,
+// read before the scan. private is false on a peer or read-only face,
+// which is not told the leader or the boundary.
+func (s *Server) pageHeader(reqEpoch uint64, private bool) Page {
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	p := Page{Seq: s.seq, Epoch: s.epoch}
+	if private {
+		p.Leader = s.epochLeader
+		if reqEpoch > 0 && reqEpoch < s.epoch {
+			p.Boundary, _ = s.epochBoundaryLocked(reqEpoch)
+		}
+	}
+	return p
+}
+
+// recHeap is a min-heap of records by key.
+type recHeap []*record
+
+func (h recHeap) Len() int           { return len(h) }
+func (h recHeap) Less(i, j int) bool { return h[i].entry.Key < h[j].entry.Key }
+func (h recHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *recHeap) Push(x any)        { *h = append(*h, x.(*record)) }
+func (h *recHeap) Pop() any {
+	old := *h
+	rec := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return rec
+}
+
+// walkPage hands put the live entries keyed after `after`, in key order,
+// until put reports that the page is full, and returns the continuation
+// key: the last key it scanned, or "" when no live entry remains past
+// it. Behind a view, entries are filtered and rewritten and carry no
+// deadline. The scan takes record pointers, not clones — installed
+// records are never mutated — and orders only what the page consumes: a
+// heap over the candidates, not a sort of them. Lapsed but unswept
+// records are skipped; their expire record is still coming on the
+// journal, where it deletes an absent key.
+func (s *Server) walkPage(after string, view View, put func(e Entry, expires time.Time) (full bool)) (next string) {
+	now := s.now()
+	var h recHeap
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for key, rec := range sh.entries {
+			if key > after && !now.After(rec.expires) {
+				h = append(h, rec)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	heap.Init(&h)
+	for h.Len() > 0 {
+		rec := heap.Pop(&h).(*record)
+		e, exp := rec.entry, rec.expires
+		if view != nil {
+			var ok bool
+			if e, ok = view(e); !ok {
+				continue
+			}
+			exp = time.Time{}
+		}
+		if put(e, exp) && h.Len() > 0 {
+			return rec.entry.Key
+		}
+	}
+	return ""
+}
+
+// pageView is the entry filter a page request is served through: view
+// on a peer face, the identity on a read-only one, nil (no filter, and
+// leases served) on the private repository face.
+func pageView(view View, readOnly bool) View {
+	if view == nil && readOnly {
+		return func(e Entry) (Entry, bool) { return e, true }
+	}
+	return view
+}
+
+// encodeBinPage encodes the page keyed after `after` for a requester at
+// reqEpoch straight from the registry's records, into one buffer sized
+// for the bound. Behind a view, entries are filtered and rewritten and
+// carry no deadline.
+func (s *Server) encodeBinPage(reqEpoch uint64, after string, view View) []byte {
+	p := s.pageHeader(reqEpoch, view == nil)
+	b := make([]byte, 0, pageBytes+pageSlack)
+	b = append(b, binUDDIVersion, binUDDIPageR)
+	b = binary.AppendUvarint(b, p.Seq)
+	b = binary.AppendUvarint(b, p.Epoch)
+	b = appendWALString(b, p.Leader)
+	b = binary.AppendUvarint(b, p.Boundary)
+	next := s.walkPage(after, view, func(e Entry, exp time.Time) bool {
+		b = append(b, 1)
+		b = appendWALEntry(b, e, exp)
+		return len(b) >= pageBytes
+	})
+	b = append(b, 0)
+	return appendWALString(b, next)
+}
+
+// decodeBinPage parses a page reply: the header, then (expiry, entry)
+// groups each flagged 1, a 0, and the continuation key.
+func decodeBinPage(data []byte) (Page, error) {
+	r, err := decodeBinReply(data, binUDDIPageR)
+	if err != nil {
+		return Page{}, err
+	}
+	var p Page
+	p.Seq = r.uvarint()
+	p.Epoch = r.uvarint()
+	p.Leader = r.str()
+	p.Boundary = r.uvarint()
+	for r.err == nil {
+		if r.off >= len(r.b) {
+			return Page{}, fmt.Errorf("uddi: truncated page")
+		}
+		flag := r.b[r.off]
+		r.off++
+		if flag == 0 {
+			break
+		}
+		if flag != 1 {
+			return Page{}, fmt.Errorf("uddi: bad page entry flag %d", flag)
+		}
+		e, exp := decodeWALEntry(r)
+		p.Entries = append(p.Entries, e)
+		p.Deadlines = append(p.Deadlines, exp)
+	}
+	p.Next = r.str()
+	if r.err != nil {
+		return Page{}, r.err
+	}
+	return p, nil
+}
+
+// handlePage is the XML twin of encodeBinPage: a statePage document of
+// pageEntry elements, the continuation key in a trailing next element.
+func (s *Server) handlePage(w http.ResponseWriter, root *xmltree.Element, view View) {
+	var reqEpoch uint64
+	if t := root.ChildText("epoch"); t != "" {
+		v, err := strconv.ParseUint(t, 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "E_fatalError", "bad epoch "+t)
+			return
+		}
+		reqEpoch = v
+	}
+	p := s.pageHeader(reqEpoch, view == nil)
+	xw := xmltree.NewWriter()
+	xw.Grow(pageBytes + pageSlack)
+	xw.Open("statePage",
+		"seq", strconv.FormatUint(p.Seq, 10),
+		"epoch", strconv.FormatUint(p.Epoch, 10),
+		"leader", p.Leader,
+		"boundary", strconv.FormatUint(p.Boundary, 10),
+	)
+	next := s.walkPage(root.ChildText("after"), view, func(e Entry, exp time.Time) bool {
+		var expMS int64
+		if !exp.IsZero() {
+			expMS = exp.UnixMilli()
+		}
+		xw.Open("pageEntry", "expiresms", strconv.FormatInt(expMS, 10))
+		entryToXML(xw, e)
+		xw.Close()
+		return xw.Len() >= pageBytes
+	})
+	xw.Leaf("next", next)
+	writeXML(w, xw.Bytes())
+}
+
+// Page fetches the page of live entries keyed after `after` ("" for the
+// first page). epoch is the requester's own replication epoch: a deposed
+// leader rejoining gets the regime boundary its handback needs in
+// Page.Boundary. On the private repository face the page carries lease
+// deadlines; on a peer face it is filtered through the caller's view.
+func (c *Client) Page(ctx context.Context, after string, epoch uint64) (Page, error) {
+	body, root, err := c.call(ctx, encodeBinPageReq(after, epoch), func() []byte {
+		w := xmltree.NewWriter()
+		w.Open("state_page")
+		w.Leaf("after", after)
+		w.Leaf("epoch", strconv.FormatUint(epoch, 10))
+		return w.Bytes()
+	})
+	if err != nil {
+		return Page{}, err
+	}
+	if root == nil {
+		return decodeBinPage(body)
+	}
+	if root.Name.Local != "statePage" {
+		return Page{}, fmt.Errorf("uddi: state_page response root %s", root.Name.Local)
+	}
+	var p Page
+	if p.Seq, err = strconv.ParseUint(root.Attr("seq"), 10, 64); err != nil {
+		return Page{}, fmt.Errorf("uddi: bad statePage seq: %w", err)
+	}
+	if p.Epoch, err = strconv.ParseUint(root.Attr("epoch"), 10, 64); err != nil {
+		return Page{}, fmt.Errorf("uddi: bad statePage epoch: %w", err)
+	}
+	p.Leader = root.Attr("leader")
+	if p.Boundary, err = strconv.ParseUint(root.Attr("boundary"), 10, 64); err != nil {
+		return Page{}, fmt.Errorf("uddi: bad statePage boundary: %w", err)
+	}
+	for _, el := range root.All("pageEntry") {
+		expMS, err := strconv.ParseInt(el.Attr("expiresms"), 10, 64)
+		if err != nil {
+			return Page{}, fmt.Errorf("uddi: bad pageEntry expiresms: %w", err)
+		}
+		svc := el.Child("service")
+		if svc == nil {
+			return Page{}, fmt.Errorf("uddi: pageEntry without service")
+		}
+		e, err := entryFromXML(svc)
+		if err != nil {
+			return Page{}, err
+		}
+		var exp time.Time
+		if expMS != 0 {
+			exp = time.UnixMilli(expMS)
+		}
+		p.Entries = append(p.Entries, e)
+		p.Deadlines = append(p.Deadlines, exp)
+	}
+	p.Next = root.ChildText("next")
+	return p, nil
+}
+
+// --- staging (the replica end) ---------------------------------------------
+
+// Staging collects a paged state transfer on the receiving registry
+// until it is complete, then installs it wholesale. Staged records that
+// match what the registry already holds reuse the installed record, so a
+// member re-attaching to state it mostly has (a restarted ex-leader, a
+// replica resynced after a short gap) holds one copy of it, not two.
+type Staging struct {
+	s    *Server
+	recs []*record // key-ordered: pages arrive in key order
+}
+
+// Stage starts a state transfer into s. Nothing changes until Install.
+func (s *Server) Stage() *Staging { return &Staging{s: s} }
+
+// Add stages one page's entries in order, taking ownership of them (a
+// decoded page's entries are not used again by the caller). Keys must
+// ascend across every page of the transfer.
+func (st *Staging) Add(p *Page) error {
+	if len(p.Entries) != len(p.Deadlines) {
+		return fmt.Errorf("uddi: page with %d entries but %d deadlines", len(p.Entries), len(p.Deadlines))
+	}
+	for i := range p.Entries {
+		e, exp := &p.Entries[i], p.Deadlines[i]
+		if n := len(st.recs); n > 0 && e.Key <= st.recs[n-1].entry.Key {
+			return fmt.Errorf("uddi: page entry %q out of key order", e.Key)
+		}
+		sh := st.s.shardFor(e.Key)
+		sh.mu.RLock()
+		old := sh.entries[e.Key]
+		sh.mu.RUnlock()
+		if old != nil && old.expires.Equal(exp) && entriesEqual(old.entry, *e) {
+			st.recs = append(st.recs, old)
+			continue
+		}
+		st.recs = append(st.recs, &record{entry: *e, expires: exp})
+	}
+	return nil
+}
+
+// Len reports how many entries are staged.
+func (st *Staging) Len() int { return len(st.recs) }
+
+// Has reports whether key is staged.
+func (st *Staging) Has(key string) bool {
+	i := sort.Search(len(st.recs), func(i int) bool { return st.recs[i].entry.Key >= key })
+	return i < len(st.recs) && st.recs[i].entry.Key == key
+}
+
+// Install re-grounds the registry on the staged transfer: the attach
+// (and re-attach) path, used when a replica joins or when the leader's
+// journal no longer covers the replica's cursor. seq, epoch and leader
+// are the first page's. Everything local is discarded — entries, journal
+// ring, and the entire WAL history, which is reset to a fresh snapshot
+// at seq so a later recovery cannot resurrect records from the regime
+// this node just left. Fails with ErrStaleEpoch if the transfer's epoch
+// is behind this node's: a newer regime's state never yields to an
+// older.
+func (st *Staging) Install(seq, epoch uint64, leader string) error {
+	s := st.s
+	if cur, curLeader := s.Epoch(); epoch < cur {
+		return fmt.Errorf("uddi: state transfer epoch %d behind current %d (leader %s): %w",
+			epoch, cur, curLeader, ErrStaleEpoch)
+	}
+	// Wholesale swap: every shard locked in index order, then the journal
+	// lock — the same shard → jmu order every mutator uses.
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+	for i := range s.shards {
+		s.shards[i].reset()
+	}
+	for _, rec := range st.recs {
+		s.shardFor(rec.entry.Key).put(rec)
+	}
+	s.jmu.Lock()
+	s.seq = seq
+	s.journal = s.journal[:0]
+	// The re-ground breaks journal continuity with everything this node
+	// served before, so its remembered epoch boundaries no longer describe
+	// positions in a history it can replay — old-epoch cursors must resync.
+	s.epochMarks = s.epochMarks[:0]
+	if epoch >= s.epoch {
+		s.epoch, s.epochLeader = epoch, leader
+	}
+	err := s.walResetLocked(st.recs, seq, s.epoch, s.epochLeader)
+	close(s.wake)
+	s.wake = make(chan struct{})
+	s.jmu.Unlock()
+	for i := len(s.shards) - 1; i >= 0; i-- {
+		s.shards[i].mu.Unlock()
+	}
+	return err
+}
+
+// Leases calls fn with the key and deadline of every live entry, in no
+// particular order, without copying entries. fn runs under a shard's
+// read lock and must not call back into the registry.
+func (s *Server) Leases(fn func(key string, expires time.Time)) {
+	now := s.now()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for key, rec := range sh.entries {
+			if !now.After(rec.expires) {
+				fn(key, rec.expires)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+}
+
+// --- byte-bounded watch batches ------------------------------------------
+
+// binChangeSize bounds the encoded size of one change in a binary watch
+// reply: seq and expiry uvarints, the op byte, and the entry.
+func binChangeSize(e *Entry) int {
+	n := 2*binary.MaxVarintLen64 + 1 + uvarintSize(len(e.Categories))
+	for _, v := range [...]string{e.Key, e.Name, e.Description, e.AccessPoint, e.TModel, e.WSDL} {
+		n += walStringSize(v)
+	}
+	for k, v := range e.Categories {
+		n += walStringSize(k) + walStringSize(v)
+	}
+	return n
+}
+
+func uvarintSize(n int) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], uint64(n))
+}
+
+func walStringSize(v string) int { return uvarintSize(len(v)) + len(v) }
+
+// cutChanges bounds one binary watch batch: it passes each change
+// through view (when set), keeps the visible ones until their encoded
+// size passes pageBytes, and returns them with the cursor to resume
+// from — next when everything fit, else the seq of the last change kept.
+// A short batch is legal under the cursor contract: the watcher resumes
+// from the cursor and gets the rest. changes is filtered in place.
+func cutChanges(changes []Change, next uint64, view View) ([]Change, uint64) {
+	kept := changes[:0]
+	size := 0
+	for _, c := range changes {
+		if view != nil {
+			ve, ok := view(c.Entry)
+			if !ok {
+				continue
+			}
+			c.Entry = ve
+		}
+		kept = append(kept, c)
+		if size += binChangeSize(&c.Entry); size >= pageBytes {
+			return kept, c.Seq
+		}
+	}
+	return kept, next
+}
+
+// xmlChanges encodes a watch batch's change elements as a fragment,
+// stopping once it passes pageBytes, and returns it with the cursor to
+// resume from (see cutChanges). encode writes one change element; view
+// (when set) filters and rewrites entries first.
+func xmlChanges(changes []Change, next uint64, view View, encode func(*xmltree.Writer, Change)) ([]byte, uint64) {
+	var frag xmltree.Writer
+	for _, c := range changes {
+		if view != nil {
+			ve, ok := view(c.Entry)
+			if !ok {
+				continue
+			}
+			c.Entry = ve
+		}
+		encode(&frag, c)
+		if frag.Len() >= pageBytes {
+			return frag.Bytes(), c.Seq
+		}
+	}
+	return frag.Bytes(), next
+}
+
+// entriesEqual reports whether two entries carry the same fields and
+// category bag.
+func entriesEqual(a, b Entry) bool {
+	if a.Key != b.Key || a.Name != b.Name || a.Description != b.Description ||
+		a.AccessPoint != b.AccessPoint || a.TModel != b.TModel || a.WSDL != b.WSDL ||
+		len(a.Categories) != len(b.Categories) {
+		return false
+	}
+	for k, v := range a.Categories {
+		if w, ok := b.Categories[k]; !ok || w != v {
+			return false
+		}
+	}
+	return true
+}

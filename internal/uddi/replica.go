@@ -303,60 +303,11 @@ func (s *Server) appendReplicated(c Change) {
 	s.jmu.Unlock()
 }
 
-// ApplyReplicatedState re-grounds the registry wholesale from a leader's
-// state dump: the attach (and re-attach) path, used when a replica joins
-// or when the leader's journal no longer covers the replica's cursor.
-// Everything local is discarded — entries, journal ring, and the entire
-// WAL history, which is reset to a fresh snapshot at the dump's sequence
-// number so a later recovery cannot resurrect records from the regime
-// this node just left. Fails with ErrStaleEpoch if the dump's epoch is
-// behind this node's: a newer regime's state never yields to an older.
-func (s *Server) ApplyReplicatedState(entries []Entry, deadlines []time.Time, seq, epoch uint64, leader string) error {
-	if len(entries) != len(deadlines) {
-		return fmt.Errorf("uddi: state dump with %d entries but %d deadlines", len(entries), len(deadlines))
-	}
-	if cur, curLeader := s.Epoch(); epoch < cur {
-		return fmt.Errorf("uddi: state dump epoch %d behind current %d (leader %s): %w",
-			epoch, cur, curLeader, ErrStaleEpoch)
-	}
-	// Wholesale swap: every shard locked in index order, then the journal
-	// lock — the same shard → jmu order every mutator uses.
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	for i := range s.shards {
-		s.shards[i].reset()
-	}
-	recs := make([]*record, len(entries))
-	for i, e := range entries {
-		recs[i] = &record{entry: e.Clone(), expires: deadlines[i]}
-		s.shardFor(e.Key).put(recs[i])
-	}
-	s.jmu.Lock()
-	s.seq = seq
-	s.journal = s.journal[:0]
-	// The re-ground breaks journal continuity with everything this node
-	// served before, so its remembered epoch boundaries no longer describe
-	// positions in a history it can replay — old-epoch cursors must resync.
-	s.epochMarks = s.epochMarks[:0]
-	if epoch >= s.epoch {
-		s.epoch, s.epochLeader = epoch, leader
-	}
-	err := s.walResetLocked(recs, seq, s.epoch, s.epochLeader)
-	close(s.wake)
-	s.wake = make(chan struct{})
-	s.jmu.Unlock()
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-	return err
-}
-
 // walResetLocked discards the entire on-disk history and restarts it at
 // seq: every segment and snapshot is removed, a fresh snapshot of recs
 // (the records just installed; sorted here) is written at seq, and a new
-// segment opens at seq+1. Called under jmu (and, from
-// ApplyReplicatedState, all shard locks).
+// segment opens at seq+1. Called under jmu (and, from Staging.Install,
+// all shard locks).
 func (s *Server) walResetLocked(recs []*record, seq, epoch uint64, leader string) error {
 	w := s.wal
 	if w == nil {
@@ -392,29 +343,6 @@ func (s *Server) walResetLocked(recs []*record, seq, epoch uint64, leader string
 	return nil
 }
 
-// ReplState dumps the live registry for replica attach: entries with
-// their lease deadlines (sorted by key for stable wire bytes), plus the
-// journal position, epoch and leader. The position is read before the
-// scan, so the dump may already contain later changes — replaying the
-// feed from that position over it is idempotent, the same fuzziness
-// contract snapshots have.
-func (s *Server) ReplState() (entries []Entry, deadlines []time.Time, seq, epoch uint64, leader string) {
-	s.jmu.Lock()
-	seq, epoch, leader = s.seq, s.epoch, s.epochLeader
-	s.jmu.Unlock()
-	now := s.now()
-	for _, rec := range s.sortedRecords() {
-		if now.After(rec.expires) {
-			// Lapsed but unswept: the expire record is still coming on
-			// the feed, where it deletes an absent key — a no-op.
-			continue
-		}
-		entries = append(entries, rec.entry.Clone())
-		deadlines = append(deadlines, rec.expires)
-	}
-	return entries, deadlines, seq, epoch, leader
-}
-
 // --- wire types ----------------------------------------------------------
 
 // ReplStatus is a node's replication face: where it is in the journal and
@@ -429,24 +357,6 @@ type ReplStatus struct {
 	ReplicaOf string
 }
 
-// ReplState is a full registry dump for replica attach.
-type ReplState struct {
-	Seq    uint64
-	Epoch  uint64
-	Leader string
-	// Boundary is where the requester's regime ended in this node's
-	// history: the journal position of this node's epoch mark for the
-	// first regime after the epoch the requester named (see
-	// epochBoundaryLocked). A deposed leader's writes journaled above it
-	// never reached this regime; at or below it they did, so an entry
-	// the dump lacks there was removed by this regime. 0 when the
-	// requester named no older epoch or the mark predates this node's
-	// memory.
-	Boundary  uint64
-	Entries   []Entry
-	Deadlines []time.Time
-}
-
 // ReplChanges is one replication feed round: ordinary watch output plus
 // lease deadlines and the feed's epoch for fencing.
 type ReplChanges struct {
@@ -455,20 +365,6 @@ type ReplChanges struct {
 	Resync  bool
 	Epoch   uint64
 	Leader  string
-}
-
-// replStateFor is the state dump answering a repl_sync from a node at
-// reqEpoch, carrying the regime boundary that node's handback needs.
-func (s *Server) replStateFor(reqEpoch uint64) ReplState {
-	var boundary uint64
-	s.jmu.Lock()
-	if reqEpoch > 0 && reqEpoch < s.epoch {
-		boundary, _ = s.epochBoundaryLocked(reqEpoch)
-	}
-	s.jmu.Unlock()
-	entries, deadlines, seq, epoch, leader := s.ReplState()
-	return ReplState{Seq: seq, Epoch: epoch, Leader: leader, Boundary: boundary,
-		Entries: entries, Deadlines: deadlines}
 }
 
 func (s *Server) replStatusNow() ReplStatus {
@@ -508,32 +404,6 @@ func (s *Server) handleReplStatus(w http.ResponseWriter) {
 	writeXML(w, xw.Bytes())
 }
 
-func (s *Server) handleReplSync(w http.ResponseWriter, root *xmltree.Element) {
-	var reqEpoch uint64
-	if t := root.ChildText("epoch"); t != "" {
-		v, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "bad epoch "+t)
-			return
-		}
-		reqEpoch = v
-	}
-	st := s.replStateFor(reqEpoch)
-	xw := xmltree.NewWriter()
-	xw.Open("replState",
-		"seq", strconv.FormatUint(st.Seq, 10),
-		"epoch", strconv.FormatUint(st.Epoch, 10),
-		"leader", st.Leader,
-		"boundary", strconv.FormatUint(st.Boundary, 10),
-	)
-	for i, e := range st.Entries {
-		xw.Open("replEntry", "expiresms", strconv.FormatInt(st.Deadlines[i].UnixMilli(), 10))
-		entryToXML(xw, e)
-		xw.Close()
-	}
-	writeXML(w, xw.Bytes())
-}
-
 func (s *Server) handleReplWatch(ctx context.Context, w http.ResponseWriter, root *xmltree.Element) {
 	var since, reqEpoch uint64
 	if t := root.ChildText("since"); t != "" {
@@ -569,6 +439,7 @@ func (s *Server) handleReplWatch(ctx context.Context, w http.ResponseWriter, roo
 		// Client went away mid-poll; nothing useful to write.
 		return
 	}
+	frag, next := xmlChanges(changes, next, nil, encodeReplChange)
 	epoch, leader := s.Epoch()
 	xw := xmltree.NewWriter()
 	xw.Open("replChangeList",
@@ -577,30 +448,34 @@ func (s *Server) handleReplWatch(ctx context.Context, w http.ResponseWriter, roo
 		"epoch", strconv.FormatUint(epoch, 10),
 		"leader", leader,
 	)
-	for _, c := range changes {
-		switch c.Op {
-		case OpAdd, OpUpdate:
-			var expMS int64
-			if !c.Expires.IsZero() {
-				expMS = c.Expires.UnixMilli()
-			}
-			xw.Open("replChange",
-				"seq", strconv.FormatUint(c.Seq, 10),
-				"op", string(c.Op),
-				"expiresms", strconv.FormatInt(expMS, 10),
-			)
-			entryToXML(xw, c.Entry)
-			xw.Close()
-		default:
-			xw.SelfClose("replChange",
-				"seq", strconv.FormatUint(c.Seq, 10),
-				"op", string(c.Op),
-				"serviceKey", c.Entry.Key,
-				"name", c.Entry.Name,
-			)
-		}
-	}
+	xw.Raw(frag)
 	writeXML(w, xw.Bytes())
+}
+
+// encodeReplChange writes one replChange element: a change with its
+// lease deadline.
+func encodeReplChange(xw *xmltree.Writer, c Change) {
+	switch c.Op {
+	case OpAdd, OpUpdate:
+		var expMS int64
+		if !c.Expires.IsZero() {
+			expMS = c.Expires.UnixMilli()
+		}
+		xw.Open("replChange",
+			"seq", strconv.FormatUint(c.Seq, 10),
+			"op", string(c.Op),
+			"expiresms", strconv.FormatInt(expMS, 10),
+		)
+		entryToXML(xw, c.Entry)
+		xw.Close()
+	default:
+		xw.SelfClose("replChange",
+			"seq", strconv.FormatUint(c.Seq, 10),
+			"op", string(c.Op),
+			"serviceKey", c.Entry.Key,
+			"name", c.Entry.Name,
+		)
+	}
 }
 
 // --- client side ---------------------------------------------------------
@@ -632,57 +507,6 @@ func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
 	st.Leader = root.Attr("leader")
 	st.Role = root.Attr("role")
 	st.ReplicaOf = root.Attr("replicaOf")
-	return st, nil
-}
-
-// ReplSync fetches the leader's full state dump — the attach path. epoch
-// is the requester's own epoch: a deposed leader rejoining gets the
-// regime boundary its handback needs in ReplState.Boundary.
-func (c *Client) ReplSync(ctx context.Context, epoch uint64) (ReplState, error) {
-	body, root, err := c.call(ctx, encodeBinReplSyncReq(epoch), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("repl_sync")
-		w.Leaf("epoch", strconv.FormatUint(epoch, 10))
-		return w.Bytes()
-	})
-	if err != nil {
-		return ReplState{}, err
-	}
-	if root == nil {
-		return decodeBinReplState(body)
-	}
-	if root.Name.Local != "replState" {
-		return ReplState{}, fmt.Errorf("uddi: repl_sync response root %s", root.Name.Local)
-	}
-	var st ReplState
-	if st.Seq, err = strconv.ParseUint(root.Attr("seq"), 10, 64); err != nil {
-		return ReplState{}, fmt.Errorf("uddi: bad replState seq: %w", err)
-	}
-	if st.Epoch, err = strconv.ParseUint(root.Attr("epoch"), 10, 64); err != nil {
-		return ReplState{}, fmt.Errorf("uddi: bad replState epoch: %w", err)
-	}
-	st.Leader = root.Attr("leader")
-	if b := root.Attr("boundary"); b != "" {
-		if st.Boundary, err = strconv.ParseUint(b, 10, 64); err != nil {
-			return ReplState{}, fmt.Errorf("uddi: bad replState boundary: %w", err)
-		}
-	}
-	for _, el := range root.All("replEntry") {
-		expMS, err := strconv.ParseInt(el.Attr("expiresms"), 10, 64)
-		if err != nil {
-			return ReplState{}, fmt.Errorf("uddi: bad replEntry expiresms: %w", err)
-		}
-		svc := el.Child("service")
-		if svc == nil {
-			return ReplState{}, fmt.Errorf("uddi: replEntry without service")
-		}
-		e, err := entryFromXML(svc)
-		if err != nil {
-			return ReplState{}, err
-		}
-		st.Entries = append(st.Entries, e)
-		st.Deadlines = append(st.Deadlines, time.UnixMilli(expMS))
-	}
 	return st, nil
 }
 

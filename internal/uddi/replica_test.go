@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -24,19 +25,71 @@ import (
 )
 
 // stateBytes serializes a registry's full replicated state — position,
-// regime, and every entry with its deadline — into one canonical byte
-// string, so two replicas can be compared for exact convergence.
+// regime, and every live entry with its deadline — into one canonical
+// byte string, so two replicas can be compared for exact convergence.
 func stateBytes(t *testing.T, s *Server) []byte {
 	t.Helper()
-	entries, deadlines, seq, epoch, leader := s.ReplState()
-	b := binary.AppendUvarint(nil, seq)
-	b = binary.AppendUvarint(b, epoch)
-	b = appendWALString(b, leader)
-	for i := range entries {
-		b = appendBinEntry(b, &entries[i])
-		b = binary.AppendUvarint(b, uint64(deadlines[i].UnixMilli()))
+	s.jmu.Lock()
+	b := binary.AppendUvarint(nil, s.seq)
+	b = binary.AppendUvarint(b, s.epoch)
+	b = appendWALString(b, s.epochLeader)
+	s.jmu.Unlock()
+	now := s.now()
+	for _, rec := range s.sortedRecords() {
+		if now.After(rec.expires) {
+			continue
+		}
+		b = appendBinEntry(b, &rec.entry)
+		b = binary.AppendUvarint(b, uint64(rec.expires.UnixMilli()))
 	}
 	return b
+}
+
+// applyState installs entries, in any order, as one staged page: a state
+// transfer without the wire. It orders them by key, as pages arrive.
+func applyState(s *Server, entries []Entry, deadlines []time.Time, seq, epoch uint64, leader string) error {
+	p := Page{Entries: slices.Clone(entries), Deadlines: slices.Clone(deadlines)}
+	sort.Sort(pageByKey(p))
+	st := s.Stage()
+	if err := st.Add(&p); err != nil {
+		return err
+	}
+	return st.Install(seq, epoch, leader)
+}
+
+// pageByKey sorts a page's entries and deadlines together by key.
+type pageByKey Page
+
+func (p pageByKey) Len() int           { return len(p.Entries) }
+func (p pageByKey) Less(i, j int) bool { return p.Entries[i].Key < p.Entries[j].Key }
+func (p pageByKey) Swap(i, j int) {
+	p.Entries[i], p.Entries[j] = p.Entries[j], p.Entries[i]
+	p.Deadlines[i], p.Deadlines[j] = p.Deadlines[j], p.Deadlines[i]
+}
+
+// pullPages walks every page fetch serves into dst and installs them at
+// the first page's position, as a replica attach does, returning the
+// first page.
+func pullPages(fetch func(after string) (Page, error), dst *Server) (Page, error) {
+	st := dst.Stage()
+	var first Page
+	for after := ""; ; {
+		p, err := fetch(after)
+		if err != nil {
+			return Page{}, err
+		}
+		if after == "" {
+			first = p
+		}
+		if err := st.Add(&p); err != nil {
+			return Page{}, err
+		}
+		if p.Next == "" {
+			break
+		}
+		after = p.Next
+	}
+	return first, st.Install(first.Seq, first.Epoch, first.Leader)
 }
 
 func TestReplicaModeRejectsWrites(t *testing.T) {
@@ -365,7 +418,7 @@ func TestTornWALReplicaReattach(t *testing.T) {
 	leaderEntry := lampEntry()
 	leaderEntry.Key = "uuid:leader-only"
 	deadline := time.Now().Add(time.Hour)
-	if err := s.ApplyReplicatedState([]Entry{leaderEntry}, []time.Time{deadline}, 9, 2, "http://new/uddi"); err != nil {
+	if err := applyState(s, []Entry{leaderEntry}, []time.Time{deadline}, 9, 2, "http://new/uddi"); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
 	want := stateBytes(t, s)
@@ -386,15 +439,15 @@ func TestTornWALReplicaReattach(t *testing.T) {
 	}
 }
 
-// ApplyReplicatedState refuses to re-ground on an older regime than the
-// replica has acknowledged: a stale leader cannot roll a replica back.
+// A state transfer refuses to install an older regime than the replica
+// has acknowledged: a stale leader cannot roll a replica back.
 func TestApplyReplicatedStateStaleEpoch(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
 	if err := s.SetEpoch(4, "http://m1/uddi"); err != nil {
 		t.Fatal(err)
 	}
-	err := s.ApplyReplicatedState(nil, nil, 1, 3, "http://old/uddi")
+	err := s.Stage().Install(1, 3, "http://old/uddi")
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("stale state transfer: err = %v, want ErrStaleEpoch", err)
 	}
@@ -486,23 +539,16 @@ func TestReplFramesXMLBinaryEquivalence(t *testing.T) {
 		t.Fatalf("replica states diverged:\n xml % x\n bin % x", x, b)
 	}
 
-	// The state-transfer frames agree the same way.
-	stXML, err := c.ReplSync(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp = binServe(leader, BinOptions{}, "home-a", encodeBinReplSyncReq(0))
-	stBin, err := decodeBinReplState(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The state-transfer pages agree the same way.
 	xmlR2, binR2 := NewServer(), NewServer()
 	defer xmlR2.Close()
 	defer binR2.Close()
-	if err := xmlR2.ApplyReplicatedState(stXML.Entries, stXML.Deadlines, stXML.Seq, stXML.Epoch, stXML.Leader); err != nil {
+	if _, err := pullPages(func(after string) (Page, error) { return c.Page(ctx, after, 0) }, xmlR2); err != nil {
 		t.Fatal(err)
 	}
-	if err := binR2.ApplyReplicatedState(stBin.Entries, stBin.Deadlines, stBin.Seq, stBin.Epoch, stBin.Leader); err != nil {
+	if _, err := pullPages(func(after string) (Page, error) {
+		return decodeBinPage(binServe(leader, BinOptions{}, "home-a", encodeBinPageReq(after, 0)).Body)
+	}, binR2); err != nil {
 		t.Fatal(err)
 	}
 	if x, b := stateBytes(t, xmlR2), stateBytes(t, binR2); !bytes.Equal(x, b) {

@@ -732,10 +732,8 @@ func (s *Server) handler(viewFor func(*http.Request) View, readOnly bool) http.H
 			if repl() {
 				s.handleReplStatus(w)
 			}
-		case "repl_sync":
-			if repl() {
-				s.handleReplSync(w, root)
-			}
+		case "state_page":
+			s.handlePage(w, root, pageView(view, readOnly))
 		case "repl_watch":
 			if repl() {
 				s.handleReplWatch(r.Context(), w, root)
@@ -900,47 +898,34 @@ func (s *Server) handleWatch(ctx context.Context, w http.ResponseWriter, root *x
 		// Client went away mid-poll; nothing useful to write.
 		return
 	}
-	if view != nil {
-		// A filtered-to-empty round reads as an empty poll: the client
-		// advances its cursor past the hidden changes and parks again.
-		kept := changes[:0]
-		for _, c := range changes {
-			ve, ok := view(c.Entry)
-			if !ok {
-				continue
-			}
-			c.Entry = ve
-			kept = append(kept, c)
-		}
-		changes = kept
-	}
-	writeXML(w, encodeChangeList(changes, next, nextEpoch, resync))
-}
-
-// encodeChangeList renders a watch response.
-func encodeChangeList(changes []Change, next, epoch uint64, resync bool) []byte {
+	// A filtered-to-empty round reads as an empty poll: the client
+	// advances its cursor past the hidden changes and parks again.
+	frag, next := xmlChanges(changes, next, view, encodeChange)
 	xw := xmltree.NewWriter()
 	xw.Open("changeList",
 		"next", strconv.FormatUint(next, 10),
 		"resync", strconv.FormatBool(resync),
-		"epoch", strconv.FormatUint(epoch, 10),
+		"epoch", strconv.FormatUint(nextEpoch, 10),
 	)
-	for _, c := range changes {
-		switch c.Op {
-		case OpAdd, OpUpdate:
-			xw.Open("change", "seq", strconv.FormatUint(c.Seq, 10), "op", string(c.Op))
-			entryToXML(xw, c.Entry)
-			xw.Close()
-		default:
-			xw.SelfClose("change",
-				"seq", strconv.FormatUint(c.Seq, 10),
-				"op", string(c.Op),
-				"serviceKey", c.Entry.Key,
-				"name", c.Entry.Name,
-			)
-		}
+	xw.Raw(frag)
+	writeXML(w, xw.Bytes())
+}
+
+// encodeChange writes one change element of a watch response.
+func encodeChange(xw *xmltree.Writer, c Change) {
+	switch c.Op {
+	case OpAdd, OpUpdate:
+		xw.Open("change", "seq", strconv.FormatUint(c.Seq, 10), "op", string(c.Op))
+		entryToXML(xw, c.Entry)
+		xw.Close()
+	default:
+		xw.SelfClose("change",
+			"seq", strconv.FormatUint(c.Seq, 10),
+			"op", string(c.Op),
+			"serviceKey", c.Entry.Key,
+			"name", c.Entry.Name,
+		)
 	}
-	return xw.Bytes()
 }
 
 // decodeChangeList parses a watch response. A response without an epoch

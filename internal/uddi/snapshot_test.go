@@ -79,9 +79,9 @@ func goldenSnapshot(t *testing.T) []byte {
 }
 
 // goldenStateTransfer writes the golden state through replica state
-// transfer (ApplyReplicatedState, which resets the WAL to a snapshot of
-// the installed records) and returns the snapshot's bytes. The dump is
-// handed over unsorted and carries one entry with no lease deadline.
+// transfer (a staged page installed, which resets the WAL to a snapshot
+// of the installed records) and returns the snapshot's bytes. The
+// entries are handed over unsorted and one carries no lease deadline.
 func goldenStateTransfer(t *testing.T) []byte {
 	dir := t.TempDir()
 	s := durableServer(t, dir, DurabilityOptions{SnapshotEvery: -1, Clock: func() time.Time { return goldenNow }})
@@ -95,7 +95,7 @@ func goldenStateTransfer(t *testing.T) []byte {
 		es[i], es[j] = es[j], es[i]
 		ds[i], ds[j] = ds[j], ds[i]
 	}
-	if err := s.ApplyReplicatedState(es, ds, 77, 3, "http://vsr-b.example/uddi"); err != nil {
+	if err := applyState(s, es, ds, 77, 3, "http://vsr-b.example/uddi"); err != nil {
 		t.Fatal(err)
 	}
 	s.CrashClose()

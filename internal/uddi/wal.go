@@ -570,7 +570,7 @@ func (s *Server) snapshotNow() error {
 		return err
 	}
 	if w.haveSnap && seq < w.snapSeq {
-		// The registry was re-grounded (ApplyReplicatedState reset the WAL)
+		// The registry was re-grounded (a state transfer reset the WAL)
 		// while this snapshot was being written: it describes a history
 		// that no longer exists here. Discard it.
 		os.Remove(path)
@@ -632,7 +632,7 @@ func (s *Server) sortedRecords() []*record {
 	return recs
 }
 
-// sortByKey orders records by key, for stable snapshot and dump bytes.
+// sortByKey orders records by key, for stable snapshot bytes.
 func sortByKey(recs []*record) {
 	slices.SortFunc(recs, func(a, b *record) int { return strings.Compare(a.entry.Key, b.entry.Key) })
 }

@@ -218,6 +218,22 @@ func (w *Writer) SelfClose(name string, attrs ...string) *Writer {
 	return w
 }
 
+// Len reports the length of the document written so far.
+func (w *Writer) Len() int { return w.buf.Len() }
+
+// Grow reserves room for n more bytes, so a document of known bound is
+// built in one buffer.
+func (w *Writer) Grow(n int) { w.buf.Grow(n) }
+
+// Raw appends b verbatim: a fragment another Writer already built (and
+// escaped), such as the children of an element whose attributes depend
+// on how many of them fit. A zero Writer builds such a fragment: it
+// writes no XML header.
+func (w *Writer) Raw(b []byte) *Writer {
+	w.buf.Write(b)
+	return w
+}
+
 // Bytes closes any open elements and returns the document.
 func (w *Writer) Bytes() []byte {
 	for len(w.stack) > 0 {
