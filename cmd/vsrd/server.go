@@ -340,8 +340,7 @@ func startServer(cfg config) (*server, error) {
 		return nil, err
 	}
 	p.SetPolicy(peer.Policy{Allow: cfg.allow, Deny: cfg.deny})
-	srv.MountPeer(p.ExportHandler())
-	srv.MountPeerView(p.ExportView)
+	srv.MountPeer(p.ExportView)
 	s.peering = p
 	srv.SetBinaryEnabled(cfg.binary)
 	p.SetBinaryEnabled(cfg.binary)

@@ -113,8 +113,7 @@ func assembleFederation(srv *vsr.Server, home string, auth *identity.Auth) (*Fed
 			return nil, err
 		}
 		f.peering = p
-		srv.MountPeer(p.ExportHandler())
-		srv.MountPeerView(p.ExportView)
+		srv.MountPeer(p.ExportView)
 	}
 	return f, nil
 }

@@ -132,8 +132,7 @@ func newExporter(t *testing.T, clock *vclock.Virtual, net *transport.MemNet, epo
 	t.Cleanup(p.Close)
 	p.SetClock(clock)
 	p.SetTransport(net)
-	srv.MountPeer(p.ExportHandler())
-	srv.MountPeerView(p.ExportView)
+	srv.MountPeer(p.ExportView)
 	return &exporter{reg: reg, srv: srv}
 }
 

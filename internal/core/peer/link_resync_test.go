@@ -46,8 +46,7 @@ func newMemFixture(t *testing.T) *memFixture {
 		t.Cleanup(p.Close)
 		p.SetClock(clock)
 		p.SetTransport(net)
-		srv.MountPeer(p.ExportHandler())
-		srv.MountPeerView(p.ExportView)
+		srv.MountPeer(p.ExportView)
 		net.Handle(name, srv.Handler())
 		return reg, srv, p
 	}

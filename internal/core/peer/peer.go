@@ -8,11 +8,11 @@
 //
 // Each home runs one Peering next to its repository. It has two faces:
 //
-//   - Export: a read-only uddi.ViewHandler (mounted by vsr.Server at
-//     /peer) through which other homes see this home's registry filtered
-//     by an export Policy and stamped with the home's name. Entries that
-//     were themselves imported from a peer are never re-exported, keeping
-//     federation one-hop.
+//   - Export: a per-caller uddi.View (mounted by vsr.Server.MountPeer on
+//     the read-only /peer face) through which other homes see this home's
+//     registry filtered by an export Policy and stamped with the home's
+//     name. Entries that were themselves imported from a peer are never
+//     re-exported, keeping federation one-hop.
 //   - Import: one Link per remote peer, a vsr.Follower consumer of the
 //     remote's export face. The remote journal's sequence number is the
 //     replication cursor; every admitted change is re-registered in the
@@ -273,31 +273,17 @@ func (p *Peering) ImportTTL() time.Duration {
 	return p.importTTL
 }
 
-// ExportHandler returns the read-only registry face served to other
-// homes: the home's registry through the export policy — and, for each
-// authenticated caller, that caller's service-ACL slice of it — with
-// each entry stamped with this home's name so importers know its scope.
-// Mount it with vsr.Server.MountPeer (behind the server's auth
-// middleware, which is what supplies the caller).
-func (p *Peering) ExportHandler() http.Handler {
-	return p.reg.CallerViewHandler(identity.CallerFrom, p.viewFor)
-}
-
-// ExportView returns one caller's export view directly — the policy
-// behind ExportHandler with no HTTP in front, for the binary-native
-// registry face (vsr.Server.MountPeerView). The two faces share
-// exportEntry, so a peer sees the same slice of the registry on either
-// wire.
+// ExportView returns one caller's export view: the home's registry
+// through the export policy — and, for an authenticated caller, that
+// caller's service-ACL slice of it — with each entry stamped with this
+// home's name so importers know its scope. Mount it with
+// vsr.Server.MountPeer, which serves it on both wires of the /peer face
+// (behind the server's auth, which supplies the caller).
 func (p *Peering) ExportView(caller string) uddi.View {
-	return p.viewFor(caller)
-}
-
-// viewFor builds one caller's export view.
-func (p *Peering) viewFor(caller string) uddi.View {
 	return func(e uddi.Entry) (uddi.Entry, bool) { return p.exportEntry(caller, e) }
 }
 
-// exportEntry is the per-caller uddi.View behind ExportHandler. caller
+// exportEntry is the per-caller uddi.View behind ExportView. caller
 // is the authenticated peer home, or "" on an open (identity-less)
 // deployment.
 func (p *Peering) exportEntry(caller string, e uddi.Entry) (uddi.Entry, bool) {

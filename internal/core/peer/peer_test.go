@@ -69,8 +69,7 @@ func newHomeFixture(t *testing.T, name string) *home {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	srv.MountPeer(p.ExportHandler())
-	srv.MountPeerView(p.ExportView)
+	srv.MountPeer(p.ExportView)
 	return &home{name: name, srv: srv, p: p, v: vsr.New(srv.URL())}
 }
 

@@ -71,8 +71,7 @@ func (f *restartFixture) bootExporter() {
 	}
 	p.SetClock(f.clock)
 	p.SetTransport(f.net)
-	srv.MountPeer(p.ExportHandler())
-	srv.MountPeerView(p.ExportView)
+	srv.MountPeer(p.ExportView)
 	f.net.Handle("home-b", srv.Handler())
 	f.regB, f.srvB = reg, srv
 	f.t.Cleanup(func() { p.Close(); srv.Close() })
@@ -185,8 +184,7 @@ func TestNonDurableRestartForcesResync(t *testing.T) {
 	t.Cleanup(p.Close)
 	p.SetClock(f.clock)
 	p.SetTransport(f.net)
-	srv.MountPeer(p.ExportHandler())
-	srv.MountPeerView(p.ExportView)
+	srv.MountPeer(p.ExportView)
 	f.net.Handle("home-b", srv.Handler())
 	entry, err := vsr.EntryFor(testDesc("havi:dvcam-1"), "http://home-b/soap")
 	if err != nil {

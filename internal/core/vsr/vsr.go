@@ -456,11 +456,9 @@ type Server struct {
 	// unreachable, keeping the simulation deterministic and SOAP-only.
 	bin *transport.BinServer
 
-	// peerH is the peering face mounted at /peer, nil until MountPeer.
-	// peerView is its binary-native twin (see MountPeerView): the
-	// per-caller export view the native registry face filters through.
+	// peerView is the per-caller export view both /peer faces serve
+	// through, nil until MountPeer.
 	peerMu   sync.RWMutex
-	peerH    http.Handler
 	peerView func(caller string) uddi.View
 
 	// healthH and auditH are the read-only operability faces mounted at
@@ -534,48 +532,25 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func newServer(reg *uddi.Server, auth *identity.Auth) *Server {
 	s := &Server{registry: reg, auth: auth}
 	mux := http.NewServeMux()
-	// The read-write face is for this home only: gateways publish,
-	// resolve and watch here. Peers get the read-only /peer face.
-	mux.Handle("/uddi", identity.Require(auth, true, uddi.AuthErrorWriter, reg.Handler()))
-	// The peer face admits any trusted home; the mounted handler's
-	// per-caller view decides what each one sees.
-	peerInner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.peerMu.RLock()
-		h := s.peerH
-		s.peerMu.RUnlock()
-		if h == nil {
-			http.Error(w, "peering not enabled on this repository", http.StatusNotFound)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
-	mux.Handle("/peer", identity.Require(auth, false, uddi.AuthErrorWriter, peerInner))
-	// The binary fast path mirrors those faces with the same home-boundary
-	// policy: /uddi stays private to this home, /peer admits any session
-	// peer. Its handshakes are signed once the home has an identity and
-	// anonymous before (or forever, with no auth at all). Registry
-	// operations arrive in the native binary encoding and dispatch
-	// straight onto the store; XML documents belong to the HTTP faces
-	// above, and a frame carrying one is refused.
+	// Each registry face is one uddi.Face served over both wires: XML
+	// documents over HTTP, native binary records over the session-keyed
+	// fast path (signed once the home has an identity, anonymous before
+	// or, with no auth at all, forever). /uddi is private to the home's
+	// own identity — gateways publish, resolve and watch there; /peer is
+	// read-only, admits any trusted home, and serves each caller what the
+	// mounted export view admits to it.
 	var sessions transport.SessionAuth
 	ownHome := ""
 	if auth != nil {
 		sessions, ownHome = auth, auth.Home()
 	}
+	private := uddi.Face{OwnHome: ownHome}
+	peer := uddi.Face{ReadOnly: true, ViewFor: s.peerViewFor}
+	mux.Handle("/uddi", identity.Require(auth, false, uddi.AuthErrorWriter, reg.HTTPHandler(private, identity.CallerFrom)))
+	mux.Handle("/peer", identity.Require(auth, false, uddi.AuthErrorWriter, reg.HTTPHandler(peer, identity.CallerFrom)))
 	s.bin = transport.NewBinServer(sessions)
-	s.bin.Handle("/uddi", reg.BinHandler(uddi.BinOptions{OwnHome: ownHome}))
-	s.bin.Handle("/peer", reg.BinHandler(uddi.BinOptions{
-		ReadOnly: true,
-		ViewFor: func(caller string) (uddi.View, bool) {
-			s.peerMu.RLock()
-			vf := s.peerView
-			s.peerMu.RUnlock()
-			if vf == nil {
-				return nil, false
-			}
-			return vf(caller), true
-		},
-	}))
+	s.bin.Handle("/uddi", reg.BinHandler(private))
+	s.bin.Handle("/peer", reg.BinHandler(peer))
 	// The operability faces are read-only and, like /uddi, private to the
 	// home's own identity; they serve 404 until MountOps supplies
 	// handlers.
@@ -621,28 +596,32 @@ func (s *Server) authority() string {
 func (s *Server) URL() string { return "http://" + s.authority() + "/uddi" }
 
 // PeerURL returns the endpoint other homes replicate from (see
-// MountPeer). It serves 404 until a peering handler is mounted.
+// MountPeer). It serves 404 until an export view is mounted.
 func (s *Server) PeerURL() string { return "http://" + s.authority() + "/peer" }
 
-// MountPeer installs the peering face of the repository at /peer —
-// normally a policy-filtered uddi.ViewHandler built by
-// internal/core/peer. A nil handler unmounts it.
-func (s *Server) MountPeer(h http.Handler) {
-	s.peerMu.Lock()
-	s.peerH = h
-	s.peerMu.Unlock()
-}
-
-// MountPeerView installs the binary-native twin of the peering face:
-// the per-caller export view the native registry encoding filters
-// through. Mount it alongside MountPeer — the XML face serves HTTP, the
-// view serves native binary records; both must apply the same policy. A
-// nil view unmounts (native peer requests are then refused, while HTTP
-// still answers through the mounted handler).
-func (s *Server) MountPeerView(viewFor func(caller string) uddi.View) {
+// MountPeer installs the export view the peering face at /peer serves
+// through — normally peer.Peering.ExportView, which applies the home's
+// export policy and each caller's service ACL. Both wires of /peer take
+// it at once: XML documents over HTTP and native binary records over
+// the fast path see the same slice of the registry. Until a view is
+// mounted (or after a nil one unmounts it), both answer every request
+// with the same typed 404 E_unsupported refusal.
+func (s *Server) MountPeer(viewFor func(caller string) uddi.View) {
 	s.peerMu.Lock()
 	s.peerView = viewFor
 	s.peerMu.Unlock()
+}
+
+// peerViewFor is the /peer face's uddi.Face.ViewFor: the mounted view
+// for caller, or ok=false while none is mounted.
+func (s *Server) peerViewFor(caller string) (uddi.View, bool) {
+	s.peerMu.RLock()
+	vf := s.peerView
+	s.peerMu.RUnlock()
+	if vf == nil {
+		return nil, false
+	}
+	return vf(caller), true
 }
 
 // MountOps installs the read-only operability faces at /health and

@@ -130,7 +130,7 @@ func (s *Sim) buildReplicas() error {
 		p.SetTransport(s.net)
 		p.SetImportTTL(s.scn.Duration + time.Hour)
 		m.peering = p
-		m.srv.MountPeer(p.ExportHandler())
+		m.srv.MountPeer(p.ExportView)
 		node, err := replica.New(s.nodeConfig(set[i], reg, set[0]))
 		if err != nil {
 			return fmt.Errorf("replica node %s: %w", name, err)

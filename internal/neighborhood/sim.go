@@ -333,7 +333,7 @@ func (s *Sim) bootHome(h *home) error {
 		p.SetRecorder(audit.WithFace(h.log, "peer", h.name))
 	}
 	h.peering = p
-	h.srv.MountPeer(p.ExportHandler())
+	h.srv.MountPeer(p.ExportView)
 	s.net.Handle(h.name, h.srv.Handler())
 	return nil
 }

@@ -441,199 +441,120 @@ func decodeBinChanges(data []byte) (changes []Change, next, epoch uint64, resync
 
 // --- server face ---------------------------------------------------------
 
-// BinOptions configures a registry's binary-native face.
-type BinOptions struct {
-	// OwnHome, when non-empty, makes the face private to that home —
-	// the binary twin of the identity middleware's ownOnly policy on
-	// /uddi. Foreign callers get E_userMismatch, decoding to
-	// service.ErrForbidden exactly like the HTTP face's refusal. An
-	// anonymous caller ("") passes: the transport only serves anonymous
-	// sessions while the home runs open, when the HTTP face enforces
-	// nothing either.
-	OwnHome string
-	// ReadOnly restricts the face to the inquiry operations, as the
-	// /peer XML face is: publication records get E_operatorMismatch.
-	ReadOnly bool
-	// ViewFor, when set, chooses the caller's entry view (export policy
-	// on a peering face). ok=false refuses service entirely — the face
-	// exists but is not mounted yet.
-	ViewFor func(caller string) (View, bool)
-}
-
-// binError renders a protocol-level refusal in the binary encoding with
-// the HTTP status its XML twin would carry.
-func binError(status int, code, info string) *transport.BinResponse {
-	return &transport.BinResponse{Status: status, ContentType: BinContentType,
-		Body: encodeBinError(code, info)}
-}
-
-// BinHandler returns the registry's binary-native face: UDDI operations
-// as compact WAL-style records, dispatched straight onto the store with
-// no XML in between. A request with any other content type is refused
-// with 415 E_unsupported before it reaches the store.
-func (s *Server) BinHandler(opts BinOptions) transport.BinHandler {
-	return transport.BinHandlerFunc(func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
-		if req.ContentType != BinContentType {
-			return binError(http.StatusUnsupportedMediaType, "E_unsupported", "binary registry face: unknown content type "+req.ContentType)
-		}
-		if opts.OwnHome != "" && caller != "" && caller != opts.OwnHome {
-			return binError(http.StatusForbidden, "E_userMismatch",
-				"identity: this face is private to home "+opts.OwnHome+": "+service.ErrForbidden.Error())
-		}
-		var view View
-		if opts.ViewFor != nil {
-			v, ok := opts.ViewFor(caller)
-			if !ok {
-				return binError(http.StatusNotFound, "E_unsupported", "peering not enabled on this repository")
-			}
-			view = v
-		}
-		op, r, err := binReaderFor(req.Body)
-		if err != nil {
-			return binError(http.StatusBadRequest, "E_fatalError", err.Error())
-		}
-		if op == binUDDISaveAll || op == binUDDIDelete {
-			if opts.ReadOnly {
-				return binError(http.StatusForbidden, "E_operatorMismatch", "read-only endpoint")
-			}
-			if rs := s.replica.Load(); rs != nil {
-				return binError(http.StatusMisdirectedRequest, "E_notLeader", notLeaderInfo(rs.leader))
-			}
-		}
-		if op == binUDDIReplWatch || op == binUDDIReplStatus {
-			// The replication records serve full entries with their lease
-			// deadlines; they belong to the private face only, never behind
-			// a peer view or a read-only mount.
-			if opts.ReadOnly || opts.ViewFor != nil {
-				return binError(http.StatusForbidden, "E_unsupported",
-					"replication is private to the repository face")
-			}
-		}
-		switch op {
-		case binUDDISaveAll:
-			ttl := time.Duration(r.uvarint()) * time.Millisecond
-			n := r.count()
-			if r.err != nil || n == 0 {
-				return binError(http.StatusBadRequest, "E_fatalError", "bad save record")
-			}
-			entries := make([]Entry, 0, n)
-			for i := 0; i < n; i++ {
-				entries = append(entries, decodeBinEntry(r))
-			}
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			keys := s.SaveAll(entries, ttl)
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinKeys(keys)}
-		case binUDDIDelete:
-			key := r.str()
-			if r.err != nil || key == "" {
-				return binError(http.StatusBadRequest, "E_invalidKeyPassed", "delete without serviceKey")
-			}
-			s.Delete(key)
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinKeys(nil)}
-		case binUDDIFind:
-			q := Query{Name: r.str(), TModel: r.str()}
-			n := r.count()
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", "bad find record")
-			}
-			if n > 0 {
-				q.Categories = make(map[string]string, n)
-				for i := 0; i < n; i++ {
-					k := r.str()
-					q.Categories[k] = r.str()
-				}
-			}
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			// Journal position read before Find, as in handleFind: the
-			// fence clients use against concurrent mutations.
-			seq := s.Seq()
-			entries := s.Find(q)
-			if view != nil {
-				kept := entries[:0]
-				for _, e := range entries {
-					if ve, ok := view(e); ok {
-						kept = append(kept, ve)
-					}
-				}
-				entries = kept
-			}
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinEntries(seq, entries)}
-		case binUDDIGet:
-			key := r.str()
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			entry, ok := s.Get(key)
-			if ok && view != nil {
-				entry, ok = view(entry)
-			}
-			var entries []Entry
-			if ok {
-				entries = append(entries, entry)
-			}
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinEntries(0, entries)}
-		case binUDDIWatch:
-			since := r.uvarint()
-			timeout := time.Duration(r.uvarint()) * time.Millisecond
-			sinceEpoch := r.uvarint()
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			if timeout > maxWatchTimeout {
-				timeout = maxWatchTimeout
-			}
-			changes, next, nextEpoch, resync, err := s.WatchChangesEpoch(ctx, since, sinceEpoch, timeout, false)
-			if err != nil {
-				// Client went away mid-poll; nothing useful to write.
-				return binError(http.StatusRequestTimeout, "E_fatalError", err.Error())
-			}
-			// A filtered-to-empty round reads as an empty poll, exactly like
-			// the XML face: the cursor advances past hidden changes.
-			changes, next = cutChanges(changes, next, view)
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinChanges(changes, next, nextEpoch, resync)}
-		case binUDDIReplStatus:
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinReplStatus(s.replStatusNow())}
-		case binUDDIPage:
-			reqEpoch := r.uvarint()
-			after := r.str()
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: s.encodeBinPage(reqEpoch, after, pageView(view, opts.ReadOnly))}
-		case binUDDIReplWatch:
-			since := r.uvarint()
-			timeout := time.Duration(r.uvarint()) * time.Millisecond
-			reqEpoch := r.uvarint()
-			if r.err != nil {
-				return binError(http.StatusBadRequest, "E_fatalError", r.err.Error())
-			}
-			if info, ok := s.replWatchFence(reqEpoch); !ok {
-				return binError(http.StatusConflict, "E_staleEpoch", info)
-			}
-			if timeout > maxWatchTimeout {
-				timeout = maxWatchTimeout
-			}
-			changes, next, _, resync, err := s.WatchChangesEpoch(ctx, since, reqEpoch, timeout, true)
-			if err != nil {
-				return binError(http.StatusRequestTimeout, "E_fatalError", err.Error())
-			}
-			changes, next = cutChanges(changes, next, nil)
-			epoch, leader := s.Epoch()
-			return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType,
-				Body: encodeBinReplChanges(ReplChanges{Changes: changes, Next: next,
-					Resync: resync, Epoch: epoch, Leader: leader})}
-		}
-		return binError(http.StatusBadRequest, "E_unsupported", fmt.Sprintf("unknown binary request %q", op))
+// BinHandler returns face f's binary-native wire: UDDI operations as
+// compact WAL-style records, decoded into the request serve runs with no
+// XML in between. A request with any other content type is refused with
+// 415 E_unsupported before it reaches the store.
+func (s *Server) BinHandler(f Face) transport.BinHandler {
+	return transport.BinHandlerFunc(func(ctx context.Context, caller string, r *transport.BinRequest) *transport.BinResponse {
+		req := decodeBinRequest(r)
+		rep := s.serve(ctx, &f, caller, &req)
+		return s.encodeBinReply(&req, &rep)
 	})
+}
+
+// binOps names each request record's operation.
+var binOps = map[byte]struct {
+	op   opKind
+	name string
+}{
+	binUDDISaveAll:    {opSave, "save_services"},
+	binUDDIDelete:     {opDelete, "delete_service"},
+	binUDDIFind:       {opFind, "find_service"},
+	binUDDIGet:        {opGet, "get_serviceDetail"},
+	binUDDIWatch:      {opWatch, "watch"},
+	binUDDIPage:       {opPage, "state_page"},
+	binUDDIReplWatch:  {opReplWatch, "repl_watch"},
+	binUDDIReplStatus: {opReplStatus, "repl_status"},
+}
+
+// decodeBinRequest reads one request record.
+func decodeBinRequest(br *transport.BinRequest) request {
+	fail := func(status int, code, info string) request {
+		return request{fail: &failure{status, code, info}}
+	}
+	if br.ContentType != BinContentType {
+		return fail(http.StatusUnsupportedMediaType, "E_unsupported", "binary registry face: unknown content type "+br.ContentType)
+	}
+	rec, r, err := binReaderFor(br.Body)
+	if err != nil {
+		return fail(http.StatusBadRequest, "E_fatalError", err.Error())
+	}
+	kind, ok := binOps[rec]
+	if !ok {
+		return fail(http.StatusBadRequest, "E_unsupported", fmt.Sprintf("unknown binary request %q", rec))
+	}
+	req := request{op: kind.op, name: kind.name}
+	switch rec {
+	case binUDDISaveAll:
+		req.ttl = time.Duration(r.uvarint()) * time.Millisecond
+		n := r.count()
+		for i := 0; i < n && r.err == nil; i++ {
+			req.entries = append(req.entries, decodeBinEntry(r))
+		}
+	case binUDDIDelete, binUDDIGet:
+		req.key = r.str()
+	case binUDDIFind:
+		req.query = Query{Name: r.str(), TModel: r.str()}
+		if n := r.count(); n > 0 {
+			req.query.Categories = make(map[string]string, n)
+			for i := 0; i < n; i++ {
+				k := r.str()
+				req.query.Categories[k] = r.str()
+			}
+		}
+	case binUDDIWatch, binUDDIReplWatch:
+		req.since = r.uvarint()
+		req.timeout = time.Duration(r.uvarint()) * time.Millisecond
+		req.epoch = r.uvarint()
+	case binUDDIPage:
+		req.epoch = r.uvarint()
+		req.after = r.str()
+	}
+	if r.err != nil {
+		req.fail = &failure{http.StatusBadRequest, "E_fatalError", r.err.Error()}
+	}
+	return req
+}
+
+// encodeBinReply encodes a served request's reply as its response record.
+func (s *Server) encodeBinReply(req *request, rep *reply) *transport.BinResponse {
+	if f := rep.fail; f != nil {
+		return &transport.BinResponse{Status: f.status, ContentType: BinContentType,
+			Body: encodeBinError(f.code, f.info)}
+	}
+	var body []byte
+	switch req.op {
+	case opSave, opDelete:
+		body = encodeBinKeys(rep.keys)
+	case opFind, opGet:
+		body = encodeBinEntries(rep.seq, rep.entries)
+	case opWatch:
+		changes, next := cutChanges(rep)
+		body = encodeBinChanges(changes, next, rep.epoch, rep.resync)
+	case opReplWatch:
+		changes, next := cutChanges(rep)
+		body = encodeBinReplChanges(ReplChanges{Changes: changes, Next: next,
+			Resync: rep.resync, Epoch: rep.epoch, Leader: rep.leader})
+	case opReplStatus:
+		body = encodeBinReplStatus(rep.status)
+	case opPage:
+		body = s.encodeBinPage(rep)
+	}
+	return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType, Body: body}
+}
+
+// cutChanges bounds one binary watch batch: it keeps the visible changes
+// until their encoded size passes pageBytes and returns them with the
+// cursor to resume from (see reply.batch). The reply's changes are
+// filtered in place.
+func cutChanges(rep *reply) ([]Change, uint64) {
+	kept := rep.changes[:0]
+	size := 0
+	next := rep.batch(func(c Change) bool {
+		kept = append(kept, c)
+		size += binChangeSize(&c.Entry)
+		return size >= pageBytes
+	})
+	return kept, next
 }

@@ -44,15 +44,20 @@ func TestBinEntryRoundTrip(t *testing.T) {
 }
 
 // binServe runs one native record through a registry's binary face.
-func binServe(s *Server, opts BinOptions, caller string, req []byte) *transport.BinResponse {
+func binServe(s *Server, opts Face, caller string, req []byte) *transport.BinResponse {
 	return s.BinHandler(opts).ServeBin(context.Background(), caller,
 		&transport.BinRequest{Path: "/uddi", ContentType: BinContentType, Body: req})
+}
+
+// peerFace is the read-only face behind view, as a mounted peering is.
+func peerFace(view View) Face {
+	return Face{ReadOnly: true, ViewFor: func(string) (View, bool) { return view, true }}
 }
 
 func TestBinHandlerSaveFindGetDeleteWatch(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
-	var opts BinOptions
+	var opts Face
 
 	resp := binServe(s, opts, "home-a", encodeBinSaveAll([]Entry{hostileEntry}, time.Hour))
 	keys, err := decodeBinKeys(resp.Body)
@@ -101,19 +106,19 @@ func TestBinHandlerErrorParity(t *testing.T) {
 	defer s.Close()
 
 	// Private face, foreign caller → E_userMismatch → ErrForbidden.
-	resp := binServe(s, BinOptions{OwnHome: "home-a"}, "home-b", encodeBinFind(Query{}))
+	resp := binServe(s, Face{OwnHome: "home-a"}, "home-b", encodeBinFind(Query{}))
 	if _, err := decodeBinKeys(resp.Body); !errors.Is(err, service.ErrForbidden) {
 		t.Fatalf("foreign caller on private face = %v, want ErrForbidden", err)
 	}
 
 	// Read-only face refuses publication.
-	resp = binServe(s, BinOptions{ReadOnly: true}, "home-b", encodeBinSaveAll([]Entry{{Name: "x"}}, 0))
+	resp = binServe(s, Face{ReadOnly: true}, "home-b", encodeBinSaveAll([]Entry{{Name: "x"}}, 0))
 	if _, err := decodeBinKeys(resp.Body); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("save on read-only face = %v, want refusal", err)
 	}
 
 	// Unmounted peering view refuses service.
-	opts := BinOptions{ViewFor: func(string) (View, bool) { return nil, false }}
+	opts := Face{ViewFor: func(string) (View, bool) { return nil, false }}
 	resp = binServe(s, opts, "home-b", encodeBinFind(Query{}))
 	if _, err := decodeBinKeys(resp.Body); err == nil || !strings.Contains(err.Error(), "peering not enabled") {
 		t.Fatalf("unmounted view = %v, want refusal", err)
@@ -131,7 +136,7 @@ func TestBinHandlerViewFilters(t *testing.T) {
 	defer s.Close()
 	s.Save(Entry{Key: "uuid:public", Name: "public"}, time.Hour)
 	s.Save(Entry{Key: "uuid:secret", Name: "secret"}, time.Hour)
-	opts := BinOptions{ViewFor: func(caller string) (View, bool) {
+	opts := Face{ViewFor: func(caller string) (View, bool) {
 		return func(e Entry) (Entry, bool) {
 			if e.Name == "secret" {
 				return Entry{}, false
@@ -171,7 +176,7 @@ func TestBinHandlerViewFilters(t *testing.T) {
 func TestBinHandlerRefusesNonNativeContent(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
-	faces := map[string]BinOptions{
+	faces := map[string]Face{
 		"private":   {OwnHome: "home-a"},
 		"read-only": {ReadOnly: true},
 		"view": {ViewFor: func(string) (View, bool) {
@@ -220,7 +225,7 @@ func TestBinCodecRejectsMalformed(t *testing.T) {
 			0xFF, 0xFF, 0xFF, 0xFF, 0x7F),
 	}
 	for name, req := range bad {
-		resp := binServe(s, BinOptions{}, "home-a", req)
+		resp := binServe(s, Face{}, "home-a", req)
 		if resp.Status == 200 {
 			t.Errorf("%s accepted", name)
 		}

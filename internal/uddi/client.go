@@ -328,11 +328,7 @@ func (c *Client) FindSeq(ctx context.Context, q Query) ([]Entry, uint64, error) 
 	seq, _ := strconv.ParseUint(root.Attr("seq"), 10, 64)
 	var out []Entry
 	for _, svc := range root.All("service") {
-		e, err := entryFromXML(svc)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, e)
+		out = append(out, entryFromXML(svc))
 	}
 	return out, seq, nil
 }
@@ -360,9 +356,5 @@ func (c *Client) Get(ctx context.Context, key string) (Entry, bool, error) {
 	if svc == nil {
 		return Entry{}, false, nil
 	}
-	e, err := entryFromXML(svc)
-	if err != nil {
-		return Entry{}, false, err
-	}
-	return e, true, nil
+	return entryFromXML(svc), true, nil
 }

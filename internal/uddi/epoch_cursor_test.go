@@ -165,7 +165,7 @@ func TestWatchCursorAcrossPromotion(t *testing.T) {
 	})
 
 	t.Run("binary importer replays identically", func(t *testing.T) {
-		resp := binServe(b, BinOptions{}, "home-a", encodeBinWatch(importerCursor, 1, time.Millisecond))
+		resp := binServe(b, Face{}, "home-a", encodeBinWatch(importerCursor, 1, time.Millisecond))
 		changes, next, nextEpoch, resync, err := decodeBinChanges(resp.Body)
 		if err != nil {
 			t.Fatal(err)

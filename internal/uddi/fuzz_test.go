@@ -58,7 +58,7 @@ func FuzzBinHandler(f *testing.F) {
 		// A cancelled context: a fuzzed watch must not park the target.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		faces := map[string]BinOptions{
+		faces := map[string]Face{
 			"private":   {OwnHome: "home-a"},
 			"read-only": {ReadOnly: true},
 			"view": {ViewFor: func(string) (View, bool) {

@@ -41,7 +41,7 @@ func goldenView(e Entry) (Entry, bool) {
 func goldenFaces(s, rep *Server) map[string]http.Handler {
 	return map[string]http.Handler{
 		"private": s.Handler(),
-		"peer":    s.ViewHandler(goldenView),
+		"peer":    s.HTTPHandler(peerFace(goldenView), nil),
 		"replica": rep.Handler(),
 	}
 }

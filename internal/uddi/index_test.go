@@ -325,7 +325,7 @@ func TestFindPostingsDifferential(t *testing.T) {
 func TestFindPostingsNULCategories(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
-	var opts BinOptions
+	var opts Face
 	entries := []Entry{
 		// "a\x00b" + "\x00" + "c" == "a" + "\x00" + "b\x00c".
 		{Key: "uuid:left", Name: "x10:left", Categories: map[string]string{"a\x00b": "c"}},

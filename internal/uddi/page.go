@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"net/http"
 	"sort"
 	"strconv"
 	"time"
@@ -129,29 +128,20 @@ func (s *Server) walkPage(after string, view View, put func(e Entry, expires tim
 	return ""
 }
 
-// pageView is the entry filter a page request is served through: view
-// on a peer face, the identity on a read-only one, nil (no filter, and
-// leases served) on the private repository face.
-func pageView(view View, readOnly bool) View {
-	if view == nil && readOnly {
-		return func(e Entry) (Entry, bool) { return e, true }
-	}
-	return view
-}
-
-// encodeBinPage encodes the page keyed after `after` for a requester at
-// reqEpoch straight from the registry's records, into one buffer sized
-// for the bound. Behind a view, entries are filtered and rewritten and
-// carry no deadline.
-func (s *Server) encodeBinPage(reqEpoch uint64, after string, view View) []byte {
-	p := s.pageHeader(reqEpoch, view == nil)
+// encodeBinPage encodes a served page request: the header serve read,
+// then the entries keyed after the reply's continuation key straight
+// from the registry's records, into one buffer sized for the bound.
+// Behind a view, entries are filtered and rewritten and carry no
+// deadline.
+func (s *Server) encodeBinPage(rep *reply) []byte {
+	p := &rep.page
 	b := make([]byte, 0, pageBytes+pageSlack)
 	b = append(b, binUDDIVersion, binUDDIPageR)
 	b = binary.AppendUvarint(b, p.Seq)
 	b = binary.AppendUvarint(b, p.Epoch)
 	b = appendWALString(b, p.Leader)
 	b = binary.AppendUvarint(b, p.Boundary)
-	next := s.walkPage(after, view, func(e Entry, exp time.Time) bool {
+	next := s.walkPage(rep.after, rep.view, func(e Entry, exp time.Time) bool {
 		b = append(b, 1)
 		b = appendWALEntry(b, e, exp)
 		return len(b) >= pageBytes
@@ -193,41 +183,6 @@ func decodeBinPage(data []byte) (Page, error) {
 		return Page{}, r.err
 	}
 	return p, nil
-}
-
-// handlePage is the XML twin of encodeBinPage: a statePage document of
-// pageEntry elements, the continuation key in a trailing next element.
-func (s *Server) handlePage(w http.ResponseWriter, root *xmltree.Element, view View) {
-	var reqEpoch uint64
-	if t := root.ChildText("epoch"); t != "" {
-		v, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "bad epoch "+t)
-			return
-		}
-		reqEpoch = v
-	}
-	p := s.pageHeader(reqEpoch, view == nil)
-	xw := xmltree.NewWriter()
-	xw.Grow(pageBytes + pageSlack)
-	xw.Open("statePage",
-		"seq", strconv.FormatUint(p.Seq, 10),
-		"epoch", strconv.FormatUint(p.Epoch, 10),
-		"leader", p.Leader,
-		"boundary", strconv.FormatUint(p.Boundary, 10),
-	)
-	next := s.walkPage(root.ChildText("after"), view, func(e Entry, exp time.Time) bool {
-		var expMS int64
-		if !exp.IsZero() {
-			expMS = exp.UnixMilli()
-		}
-		xw.Open("pageEntry", "expiresms", strconv.FormatInt(expMS, 10))
-		entryToXML(xw, e)
-		xw.Close()
-		return xw.Len() >= pageBytes
-	})
-	xw.Leaf("next", next)
-	writeXML(w, xw.Bytes())
 }
 
 // Page fetches the page of live entries keyed after `after` ("" for the
@@ -272,10 +227,7 @@ func (c *Client) Page(ctx context.Context, after string, epoch uint64) (Page, er
 		if svc == nil {
 			return Page{}, fmt.Errorf("uddi: pageEntry without service")
 		}
-		e, err := entryFromXML(svc)
-		if err != nil {
-			return Page{}, err
-		}
+		e := entryFromXML(svc)
 		var exp time.Time
 		if expMS != 0 {
 			exp = time.UnixMilli(expMS)
@@ -420,53 +372,6 @@ func uvarintSize(n int) int {
 }
 
 func walStringSize(v string) int { return uvarintSize(len(v)) + len(v) }
-
-// cutChanges bounds one binary watch batch: it passes each change
-// through view (when set), keeps the visible ones until their encoded
-// size passes pageBytes, and returns them with the cursor to resume
-// from — next when everything fit, else the seq of the last change kept.
-// A short batch is legal under the cursor contract: the watcher resumes
-// from the cursor and gets the rest. changes is filtered in place.
-func cutChanges(changes []Change, next uint64, view View) ([]Change, uint64) {
-	kept := changes[:0]
-	size := 0
-	for _, c := range changes {
-		if view != nil {
-			ve, ok := view(c.Entry)
-			if !ok {
-				continue
-			}
-			c.Entry = ve
-		}
-		kept = append(kept, c)
-		if size += binChangeSize(&c.Entry); size >= pageBytes {
-			return kept, c.Seq
-		}
-	}
-	return kept, next
-}
-
-// xmlChanges encodes a watch batch's change elements as a fragment,
-// stopping once it passes pageBytes, and returns it with the cursor to
-// resume from (see cutChanges). encode writes one change element; view
-// (when set) filters and rewrites entries first.
-func xmlChanges(changes []Change, next uint64, view View, encode func(*xmltree.Writer, Change)) ([]byte, uint64) {
-	var frag xmltree.Writer
-	for _, c := range changes {
-		if view != nil {
-			ve, ok := view(c.Entry)
-			if !ok {
-				continue
-			}
-			c.Entry = ve
-		}
-		encode(&frag, c)
-		if frag.Len() >= pageBytes {
-			return frag.Bytes(), c.Seq
-		}
-	}
-	return frag.Bytes(), next
-}
 
 // entriesEqual reports whether two entries carry the same fields and
 // category bag.

@@ -91,12 +91,12 @@ func TestPagedTransferUnderWrites(t *testing.T) {
 		},
 		"binary": {
 			page: func(after string) (Page, error) {
-				resp := binServe(leader, BinOptions{}, "home-a", encodeBinPageReq(after, 0))
+				resp := binServe(leader, Face{}, "home-a", encodeBinPageReq(after, 0))
 				noteBody(t, "binary page", len(resp.Body))
 				return decodeBinPage(resp.Body)
 			},
 			watch: func(since, epoch uint64) (ReplChanges, error) {
-				resp := binServe(leader, BinOptions{}, "home-a", encodeBinReplWatchReq(since, epoch, 0))
+				resp := binServe(leader, Face{}, "home-a", encodeBinReplWatchReq(since, epoch, 0))
 				noteBody(t, "binary repl_watch", len(resp.Body))
 				return decodeBinReplChanges(resp.Body)
 			},
@@ -197,7 +197,7 @@ func TestPageBoundsLargeEntry(t *testing.T) {
 	var keys []string
 	var sizes []int
 	for after := ""; ; {
-		p, err := decodeBinPage(s.encodeBinPage(0, after, nil))
+		p, err := decodeBinPage(binServe(s, Face{}, "", encodeBinPageReq(after, 0)).Body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestOldStateDumpRefused(t *testing.T) {
 	s := NewServer()
 	defer s.Close()
 	s.Save(lampEntry(), time.Hour)
-	resp := binServe(s, BinOptions{}, "home-a", []byte{binUDDIVersion, 'Y', 0})
+	resp := binServe(s, Face{}, "home-a", []byte{binUDDIVersion, 'Y', 0})
 	r := &walReader{b: resp.Body, off: 2}
 	if resp.Status != http.StatusBadRequest || resp.Body[1] != binUDDIError || r.str() != "E_unsupported" {
 		t.Fatalf("binary 'Y': status %d body % x", resp.Status, resp.Body)
@@ -268,7 +268,7 @@ func TestPeerFacePageHidesLeases(t *testing.T) {
 		}
 	}
 	t.Run("binary", func(t *testing.T) {
-		resp := binServe(s, BinOptions{ReadOnly: true, ViewFor: func(string) (View, bool) { return view, true }},
+		resp := binServe(s, peerFace(view),
 			"home-b", encodeBinPageReq("", 1))
 		p, err := decodeBinPage(resp.Body)
 		if err != nil {
@@ -277,7 +277,7 @@ func TestPeerFacePageHidesLeases(t *testing.T) {
 		check(t, p)
 	})
 	t.Run("xml", func(t *testing.T) {
-		srv := httptest.NewServer(s.ViewHandler(view))
+		srv := httptest.NewServer(s.HTTPHandler(peerFace(view), nil))
 		defer srv.Close()
 		p, err := (&Client{URL: srv.URL}).Page(context.Background(), "", 1)
 		if err != nil {
@@ -298,7 +298,7 @@ func TestStagingReusesIdenticalRecords(t *testing.T) {
 	replica := NewServer()
 	defer replica.Close()
 	fetch := func(after string) (Page, error) {
-		return decodeBinPage(leader.encodeBinPage(0, after, nil))
+		return decodeBinPage(binServe(leader, Face{}, "", encodeBinPageReq(after, 0)).Body)
 	}
 	if _, err := pullPages(fetch, replica); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -389,95 +388,6 @@ func (s *Server) replWatchFence(reqEpoch uint64) (string, bool) {
 	return "", true
 }
 
-// --- XML wire face -------------------------------------------------------
-
-func (s *Server) handleReplStatus(w http.ResponseWriter) {
-	st := s.replStatusNow()
-	xw := xmltree.NewWriter()
-	xw.SelfClose("replStatus",
-		"seq", strconv.FormatUint(st.Seq, 10),
-		"epoch", strconv.FormatUint(st.Epoch, 10),
-		"leader", st.Leader,
-		"role", st.Role,
-		"replicaOf", st.ReplicaOf,
-	)
-	writeXML(w, xw.Bytes())
-}
-
-func (s *Server) handleReplWatch(ctx context.Context, w http.ResponseWriter, root *xmltree.Element) {
-	var since, reqEpoch uint64
-	if t := root.ChildText("since"); t != "" {
-		v, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "bad since "+t)
-			return
-		}
-		since = v
-	}
-	if t := root.ChildText("epoch"); t != "" {
-		v, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "bad epoch "+t)
-			return
-		}
-		reqEpoch = v
-	}
-	if info, ok := s.replWatchFence(reqEpoch); !ok {
-		writeError(w, http.StatusConflict, "E_staleEpoch", info)
-		return
-	}
-	timeout, err := parseMillis(root, "timeoutms")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "E_fatalError", err.Error())
-		return
-	}
-	if timeout > maxWatchTimeout {
-		timeout = maxWatchTimeout
-	}
-	changes, next, _, resync, err := s.WatchChangesEpoch(ctx, since, reqEpoch, timeout, true)
-	if err != nil {
-		// Client went away mid-poll; nothing useful to write.
-		return
-	}
-	frag, next := xmlChanges(changes, next, nil, encodeReplChange)
-	epoch, leader := s.Epoch()
-	xw := xmltree.NewWriter()
-	xw.Open("replChangeList",
-		"next", strconv.FormatUint(next, 10),
-		"resync", strconv.FormatBool(resync),
-		"epoch", strconv.FormatUint(epoch, 10),
-		"leader", leader,
-	)
-	xw.Raw(frag)
-	writeXML(w, xw.Bytes())
-}
-
-// encodeReplChange writes one replChange element: a change with its
-// lease deadline.
-func encodeReplChange(xw *xmltree.Writer, c Change) {
-	switch c.Op {
-	case OpAdd, OpUpdate:
-		var expMS int64
-		if !c.Expires.IsZero() {
-			expMS = c.Expires.UnixMilli()
-		}
-		xw.Open("replChange",
-			"seq", strconv.FormatUint(c.Seq, 10),
-			"op", string(c.Op),
-			"expiresms", strconv.FormatInt(expMS, 10),
-		)
-		entryToXML(xw, c.Entry)
-		xw.Close()
-	default:
-		xw.SelfClose("replChange",
-			"seq", strconv.FormatUint(c.Seq, 10),
-			"op", string(c.Op),
-			"serviceKey", c.Entry.Key,
-			"name", c.Entry.Name,
-		)
-	}
-}
-
 // --- client side ---------------------------------------------------------
 
 // ReplStatus asks an endpoint where it stands: journal position, epoch,
@@ -560,9 +470,7 @@ func (c *Client) ReplWatch(ctx context.Context, since, epoch uint64, timeout tim
 			if svc == nil {
 				return ReplChanges{}, fmt.Errorf("uddi: %s replChange without service", ch.Op)
 			}
-			if ch.Entry, err = entryFromXML(svc); err != nil {
-				return ReplChanges{}, err
-			}
+			ch.Entry = entryFromXML(svc)
 		case OpDelete, OpExpire:
 			ch.Entry = Entry{Key: el.Attr("serviceKey"), Name: el.Attr("name")}
 		default:

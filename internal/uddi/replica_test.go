@@ -121,7 +121,7 @@ func TestReplicaModeRejectsWrites(t *testing.T) {
 	})
 
 	t.Run("binary", func(t *testing.T) {
-		resp := binServe(s, BinOptions{}, "home-a", encodeBinSaveAll([]Entry{lampEntry()}, time.Hour))
+		resp := binServe(s, Face{}, "home-a", encodeBinSaveAll([]Entry{lampEntry()}, time.Hour))
 		if resp.Status != http.StatusMisdirectedRequest {
 			t.Fatalf("binary save on replica: status %d, want %d", resp.Status, http.StatusMisdirectedRequest)
 		}
@@ -137,7 +137,7 @@ func TestReplicaModeRejectsWrites(t *testing.T) {
 			t.Fatalf("binary error info %q does not carry the leader hint", info)
 		}
 		// Binary reads keep working.
-		resp = binServe(s, BinOptions{}, "home-a", encodeBinFind(Query{}))
+		resp = binServe(s, Face{}, "home-a", encodeBinFind(Query{}))
 		if entries, _, err := decodeBinEntries(resp.Body); err != nil || len(entries) != 1 {
 			t.Fatalf("binary find on replica = %d entries, err %v", len(entries), err)
 		}
@@ -212,7 +212,7 @@ func TestClientFailoverSendsOnlyNativeRecords(t *testing.T) {
 	s.Save(lampEntry(), time.Hour)
 	var mu sync.Mutex
 	var seen []string
-	native := s.BinHandler(BinOptions{})
+	native := s.BinHandler(Face{})
 	bs := transport.NewBinServer(nil)
 	defer bs.Close()
 	bs.Handle("/uddi", transport.BinHandlerFunc(func(ctx context.Context, caller string, req *transport.BinRequest) *transport.BinResponse {
@@ -509,7 +509,7 @@ func TestReplFramesXMLBinaryEquivalence(t *testing.T) {
 	// Binary replica: the same feed through the HCB1 records.
 	binReplica := NewServer()
 	defer binReplica.Close()
-	resp := binServe(leader, BinOptions{}, "home-a", encodeBinReplWatchReq(0, 0, time.Millisecond))
+	resp := binServe(leader, Face{}, "home-a", encodeBinReplWatchReq(0, 0, time.Millisecond))
 	rcBin, err := decodeBinReplChanges(resp.Body)
 	if err != nil || rcBin.Resync {
 		t.Fatalf("binary repl_watch: resync %v err %v", rcBin.Resync, err)
@@ -547,7 +547,7 @@ func TestReplFramesXMLBinaryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := pullPages(func(after string) (Page, error) {
-		return decodeBinPage(binServe(leader, BinOptions{}, "home-a", encodeBinPageReq(after, 0)).Body)
+		return decodeBinPage(binServe(leader, Face{}, "home-a", encodeBinPageReq(after, 0)).Body)
 	}, binR2); err != nil {
 		t.Fatal(err)
 	}

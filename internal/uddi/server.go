@@ -2,18 +2,13 @@ package uddi
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
-	"io"
-	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"homeconnect/internal/core/audit"
-	"homeconnect/internal/xmltree"
 )
 
 // maxRequestBytes bounds inbound publication/inquiry documents.
@@ -621,432 +616,4 @@ func (s *Server) WatchChangesEpoch(ctx context.Context, since, sinceEpoch uint64
 			return nil, next, nextEpoch, false, ctx.Err()
 		}
 	}
-}
-
-// View rewrites or suppresses registry entries served to one consumer
-// class. It receives each outbound entry (for delete/expire journal
-// records, an identity-only entry carrying just Key and Name) and returns
-// the entry to serve, or ok=false to hide it from this consumer entirely.
-// Views apply to inquiries and the change watch alike, so a consumer
-// behind a view sees one consistent, filtered registry. A view that
-// rewrites an entry must Clone it first: the argument may share storage
-// (the category map in particular) with the registry's own records.
-type View func(Entry) (Entry, bool)
-
-// Handler returns the HTTP face of the registry. All operations POST an
-// XML document to this handler.
-func (s *Server) Handler() http.Handler {
-	return s.handler(nil, false)
-}
-
-// ViewHandler returns a read-only HTTP face of the registry speaking the
-// same wire protocol as Handler, restricted to the inquiry operations
-// (find_service, get_serviceDetail, watch) with every outbound entry
-// passed through view. This is the face a repository shows to peer homes:
-// they replicate over the ordinary UDDI operations, but see only what the
-// view — the home's export policy — admits. Publication operations are
-// rejected, so a peer cannot write into this registry through it.
-func (s *Server) ViewHandler(view View) http.Handler {
-	if view == nil {
-		view = func(e Entry) (Entry, bool) { return e, true }
-	}
-	return s.handler(func(*http.Request) View { return view }, true)
-}
-
-// CallerViewHandler is ViewHandler with the view chosen per request:
-// caller extracts the authenticated caller's home from the request
-// (identity.CallerFrom behind an auth middleware), viewFor builds that
-// caller's view. This is how a home's export face serves each peer only
-// what the export policy and the per-caller ACL admit to it.
-func (s *Server) CallerViewHandler(caller func(*http.Request) string, viewFor func(string) View) http.Handler {
-	return s.handler(func(r *http.Request) View { return viewFor(caller(r)) }, true)
-}
-
-// handler implements the Handler variants; viewFor (nil = unfiltered)
-// selects the per-request entry filter and readOnly rejects the
-// publication operations.
-func (s *Server) handler(viewFor func(*http.Request) View, readOnly bool) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "E_unsupported", "POST required")
-			return
-		}
-		var view View
-		if viewFor != nil {
-			view = viewFor(r)
-		}
-		data, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "read: "+err.Error())
-			return
-		}
-		root, err := xmltree.Parse(data)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "parse: "+err.Error())
-			return
-		}
-		// deny refuses publication on read-only faces and — with the
-		// leader's address, so resolver-aware clients re-pin — on replicas.
-		deny := func() bool {
-			if readOnly {
-				writeError(w, http.StatusForbidden, "E_operatorMismatch", "read-only endpoint: "+root.Name.Local)
-				return true
-			}
-			if rs := s.replica.Load(); rs != nil {
-				writeError(w, http.StatusMisdirectedRequest, "E_notLeader", notLeaderInfo(rs.leader))
-				return true
-			}
-			return false
-		}
-		// The replication operations serve full entries with their lease
-		// deadlines; they belong to the private face only, never behind a
-		// peer view or a read-only mount.
-		repl := func() bool {
-			if readOnly || viewFor != nil {
-				writeError(w, http.StatusForbidden, "E_unsupported",
-					"replication is private to the repository face: "+root.Name.Local)
-				return false
-			}
-			return true
-		}
-		switch root.Name.Local {
-		case "save_service":
-			if !deny() {
-				s.handleSave(w, root)
-			}
-		case "save_services":
-			if !deny() {
-				s.handleSaveAll(w, root)
-			}
-		case "delete_service":
-			if !deny() {
-				s.handleDelete(w, root)
-			}
-		case "find_service":
-			s.handleFind(w, root, view)
-		case "get_serviceDetail":
-			s.handleGet(w, root, view)
-		case "watch":
-			s.handleWatch(r.Context(), w, root, view)
-		case "repl_status":
-			if repl() {
-				s.handleReplStatus(w)
-			}
-		case "state_page":
-			s.handlePage(w, root, pageView(view, readOnly))
-		case "repl_watch":
-			if repl() {
-				s.handleReplWatch(r.Context(), w, root)
-			}
-		default:
-			writeError(w, http.StatusBadRequest, "E_unsupported", "unknown request "+root.Name.Local)
-		}
-	})
-}
-
-// parseMillis reads an optional millisecond-valued child element; an
-// absent element is zero (each caller's "use the default").
-func parseMillis(root *xmltree.Element, name string) (time.Duration, error) {
-	t := root.ChildText(name)
-	if t == "" {
-		return 0, nil
-	}
-	ms, err := strconv.Atoi(t)
-	if err != nil || ms < 0 {
-		return 0, fmt.Errorf("bad %s %s", name, t)
-	}
-	return time.Duration(ms) * time.Millisecond, nil
-}
-
-func (s *Server) handleSave(w http.ResponseWriter, root *xmltree.Element) {
-	svc := root.Child("service")
-	if svc == nil {
-		writeError(w, http.StatusBadRequest, "E_fatalError", "save_service without service")
-		return
-	}
-	entry, err := entryFromXML(svc)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "E_fatalError", err.Error())
-		return
-	}
-	ttl, err := parseMillis(root, "ttlms")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "E_fatalError", err.Error())
-		return
-	}
-	key := s.Save(entry, ttl)
-	xw := xmltree.NewWriter()
-	xw.Open("serviceDetail")
-	xw.Leaf("serviceKey", key)
-	writeXML(w, xw.Bytes())
-}
-
-func (s *Server) handleSaveAll(w http.ResponseWriter, root *xmltree.Element) {
-	svcs := root.All("service")
-	if len(svcs) == 0 {
-		writeError(w, http.StatusBadRequest, "E_fatalError", "save_services without service")
-		return
-	}
-	entries := make([]Entry, 0, len(svcs))
-	for _, svc := range svcs {
-		entry, err := entryFromXML(svc)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", err.Error())
-			return
-		}
-		entries = append(entries, entry)
-	}
-	ttl, err := parseMillis(root, "ttlms")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "E_fatalError", err.Error())
-		return
-	}
-	keys := s.SaveAll(entries, ttl)
-	xw := xmltree.NewWriter()
-	xw.Open("serviceDetail")
-	for _, key := range keys {
-		xw.Leaf("serviceKey", key)
-	}
-	writeXML(w, xw.Bytes())
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, root *xmltree.Element) {
-	key := root.ChildText("serviceKey")
-	if key == "" {
-		writeError(w, http.StatusBadRequest, "E_invalidKeyPassed", "delete_service without serviceKey")
-		return
-	}
-	s.Delete(key)
-	xw := xmltree.NewWriter()
-	xw.SelfClose("dispositionReport", "result", "ok")
-	writeXML(w, xw.Bytes())
-}
-
-func (s *Server) handleFind(w http.ResponseWriter, root *xmltree.Element, view View) {
-	q := Query{
-		Name:   root.ChildText("name"),
-		TModel: root.ChildText("tModel"),
-	}
-	for _, c := range root.All("category") {
-		if q.Categories == nil {
-			q.Categories = make(map[string]string)
-		}
-		q.Categories[c.Attr("keyName")] = c.Attr("keyValue")
-	}
-	// Journal position read before Find: any change Find might have
-	// missed has a higher sequence number, so clients can fence
-	// cache fills against concurrent mutations.
-	seq := s.Seq()
-	entries := s.Find(q)
-	xw := xmltree.NewWriter()
-	xw.Open("serviceList", "seq", strconv.FormatUint(seq, 10))
-	for _, e := range entries {
-		if view != nil {
-			ve, ok := view(e)
-			if !ok {
-				continue
-			}
-			e = ve
-		}
-		entryToXML(xw, e)
-	}
-	writeXML(w, xw.Bytes())
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, root *xmltree.Element, view View) {
-	key := root.ChildText("serviceKey")
-	entry, ok := s.Get(key)
-	if ok && view != nil {
-		entry, ok = view(entry)
-	}
-	xw := xmltree.NewWriter()
-	xw.Open("serviceDetail")
-	if ok {
-		entryToXML(xw, entry)
-	}
-	writeXML(w, xw.Bytes())
-}
-
-func (s *Server) handleWatch(ctx context.Context, w http.ResponseWriter, root *xmltree.Element, view View) {
-	var since, sinceEpoch uint64
-	if t := root.ChildText("since"); t != "" {
-		v, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "bad since "+t)
-			return
-		}
-		since = v
-	}
-	if t := root.ChildText("epoch"); t != "" {
-		v, err := strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "E_fatalError", "bad epoch "+t)
-			return
-		}
-		sinceEpoch = v
-	}
-	timeout, err := parseMillis(root, "timeoutms")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "E_fatalError", err.Error())
-		return
-	}
-	if timeout > maxWatchTimeout {
-		timeout = maxWatchTimeout
-	}
-	changes, next, nextEpoch, resync, err := s.WatchChangesEpoch(ctx, since, sinceEpoch, timeout, false)
-	if err != nil {
-		// Client went away mid-poll; nothing useful to write.
-		return
-	}
-	// A filtered-to-empty round reads as an empty poll: the client
-	// advances its cursor past the hidden changes and parks again.
-	frag, next := xmlChanges(changes, next, view, encodeChange)
-	xw := xmltree.NewWriter()
-	xw.Open("changeList",
-		"next", strconv.FormatUint(next, 10),
-		"resync", strconv.FormatBool(resync),
-		"epoch", strconv.FormatUint(nextEpoch, 10),
-	)
-	xw.Raw(frag)
-	writeXML(w, xw.Bytes())
-}
-
-// encodeChange writes one change element of a watch response.
-func encodeChange(xw *xmltree.Writer, c Change) {
-	switch c.Op {
-	case OpAdd, OpUpdate:
-		xw.Open("change", "seq", strconv.FormatUint(c.Seq, 10), "op", string(c.Op))
-		entryToXML(xw, c.Entry)
-		xw.Close()
-	default:
-		xw.SelfClose("change",
-			"seq", strconv.FormatUint(c.Seq, 10),
-			"op", string(c.Op),
-			"serviceKey", c.Entry.Key,
-			"name", c.Entry.Name,
-		)
-	}
-}
-
-// decodeChangeList parses a watch response. A response without an epoch
-// attribute (an older server) reads as epoch 0 — unknown.
-func decodeChangeList(root *xmltree.Element) (changes []Change, next, epoch uint64, resync bool, err error) {
-	if root.Name.Local != "changeList" {
-		return nil, 0, 0, false, fmt.Errorf("uddi: watch response root %s", root.Name.Local)
-	}
-	next, err = strconv.ParseUint(root.Attr("next"), 10, 64)
-	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("uddi: bad changeList next: %w", err)
-	}
-	if t := root.Attr("epoch"); t != "" {
-		epoch, err = strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			return nil, 0, 0, false, fmt.Errorf("uddi: bad changeList epoch: %w", err)
-		}
-	}
-	resync = root.Attr("resync") == "true"
-	for _, el := range root.All("change") {
-		seq, err := strconv.ParseUint(el.Attr("seq"), 10, 64)
-		if err != nil {
-			return nil, 0, 0, false, fmt.Errorf("uddi: bad change seq: %w", err)
-		}
-		c := Change{Seq: seq, Op: ChangeOp(el.Attr("op"))}
-		switch c.Op {
-		case OpAdd, OpUpdate:
-			svc := el.Child("service")
-			if svc == nil {
-				return nil, 0, 0, false, fmt.Errorf("uddi: %s change without service", c.Op)
-			}
-			c.Entry, err = entryFromXML(svc)
-			if err != nil {
-				return nil, 0, 0, false, err
-			}
-		case OpDelete, OpExpire:
-			c.Entry = Entry{Key: el.Attr("serviceKey"), Name: el.Attr("name")}
-		default:
-			return nil, 0, 0, false, fmt.Errorf("uddi: unknown change op %q", el.Attr("op"))
-		}
-		changes = append(changes, c)
-	}
-	return changes, next, epoch, resync, nil
-}
-
-// entryToXML appends a <service> element for e to the writer.
-func entryToXML(w *xmltree.Writer, e Entry) {
-	w.Open("service",
-		"serviceKey", e.Key,
-		"name", e.Name,
-		"accessPoint", e.AccessPoint,
-		"tModel", e.TModel,
-	)
-	if e.Description != "" {
-		w.Leaf("description", e.Description)
-	}
-	// Deterministic category order for stable wire output.
-	keys := make([]string, 0, len(e.Categories))
-	for k := range e.Categories {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w.SelfClose("category", "keyName", k, "keyValue", e.Categories[k])
-	}
-	if e.WSDL != "" {
-		w.Leaf("wsdl", e.WSDL)
-	}
-	w.Close()
-}
-
-// entryFromXML parses a <service> element.
-func entryFromXML(svc *xmltree.Element) (Entry, error) {
-	e := Entry{
-		Key:         svc.Attr("serviceKey"),
-		Name:        svc.Attr("name"),
-		AccessPoint: svc.Attr("accessPoint"),
-		TModel:      svc.Attr("tModel"),
-		Description: svc.ChildText("description"),
-	}
-	if e.Name == "" {
-		return Entry{}, fmt.Errorf("uddi: service without name")
-	}
-	for _, c := range svc.All("category") {
-		if e.Categories == nil {
-			e.Categories = make(map[string]string)
-		}
-		e.Categories[c.Attr("keyName")] = c.Attr("keyValue")
-	}
-	if wel := svc.Child("wsdl"); wel != nil {
-		e.WSDL = wel.Text
-	}
-	return e, nil
-}
-
-func writeXML(w http.ResponseWriter, data []byte) {
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-}
-
-// AuthErrorWriter renders an authentication refusal in the registry's
-// own dispositionReport vocabulary — the identity.DenyWriter for UDDI
-// faces. The UDDI v2 error codes are the closest the spec offers:
-// E_authTokenRequired for missing/invalid credentials, E_userMismatch
-// for an authenticated party the face refuses.
-func AuthErrorWriter(w http.ResponseWriter, code, msg string) {
-	switch code {
-	case "Forbidden":
-		writeError(w, http.StatusForbidden, "E_userMismatch", msg)
-	default:
-		writeError(w, http.StatusUnauthorized, "E_authTokenRequired", msg)
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	xw := xmltree.NewWriter()
-	xw.Open("dispositionReport", "result", "error")
-	xw.Leaf("errCode", code)
-	xw.Leaf("errInfo", msg)
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	w.WriteHeader(status)
-	_, _ = w.Write(xw.Bytes())
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// viewFixture starts a registry plus a ViewHandler that hides entries
+// viewFixture starts a registry plus a read-only peering face that hides entries
 // whose name starts with "secret" and stamps a category on the rest.
 func viewFixture(t *testing.T) (*Server, *Client, *Client) {
 	t.Helper()
@@ -29,7 +29,7 @@ func viewFixture(t *testing.T) (*Server, *Client, *Client) {
 		e.Categories["stamp"] = "yes"
 		return e, true
 	}
-	viewed := httptest.NewServer(s.ViewHandler(view))
+	viewed := httptest.NewServer(s.HTTPHandler(peerFace(view), nil))
 	t.Cleanup(viewed.Close)
 	return s, &Client{URL: main.URL}, &Client{URL: viewed.URL}
 }
