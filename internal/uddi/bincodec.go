@@ -194,6 +194,27 @@ func encodeBinReplWatchReq(since, epoch uint64, timeout time.Duration) []byte {
 	return b
 }
 
+// encodeBinRequest encodes a request as its binary record.
+func encodeBinRequest(req *request) []byte {
+	switch req.op {
+	case opSave:
+		return encodeBinSaveAll(req.entries, req.ttl)
+	case opDelete:
+		return encodeBinDelete(req.key)
+	case opFind:
+		return encodeBinFind(req.query)
+	case opGet:
+		return encodeBinGet(req.key)
+	case opWatch:
+		return encodeBinWatch(req.since, req.epoch, req.timeout)
+	case opPage:
+		return encodeBinPageReq(req.after, req.epoch)
+	case opReplWatch:
+		return encodeBinReplWatchReq(req.since, req.epoch, req.timeout)
+	}
+	return encodeBinReplStatusReq()
+}
+
 // --- response encoding (server side) ------------------------------------
 
 func encodeBinKeys(keys []string) []byte {
@@ -313,6 +334,30 @@ func decodeBinReply(data []byte, want byte) (*walReader, error) {
 		return nil, fmt.Errorf("uddi: binary response record %q, want %q", op, want)
 	}
 	return r, nil
+}
+
+// decodeBinReplyTo decodes the response record to req.
+func decodeBinReplyTo(req *request, data []byte) (rep reply, err error) {
+	switch req.op {
+	case opSave, opDelete:
+		rep.keys, err = decodeBinKeys(data)
+	case opFind, opGet:
+		rep.entries, rep.seq, err = decodeBinEntries(data)
+	case opWatch:
+		rep.changes, rep.next, rep.epoch, rep.resync, err = decodeBinChanges(data)
+	case opPage:
+		rep.page, err = decodeBinPage(data)
+	case opReplStatus:
+		rep.status, err = decodeBinReplStatus(data)
+	case opReplWatch:
+		var rc ReplChanges
+		rc, err = decodeBinReplChanges(data)
+		rep = reply{changes: rc.Changes, next: rc.Next, resync: rc.Resync, epoch: rc.Epoch, leader: rc.Leader}
+	}
+	if err != nil {
+		return reply{}, err
+	}
+	return rep, nil
 }
 
 func decodeBinKeys(data []byte) ([]string, error) {
@@ -489,6 +534,7 @@ func decodeBinRequest(br *transport.BinRequest) request {
 	case binUDDISaveAll:
 		req.ttl = time.Duration(r.uvarint()) * time.Millisecond
 		n := r.count()
+		req.entries = make([]Entry, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			req.entries = append(req.entries, decodeBinEntry(r))
 		}

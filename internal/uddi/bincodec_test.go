@@ -250,3 +250,21 @@ func TestBinCodecRejectsMalformed(t *testing.T) {
 		t.Error("key count of 1<<63 decoded")
 	}
 }
+
+// TestBinFaceRefusesNamelessSave: a save of an entry without a name is
+// refused on the binary wire as on the XML one — 400 E_fatalError — and
+// stores nothing.
+func TestBinFaceRefusesNamelessSave(t *testing.T) {
+	s := NewServer()
+	defer s.Close()
+	for _, entries := range [][]Entry{{{Key: "k1"}}, {lampEntry(), {Key: "k1"}}} {
+		resp := binServe(s, Face{}, "home-a", encodeBinSaveAll(entries, time.Hour))
+		_, err := decodeBinKeys(resp.Body)
+		if resp.Status != 400 || err == nil || !strings.Contains(err.Error(), "E_fatalError: uddi: service without name") {
+			t.Fatalf("nameless save: status %d, %v; want 400 E_fatalError", resp.Status, err)
+		}
+		if s.Seq() != 0 || s.Len() != 0 {
+			t.Fatalf("refused save stored entries: seq %d, %d live", s.Seq(), s.Len())
+		}
+	}
+}

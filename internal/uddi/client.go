@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"homeconnect/internal/transport"
@@ -53,44 +50,53 @@ func (c *Client) httpClient() *http.Client {
 	return transport.OpenDialer().HTTPClient()
 }
 
-// call runs one registry operation: rec is its binary-native record, doc
-// builds its XML document. Each attempt sends rec to the current endpoint
-// over the Dialer; only when that endpoint has no binary fast path does
-// it POST the document — built once, on first need — to the same
-// endpoint over HTTP. Because the operation carries all its state (watch
-// cursors included), switching wires loses nothing. On success exactly
-// one of body (a binary record) and root (the parsed XML response) is
-// set. With a Resolver, failover-worthy errors from either wire (endpoint
-// down, ErrNotLeader) move to the next endpoint before surfacing.
-func (c *Client) call(ctx context.Context, rec []byte, doc func() []byte) (body []byte, root *xmltree.Element, err error) {
+// call runs one registry operation. Each attempt sends its binary
+// record to the current endpoint over the Dialer; only when that
+// endpoint has no binary fast path does it POST the operation's XML
+// document — encoded once, on first need — to the same endpoint over
+// HTTP. Because the operation carries all its state (watch cursors
+// included), switching wires loses nothing. Either wire's response
+// decodes into the one typed reply. With a Resolver, failover-worthy
+// errors from either wire (endpoint down, ErrNotLeader) move to the next
+// endpoint before surfacing.
+func (c *Client) call(ctx context.Context, req *request) (reply, error) {
 	attempts := 1
 	if c.Resolver != nil {
 		// One extra attempt over the set size, so a not-leader redirect to
 		// a pinned leader still has a try left after a full rotation.
 		attempts = c.Resolver.Len() + 1
 	}
-	var xml []byte
+	rec := encodeBinRequest(req)
+	var xml, body []byte
+	var err error
 	for i := 0; i < attempts; i++ {
 		url := c.endpoint()
+		var rep reply
 		body, err = c.exchangeAt(ctx, url, rec)
-		if errors.Is(err, transport.ErrBinaryUnavailable) {
+		switch {
+		case errors.Is(err, transport.ErrBinaryUnavailable):
 			if xml == nil {
-				xml = doc()
+				xml = encodeXMLRequest(req)
 			}
-			root, err = c.postAt(ctx, url, xml)
+			var root *xmltree.Element
+			if root, err = c.postAt(ctx, url, xml); err == nil {
+				rep, err = decodeXMLReply(req, root)
+			}
+		case err == nil:
+			rep, err = decodeBinReplyTo(req, body)
 		}
 		if err == nil {
-			return body, root, nil
+			return rep, nil
 		}
 		if c.Resolver == nil || ctx.Err() != nil || !FailoverWorthy(err) {
-			return nil, nil, err
+			return reply{}, err
 		}
 		if h := LeaderHint(err); h != "" && c.Resolver.Pin(h) {
 			continue
 		}
 		c.Resolver.Fail(url)
 	}
-	return nil, nil, err
+	return reply{}, err
 }
 
 // exchangeAt sends one binary-native record to url over the Dialer.
@@ -167,33 +173,14 @@ func (e *authError) Unwrap() error { return e.kind }
 // Save publishes the entry with the given TTL and returns the assigned
 // service key.
 func (c *Client) Save(ctx context.Context, e Entry, ttl time.Duration) (string, error) {
-	body, root, err := c.call(ctx, encodeBinSaveAll([]Entry{e}, ttl), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("save_service")
-		entryToXML(w, e)
-		if ttl > 0 {
-			w.Leaf("ttlms", strconv.Itoa(int(ttl/time.Millisecond)))
-		}
-		return w.Bytes()
-	})
+	rep, err := c.call(ctx, &request{op: opSave, name: "save_service", entries: []Entry{e}, ttl: ttl})
 	if err != nil {
 		return "", err
 	}
-	if root != nil {
-		key := root.ChildText("serviceKey")
-		if key == "" {
-			return "", fmt.Errorf("uddi: save_service response missing serviceKey")
-		}
-		return key, nil
+	if len(rep.keys) != 1 {
+		return "", fmt.Errorf("uddi: save_service returned %d keys", len(rep.keys))
 	}
-	keys, err := decodeBinKeys(body)
-	if err != nil {
-		return "", err
-	}
-	if len(keys) != 1 {
-		return "", fmt.Errorf("uddi: save_service returned %d keys", len(keys))
-	}
-	return keys[0], nil
+	return rep.keys[0], nil
 }
 
 // SaveAll publishes every entry under one TTL in a single round trip and
@@ -203,32 +190,14 @@ func (c *Client) SaveAll(ctx context.Context, entries []Entry, ttl time.Duration
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	body, root, err := c.call(ctx, encodeBinSaveAll(entries, ttl), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("save_services")
-		if ttl > 0 {
-			w.Leaf("ttlms", strconv.Itoa(int(ttl/time.Millisecond)))
-		}
-		for _, e := range entries {
-			entryToXML(w, e)
-		}
-		return w.Bytes()
-	})
+	rep, err := c.call(ctx, &request{op: opSave, name: "save_services", entries: entries, ttl: ttl})
 	if err != nil {
 		return nil, err
 	}
-	var keys []string
-	if root != nil {
-		for _, el := range root.All("serviceKey") {
-			keys = append(keys, strings.TrimSpace(el.Text))
-		}
-	} else if keys, err = decodeBinKeys(body); err != nil {
-		return nil, err
+	if len(rep.keys) != len(entries) {
+		return nil, fmt.Errorf("uddi: save_services returned %d keys for %d entries", len(rep.keys), len(entries))
 	}
-	if len(keys) != len(entries) {
-		return nil, fmt.Errorf("uddi: save_services returned %d keys for %d entries", len(keys), len(entries))
-	}
-	return keys, nil
+	return rep.keys, nil
 }
 
 // Watch long-polls the registry's change journal: it blocks up to timeout
@@ -251,39 +220,13 @@ func (c *Client) Watch(ctx context.Context, since uint64, timeout time.Duration)
 // below its old cursor, because a lower next under a newer epoch is the
 // replay point, not a stale answer.
 func (c *Client) WatchEpoch(ctx context.Context, since, sinceEpoch uint64, timeout time.Duration) (changes []Change, next, nextEpoch uint64, resync bool, err error) {
-	body, root, err := c.call(ctx, encodeBinWatch(since, sinceEpoch, timeout), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("watch")
-		w.Leaf("since", strconv.FormatUint(since, 10))
-		if timeout > 0 {
-			w.Leaf("timeoutms", strconv.Itoa(int(timeout/time.Millisecond)))
-		}
-		if sinceEpoch > 0 {
-			w.Leaf("epoch", strconv.FormatUint(sinceEpoch, 10))
-		}
-		return w.Bytes()
-	})
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	if root != nil {
-		return decodeChangeList(root)
-	}
-	return decodeBinChanges(body)
+	rep, err := c.call(ctx, &request{op: opWatch, name: "watch", since: since, epoch: sinceEpoch, timeout: timeout})
+	return rep.changes, rep.next, rep.epoch, rep.resync, err
 }
 
 // Delete removes the registration with the given key.
 func (c *Client) Delete(ctx context.Context, key string) error {
-	body, root, err := c.call(ctx, encodeBinDelete(key), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("delete_service")
-		w.Leaf("serviceKey", key)
-		return w.Bytes()
-	})
-	if err != nil || root != nil {
-		return err
-	}
-	_, err = decodeBinKeys(body)
+	_, err := c.call(ctx, &request{op: opDelete, name: "delete_service", key: key})
 	return err
 }
 
@@ -299,62 +242,16 @@ func (c *Client) Find(ctx context.Context, q Query) ([]Entry, error) {
 // entry, the cached copy is stale; a concurrent change with a lower or
 // equal number was already reflected in the inquiry.
 func (c *Client) FindSeq(ctx context.Context, q Query) ([]Entry, uint64, error) {
-	body, root, err := c.call(ctx, encodeBinFind(q), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("find_service")
-		if q.Name != "" {
-			w.Leaf("name", q.Name)
-		}
-		if q.TModel != "" {
-			w.Leaf("tModel", q.TModel)
-		}
-		keys := make([]string, 0, len(q.Categories))
-		for k := range q.Categories {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			w.SelfClose("category", "keyName", k, "keyValue", q.Categories[k])
-		}
-		return w.Bytes()
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if root == nil {
-		return decodeBinEntries(body)
-	}
-	// Older registries omit the attribute; zero means "no fence".
-	seq, _ := strconv.ParseUint(root.Attr("seq"), 10, 64)
-	var out []Entry
-	for _, svc := range root.All("service") {
-		out = append(out, entryFromXML(svc))
-	}
-	return out, seq, nil
+	rep, err := c.call(ctx, &request{op: opFind, name: "find_service", query: q})
+	return rep.entries, rep.seq, err
 }
 
 // Get fetches one entry by key; found is false for unknown or expired
 // keys.
 func (c *Client) Get(ctx context.Context, key string) (Entry, bool, error) {
-	body, root, err := c.call(ctx, encodeBinGet(key), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("get_serviceDetail")
-		w.Leaf("serviceKey", key)
-		return w.Bytes()
-	})
-	if err != nil {
+	rep, err := c.call(ctx, &request{op: opGet, name: "get_serviceDetail", key: key})
+	if err != nil || len(rep.entries) == 0 {
 		return Entry{}, false, err
 	}
-	if root == nil {
-		entries, _, err := decodeBinEntries(body)
-		if err != nil || len(entries) == 0 {
-			return Entry{}, false, err
-		}
-		return entries[0], true, nil
-	}
-	svc := root.Child("service")
-	if svc == nil {
-		return Entry{}, false, nil
-	}
-	return entryFromXML(svc), true, nil
+	return rep.entries[0], true, nil
 }

@@ -14,10 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
-
-	"homeconnect/internal/xmltree"
 )
 
 // pageBytes bounds the encoded size of one state-transfer page and of
@@ -191,52 +188,8 @@ func decodeBinPage(data []byte) (Page, error) {
 // Page.Boundary. On the private repository face the page carries lease
 // deadlines; on a peer face it is filtered through the caller's view.
 func (c *Client) Page(ctx context.Context, after string, epoch uint64) (Page, error) {
-	body, root, err := c.call(ctx, encodeBinPageReq(after, epoch), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("state_page")
-		w.Leaf("after", after)
-		w.Leaf("epoch", strconv.FormatUint(epoch, 10))
-		return w.Bytes()
-	})
-	if err != nil {
-		return Page{}, err
-	}
-	if root == nil {
-		return decodeBinPage(body)
-	}
-	if root.Name.Local != "statePage" {
-		return Page{}, fmt.Errorf("uddi: state_page response root %s", root.Name.Local)
-	}
-	var p Page
-	if p.Seq, err = strconv.ParseUint(root.Attr("seq"), 10, 64); err != nil {
-		return Page{}, fmt.Errorf("uddi: bad statePage seq: %w", err)
-	}
-	if p.Epoch, err = strconv.ParseUint(root.Attr("epoch"), 10, 64); err != nil {
-		return Page{}, fmt.Errorf("uddi: bad statePage epoch: %w", err)
-	}
-	p.Leader = root.Attr("leader")
-	if p.Boundary, err = strconv.ParseUint(root.Attr("boundary"), 10, 64); err != nil {
-		return Page{}, fmt.Errorf("uddi: bad statePage boundary: %w", err)
-	}
-	for _, el := range root.All("pageEntry") {
-		expMS, err := strconv.ParseInt(el.Attr("expiresms"), 10, 64)
-		if err != nil {
-			return Page{}, fmt.Errorf("uddi: bad pageEntry expiresms: %w", err)
-		}
-		svc := el.Child("service")
-		if svc == nil {
-			return Page{}, fmt.Errorf("uddi: pageEntry without service")
-		}
-		e := entryFromXML(svc)
-		var exp time.Time
-		if expMS != 0 {
-			exp = time.UnixMilli(expMS)
-		}
-		p.Entries = append(p.Entries, e)
-		p.Deadlines = append(p.Deadlines, exp)
-	}
-	p.Next = root.ChildText("next")
-	return p, nil
+	rep, err := c.call(ctx, &request{op: opPage, name: "state_page", after: after, epoch: epoch})
+	return rep.page, err
 }
 
 // --- staging (the replica end) ---------------------------------------------

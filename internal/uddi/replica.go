@@ -33,11 +33,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
-
-	"homeconnect/internal/xmltree"
 )
 
 // ErrNotLeader is the typed refusal a replica answers writes with. It is
@@ -393,90 +390,16 @@ func (s *Server) replWatchFence(reqEpoch uint64) (string, bool) {
 // ReplStatus asks an endpoint where it stands: journal position, epoch,
 // role. The election probe.
 func (c *Client) ReplStatus(ctx context.Context) (ReplStatus, error) {
-	body, root, err := c.call(ctx, encodeBinReplStatusReq(), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("repl_status")
-		return w.Bytes()
-	})
-	if err != nil {
-		return ReplStatus{}, err
-	}
-	if root == nil {
-		return decodeBinReplStatus(body)
-	}
-	if root.Name.Local != "replStatus" {
-		return ReplStatus{}, fmt.Errorf("uddi: repl_status response root %s", root.Name.Local)
-	}
-	var st ReplStatus
-	if st.Seq, err = strconv.ParseUint(root.Attr("seq"), 10, 64); err != nil {
-		return ReplStatus{}, fmt.Errorf("uddi: bad replStatus seq: %w", err)
-	}
-	if st.Epoch, err = strconv.ParseUint(root.Attr("epoch"), 10, 64); err != nil {
-		return ReplStatus{}, fmt.Errorf("uddi: bad replStatus epoch: %w", err)
-	}
-	st.Leader = root.Attr("leader")
-	st.Role = root.Attr("role")
-	st.ReplicaOf = root.Attr("replicaOf")
-	return st, nil
+	rep, err := c.call(ctx, &request{op: opReplStatus, name: "repl_status"})
+	return rep.status, err
 }
 
 // ReplWatch long-polls the leader's feed from since, announcing the
 // highest epoch this replica has seen so a deposed leader fences itself.
 func (c *Client) ReplWatch(ctx context.Context, since, epoch uint64, timeout time.Duration) (ReplChanges, error) {
-	body, root, err := c.call(ctx, encodeBinReplWatchReq(since, epoch, timeout), func() []byte {
-		w := xmltree.NewWriter()
-		w.Open("repl_watch")
-		w.Leaf("since", strconv.FormatUint(since, 10))
-		w.Leaf("epoch", strconv.FormatUint(epoch, 10))
-		if timeout > 0 {
-			w.Leaf("timeoutms", strconv.Itoa(int(timeout/time.Millisecond)))
-		}
-		return w.Bytes()
-	})
+	rep, err := c.call(ctx, &request{op: opReplWatch, name: "repl_watch", since: since, epoch: epoch, timeout: timeout})
 	if err != nil {
 		return ReplChanges{}, err
 	}
-	if root == nil {
-		return decodeBinReplChanges(body)
-	}
-	if root.Name.Local != "replChangeList" {
-		return ReplChanges{}, fmt.Errorf("uddi: repl_watch response root %s", root.Name.Local)
-	}
-	var rc ReplChanges
-	if rc.Next, err = strconv.ParseUint(root.Attr("next"), 10, 64); err != nil {
-		return ReplChanges{}, fmt.Errorf("uddi: bad replChangeList next: %w", err)
-	}
-	rc.Resync = root.Attr("resync") == "true"
-	if rc.Epoch, err = strconv.ParseUint(root.Attr("epoch"), 10, 64); err != nil {
-		return ReplChanges{}, fmt.Errorf("uddi: bad replChangeList epoch: %w", err)
-	}
-	rc.Leader = root.Attr("leader")
-	for _, el := range root.All("replChange") {
-		seq, err := strconv.ParseUint(el.Attr("seq"), 10, 64)
-		if err != nil {
-			return ReplChanges{}, fmt.Errorf("uddi: bad replChange seq: %w", err)
-		}
-		ch := Change{Seq: seq, Op: ChangeOp(el.Attr("op"))}
-		switch ch.Op {
-		case OpAdd, OpUpdate:
-			expMS, err := strconv.ParseInt(el.Attr("expiresms"), 10, 64)
-			if err != nil {
-				return ReplChanges{}, fmt.Errorf("uddi: bad replChange expiresms: %w", err)
-			}
-			if expMS != 0 {
-				ch.Expires = time.UnixMilli(expMS)
-			}
-			svc := el.Child("service")
-			if svc == nil {
-				return ReplChanges{}, fmt.Errorf("uddi: %s replChange without service", ch.Op)
-			}
-			ch.Entry = entryFromXML(svc)
-		case OpDelete, OpExpire:
-			ch.Entry = Entry{Key: el.Attr("serviceKey"), Name: el.Attr("name")}
-		default:
-			return ReplChanges{}, fmt.Errorf("uddi: unknown replChange op %q", el.Attr("op"))
-		}
-		rc.Changes = append(rc.Changes, ch)
-	}
-	return rc, nil
+	return ReplChanges{Changes: rep.changes, Next: rep.next, Resync: rep.resync, Epoch: rep.epoch, Leader: rep.leader}, nil
 }

@@ -247,6 +247,11 @@ func (rep *reply) batch(put func(c Change) (full bool)) uint64 {
 				continue
 			}
 			c.Entry = ve
+			if c.Op == OpDelete || c.Op == OpExpire {
+				// Invalidation carries identity, not payload, on either
+				// wire: drop whatever the view stamped on.
+				c.Entry = Entry{Key: ve.Key, Name: ve.Name}
+			}
 		}
 		if put(c) {
 			return c.Seq

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"homeconnect/internal/xmltree"
@@ -227,6 +228,164 @@ func xmlChanges(rep *reply, encode func(*xmltree.Writer, Change)) ([]byte, uint6
 		return frag.Len() >= pageBytes
 	})
 	return frag.Bytes(), next
+}
+
+// encodeXMLRequest encodes a request as its XML document.
+func encodeXMLRequest(req *request) []byte {
+	w := xmltree.NewWriter()
+	w.Open(req.name)
+	ttl := func() {
+		if req.ttl > 0 {
+			w.Leaf("ttlms", strconv.Itoa(int(req.ttl/time.Millisecond)))
+		}
+	}
+	timeout := func() {
+		if req.timeout > 0 {
+			w.Leaf("timeoutms", strconv.Itoa(int(req.timeout/time.Millisecond)))
+		}
+	}
+	switch req.name {
+	case "save_service":
+		entryToXML(w, req.entries[0])
+		ttl()
+	case "save_services":
+		ttl()
+		for _, e := range req.entries {
+			entryToXML(w, e)
+		}
+	case "delete_service", "get_serviceDetail":
+		w.Leaf("serviceKey", req.key)
+	case "find_service":
+		q := req.query
+		if q.Name != "" {
+			w.Leaf("name", q.Name)
+		}
+		if q.TModel != "" {
+			w.Leaf("tModel", q.TModel)
+		}
+		keys := make([]string, 0, len(q.Categories))
+		for k := range q.Categories {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			w.SelfClose("category", "keyName", k, "keyValue", q.Categories[k])
+		}
+	case "watch":
+		w.Leaf("since", strconv.FormatUint(req.since, 10))
+		timeout()
+		if req.epoch > 0 {
+			w.Leaf("epoch", strconv.FormatUint(req.epoch, 10))
+		}
+	case "repl_watch":
+		w.Leaf("since", strconv.FormatUint(req.since, 10))
+		w.Leaf("epoch", strconv.FormatUint(req.epoch, 10))
+		timeout()
+	case "state_page":
+		w.Leaf("after", req.after)
+		w.Leaf("epoch", strconv.FormatUint(req.epoch, 10))
+	}
+	return w.Bytes()
+}
+
+// xmlAttrs reads a response's numeric attributes, keeping the first
+// malformed one as the decode error.
+type xmlAttrs struct{ err error }
+
+func (a *xmlAttrs) uint(el *xmltree.Element, name string) uint64 {
+	v, err := strconv.ParseUint(el.Attr(name), 10, 64)
+	if err != nil && a.err == nil {
+		a.err = fmt.Errorf("uddi: bad %s %s: %w", el.Name.Local, name, err)
+	}
+	return v
+}
+
+// millis reads a Unix-millisecond deadline; 0 is no deadline.
+func (a *xmlAttrs) millis(el *xmltree.Element, name string) time.Time {
+	ms, err := strconv.ParseInt(el.Attr(name), 10, 64)
+	if err != nil && a.err == nil {
+		a.err = fmt.Errorf("uddi: bad %s %s: %w", el.Name.Local, name, err)
+	}
+	if ms == 0 {
+		return time.Time{}
+	}
+	return time.UnixMilli(ms)
+}
+
+// xmlReplyRoots names the response root the client checks for, where
+// one is checked.
+var xmlReplyRoots = map[opKind]string{opReplStatus: "replStatus", opReplWatch: "replChangeList", opPage: "statePage"}
+
+// decodeXMLReply decodes the response document to req.
+func decodeXMLReply(req *request, root *xmltree.Element) (rep reply, err error) {
+	var a xmlAttrs
+	if want := xmlReplyRoots[req.op]; want != "" && root.Name.Local != want {
+		return reply{}, fmt.Errorf("uddi: %s response root %s", req.name, root.Name.Local)
+	}
+	switch req.op {
+	case opSave:
+		for _, el := range root.All("serviceKey") {
+			rep.keys = append(rep.keys, strings.TrimSpace(el.Text))
+		}
+	case opFind:
+		// Older registries omit the attribute; zero means "no fence".
+		rep.seq, _ = strconv.ParseUint(root.Attr("seq"), 10, 64)
+		for _, svc := range root.All("service") {
+			rep.entries = append(rep.entries, entryFromXML(svc))
+		}
+	case opGet:
+		if svc := root.Child("service"); svc != nil {
+			rep.entries = []Entry{entryFromXML(svc)}
+		}
+	case opWatch:
+		rep.changes, rep.next, rep.epoch, rep.resync, err = decodeChangeList(root)
+	case opReplStatus:
+		rep.status = ReplStatus{Seq: a.uint(root, "seq"), Epoch: a.uint(root, "epoch"),
+			Leader: root.Attr("leader"), Role: root.Attr("role"), ReplicaOf: root.Attr("replicaOf")}
+	case opReplWatch:
+		rep.next = a.uint(root, "next")
+		rep.resync = root.Attr("resync") == "true"
+		rep.epoch = a.uint(root, "epoch")
+		rep.leader = root.Attr("leader")
+		for _, el := range root.All("replChange") {
+			ch := Change{Seq: a.uint(el, "seq"), Op: ChangeOp(el.Attr("op"))}
+			switch ch.Op {
+			case OpAdd, OpUpdate:
+				ch.Expires = a.millis(el, "expiresms")
+				svc := el.Child("service")
+				if svc == nil {
+					return reply{}, fmt.Errorf("uddi: %s replChange without service", ch.Op)
+				}
+				ch.Entry = entryFromXML(svc)
+			case OpDelete, OpExpire:
+				ch.Entry = Entry{Key: el.Attr("serviceKey"), Name: el.Attr("name")}
+			default:
+				return reply{}, fmt.Errorf("uddi: unknown replChange op %q", el.Attr("op"))
+			}
+			rep.changes = append(rep.changes, ch)
+		}
+	case opPage:
+		p := &rep.page
+		p.Seq, p.Epoch = a.uint(root, "seq"), a.uint(root, "epoch")
+		p.Leader, p.Boundary = root.Attr("leader"), a.uint(root, "boundary")
+		for _, el := range root.All("pageEntry") {
+			exp := a.millis(el, "expiresms")
+			svc := el.Child("service")
+			if svc == nil {
+				return reply{}, fmt.Errorf("uddi: pageEntry without service")
+			}
+			p.Entries = append(p.Entries, entryFromXML(svc))
+			p.Deadlines = append(p.Deadlines, exp)
+		}
+		p.Next = root.ChildText("next")
+	}
+	if err == nil {
+		err = a.err
+	}
+	if err != nil {
+		return reply{}, err
+	}
+	return rep, nil
 }
 
 // encodeChange writes one change element of a watch response.

@@ -9,14 +9,18 @@
 //
 // The scanner covers the XML subset the framework's codecs emit and the
 // constructs encoding/xml accepted in hand-written protocol documents:
-// prolog and processing instructions, comments, DOCTYPE directives, CDATA
-// sections, named and numeric character entities, CR/CRLF newline
-// normalization, and namespace prefix resolution with scoped xmlns
-// bindings (matching encoding/xml's conventions: the reserved "xml"
-// prefix, unresolved prefixes left in Space verbatim, xmlns attributes
-// kept in Attrs). Divergences are leniencies only: invalid UTF-8 passes
-// through instead of erroring, and '<' inside attribute values is
-// tolerated.
+// prolog and processing instructions, comments, directives such as
+// DOCTYPE (in the prolog and in content), CDATA sections, named and
+// numeric character entities, CR/CRLF newline normalization, and
+// namespace prefix resolution with scoped xmlns bindings (matching
+// encoding/xml's conventions: the reserved "xml" prefix, a name with an
+// empty prefix or local part left unprefixed, unresolved prefixes left in
+// Space verbatim, xmlns attributes kept in Attrs). Divergences are
+// leniencies only — documents encoding/xml rejects that the scanner
+// accepts, such as invalid UTF-8, '<' inside attribute values, "--"
+// inside comments or names encoding/xml does not allow; every document
+// encoding/xml accepts parses to the tree it produced, which
+// FuzzScannerMatchesReference checks.
 package xmltree
 
 import (
@@ -132,20 +136,37 @@ func (p *parser) skipComment() error {
 	return nil
 }
 
-// skipDirective consumes a <!...> directive such as DOCTYPE, tracking
-// angle-bracket depth so an internal subset doesn't end it early.
+// skipDirective consumes a <!...> directive such as DOCTYPE as
+// encoding/xml reads one: the byte after "<!" is taken verbatim, then
+// angle brackets nest, except inside quotes and embedded comments, so an
+// internal subset doesn't end it early. pos is just past "<".
 func (p *parser) skipDirective() error {
-	depth := 1
-	for ; p.pos < len(p.src); p.pos++ {
-		switch p.src[p.pos] {
-		case '<':
-			depth++
-		case '>':
-			depth--
+	depth := 0
+	var quote byte
+	for i := p.pos + 2; i < len(p.src); i++ {
+		switch c := p.src[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == '\'' || c == '"':
+			quote = c
+		case c == '>':
 			if depth == 0 {
-				p.pos++
+				p.pos = i + 1
 				return nil
 			}
+			depth--
+		case c == '<':
+			if !strings.HasPrefix(p.src[i+1:], "!--") {
+				depth++
+				continue
+			}
+			j := strings.Index(p.src[i+4:], "-->")
+			if j < 0 {
+				return fmt.Errorf("xmltree: unterminated comment")
+			}
+			i += 4 + j + 2
 		}
 	}
 	return fmt.Errorf("xmltree: unterminated directive")
@@ -223,19 +244,19 @@ func (p *parser) element() (*Element, error) {
 		if err != nil {
 			return nil, err
 		}
-		if aname == "xmlns" {
+		if prefix, local := splitName(aname); prefix == "xmlns" {
+			p.ns = append(p.ns, binding{prefix: local, uri: val})
+		} else if aname == "xmlns" {
 			p.ns = append(p.ns, binding{prefix: "", uri: val})
-		} else if strings.HasPrefix(aname, "xmlns:") {
-			p.ns = append(p.ns, binding{prefix: aname[len("xmlns:"):], uri: val})
 		}
 		p.atts = append(p.atts, rawAttr{name: aname, val: val})
 	}
 
-	el := &Element{Name: p.resolveElem(rawName)}
+	el := &Element{Name: p.resolve(rawName, true)}
 	if n := len(p.atts); n > 0 {
 		attrs := make([]xml.Attr, n)
 		for i, a := range p.atts {
-			attrs[i] = xml.Attr{Name: p.resolveAttr(a.name), Value: a.val}
+			attrs[i] = xml.Attr{Name: p.resolve(a.name, false), Value: a.val}
 		}
 		el.Attrs = attrs
 	}
@@ -364,6 +385,10 @@ func (p *parser) content(el *Element, rawName string) error {
 				spill()
 				p.buf = append(p.buf, cdata...)
 			}
+		case p.hasPrefix("!"):
+			if err := p.skipDirective(); err != nil {
+				return err
+			}
 		case p.hasPrefix("?"):
 			if err := p.skipPI(); err != nil {
 				return err
@@ -489,41 +514,29 @@ func (p *parser) lookup(prefix string) (string, bool) {
 	return "", false
 }
 
-// resolveElem maps a raw element name to its xml.Name: the default
-// namespace applies to unprefixed elements, the "xml" prefix is reserved,
-// and (matching encoding/xml) an unbound prefix is left in Space as-is.
-func (p *parser) resolveElem(raw string) xml.Name {
-	i := strings.IndexByte(raw, ':')
-	if i < 0 {
-		uri, _ := p.lookup("")
-		return xml.Name{Space: uri, Local: raw}
+// splitName splits a raw name at its colon as encoding/xml does: a name
+// whose prefix or local part would be empty is unprefixed.
+func splitName(raw string) (prefix, local string) {
+	prefix, local, ok := strings.Cut(raw, ":")
+	if !ok || prefix == "" || local == "" {
+		return "", raw
 	}
-	prefix, local := raw[:i], raw[i+1:]
-	if prefix == "xml" {
-		return xml.Name{Space: xmlNamespace, Local: local}
-	}
-	if uri, ok := p.lookup(prefix); ok {
-		return xml.Name{Space: uri, Local: local}
-	}
-	return xml.Name{Space: prefix, Local: local}
+	return prefix, local
 }
 
-// resolveAttr maps a raw attribute name to its xml.Name. Unprefixed
-// attributes take no namespace (the default binding does not apply);
-// xmlns declarations keep encoding/xml's representation.
-func (p *parser) resolveAttr(raw string) xml.Name {
-	if raw == "xmlns" {
-		return xml.Name{Space: "", Local: "xmlns"}
-	}
-	if strings.HasPrefix(raw, "xmlns:") {
-		return xml.Name{Space: "xmlns", Local: raw[len("xmlns:"):]}
-	}
-	i := strings.IndexByte(raw, ':')
-	if i < 0 {
-		return xml.Name{Local: raw}
-	}
-	prefix, local := raw[:i], raw[i+1:]
-	if prefix == "xml" {
+// resolve maps a raw element (elem) or attribute name to its xml.Name
+// with encoding/xml's conventions: the default namespace applies to
+// unprefixed elements but not attributes, the "xml" prefix is reserved,
+// xmlns declarations keep their prefix, and an unbound prefix is left in
+// Space as-is.
+func (p *parser) resolve(raw string, elem bool) xml.Name {
+	prefix, local := splitName(raw)
+	switch {
+	case prefix == "xmlns":
+		return xml.Name{Space: prefix, Local: local}
+	case prefix == "" && (!elem || local == "xmlns"):
+		return xml.Name{Local: local}
+	case prefix == "xml":
 		return xml.Name{Space: xmlNamespace, Local: local}
 	}
 	if uri, ok := p.lookup(prefix); ok {

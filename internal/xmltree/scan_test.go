@@ -198,3 +198,28 @@ func TestParsePooledReuse(t *testing.T) {
 		}
 	}
 }
+
+// FuzzScannerMatchesReference: whatever document the seed parser
+// (encoding/xml) accepts, the scanner parses to the same tree. Where the
+// reference rejects a document the scanner may still accept it — its
+// divergences are leniencies only.
+func FuzzScannerMatchesReference(f *testing.F) {
+	for _, doc := range corpus {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, err := referenceParse(data)
+		if err != nil {
+			return
+		}
+		got, err := Parse(data)
+		if err != nil {
+			t.Fatalf("%q: reference accepts, scanner: %v", data, err)
+		}
+		normalize(want)
+		normalize(got)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%q:\nreference %s\nscanner   %s", data, dump(want), dump(got))
+		}
+	})
+}
