@@ -118,6 +118,19 @@ func (r *walReader) count() int {
 	return int(n)
 }
 
+// byte reads one byte; reading past the record fails the reader.
+func (r *walReader) byte() byte {
+	if r.err == nil && r.off >= len(r.b) {
+		r.err = fmt.Errorf("uddi: truncated record")
+	}
+	if r.err != nil {
+		return 0
+	}
+	c := r.b[r.off]
+	r.off++
+	return c
+}
+
 // binReaderFor validates the version/op header and positions a reader
 // past it.
 func binReaderFor(data []byte) (op byte, r *walReader, err error) {
@@ -236,20 +249,36 @@ func encodeBinEntries(seq uint64, entries []Entry) []byte {
 	return b
 }
 
-func encodeBinChanges(changes []Change, next, epoch uint64, resync bool) []byte {
+// encodeBinChangeList encodes a watch reply ('C') or, with lease, a
+// replication feed reply ('H'), which also carries the leader and each
+// change's lease deadline. next is the cursor after changes.
+func encodeBinChangeList(rep *reply, changes []Change, next uint64, lease bool) []byte {
 	b := []byte{binUDDIVersion, binUDDIChanges}
+	if lease {
+		b[1] = binUDDIReplChange
+	}
 	b = binary.AppendUvarint(b, next)
-	if resync {
+	if rep.resync {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	b = binary.AppendUvarint(b, epoch)
+	b = binary.AppendUvarint(b, rep.epoch)
+	if lease {
+		b = appendWALString(b, rep.leader)
+	}
 	b = binary.AppendUvarint(b, uint64(len(changes)))
 	for i := range changes {
 		c := &changes[i]
 		b = binary.AppendUvarint(b, c.Seq)
 		b = append(b, changeOpWAL(c.Op))
+		if lease {
+			var expMS uint64
+			if !c.Expires.IsZero() {
+				expMS = uint64(c.Expires.UnixMilli())
+			}
+			b = binary.AppendUvarint(b, expMS)
+		}
 		b = appendBinEntry(b, &c.Entry)
 	}
 	return b
@@ -259,31 +288,6 @@ func encodeBinError(code, info string) []byte {
 	b := []byte{binUDDIVersion, binUDDIError}
 	b = appendWALString(b, code)
 	return appendWALString(b, info)
-}
-
-func encodeBinReplChanges(rc ReplChanges) []byte {
-	b := []byte{binUDDIVersion, binUDDIReplChange}
-	b = binary.AppendUvarint(b, rc.Next)
-	if rc.Resync {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.AppendUvarint(b, rc.Epoch)
-	b = appendWALString(b, rc.Leader)
-	b = binary.AppendUvarint(b, uint64(len(rc.Changes)))
-	for i := range rc.Changes {
-		c := &rc.Changes[i]
-		b = binary.AppendUvarint(b, c.Seq)
-		b = append(b, changeOpWAL(c.Op))
-		var expMS uint64
-		if !c.Expires.IsZero() {
-			expMS = uint64(c.Expires.UnixMilli())
-		}
-		b = binary.AppendUvarint(b, expMS)
-		b = appendBinEntry(b, &c.Entry)
-	}
-	return b
 }
 
 func encodeBinReplStatus(st ReplStatus) []byte {
@@ -343,16 +347,12 @@ func decodeBinReplyTo(req *request, data []byte) (rep reply, err error) {
 		rep.keys, err = decodeBinKeys(data)
 	case opFind, opGet:
 		rep.entries, rep.seq, err = decodeBinEntries(data)
-	case opWatch:
-		rep.changes, rep.next, rep.epoch, rep.resync, err = decodeBinChanges(data)
+	case opWatch, opReplWatch:
+		rep, err = decodeBinChangeList(data, req.op == opReplWatch)
 	case opPage:
 		rep.page, err = decodeBinPage(data)
 	case opReplStatus:
 		rep.status, err = decodeBinReplStatus(data)
-	case opReplWatch:
-		var rc ReplChanges
-		rc, err = decodeBinReplChanges(data)
-		rep = reply{changes: rc.Changes, next: rc.Next, resync: rc.Resync, epoch: rc.Epoch, leader: rc.Leader}
 	}
 	if err != nil {
 		return reply{}, err
@@ -407,81 +407,40 @@ func decodeBinReplStatus(data []byte) (ReplStatus, error) {
 	return st, r.err
 }
 
-func decodeBinReplChanges(data []byte) (ReplChanges, error) {
-	r, err := decodeBinReply(data, binUDDIReplChange)
+// decodeBinChangeList parses a watch reply ('C') or, with lease, a
+// replication feed reply ('H').
+func decodeBinChangeList(data []byte, lease bool) (reply, error) {
+	want := byte(binUDDIChanges)
+	if lease {
+		want = binUDDIReplChange
+	}
+	r, err := decodeBinReply(data, want)
 	if err != nil {
-		return ReplChanges{}, err
+		return reply{}, err
 	}
-	var rc ReplChanges
-	rc.Next = r.uvarint()
-	if r.err == nil {
-		if r.off >= len(r.b) {
-			r.err = fmt.Errorf("uddi: truncated repl change list")
-		} else {
-			rc.Resync = r.b[r.off] != 0
-			r.off++
-		}
+	var rep reply
+	rep.next = r.uvarint()
+	rep.resync = r.byte() != 0
+	rep.epoch = r.uvarint()
+	if lease {
+		rep.leader = r.str()
 	}
-	rc.Epoch = r.uvarint()
-	rc.Leader = r.str()
 	n := r.count()
+	for i := 0; i < n && r.err == nil; i++ {
+		c := Change{Seq: r.uvarint()}
+		c.Op = walOpChange(r.byte())
+		if lease {
+			if expMS := r.uvarint(); expMS != 0 {
+				c.Expires = time.UnixMilli(int64(expMS))
+			}
+		}
+		c.Entry = decodeBinEntry(r)
+		rep.changes = append(rep.changes, c)
+	}
 	if r.err != nil {
-		return ReplChanges{}, r.err
+		return reply{}, r.err
 	}
-	for i := 0; i < n; i++ {
-		seq := r.uvarint()
-		if r.err != nil || r.off >= len(r.b) {
-			return ReplChanges{}, fmt.Errorf("uddi: truncated repl change record")
-		}
-		op := walOpChange(r.b[r.off])
-		r.off++
-		expMS := r.uvarint()
-		e := decodeBinEntry(r)
-		if r.err != nil {
-			return ReplChanges{}, r.err
-		}
-		c := Change{Seq: seq, Op: op, Entry: e}
-		if expMS != 0 {
-			c.Expires = time.UnixMilli(int64(expMS))
-		}
-		rc.Changes = append(rc.Changes, c)
-	}
-	return rc, nil
-}
-
-func decodeBinChanges(data []byte) (changes []Change, next, epoch uint64, resync bool, err error) {
-	r, err := decodeBinReply(data, binUDDIChanges)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	next = r.uvarint()
-	if r.err == nil {
-		if r.off >= len(r.b) {
-			r.err = fmt.Errorf("uddi: truncated change list")
-		} else {
-			resync = r.b[r.off] != 0
-			r.off++
-		}
-	}
-	epoch = r.uvarint()
-	n := r.count()
-	if r.err != nil {
-		return nil, 0, 0, false, r.err
-	}
-	for i := 0; i < n; i++ {
-		seq := r.uvarint()
-		if r.err != nil || r.off >= len(r.b) {
-			return nil, 0, 0, false, fmt.Errorf("uddi: truncated change record")
-		}
-		op := walOpChange(r.b[r.off])
-		r.off++
-		e := decodeBinEntry(r)
-		if r.err != nil {
-			return nil, 0, 0, false, r.err
-		}
-		changes = append(changes, Change{Seq: seq, Op: op, Entry: e})
-	}
-	return changes, next, epoch, resync, nil
+	return rep, nil
 }
 
 // --- server face ---------------------------------------------------------
@@ -575,13 +534,9 @@ func (s *Server) encodeBinReply(req *request, rep *reply) *transport.BinResponse
 		body = encodeBinKeys(rep.keys)
 	case opFind, opGet:
 		body = encodeBinEntries(rep.seq, rep.entries)
-	case opWatch:
+	case opWatch, opReplWatch:
 		changes, next := cutChanges(rep)
-		body = encodeBinChanges(changes, next, rep.epoch, rep.resync)
-	case opReplWatch:
-		changes, next := cutChanges(rep)
-		body = encodeBinReplChanges(ReplChanges{Changes: changes, Next: next,
-			Resync: rep.resync, Epoch: rep.epoch, Leader: rep.leader})
+		body = encodeBinChangeList(rep, changes, next, req.op == opReplWatch)
 	case opReplStatus:
 		body = encodeBinReplStatus(rep.status)
 	case opPage:

@@ -49,6 +49,18 @@ func binServe(s *Server, opts Face, caller string, req []byte) *transport.BinRes
 		&transport.BinRequest{Path: "/uddi", ContentType: BinContentType, Body: req})
 }
 
+// decodeBinChanges decodes a binary watch reply.
+func decodeBinChanges(b []byte) (changes []Change, next, epoch uint64, resync bool, err error) {
+	rep, err := decodeBinChangeList(b, false)
+	return rep.changes, rep.next, rep.epoch, rep.resync, err
+}
+
+// decodeBinReplChanges decodes a binary replication feed reply.
+func decodeBinReplChanges(b []byte) (ReplChanges, error) {
+	rep, err := decodeBinChangeList(b, true)
+	return ReplChanges{Changes: rep.changes, Next: rep.next, Resync: rep.resync, Epoch: rep.epoch, Leader: rep.leader}, err
+}
+
 // peerFace is the read-only face behind view, as a mounted peering is.
 func peerFace(view View) Face {
 	return Face{ReadOnly: true, ViewFor: func(string) (View, bool) { return view, true }}

@@ -160,11 +160,7 @@ func decodeBinPage(data []byte) (Page, error) {
 	p.Leader = r.str()
 	p.Boundary = r.uvarint()
 	for r.err == nil {
-		if r.off >= len(r.b) {
-			return Page{}, fmt.Errorf("uddi: truncated page")
-		}
-		flag := r.b[r.off]
-		r.off++
+		flag := r.byte()
 		if flag == 0 {
 			break
 		}

@@ -165,22 +165,21 @@ func (s *Server) writeXMLReply(w http.ResponseWriter, req *request, rep *reply) 
 		for _, e := range rep.entries {
 			entryToXML(xw, e)
 		}
-	case opWatch:
-		frag, next := xmlChanges(rep, encodeChange)
-		xw.Open("changeList",
+	case opWatch, opReplWatch:
+		// A replication feed's replChangeList also carries the leader,
+		// and each replChange its lease deadline.
+		lease := req.op == opReplWatch
+		frag, next := xmlChanges(rep, lease)
+		attrs := []string{
 			"next", strconv.FormatUint(next, 10),
 			"resync", strconv.FormatBool(rep.resync),
 			"epoch", strconv.FormatUint(rep.epoch, 10),
-		)
-		xw.Raw(frag)
-	case opReplWatch:
-		frag, next := xmlChanges(rep, encodeReplChange)
-		xw.Open("replChangeList",
-			"next", strconv.FormatUint(next, 10),
-			"resync", strconv.FormatBool(rep.resync),
-			"epoch", strconv.FormatUint(rep.epoch, 10),
-			"leader", rep.leader,
-		)
+		}
+		if lease {
+			xw.Open("replChangeList", append(attrs, "leader", rep.leader)...)
+		} else {
+			xw.Open("changeList", attrs...)
+		}
 		xw.Raw(frag)
 	case opReplStatus:
 		st := rep.status
@@ -218,13 +217,14 @@ func (s *Server) writeXMLReply(w http.ResponseWriter, req *request, rep *reply) 
 	writeXML(w, xw.Bytes())
 }
 
-// xmlChanges encodes a watch batch's change elements as a fragment,
+// xmlChanges encodes a watch batch's change elements (replChange
+// elements with their lease deadlines, with lease) as a fragment,
 // stopping once it passes pageBytes, and returns it with the cursor to
-// resume from (see reply.batch). encode writes one change element.
-func xmlChanges(rep *reply, encode func(*xmltree.Writer, Change)) ([]byte, uint64) {
+// resume from (see reply.batch).
+func xmlChanges(rep *reply, lease bool) ([]byte, uint64) {
 	var frag xmltree.Writer
 	next := rep.batch(func(c Change) bool {
-		encode(&frag, c)
+		encodeChange(&frag, c, lease)
 		return frag.Len() >= pageBytes
 	})
 	return frag.Bytes(), next
@@ -314,7 +314,8 @@ func (a *xmlAttrs) millis(el *xmltree.Element, name string) time.Time {
 
 // xmlReplyRoots names the response root the client checks for, where
 // one is checked.
-var xmlReplyRoots = map[opKind]string{opReplStatus: "replStatus", opReplWatch: "replChangeList", opPage: "statePage"}
+var xmlReplyRoots = map[opKind]string{opWatch: "changeList", opReplStatus: "replStatus",
+	opReplWatch: "replChangeList", opPage: "statePage"}
 
 // decodeXMLReply decodes the response document to req.
 func decodeXMLReply(req *request, root *xmltree.Element) (rep reply, err error) {
@@ -337,33 +338,19 @@ func decodeXMLReply(req *request, root *xmltree.Element) (rep reply, err error) 
 		if svc := root.Child("service"); svc != nil {
 			rep.entries = []Entry{entryFromXML(svc)}
 		}
-	case opWatch:
-		rep.changes, rep.next, rep.epoch, rep.resync, err = decodeChangeList(root)
+	case opWatch, opReplWatch:
+		rep.next = a.uint(root, "next")
+		rep.resync = root.Attr("resync") == "true"
+		// A change list without an epoch (an older server) reads as
+		// epoch 0 — unknown.
+		if req.op == opReplWatch || root.Attr("epoch") != "" {
+			rep.epoch = a.uint(root, "epoch")
+		}
+		rep.leader = root.Attr("leader")
+		rep.changes, err = decodeChanges(root, &a, req.op == opReplWatch)
 	case opReplStatus:
 		rep.status = ReplStatus{Seq: a.uint(root, "seq"), Epoch: a.uint(root, "epoch"),
 			Leader: root.Attr("leader"), Role: root.Attr("role"), ReplicaOf: root.Attr("replicaOf")}
-	case opReplWatch:
-		rep.next = a.uint(root, "next")
-		rep.resync = root.Attr("resync") == "true"
-		rep.epoch = a.uint(root, "epoch")
-		rep.leader = root.Attr("leader")
-		for _, el := range root.All("replChange") {
-			ch := Change{Seq: a.uint(el, "seq"), Op: ChangeOp(el.Attr("op"))}
-			switch ch.Op {
-			case OpAdd, OpUpdate:
-				ch.Expires = a.millis(el, "expiresms")
-				svc := el.Child("service")
-				if svc == nil {
-					return reply{}, fmt.Errorf("uddi: %s replChange without service", ch.Op)
-				}
-				ch.Entry = entryFromXML(svc)
-			case OpDelete, OpExpire:
-				ch.Entry = Entry{Key: el.Attr("serviceKey"), Name: el.Attr("name")}
-			default:
-				return reply{}, fmt.Errorf("uddi: unknown replChange op %q", el.Attr("op"))
-			}
-			rep.changes = append(rep.changes, ch)
-		}
 	case opPage:
 		p := &rep.page
 		p.Seq, p.Epoch = a.uint(root, "seq"), a.uint(root, "epoch")
@@ -388,87 +375,61 @@ func decodeXMLReply(req *request, root *xmltree.Element) (rep reply, err error) 
 	return rep, nil
 }
 
-// encodeChange writes one change element of a watch response.
-func encodeChange(xw *xmltree.Writer, c Change) {
+// encodeChange writes one change element of a watch response or, with
+// lease, one replChange element of a feed response, which also carries
+// an add or update's lease deadline.
+func encodeChange(xw *xmltree.Writer, c Change, lease bool) {
+	el := "change"
+	if lease {
+		el = "replChange"
+	}
+	seq := strconv.FormatUint(c.Seq, 10)
 	switch c.Op {
 	case OpAdd, OpUpdate:
-		xw.Open("change", "seq", strconv.FormatUint(c.Seq, 10), "op", string(c.Op))
+		if lease {
+			var expMS int64
+			if !c.Expires.IsZero() {
+				expMS = c.Expires.UnixMilli()
+			}
+			xw.Open(el, "seq", seq, "op", string(c.Op), "expiresms", strconv.FormatInt(expMS, 10))
+		} else {
+			xw.Open(el, "seq", seq, "op", string(c.Op))
+		}
 		entryToXML(xw, c.Entry)
 		xw.Close()
 	default:
-		xw.SelfClose("change",
-			"seq", strconv.FormatUint(c.Seq, 10),
-			"op", string(c.Op),
-			"serviceKey", c.Entry.Key,
-			"name", c.Entry.Name,
-		)
+		xw.SelfClose(el, "seq", seq, "op", string(c.Op), "serviceKey", c.Entry.Key, "name", c.Entry.Name)
 	}
 }
 
-// encodeReplChange writes one replChange element: a change with its
-// lease deadline.
-func encodeReplChange(xw *xmltree.Writer, c Change) {
-	switch c.Op {
-	case OpAdd, OpUpdate:
-		var expMS int64
-		if !c.Expires.IsZero() {
-			expMS = c.Expires.UnixMilli()
-		}
-		xw.Open("replChange",
-			"seq", strconv.FormatUint(c.Seq, 10),
-			"op", string(c.Op),
-			"expiresms", strconv.FormatInt(expMS, 10),
-		)
-		entryToXML(xw, c.Entry)
-		xw.Close()
-	default:
-		xw.SelfClose("replChange",
-			"seq", strconv.FormatUint(c.Seq, 10),
-			"op", string(c.Op),
-			"serviceKey", c.Entry.Key,
-			"name", c.Entry.Name,
-		)
+// decodeChanges reads a change list's change elements or, with lease,
+// its replChange elements and their lease deadlines.
+func decodeChanges(root *xmltree.Element, a *xmlAttrs, lease bool) ([]Change, error) {
+	el := "change"
+	if lease {
+		el = "replChange"
 	}
-}
-
-// decodeChangeList parses a watch response. A response without an epoch
-// attribute (an older server) reads as epoch 0 — unknown.
-func decodeChangeList(root *xmltree.Element) (changes []Change, next, epoch uint64, resync bool, err error) {
-	if root.Name.Local != "changeList" {
-		return nil, 0, 0, false, fmt.Errorf("uddi: watch response root %s", root.Name.Local)
-	}
-	next, err = strconv.ParseUint(root.Attr("next"), 10, 64)
-	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("uddi: bad changeList next: %w", err)
-	}
-	if t := root.Attr("epoch"); t != "" {
-		epoch, err = strconv.ParseUint(t, 10, 64)
-		if err != nil {
-			return nil, 0, 0, false, fmt.Errorf("uddi: bad changeList epoch: %w", err)
-		}
-	}
-	resync = root.Attr("resync") == "true"
-	for _, el := range root.All("change") {
-		seq, err := strconv.ParseUint(el.Attr("seq"), 10, 64)
-		if err != nil {
-			return nil, 0, 0, false, fmt.Errorf("uddi: bad change seq: %w", err)
-		}
-		c := Change{Seq: seq, Op: ChangeOp(el.Attr("op"))}
+	var changes []Change
+	for _, ce := range root.All(el) {
+		c := Change{Seq: a.uint(ce, "seq"), Op: ChangeOp(ce.Attr("op"))}
 		switch c.Op {
 		case OpAdd, OpUpdate:
-			svc := el.Child("service")
+			if lease {
+				c.Expires = a.millis(ce, "expiresms")
+			}
+			svc := ce.Child("service")
 			if svc == nil {
-				return nil, 0, 0, false, fmt.Errorf("uddi: %s change without service", c.Op)
+				return nil, fmt.Errorf("uddi: %s %s without service", c.Op, el)
 			}
 			c.Entry = entryFromXML(svc)
 		case OpDelete, OpExpire:
-			c.Entry = Entry{Key: el.Attr("serviceKey"), Name: el.Attr("name")}
+			c.Entry = Entry{Key: ce.Attr("serviceKey"), Name: ce.Attr("name")}
 		default:
-			return nil, 0, 0, false, fmt.Errorf("uddi: unknown change op %q", el.Attr("op"))
+			return nil, fmt.Errorf("uddi: unknown %s op %q", el, ce.Attr("op"))
 		}
 		changes = append(changes, c)
 	}
-	return changes, next, epoch, resync, nil
+	return changes, nil
 }
 
 // entryToXML appends a <service> element for e to the writer.
