@@ -87,8 +87,9 @@ type request struct {
 	after        string        // state_page
 }
 
-// reply is the outcome of one served request. A codec encodes it by the
-// request's op; a refusal sets fail and nothing else.
+// reply is the outcome of one request: what serve hands a codec to
+// encode by the request's op, and what a client decodes from either
+// wire. A refusal sets fail and nothing else.
 type reply struct {
 	fail *failure
 
@@ -96,16 +97,20 @@ type reply struct {
 	seq     uint64   // find: the journal position read before the scan
 	entries []Entry  // find, get: already through the caller's view
 
-	// watch, repl_watch: the journal batch, not yet through view nor cut
-	// to size — each codec cuts by its own encoded bytes (see batch).
+	// watch, repl_watch: the journal batch. Served, it is not yet through
+	// view nor cut to size — each codec cuts by its own encoded bytes
+	// (see batch).
 	changes     []Change
 	next, epoch uint64
 	resync      bool
 	leader      string // repl_watch
-	view        View   // watch and state_page entry filter
-	page        Page   // state_page header; the codec walks the entries
-	after       string // state_page continuation key
-	status      ReplStatus
+	view        View   // served watch and state_page entry filter
+	// page is a state page: served, only the header serve read, for the
+	// codec to walk the entries keyed after `after` into; decoded, the
+	// whole page.
+	page   Page
+	after  string
+	status ReplStatus // repl_status
 }
 
 func refuse(status int, code, info string) reply {

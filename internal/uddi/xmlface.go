@@ -230,10 +230,12 @@ func xmlChanges(rep *reply, lease bool) ([]byte, uint64) {
 	return frag.Bytes(), next
 }
 
-// encodeXMLRequest encodes a request as its XML document.
+// encodeXMLRequest encodes a request as its XML document. Each case
+// opens its element with a constant name: the writer keeps the names it
+// opens, and one holding req.name would move every request a client
+// builds to the heap.
 func encodeXMLRequest(req *request) []byte {
 	w := xmltree.NewWriter()
-	w.Open(req.name)
 	ttl := func() {
 		if req.ttl > 0 {
 			w.Leaf("ttlms", strconv.Itoa(int(req.ttl/time.Millisecond)))
@@ -246,16 +248,23 @@ func encodeXMLRequest(req *request) []byte {
 	}
 	switch req.name {
 	case "save_service":
+		w.Open("save_service")
 		entryToXML(w, req.entries[0])
 		ttl()
 	case "save_services":
+		w.Open("save_services")
 		ttl()
 		for _, e := range req.entries {
 			entryToXML(w, e)
 		}
-	case "delete_service", "get_serviceDetail":
-		w.Leaf("serviceKey", req.key)
+	case "delete_service":
+		w.Open("delete_service").Leaf("serviceKey", req.key)
+	case "get_serviceDetail":
+		w.Open("get_serviceDetail").Leaf("serviceKey", req.key)
+	case "repl_status":
+		w.Open("repl_status")
 	case "find_service":
+		w.Open("find_service")
 		q := req.query
 		if q.Name != "" {
 			w.Leaf("name", q.Name)
@@ -272,16 +281,19 @@ func encodeXMLRequest(req *request) []byte {
 			w.SelfClose("category", "keyName", k, "keyValue", q.Categories[k])
 		}
 	case "watch":
+		w.Open("watch")
 		w.Leaf("since", strconv.FormatUint(req.since, 10))
 		timeout()
 		if req.epoch > 0 {
 			w.Leaf("epoch", strconv.FormatUint(req.epoch, 10))
 		}
 	case "repl_watch":
+		w.Open("repl_watch")
 		w.Leaf("since", strconv.FormatUint(req.since, 10))
 		w.Leaf("epoch", strconv.FormatUint(req.epoch, 10))
 		timeout()
 	case "state_page":
+		w.Open("state_page")
 		w.Leaf("after", req.after)
 		w.Leaf("epoch", strconv.FormatUint(req.epoch, 10))
 	}
@@ -312,16 +324,17 @@ func (a *xmlAttrs) millis(el *xmltree.Element, name string) time.Time {
 	return time.UnixMilli(ms)
 }
 
-// xmlReplyRoots names the response root the client checks for, where
-// one is checked.
-var xmlReplyRoots = map[opKind]string{opWatch: "changeList", opReplStatus: "replStatus",
-	opReplWatch: "replChangeList", opPage: "statePage"}
+// xmlReplyRoots names, per operation whose response root the client
+// checks, the operation and the root it wants.
+var xmlReplyRoots = map[opKind][2]string{opWatch: {"watch", "changeList"},
+	opReplStatus: {"repl_status", "replStatus"}, opReplWatch: {"repl_watch", "replChangeList"},
+	opPage: {"state_page", "statePage"}}
 
 // decodeXMLReply decodes the response document to req.
 func decodeXMLReply(req *request, root *xmltree.Element) (rep reply, err error) {
 	var a xmlAttrs
-	if want := xmlReplyRoots[req.op]; want != "" && root.Name.Local != want {
-		return reply{}, fmt.Errorf("uddi: %s response root %s", req.name, root.Name.Local)
+	if want, ok := xmlReplyRoots[req.op]; ok && root.Name.Local != want[1] {
+		return reply{}, fmt.Errorf("uddi: %s response root %s", want[0], root.Name.Local)
 	}
 	switch req.op {
 	case opSave:
