@@ -604,6 +604,55 @@ func BenchmarkStateTransfer(b *testing.B) {
 	reg.Close()
 }
 
+// BenchmarkGatewayColdStart measures a fresh gateway's first contact
+// with a registry of 256 device entries: start with the watch on, wait
+// for the watch to come up, resolve every service once, close. The
+// gateway grounds its resolve cache from one page walk when the watch
+// comes up, so the resolves are cache hits; inquiries/op counts the
+// registry finds they still cost (256 when every first resolve is a
+// lookup).
+func BenchmarkGatewayColdStart(b *testing.B) {
+	srv, err := vsr.StartServer("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	entries := benchDeviceEntries(b, 256)
+	for _, e := range entries {
+		srv.Registry().Save(e, time.Hour)
+	}
+	ctx := context.Background()
+	coldStart := func() {
+		gw := vsg.New("cold", srv.URL())
+		if err := gw.Start("127.0.0.1:0"); err != nil {
+			b.Fatal(err)
+		}
+		defer gw.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for !gw.Health().WatchActive {
+			if time.Now().After(deadline) {
+				b.Fatal("watch never came up")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		for _, e := range entries {
+			if _, err := gw.Resolve(ctx, e.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	coldStart() // warms the shared transport and the WSDL memo
+	_, before := srv.Registry().Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coldStart()
+	}
+	b.StopTimer()
+	_, after := srv.Registry().Stats()
+	b.ReportMetric(float64(after-before)/float64(b.N), "inquiries/op")
+}
+
 // BenchmarkRegistryFind measures one in-process registry inquiry, the
 // work behind every uncached gateway resolve, at two registry sizes:
 // by service ID (the homeconnect.id category vsr.Lookup sends; one hit)

@@ -352,28 +352,16 @@ func (l *Link) reconcile(ctx context.Context) (seq uint64, ok bool) {
 		return 0, false
 	}
 	l.mu.Unlock()
-	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
 	seen := make(map[string]bool)
-	for after := ""; ; {
-		remotes, next, pseq, err := l.remote.Page(sctx, after)
-		if err != nil {
-			l.mu.Lock()
-			l.st.LastError = err.Error()
-			l.mu.Unlock()
-			return 0, false
-		}
-		if after == "" {
-			seq = pseq
-		}
-		for _, r := range remotes {
-			l.upsert(r)
-			seen[r.Desc.ID] = true
-		}
-		if next == "" {
-			break
-		}
-		after = next
+	seq, err := l.remote.Walk(ctx, func(r vsr.Remote) {
+		l.upsert(r)
+		seen[r.Desc.ID] = true
+	})
+	if err != nil {
+		l.mu.Lock()
+		l.st.LastError = err.Error()
+		l.mu.Unlock()
+		return 0, false
 	}
 	l.mu.Lock()
 	var stale []string

@@ -1,0 +1,207 @@
+package vsg
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"homeconnect/internal/core/vsr"
+	"homeconnect/internal/uddi"
+	"homeconnect/internal/vclock"
+)
+
+// cached reports whether the gateway's resolve cache holds id.
+func cached(g *VSG, id string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, ok := g.resolveCache[id]
+	return ok
+}
+
+// waitCached waits until the gateway's watch has put id in its cache.
+func waitCached(t *testing.T, g *VSG, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cached(g, id) {
+		if time.Now().After(deadline) {
+			t.Fatalf("watch never delivered %s into the resolve cache", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// registerLamps registers n lamps directly with the repository at url.
+func registerLamps(t *testing.T, url string, n int) []string {
+	t.Helper()
+	ids := make([]string, n)
+	regs := make([]vsr.Registration, n)
+	for i := range regs {
+		ids[i] = fmt.Sprintf("jini:lamp-%03d", i)
+		regs[i] = vsr.Registration{Desc: lampDesc(ids[i]), Endpoint: "http://198.51.100.7:1/services/" + ids[i]}
+	}
+	if _, err := vsr.New(url).RegisterAll(context.Background(), regs); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// TestWatchPrimesResolveCache: a gateway started against a registry that
+// already holds N services grounds its cache from the registry's pages
+// when its watch comes up, so resolving every one of them costs no
+// registry inquiry.
+func TestWatchPrimesResolveCache(t *testing.T) {
+	srv, err := vsr.StartServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ids := registerLamps(t, srv.URL(), 64)
+
+	gw := New("net2", srv.URL())
+	if err := gw.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	waitWatchActive(t, gw)
+	_, before := srv.Registry().Stats()
+	for _, id := range ids {
+		r, err := gw.Resolve(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "http://198.51.100.7:1/services/" + id; r.Endpoint != want {
+			t.Fatalf("%s resolved to %q, want %q", id, r.Endpoint, want)
+		}
+	}
+	if _, after := srv.Registry().Stats(); after != before {
+		t.Errorf("resolving %d services after the watch came up cost %d registry inquiries, want 0", len(ids), after-before)
+	}
+}
+
+// manualWatch is a gateway whose watch the test drives round by round,
+// against a repository whose clock and expiry the test controls.
+type manualWatch struct {
+	vc  *vclock.Virtual
+	reg *uddi.Server
+	srv *vsr.Server
+	gw  *VSG
+	f   *vsr.Follower
+}
+
+func newManualWatch(t *testing.T) *manualWatch {
+	t.Helper()
+	vc := vclock.NewVirtual(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
+	reg := uddi.NewManualServer()
+	reg.SetClock(vc.Now)
+	srv, err := vsr.StartServerWith("127.0.0.1:0", reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	gw := New("net2", srv.URL())
+	t.Cleanup(gw.Close)
+	return &manualWatch{vc: vc, reg: reg, srv: srv, gw: gw, f: gw.follower(context.Background())}
+}
+
+// step drives one watch round.
+func (m *manualWatch) step(t *testing.T) {
+	t.Helper()
+	if err := m.f.Step(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// finds is the registry's inquiry count.
+func (m *manualWatch) finds() int64 {
+	_, n := m.reg.Stats()
+	return n
+}
+
+// TestResyncRegroundsFromPages: when the journal skips past the
+// gateway's cursor, the gateway re-grounds its cache from the registry's
+// pages instead of flushing it: a service deleted during the gap is
+// gone, and every other one still resolves with no registry inquiry.
+func TestResyncRegroundsFromPages(t *testing.T) {
+	m := newManualWatch(t)
+	ids := registerLamps(t, m.srv.URL(), 8)
+	m.step(t) // Up: grounded from pages
+	for _, id := range ids {
+		if _, err := m.gw.Resolve(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The gap: the journal keeps two changes, and four happen.
+	m.reg.SetJournalCapacity(2)
+	v := vsr.New(m.srv.URL())
+	if err := v.Unregister(context.Background(), "uuid:svc-"+ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	moved := "http://203.0.113.9:1/services/" + ids[1]
+	for i := 0; i < 3; i++ {
+		if _, err := v.Register(context.Background(), lampDesc(ids[1]), moved); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.step(t)
+	if h := m.gw.Health(); h.WatchResyncs != 1 {
+		t.Fatalf("watch resyncs = %d, want 1", h.WatchResyncs)
+	}
+	if cached(m.gw, ids[0]) {
+		t.Errorf("%s, deleted during the gap, is still cached", ids[0])
+	}
+	before := m.finds()
+	for _, id := range ids[1:] {
+		r, err := m.gw.Resolve(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == ids[1] && r.Endpoint != moved {
+			t.Errorf("%s resolved to %q after re-grounding, want %q", id, r.Endpoint, moved)
+		}
+	}
+	if after := m.finds(); after != before {
+		t.Errorf("resolves after re-grounding cost %d registry inquiries, want 0", after-before)
+	}
+}
+
+// TestDeltaFillsAndEvicts: every add delta puts its service in the
+// cache, whether or not anyone resolved it, and a delete or expire delta
+// takes it out.
+func TestDeltaFillsAndEvicts(t *testing.T) {
+	m := newManualWatch(t)
+	m.step(t) // Up on an empty registry
+	ctx := context.Background()
+	v := vsr.New(m.srv.URL())
+	if _, err := v.Register(ctx, lampDesc("jini:lamp-del"), "http://h/del"); err != nil {
+		t.Fatal(err)
+	}
+	v.SetTTL(time.Second)
+	if _, err := v.Register(ctx, lampDesc("jini:lamp-exp"), "http://h/exp"); err != nil {
+		t.Fatal(err)
+	}
+	m.step(t)
+	for _, id := range []string{"jini:lamp-del", "jini:lamp-exp"} {
+		if !cached(m.gw, id) {
+			t.Fatalf("add delta for %s did not fill the cache", id)
+		}
+	}
+
+	if err := v.Unregister(ctx, "uuid:svc-jini:lamp-del"); err != nil {
+		t.Fatal(err)
+	}
+	m.step(t)
+	if cached(m.gw, "jini:lamp-del") {
+		t.Error("delete delta did not evict")
+	}
+	m.vc.Advance(2 * time.Second)
+	m.reg.Sweep()
+	m.step(t)
+	if cached(m.gw, "jini:lamp-exp") {
+		t.Error("expire delta did not evict")
+	}
+	if h := m.gw.Health(); h.CacheInvalidations != 2 {
+		t.Errorf("cache invalidations = %d, want 2", h.CacheInvalidations)
+	}
+}

@@ -14,8 +14,9 @@
 // Two departures from the paper's poll model keep repository load and
 // staleness independent of call rate: VSR registrations renew in one
 // batched request per refresh interval (RegisterAll), and the resolve
-// cache is driven by the repository's change watch — entries are
-// invalidated or rewritten the moment the VSR journals a change, with the
+// cache is the registry view the repository's change watch maintains —
+// grounded from a page walk on first contact and on resync, then filled,
+// rewritten or evicted the moment the VSR journals a change, with the
 // cache TTL surviving only as the fallback staleness bound while the
 // watch is down (degraded mode, surfaced via Health).
 package vsg
@@ -122,7 +123,9 @@ type VSG struct {
 
 	mu      sync.Mutex
 	exports map[string]*export
-	// resolveCache holds recent VSR lookups; see SetCacheTTL.
+	// resolveCache holds resolutions: every service the watch has
+	// delivered, plus lookups made while it was not yet grounded or was
+	// down; see SetCacheTTL.
 	resolveCache map[string]cachedRemote
 	cacheTTL     time.Duration
 	closed       bool
@@ -151,6 +154,9 @@ type VSG struct {
 	// data would be stale yet never invalidated).
 	changedSeq map[string]uint64
 	cacheGen   uint64
+	// grounded records that a page walk has filled the cache once (see
+	// ground); until then every Up tries again.
+	grounded bool
 
 	// loopbackOff disables in-process dispatch on this (calling) gateway;
 	// atomic because it gates the per-call hot path. The zero value means
@@ -710,26 +716,71 @@ func (g *VSG) RefreshExports(ctx context.Context) error {
 }
 
 // watchLoop consumes the repository's change stream and keeps the resolve
-// cache exact: updates rewrite cached endpoints in place (a re-homed
-// service is callable again as soon as the delta lands), deletions and
-// expiries evict, and a resync or stream outage flushes or demotes the
-// cache to its TTL fallback.
+// cache a view of the registry: on first contact and on every resync the
+// cache is grounded from one page walk, and from then on each add or
+// update stores the service's new resolution (a re-homed service is
+// callable again as soon as the delta lands), deletions and expiries
+// evict, and a stream outage demotes the cache to its TTL fallback.
 func (g *VSG) watchLoop(ctx context.Context) {
 	defer close(g.watchDone)
-	g.vsr.Follow(0, g.applyDelta).Run(ctx)
+	g.follower(ctx).Run(ctx)
+}
+
+// follower returns a follower of the repository journal from its start
+// that feeds applyDelta; its page walks run under ctx.
+func (g *VSG) follower(ctx context.Context) *vsr.Follower {
+	var f *vsr.Follower
+	f = g.vsr.Follow(0, func(d vsr.Delta) { g.applyDelta(ctx, f, d) })
+	return f
 }
 
 // applyDelta folds one repository notification into the gateway's state.
-func (g *VSG) applyDelta(d vsr.Delta) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// It runs on the watch goroutine, so a page walk it starts holds the
+// stream back: no delta is applied until the walk is installed.
+func (g *VSG) applyDelta(ctx context.Context, f *vsr.Follower, d vsr.Delta) {
 	switch d.Op {
 	case vsr.DeltaUp:
+		// Ground only on first contact: a reconnect resumes from the
+		// cursor, and a repository that can no longer serve the missed
+		// span says so with DeltaResync.
+		g.mu.Lock()
+		first := !g.grounded
+		g.mu.Unlock()
+		if first {
+			g.ground(ctx, f)
+		}
+		g.mu.Lock()
 		if !g.watchUp {
 			g.auditEvent(audit.Event{Type: audit.WatchUp, Detail: "repository change stream connected"})
 		}
 		g.watchUp = true
 		g.lastWatchErr = ""
+		g.mu.Unlock()
+		return
+	case vsr.DeltaResync:
+		g.watchResyncs.Add(1)
+		evicted, ok := g.ground(ctx, f)
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		detail := fmt.Sprintf("journal skipped past cursor; resolve cache re-grounded from the repository, %d evicted", evicted)
+		if !ok {
+			// No ground truth: anything cached may be stale, and recorded
+			// fence sequence numbers may come from a previous registry
+			// incarnation (a restarted registry counts from zero again,
+			// which would leave stale fences blocking cache fills).
+			detail = fmt.Sprintf("journal skipped past cursor; %d cached resolutions flushed", len(g.resolveCache))
+			g.invalidations.Add(uint64(len(g.resolveCache)))
+			g.resolveCache = make(map[string]cachedRemote)
+			g.changedSeq = make(map[string]uint64)
+			g.cacheGen++
+		}
+		g.auditEvent(audit.Event{Type: audit.WatchResync, Detail: detail})
+		g.watchUp = true
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	switch d.Op {
 	case vsr.DeltaDown:
 		// Degraded mode: cached entries keep serving, but only within
 		// their TTL — the blind staleness bound the watch normally lifts.
@@ -744,33 +795,16 @@ func (g *VSG) applyDelta(d vsr.Delta) {
 		if d.Err != nil {
 			g.lastWatchErr = d.Err.Error()
 		}
-	case vsr.DeltaResync:
-		g.watchResyncs.Add(1)
-		g.auditEvent(audit.Event{Type: audit.WatchResync,
-			Detail: fmt.Sprintf("journal skipped past cursor; %d cached resolutions flushed", len(g.resolveCache))})
-		// The journal skipped past us; anything cached may be stale, and
-		// recorded fence sequence numbers may come from a previous
-		// registry incarnation (a restarted registry counts from zero
-		// again, which would leave stale fences blocking cache fills).
-		if len(g.resolveCache) > 0 {
-			g.invalidations.Add(uint64(len(g.resolveCache)))
-			g.resolveCache = make(map[string]cachedRemote)
-		}
-		g.changedSeq = make(map[string]uint64)
-		g.cacheGen++
-		g.watchUp = true
 	case vsr.DeltaAdd, vsr.DeltaUpdate:
 		g.watchDeltas.Add(1)
 		g.stampChange(d)
-		// Only rewrite what callers have actually resolved; the cache
-		// tracks this gateway's working set, not the whole federation.
+		if g.cacheTTL <= 0 {
+			return
+		}
 		if _, ok := g.resolveCache[d.ServiceID]; ok {
-			g.resolveCache[d.ServiceID] = cachedRemote{
-				remote:  d.Remote,
-				expires: g.clock.Now().Add(g.cacheTTL),
-			}
 			g.invalidations.Add(1)
 		}
+		g.resolveCache[d.ServiceID] = cachedRemote{remote: d.Remote, expires: g.clock.Now().Add(g.cacheTTL)}
 	case vsr.DeltaDelete, vsr.DeltaExpire:
 		g.watchDeltas.Add(1)
 		g.stampChange(d)
@@ -779,6 +813,44 @@ func (g *VSG) applyDelta(d vsr.Delta) {
 			g.invalidations.Add(1)
 		}
 	}
+}
+
+// ground replaces the resolve cache with the repository's state, read in
+// one page walk (vsr.Walk), and raises the follower to the first page's
+// journal position: the deltas the walk subsumes are then skipped, and
+// those after it replay over the walk in journal order. Lookups already
+// in flight are fenced out, since they may predate what the walk read.
+// It reports how many cached resolutions the walk evicted; ok is false
+// when caching is off or the walk failed, and then nothing changed.
+func (g *VSG) ground(ctx context.Context, f *vsr.Follower) (evicted int, ok bool) {
+	g.mu.Lock()
+	ttl := g.cacheTTL
+	g.mu.Unlock()
+	if ttl <= 0 {
+		return 0, false
+	}
+	view := make(map[string]cachedRemote)
+	expires := g.clock.Now().Add(ttl)
+	seq, err := g.vsr.Walk(ctx, func(r vsr.Remote) {
+		view[r.Desc.ID] = cachedRemote{remote: r, expires: expires}
+	})
+	if err != nil {
+		return 0, false
+	}
+	g.mu.Lock()
+	for id := range g.resolveCache {
+		if _, kept := view[id]; !kept {
+			evicted++
+		}
+	}
+	g.invalidations.Add(uint64(evicted))
+	g.resolveCache = view
+	g.changedSeq = make(map[string]uint64)
+	g.cacheGen++
+	g.grounded = true
+	g.mu.Unlock()
+	f.Raise(seq)
+	return evicted, true
 }
 
 // fencePruneLen and fenceHorizon bound the changedSeq fence map: once it
@@ -807,11 +879,13 @@ func (g *VSG) stampChange(d vsr.Delta) {
 }
 
 // Resolve finds the service with the given federation ID, consulting the
-// resolve cache first. While the repository watch is up, cache hits are
-// served regardless of age — entries are push-invalidated the moment the
-// repository reports a change, so they cannot go stale. When the watch is
-// down (degraded mode, see Health) the entry's TTL is the staleness bound
-// again, as in the paper's poll model.
+// resolve cache first. While the repository watch is up, the cache holds
+// every registration the watch has delivered and hits are served
+// regardless of age — entries are rewritten or evicted the moment the
+// repository reports a change, so they cannot go stale. A miss is one
+// repository inquiry (LookupSeq). When the watch is down (degraded mode,
+// see Health) the entry's TTL is the staleness bound again, as in the
+// paper's poll model.
 func (g *VSG) Resolve(ctx context.Context, serviceID string) (vsr.Remote, error) {
 	g.mu.Lock()
 	if c, ok := g.resolveCache[serviceID]; ok && (g.watchUp || g.clock.Now().Before(c.expires)) {
@@ -1057,8 +1131,8 @@ type Health struct {
 	LastRefreshError string `json:"last_refresh_error,omitempty"`
 	// LastRefreshOK is when a round last re-registered every export.
 	LastRefreshOK time.Time `json:"last_refresh_ok"`
-	// WatchActive reports a live repository change stream: cached
-	// resolutions are push-invalidated and cannot go stale.
+	// WatchActive reports a live repository change stream: the resolve
+	// cache follows it and cannot go stale.
 	WatchActive bool `json:"watch_active"`
 	// LastWatchError is the failure that broke the watch stream, cleared
 	// on recovery.
@@ -1066,12 +1140,14 @@ type Health struct {
 	// WatchDeltas counts change notifications applied since start.
 	WatchDeltas uint64 `json:"watch_deltas"`
 	// CacheInvalidations counts cached resolutions evicted or rewritten
-	// by push notifications since start.
+	// by push notifications or re-groundings since start.
 	CacheInvalidations uint64 `json:"cache_invalidations"`
-	// WatchResyncs counts full cache flushes forced because the
+	// WatchResyncs counts cache re-groundings forced because the
 	// repository journal skipped past this gateway's cursor (overrun, or
-	// a registry that restarted without durable state). A durable
-	// repository restart resumes the cursor and does not bump this.
+	// a registry that restarted without durable state): each reads the
+	// repository's pages again, or flushes the cache if that walk fails.
+	// A durable repository restart resumes the cursor and does not bump
+	// this.
 	WatchResyncs uint64 `json:"watch_resyncs"`
 	// LoopbackCalls counts outbound calls dispatched in-process instead
 	// of over the wire (see SetLoopbackEnabled).

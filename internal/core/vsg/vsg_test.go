@@ -196,18 +196,40 @@ func TestGatewayDownIsUnavailable(t *testing.T) {
 func TestResolveCaching(t *testing.T) {
 	r := newRig(t)
 	ctx := context.Background()
+	// TTL-only mode (watch off): the first resolve is the one inquiry,
+	// the rest are cache hits.
+	gw3 := New("net3", r.srv.URL())
+	gw3.SetWatchEnabled(false)
+	if err := gw3.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw3.Close)
 	if err := r.gw1.Export(ctx, lampDesc("jini:lamp-1"), &fakeLamp{}); err != nil {
 		t.Fatal(err)
 	}
 	_, before := r.srv.Registry().Stats()
 	for i := 0; i < 10; i++ {
-		if _, err := r.gw2.Resolve(ctx, "jini:lamp-1"); err != nil {
+		if _, err := gw3.Resolve(ctx, "jini:lamp-1"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	_, after := r.srv.Registry().Stats()
 	if after-before != 1 {
-		t.Errorf("cached resolves hit the registry %d times", after-before)
+		t.Errorf("TTL-mode cached resolves hit the registry %d times, want 1", after-before)
+	}
+
+	// Watch on: once the watch has delivered the export, the cache
+	// already holds it and no resolve is an inquiry.
+	waitCached(t, r.gw2, "jini:lamp-1")
+	_, before = r.srv.Registry().Stats()
+	for i := 0; i < 10; i++ {
+		if _, err := r.gw2.Resolve(ctx, "jini:lamp-1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, after = r.srv.Registry().Stats()
+	if after-before != 0 {
+		t.Errorf("watch-backed resolves hit the registry %d times, want 0", after-before)
 	}
 
 	// With caching disabled every resolve goes to the repository.

@@ -124,8 +124,12 @@ func (f *Follower) step(ctx context.Context, timeout time.Duration) (resync bool
 		f.apply(Delta{Op: DeltaResync, Seq: next})
 	}
 	for _, c := range changes {
-		d, ok := deltaFromChange(c)
-		if cursor, _ := f.Cursor(); ok && d.Seq > cursor {
+		// The cursor check comes first: after a page walk raised the
+		// cursor, a covered change is dropped without decoding it.
+		if cursor, _ := f.Cursor(); c.Seq <= cursor {
+			continue
+		}
+		if d, ok := deltaFromChange(c); ok {
 			f.apply(d)
 			f.Raise(d.Seq)
 		}

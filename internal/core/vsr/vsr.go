@@ -8,9 +8,10 @@
 //
 // Beyond the paper, the repository is an active component: Watch streams
 // registry changes (add/update/delete/expire deltas) to gateways over a
-// long-poll journal so resolution caches are push-invalidated instead of
-// guessing with a TTL, and RegisterAll renews a gateway's whole export
-// set in one round trip.
+// long-poll journal, so resolution caches are kept current by push
+// instead of guessing with a TTL (Walk grounds them in the registry's
+// state first), and RegisterAll renews a gateway's whole export set in
+// one round trip.
 package vsr
 
 import (
@@ -240,25 +241,39 @@ func (v *VSR) FindSeq(ctx context.Context, q Query) ([]Remote, uint64, error) {
 	return out, seq, nil
 }
 
-// Page returns one key-ordered, byte-bounded page of the repository's
-// services: those keyed after `after` ("" for the first page), the
-// continuation key of the next page ("" after the last), and the journal
-// position the page was read at. A reader that walks every page and then
-// follows the watch from the first page's position converges on the
-// repository's state. Malformed entries are skipped, as in Find.
-func (v *VSR) Page(ctx context.Context, after string) (remotes []Remote, next string, seq uint64, err error) {
-	p, err := v.client.Page(ctx, after, 0)
-	if err != nil {
-		return nil, "", 0, fmt.Errorf("vsr: page: %w", err)
-	}
-	remotes = make([]Remote, 0, len(p.Entries))
-	for _, e := range p.Entries {
-		if r, err := remoteFromEntry(e); err == nil {
-			remotes = append(remotes, r)
+// Walk reads the repository's services in key-ordered, byte-bounded
+// pages and hands each to visit, in key order. It returns the journal
+// position of the first page: every page was read at or after it, so a
+// reader that walks every page and then follows the watch from that
+// position converges on the repository's state. A failed walk returns
+// its error after visiting part of the repository, so nothing it missed
+// may be taken as removed. Malformed entries are skipped, as in Find.
+// The whole walk is bounded by walkTimeout.
+func (v *VSR) Walk(ctx context.Context, visit func(Remote)) (seq uint64, err error) {
+	ctx, cancel := context.WithTimeout(ctx, walkTimeout)
+	defer cancel()
+	for after, first := "", true; ; first = false {
+		p, err := v.client.Page(ctx, after, 0)
+		if err != nil {
+			return 0, fmt.Errorf("vsr: page: %w", err)
 		}
+		if first {
+			seq = p.Seq
+		}
+		for _, e := range p.Entries {
+			if r, err := remoteFromEntry(e); err == nil {
+				visit(r)
+			}
+		}
+		if p.Next == "" {
+			return seq, nil
+		}
+		after = p.Next
 	}
-	return remotes, p.Next, p.Seq, nil
 }
+
+// walkTimeout bounds one Walk of the repository.
+const walkTimeout = 10 * time.Second
 
 // Lookup returns the single service with the given federation ID.
 func (v *VSR) Lookup(ctx context.Context, id string) (Remote, error) {
@@ -296,7 +311,8 @@ const (
 	DeltaExpire DeltaOp = "expire"
 	// DeltaResync: the journal no longer covers the watcher's cursor
 	// (too far behind, or the repository restarted). Consumers must
-	// discard every cached resolution.
+	// re-ground every cached resolution from a snapshot (Walk) or
+	// discard it.
 	DeltaResync DeltaOp = "resync"
 	// DeltaUp: the watch stream is (re)established — change notifications
 	// are flowing and caches may trust push invalidation again.
@@ -370,44 +386,12 @@ func deltaFromChange(c uddi.Change) (Delta, bool) {
 	return d, true
 }
 
-// wsdlParseCache memoizes parsed WSDL documents keyed by the exact
-// document text. Every registration refresh re-journals an identical
-// document, and every watcher of that journal — gateways, peer links,
-// subscribers — parses it again; the cache turns the steady state into
-// a map hit. Cached Documents share their parsed Interface, which all
-// consumers treat as read-only. Bounded by reset rather than eviction:
-// a federation holds few distinct interfaces, so blowing the cap means
-// churn, not a working set worth preserving.
-var (
-	wsdlCacheMu sync.Mutex
-	wsdlCache   = map[string]wsdl.Document{}
-)
-
-const maxWSDLCache = 512
-
-func parseWSDLCached(text string) (wsdl.Document, error) {
-	wsdlCacheMu.Lock()
-	doc, ok := wsdlCache[text]
-	wsdlCacheMu.Unlock()
-	if ok {
-		return doc, nil
-	}
-	doc, err := wsdl.Parse([]byte(text))
-	if err != nil {
-		return wsdl.Document{}, err
-	}
-	wsdlCacheMu.Lock()
-	if len(wsdlCache) >= maxWSDLCache {
-		wsdlCache = make(map[string]wsdl.Document, maxWSDLCache)
-	}
-	wsdlCache[text] = doc
-	wsdlCacheMu.Unlock()
-	return doc, nil
-}
-
 // remoteFromEntry rebuilds the service description from a UDDI entry.
+// The WSDL goes through the process-wide parse memo: every registration
+// refresh re-journals its document, and the services of one interface
+// share a parse whatever their address.
 func remoteFromEntry(e uddi.Entry) (Remote, error) {
-	doc, err := parseWSDLCached(e.WSDL)
+	doc, err := wsdl.ParseShared(e.WSDL)
 	if err != nil {
 		return Remote{}, fmt.Errorf("vsr: entry %s: %w", e.Name, err)
 	}

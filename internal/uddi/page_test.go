@@ -151,9 +151,15 @@ func TestPagedTransferUnderWrites(t *testing.T) {
 				t.Fatal("no write ran during the transfer")
 			}
 
-			// Follow the journal from the first page's position.
+			// Follow the journal from the first page's position. A
+			// cursor that stops advancing fails here, not at the test
+			// binary's timeout.
+			const maxBatches = 500
 			batches := 0
 			for cursor := first.Seq; cursor < leader.Seq(); batches++ {
+				if batches == maxBatches {
+					t.Fatalf("feed still behind after %d batches: cursor %d, leader seq %d", batches, cursor, leader.Seq())
+				}
 				rc, err := wr.watch(cursor, first.Epoch)
 				if err != nil {
 					t.Fatal(err)

@@ -1,0 +1,127 @@
+package wsdl
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"homeconnect/internal/service"
+)
+
+// sameParse fails t unless the memo's parse of text equals an uncached
+// Parse: the same interface, location and error.
+func sameParse(t *testing.T, m *memo, text string) {
+	t.Helper()
+	want, wantErr := Parse([]byte(text))
+	got, gotErr := m.parse(text)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("memo error %v, Parse error %v\ndocument: %q", gotErr, wantErr, text)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("memo parsed %+v, Parse %+v\ndocument: %q", got, want, text)
+	}
+}
+
+// withLocation replaces the value of text's last location attribute.
+func withLocation(text, loc string) string {
+	i := strings.LastIndex(text, locationAttr)
+	if i < 0 {
+		return text
+	}
+	start := i + len(locationAttr)
+	end := strings.IndexByte(text[start:], '"')
+	if end < 0 {
+		return text
+	}
+	return text[:start] + loc + text[start+end:]
+}
+
+func TestMemoSharesOneParsePerInterface(t *testing.T) {
+	var m memo
+	it := vcrInterface()
+	for _, loc := range []string{"http://10.0.0.1:80/services/havi:vcr-1", "http://10.0.0.2:80/services/havi:vcr-2", ""} {
+		doc, err := Generate(it, loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameParse(t, &m, string(doc))
+	}
+	// Two addresses share one entry; the address-less document, which
+	// cannot be split, is memoized whole.
+	if n := len(m.docs); n != 2 {
+		t.Errorf("memo holds %d documents, want 2", n)
+	}
+	a, _ := Generate(it, "http://10.0.0.1:80/a")
+	b, _ := Generate(it, "http://10.0.0.2:80/b")
+	da, _ := m.parse(string(a))
+	db, _ := m.parse(string(b))
+	if da.Location != "http://10.0.0.1:80/a" || db.Location != "http://10.0.0.2:80/b" {
+		t.Errorf("hits returned locations %q and %q", da.Location, db.Location)
+	}
+}
+
+// TestMemoDoesNotAliasLookalikes: text that looks like a location
+// attribute but is not the address must not become the memo's split
+// point, so documents that differ there do not share an entry.
+func TestMemoDoesNotAliasLookalikes(t *testing.T) {
+	var m memo
+	doc, err := Generate(vcrInterface(), "http://10.0.0.1:80/services/havi:vcr-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := string(doc)
+	// A trailing comment whose text resembles a service address: the last
+	// location attribute in the text is now inside the comment.
+	comment := `<!-- <service><port><soap:address location="http://decoy/"/></port></service> -->`
+	lookalike := strings.Replace(plain, "</definitions>", comment+"</definitions>", 1)
+	for _, loc := range []string{"http://decoy/", "http://elsewhere/", "http://10.0.0.1:80/services/havi:vcr-1"} {
+		sameParse(t, &m, withLocation(lookalike, loc))
+	}
+	// Documentation that mentions <service (escaped, as Generate writes
+	// it) changes the interface, so it must not share the plain entry.
+	documented := vcrInterface()
+	documented.Doc = `see <service name="VCR"> and location="http://x/"`
+	for _, it := range []service.Interface{vcrInterface(), documented} {
+		for _, loc := range []string{"http://a/1", "http://b/2"} {
+			d, err := Generate(it, loc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameParse(t, &m, string(d))
+		}
+	}
+	// A location the memo cannot split (an escaped ampersand) parses
+	// exactly as Parse does.
+	sameParse(t, &m, withLocation(plain, "http://h/s?a=1&amp;b=2"))
+}
+
+// FuzzWSDLParse is the memo's differential check: for arbitrary bytes,
+// for the same bytes with their last location value swapped, and for
+// generated documents of an arbitrary interface at arbitrary locations,
+// parsing through one memo must equal an uncached Parse — same
+// interface, same location, same error — whether the memo hits or
+// misses.
+func FuzzWSDLParse(f *testing.F) {
+	vcr, _ := Generate(vcrInterface(), "http://10.0.0.1:80/services/havi:vcr-1")
+	f.Add(vcr, "VCR", "tape deck", "http://a/1", "http://b/2")
+	f.Add([]byte(`<definitions name="X"><portType name="X"/><service><port><address location="u"/></port></service></definitions>`),
+		"Lamp", `<service location="`, "", "http://c/3")
+	f.Fuzz(func(t *testing.T, data []byte, name, doc, loc1, loc2 string) {
+		var m memo
+		text := string(data)
+		for _, d := range []string{text, withLocation(text, loc1), withLocation(text, loc2), text} {
+			sameParse(t, &m, d)
+		}
+		it := service.Interface{Name: name, Doc: doc, Operations: []service.Operation{
+			{Name: "Get", Output: service.KindString, Doc: doc},
+			{Name: "Set", Inputs: []service.Parameter{{Name: "v", Type: service.KindInt}}, Output: service.KindVoid},
+		}}
+		for _, loc := range []string{loc1, loc2, loc1} {
+			g, err := Generate(it, loc)
+			if err != nil {
+				return
+			}
+			sameParse(t, &m, string(g))
+		}
+	})
+}
