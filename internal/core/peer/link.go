@@ -5,6 +5,7 @@ package peer
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -68,8 +69,9 @@ type Link struct {
 	p      *Peering
 	url    string
 	remote *vsr.VSR
-	// follow owns the cursor and feeds apply: Run on a background link,
-	// Pull on a manual one (PeerManual), whose owner drives it.
+	// follow owns the cursor, grounds through Reconcile and feeds apply:
+	// Run on a background link, Pull on a manual one (PeerManual), whose
+	// owner drives it.
 	follow *vsr.Follower
 	ctx    context.Context // cancelled by stop
 	cancel context.CancelFunc
@@ -112,7 +114,7 @@ func newLink(p *Peering, urls []string) *Link {
 		st:       Status{URL: url},
 		imported: make(map[string]string),
 	}
-	l.follow = remote.Follow(0, l.apply)
+	l.follow = remote.Follow(l.Reconcile, l.apply)
 	return l
 }
 
@@ -203,10 +205,9 @@ func (l *Link) refreshInterval() time.Duration {
 }
 
 // apply folds one watch delta into the local registry: the link's
-// policy on top of the follower's mechanism. Up and Resync fold into
-// replication as full reconciliation — on first contact and whenever the
-// remote journal no longer covers the cursor — and change deltas apply
-// incrementally.
+// policy on top of the follower's mechanism. The follower reconciles
+// (Reconcile) before its first round and after every Resync; change
+// deltas apply incrementally.
 func (l *Link) apply(d vsr.Delta) {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -215,7 +216,6 @@ func (l *Link) apply(d vsr.Delta) {
 		l.mu.Lock()
 		wasUp := l.st.Connected
 		remote := l.st.RemoteHome
-		first := l.st.LastSync.IsZero()
 		l.st.Connected = true
 		l.st.Authenticated = l.p.auth.Enabled()
 		l.st.LastError = ""
@@ -227,14 +227,6 @@ func (l *Link) apply(d vsr.Delta) {
 			}
 			l.p.record(audit.Event{Type: audit.PeerConnect, Caller: remote,
 				Detail: l.url + ": " + detail})
-		}
-		// Full reconciliation only on first contact. A *re*connect resumes
-		// incrementally from the cursor: the watch stream replays the
-		// missed span, and a remote that can no longer serve it says so
-		// with DeltaResync. That is what makes a durable peer's restart
-		// invisible here — no snapshot storm, just the journal tail.
-		if first {
-			l.resnap()
 		}
 	case vsr.DeltaDown:
 		l.mu.Lock()
@@ -257,7 +249,6 @@ func (l *Link) apply(d vsr.Delta) {
 		l.mu.Lock()
 		l.st.Resyncs++
 		l.mu.Unlock()
-		l.resnap()
 	case vsr.DeltaAdd, vsr.DeltaUpdate:
 		l.upsert(d.Remote)
 		l.mu.Lock()
@@ -268,14 +259,6 @@ func (l *Link) apply(d vsr.Delta) {
 		l.mu.Lock()
 		l.st.Applied++
 		l.mu.Unlock()
-	}
-}
-
-// resnap reconciles inside the watch callback and raises the cursor to
-// the snapshot's position S, which subsumes every change ≤ S.
-func (l *Link) resnap() {
-	if seq, ok := l.reconcile(l.ctx); ok {
-		l.follow.Raise(seq)
 	}
 }
 
@@ -335,25 +318,31 @@ func (l *Link) drop(remoteID string) {
 	}
 }
 
-// reconcile replaces incremental state with ground truth: a walk over
+// Reconcile replaces incremental state with ground truth: a walk over
 // the remote export face's pages, upserted entry by entry, followed —
 // only after the last page — by the withdrawal of anything imported
-// earlier that no page contained. It runs on connect (the journal may
-// predate us), on resync (the journal skipped past us), and periodically
-// as anti-entropy. It returns the journal position of the first page:
-// every page was read at or after it, so the watch replaying from there
-// converges; ok is false when nothing was reconciled. A walk that fails
-// withdraws nothing: imported entries keep serving until TTL, exactly
-// the degraded mode a broken watch causes. Caller holds syncMu.
-func (l *Link) reconcile(ctx context.Context) (seq uint64, ok bool) {
+// earlier that no page contained. It returns the journal position of
+// the first page, every page having been read at or after it. It is the
+// link's ground function (vsr.Follow): the follower calls it before its
+// first round and on every resync, and resumes after that position; a
+// reconnect resumes from the cursor instead, so a durable peer's restart
+// costs only the journal tail. As anti-entropy — scheduled by the
+// background link, called by a manual link's owner — it leaves the
+// cursor alone: a round in flight may still deliver older deltas, and
+// replaying them in journal order converges on the same state. A walk
+// that fails withdraws nothing: imports keep serving until TTL, the
+// degraded mode a broken watch causes.
+func (l *Link) Reconcile(ctx context.Context) (seq uint64, err error) {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
-		return 0, false
+		return 0, errStopped
 	}
 	l.mu.Unlock()
 	seen := make(map[string]bool)
-	seq, err := l.remote.Walk(ctx, func(r vsr.Remote) {
+	seq, err = l.remote.Walk(ctx, func(r vsr.Remote) {
 		l.upsert(r)
 		seen[r.Desc.ID] = true
 	})
@@ -361,7 +350,7 @@ func (l *Link) reconcile(ctx context.Context) (seq uint64, ok bool) {
 		l.mu.Lock()
 		l.st.LastError = err.Error()
 		l.mu.Unlock()
-		return 0, false
+		return 0, err
 	}
 	l.mu.Lock()
 	var stale []string
@@ -376,19 +365,11 @@ func (l *Link) reconcile(ctx context.Context) (seq uint64, ok bool) {
 	for _, key := range stale {
 		l.p.reg.Delete(key)
 	}
-	return seq, true
+	return seq, nil
 }
 
-// Reconcile runs one anti-entropy snapshot reconciliation (see
-// reconcile); the background link schedules its own, a manual link's
-// owner calls it. It leaves the cursor where it is: a watch round
-// already in flight may still deliver deltas older than the snapshot,
-// and replaying those in journal order converges on the same state.
-func (l *Link) Reconcile(ctx context.Context) {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.reconcile(ctx)
-}
+// errStopped is a replication call on a link the peering has detached.
+var errStopped = errors.New("peer: link stopped")
 
 // Pull drives one synchronous replication round on a manual link: a
 // single immediate watch probe against the remote export face, through

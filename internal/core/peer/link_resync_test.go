@@ -6,8 +6,12 @@
 package peer
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -243,5 +247,58 @@ func TestManualLinkDegradesOnDeadPeer(t *testing.T) {
 	}
 	if st := f.link.Status(); !st.Connected {
 		t.Fatalf("link did not recover: %+v", st)
+	}
+}
+
+// pageCounter fronts an exporter's faces and counts the page requests
+// (state_page) that reach it.
+type pageCounter struct {
+	h     http.Handler
+	pages atomic.Int64
+}
+
+func (c *pageCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if bytes.Contains(body, []byte("<state_page")) {
+		c.pages.Add(1)
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	c.h.ServeHTTP(w, r)
+}
+
+// TestFirstPullOnTrimmedJournalWalksOnce: a manual link's first pull
+// against an exporter whose journal no longer covers seq 0 reconciles
+// once, before its watch round, and that round starts past the walk —
+// not a resync that reconciles a second time.
+func TestFirstPullOnTrimmedJournalWalksOnce(t *testing.T) {
+	f := newMemFixture(t)
+	counter := &pageCounter{h: f.srvB.Handler()}
+	f.net.Handle("home-b", counter)
+	f.regB.SetJournalCapacity(2)
+	ids := []string{"x10:lamp-1", "x10:lamp-2", "x10:lamp-3", "x10:lamp-4", "x10:lamp-5"}
+	for _, id := range ids {
+		f.export(t, id)
+	}
+	if err := f.link.Pull(context.Background()); err != nil {
+		t.Fatalf("pull: %v", err)
+	}
+	st := f.link.Status()
+	if st.Resyncs != 0 || !st.Connected {
+		t.Fatalf("after the first pull: %d resyncs, connected %v; want 0, true", st.Resyncs, st.Connected)
+	}
+	if n := counter.pages.Load(); n != 1 {
+		t.Fatalf("first contact read %d pages, want 1", n)
+	}
+	if st.Cursor != f.regB.Seq() {
+		t.Fatalf("cursor = %d, want %d", st.Cursor, f.regB.Seq())
+	}
+	for _, id := range ids {
+		if !f.imported(t, id) {
+			t.Fatalf("%s not imported after the first pull", id)
+		}
 	}
 }

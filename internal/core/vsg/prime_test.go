@@ -101,7 +101,7 @@ func newManualWatch(t *testing.T) *manualWatch {
 	t.Cleanup(srv.Close)
 	gw := New("net2", srv.URL())
 	t.Cleanup(gw.Close)
-	return &manualWatch{vc: vc, reg: reg, srv: srv, gw: gw, f: gw.follower(context.Background())}
+	return &manualWatch{vc: vc, reg: reg, srv: srv, gw: gw, f: gw.vsr.Follow(gw.ground, gw.applyDelta)}
 }
 
 // step drives one watch round.
@@ -203,5 +203,63 @@ func TestDeltaFillsAndEvicts(t *testing.T) {
 	}
 	if h := m.gw.Health(); h.CacheInvalidations != 2 {
 		t.Errorf("cache invalidations = %d, want 2", h.CacheInvalidations)
+	}
+}
+
+// grounds is the number of times the gateway has grounded its cache.
+func (m *manualWatch) grounds() uint64 {
+	m.gw.mu.Lock()
+	defer m.gw.mu.Unlock()
+	return m.gw.cacheGen
+}
+
+// TestFirstStepOnTrimmedJournalWalksOnce: a gateway meeting a repository
+// whose journal no longer covers seq 0 walks the registry once, before
+// its first round, and that round starts past the walk — not a resync
+// that walks everything a second time.
+func TestFirstStepOnTrimmedJournalWalksOnce(t *testing.T) {
+	m := newManualWatch(t)
+	m.reg.SetJournalCapacity(2)
+	ids := registerLamps(t, m.srv.URL(), 8)
+	m.step(t)
+	if h := m.gw.Health(); h.WatchResyncs != 0 || !h.WatchActive {
+		t.Fatalf("after the first step: %d resyncs, watch active %v; want 0, true", h.WatchResyncs, h.WatchActive)
+	}
+	if n := m.grounds(); n != 1 {
+		t.Fatalf("first contact walked the registry %d times, want 1", n)
+	}
+	for _, id := range ids {
+		if !cached(m.gw, id) {
+			t.Fatalf("%s not cached after the first step", id)
+		}
+	}
+}
+
+// TestFailedWalkFlushesCache: a ground whose walk fails leaves no
+// resolution behind — with no ground truth any of them may be stale —
+// and fences out lookups in flight.
+func TestFailedWalkFlushesCache(t *testing.T) {
+	m := newManualWatch(t)
+	ids := registerLamps(t, m.srv.URL(), 4)
+	m.step(t)
+	if !cached(m.gw, ids[0]) {
+		t.Fatal("walk did not fill the cache")
+	}
+	gen := m.grounds()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.gw.ground(ctx); err == nil {
+		t.Fatal("walk under a cancelled context succeeded")
+	}
+	for _, id := range ids {
+		if cached(m.gw, id) {
+			t.Errorf("%s still cached after a failed walk", id)
+		}
+	}
+	if m.grounds() != gen+1 {
+		t.Errorf("cache generation %d after a failed walk, want %d", m.grounds(), gen+1)
+	}
+	if h := m.gw.Health(); h.CacheInvalidations != uint64(len(ids)) {
+		t.Errorf("cache invalidations = %d, want %d", h.CacheInvalidations, len(ids))
 	}
 }

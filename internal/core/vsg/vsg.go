@@ -15,10 +15,10 @@
 // staleness independent of call rate: VSR registrations renew in one
 // batched request per refresh interval (RegisterAll), and the resolve
 // cache is the registry view the repository's change watch maintains —
-// grounded from a page walk on first contact and on resync, then filled,
-// rewritten or evicted the moment the VSR journals a change, with the
-// cache TTL surviving only as the fallback staleness bound while the
-// watch is down (degraded mode, surfaced via Health).
+// grounded from a page walk before the first watch round and on resync,
+// then filled, rewritten or evicted the moment the VSR journals a change,
+// with the cache TTL surviving only as the fallback staleness bound while
+// the watch is down (degraded mode, surfaced via Health).
 package vsg
 
 import (
@@ -154,9 +154,6 @@ type VSG struct {
 	// data would be stale yet never invalidated).
 	changedSeq map[string]uint64
 	cacheGen   uint64
-	// grounded records that a page walk has filled the cache once (see
-	// ground); until then every Up tries again.
-	grounded bool
 
 	// loopbackOff disables in-process dispatch on this (calling) gateway;
 	// atomic because it gates the per-call hot path. The zero value means
@@ -716,71 +713,33 @@ func (g *VSG) RefreshExports(ctx context.Context) error {
 }
 
 // watchLoop consumes the repository's change stream and keeps the resolve
-// cache a view of the registry: on first contact and on every resync the
-// cache is grounded from one page walk, and from then on each add or
-// update stores the service's new resolution (a re-homed service is
-// callable again as soon as the delta lands), deletions and expiries
+// cache a view of the registry: the follower grounds it from one page
+// walk before its first round and on every resync, and from then on each
+// add or update stores the service's new resolution (a re-homed service
+// is callable again as soon as the delta lands), deletions and expiries
 // evict, and a stream outage demotes the cache to its TTL fallback.
 func (g *VSG) watchLoop(ctx context.Context) {
 	defer close(g.watchDone)
-	g.follower(ctx).Run(ctx)
-}
-
-// follower returns a follower of the repository journal from its start
-// that feeds applyDelta; its page walks run under ctx.
-func (g *VSG) follower(ctx context.Context) *vsr.Follower {
-	var f *vsr.Follower
-	f = g.vsr.Follow(0, func(d vsr.Delta) { g.applyDelta(ctx, f, d) })
-	return f
+	g.vsr.Follow(g.ground, g.applyDelta).Run(ctx)
 }
 
 // applyDelta folds one repository notification into the gateway's state.
-// It runs on the watch goroutine, so a page walk it starts holds the
-// stream back: no delta is applied until the walk is installed.
-func (g *VSG) applyDelta(ctx context.Context, f *vsr.Follower, d vsr.Delta) {
+func (g *VSG) applyDelta(d vsr.Delta) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	switch d.Op {
 	case vsr.DeltaUp:
-		// Ground only on first contact: a reconnect resumes from the
-		// cursor, and a repository that can no longer serve the missed
-		// span says so with DeltaResync.
-		g.mu.Lock()
-		first := !g.grounded
-		g.mu.Unlock()
-		if first {
-			g.ground(ctx, f)
-		}
-		g.mu.Lock()
 		if !g.watchUp {
 			g.auditEvent(audit.Event{Type: audit.WatchUp, Detail: "repository change stream connected"})
 		}
 		g.watchUp = true
 		g.lastWatchErr = ""
-		g.mu.Unlock()
-		return
 	case vsr.DeltaResync:
+		// The follower re-grounds the cache next; a walk that fails
+		// arrives as Down.
 		g.watchResyncs.Add(1)
-		evicted, ok := g.ground(ctx, f)
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		detail := fmt.Sprintf("journal skipped past cursor; resolve cache re-grounded from the repository, %d evicted", evicted)
-		if !ok {
-			// No ground truth: anything cached may be stale, and recorded
-			// fence sequence numbers may come from a previous registry
-			// incarnation (a restarted registry counts from zero again,
-			// which would leave stale fences blocking cache fills).
-			detail = fmt.Sprintf("journal skipped past cursor; %d cached resolutions flushed", len(g.resolveCache))
-			g.invalidations.Add(uint64(len(g.resolveCache)))
-			g.resolveCache = make(map[string]cachedRemote)
-			g.changedSeq = make(map[string]uint64)
-			g.cacheGen++
-		}
-		g.auditEvent(audit.Event{Type: audit.WatchResync, Detail: detail})
-		g.watchUp = true
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	switch d.Op {
+		g.auditEvent(audit.Event{Type: audit.WatchResync,
+			Detail: "journal skipped past cursor; re-grounding the resolve cache from the repository"})
 	case vsr.DeltaDown:
 		// Degraded mode: cached entries keep serving, but only within
 		// their TTL — the blind staleness bound the watch normally lifts.
@@ -815,42 +774,44 @@ func (g *VSG) applyDelta(ctx context.Context, f *vsr.Follower, d vsr.Delta) {
 	}
 }
 
-// ground replaces the resolve cache with the repository's state, read in
-// one page walk (vsr.Walk), and raises the follower to the first page's
-// journal position: the deltas the walk subsumes are then skipped, and
-// those after it replay over the walk in journal order. Lookups already
-// in flight are fenced out, since they may predate what the walk read.
-// It reports how many cached resolutions the walk evicted; ok is false
-// when caching is off or the walk failed, and then nothing changed.
-func (g *VSG) ground(ctx context.Context, f *vsr.Follower) (evicted int, ok bool) {
+// ground is the gateway's ground function (vsr.Follow): it replaces the
+// resolve cache with the repository's state, read in one page walk
+// (vsr.Walk), and returns the walk's journal position. The follower
+// applies no delta while it runs. Lookups already in flight are fenced
+// out, since they may predate what the walk read. A walk that fails
+// flushes the cache instead: with no ground truth anything cached may be
+// stale, and recorded fence sequence numbers may come from a previous
+// registry incarnation (a restarted registry counts from zero again,
+// which would leave stale fences blocking cache fills). With caching
+// off there is nothing to walk for, and the follower follows from the
+// journal's start.
+func (g *VSG) ground(ctx context.Context) (seq uint64, err error) {
 	g.mu.Lock()
 	ttl := g.cacheTTL
 	g.mu.Unlock()
-	if ttl <= 0 {
-		return 0, false
-	}
 	view := make(map[string]cachedRemote)
-	expires := g.clock.Now().Add(ttl)
-	seq, err := g.vsr.Walk(ctx, func(r vsr.Remote) {
-		view[r.Desc.ID] = cachedRemote{remote: r, expires: expires}
-	})
-	if err != nil {
-		return 0, false
+	if ttl > 0 {
+		expires := g.clock.Now().Add(ttl)
+		seq, err = g.vsr.Walk(ctx, func(r vsr.Remote) {
+			view[r.Desc.ID] = cachedRemote{remote: r, expires: expires}
+		})
+		if err != nil {
+			clear(view)
+		}
 	}
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	var evicted uint64
 	for id := range g.resolveCache {
 		if _, kept := view[id]; !kept {
 			evicted++
 		}
 	}
-	g.invalidations.Add(uint64(evicted))
+	g.invalidations.Add(evicted)
 	g.resolveCache = view
 	g.changedSeq = make(map[string]uint64)
 	g.cacheGen++
-	g.grounded = true
-	g.mu.Unlock()
-	f.Raise(seq)
-	return evicted, true
+	return seq, err
 }
 
 // fencePruneLen and fenceHorizon bound the changedSeq fence map: once it

@@ -310,9 +310,9 @@ const (
 	// DeltaExpire: a registration's TTL lapsed (its gateway went silent).
 	DeltaExpire DeltaOp = "expire"
 	// DeltaResync: the journal no longer covers the watcher's cursor
-	// (too far behind, or the repository restarted). Consumers must
-	// re-ground every cached resolution from a snapshot (Walk) or
-	// discard it.
+	// (too far behind, or the repository restarted). The follower calls
+	// its ground function right after delivering it, before any further
+	// change delta.
 	DeltaResync DeltaOp = "resync"
 	// DeltaUp: the watch stream is (re)established — change notifications
 	// are flowing and caches may trust push invalidation again.
@@ -350,7 +350,8 @@ func (v *VSR) Watch(ctx context.Context, since uint64) (<-chan Delta, error) {
 	// The buffer absorbs one round's burst of deltas, so a briefly busy
 	// reader does not hold the next long-poll back.
 	ch := make(chan Delta, 64)
-	f := v.Follow(since, func(d Delta) {
+	from := func(context.Context) (uint64, error) { return since, nil }
+	f := v.Follow(from, func(d Delta) {
 		select {
 		case ch <- d:
 		case <-ctx.Done():

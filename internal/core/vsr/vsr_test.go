@@ -354,7 +354,8 @@ func TestFollowerStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	f := v.Follow(0, func(d Delta) { got = append(got, string(d.Op)+" "+d.ServiceID) })
+	f := v.Follow(func(context.Context) (uint64, error) { return 0, nil },
+		func(d Delta) { got = append(got, string(d.Op)+" "+d.ServiceID) })
 	step := func(wantErr bool) {
 		t.Helper()
 		if err := f.Step(ctx, 0); (err != nil) != wantErr {
@@ -373,7 +374,7 @@ func TestFollowerStep(t *testing.T) {
 	// A snapshot raised the cursor to 2 in epoch 1; then the repository
 	// moves to epoch 2 at seq 1, and its seq 2 is a record the old cursor
 	// never covered.
-	f.Raise(2)
+	f.raise(2)
 	if err := srv.Registry().SetEpoch(2, srv.URL()); err != nil {
 		t.Fatal(err)
 	}

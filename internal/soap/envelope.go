@@ -364,6 +364,11 @@ func DecodeCall(data []byte) (Call, error) {
 		return Call{}, fmt.Errorf("soap: request contains a fault: %w", parseFault(el))
 	}
 	c := Call{Namespace: el.Name.Space, Operation: el.Name.Local}
+	if !xmlSafe(c.Namespace) {
+		// The scanner passes invalid UTF-8 through; a namespace the
+		// encoder could not write back is no service's.
+		return Call{}, fmt.Errorf("soap: operation namespace %q is not XML text", c.Namespace)
+	}
 	if n := len(el.Children); n > 0 {
 		c.Args = make([]Arg, 0, n)
 	}

@@ -60,3 +60,60 @@ func FuzzDecodeBinCall(f *testing.F) {
 		}
 	})
 }
+
+// sameCall reports whether two calls carry the same namespace,
+// operation and arguments (floats compared by bit pattern).
+func sameCall(a, b Call) bool {
+	if a.Namespace != b.Namespace || a.Operation != b.Operation || len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Args {
+		if a.Args[i].Name != b.Args[i].Name || !sameValue(a.Args[i].Value, b.Args[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeEnvelope: the XML envelope decoders read every byte a
+// SOAP/HTTP caller or callee sends. They must never panic, and any call
+// DecodeCall accepts must re-encode and decode to the same call, as
+// FuzzDecodeBinCall holds the binary codec to.
+func FuzzDecodeEnvelope(f *testing.F) {
+	call := Call{Namespace: "urn:homeconnect:svc:havi:vcr-1", Operation: "SetChannel", Args: []Arg{
+		{Name: "channel", Value: service.IntValue(-42)},
+		{Name: "label", Value: service.StringValue("<ch>&\"'")},
+		{Name: "gain", Value: service.FloatValue(0.5)},
+		{Name: "on", Value: service.BoolValue(true)},
+		{Name: "blob", Value: service.BytesValue([]byte{0, 1, 0xff})},
+	}}
+	b, err := EncodeCall(call)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	b, err = EncodeResponse(call.Namespace, "Level", service.IntValue(7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add(EncodeFault(&Fault{Code: "Client", String: "no such operation", Actor: "vsg", Detail: "no_such_operation"}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _, _ = DecodeResponse(data)
+		c, err := DecodeCall(data)
+		if err != nil {
+			return
+		}
+		b, err := EncodeCall(c)
+		if err != nil {
+			t.Fatalf("decoded call %+v does not re-encode: %v", c, err)
+		}
+		c2, err := DecodeCall(b)
+		if err != nil {
+			t.Fatalf("re-encoded call does not decode: %v\n%s", err, b)
+		}
+		if !sameCall(c, c2) {
+			t.Fatalf("round trip changed the call: %+v -> %+v", c, c2)
+		}
+	})
+}

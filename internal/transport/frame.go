@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // BinMagic is the connection preamble a dialer writes before its first
@@ -188,24 +189,29 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame from r into buf (grown as needed), returning
-// the verified payload. The returned slice aliases buf.
+// readFrame reads one frame from r into buf, returning the verified
+// payload. The returned slice aliases buf. A buffer too small for the
+// frame grows as bytes arrive, by at most maxIdleFrameBuf or what it
+// already holds, so a bare header costs what it claims only up to that.
 func readFrame(r io.Reader, buf []byte) (payload, nbuf []byte, err error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	if n > maxBinFrame {
 		return nil, buf, fmt.Errorf("transport: frame length %d exceeds limit", n)
 	}
 	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, buf, err
+	for buf = buf[:0]; len(buf) < n; {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), maxIdleFrameBuf)))
+		}
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return nil, buf, err
+		}
+		buf = buf[:end]
 	}
 	if crc32.ChecksumIEEE(buf) != want {
 		return nil, buf, fmt.Errorf("transport: frame CRC mismatch")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"log"
@@ -95,8 +96,10 @@ func FuzzBinHandler(f *testing.F) {
 // The input becomes a WAL segment (snapshot false) or a snapshot file
 // (snapshot true) after its magic, and the directory is opened. Opening
 // must never panic; a registry that opens must count what it restored
-// consistently under a fixed clock; and no entry may come from a frame
-// whose CRC fails — nor, in a WAL, from any frame after one.
+// consistently under a fixed clock; no entry may come from a frame
+// whose CRC fails — nor, in a WAL, from any frame after one; and the
+// directory that open left behind, reopened twice after a crash, must
+// come back at the same Seq() with the same entries each time.
 func FuzzRecover(f *testing.F) {
 	wal, snap := recoverSeeds(f)
 	f.Add(false, wal)
@@ -112,20 +115,36 @@ func FuzzRecover(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, name), append([]byte(magic), data...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewManualDurableServer(DurabilityOptions{Dir: dir, Fsync: FsyncOff, SnapshotEvery: -1,
-			Clock: func() time.Time { return goldenNow }})
+		open := func() (*Server, error) {
+			return NewManualDurableServer(DurabilityOptions{Dir: dir, Fsync: FsyncOff, SnapshotEvery: -1,
+				Clock: func() time.Time { return goldenNow }})
+		}
+		s, err := open()
 		if err != nil {
 			return
 		}
-		defer s.CrashClose()
 		rec := s.Recovery()
 		if got := s.Len(); rec.Entries-rec.LapsedAtBoot != got {
 			t.Fatalf("recovery restored %d entries, %d lapsed, but Len() = %d", rec.Entries, rec.LapsedAtBoot, got)
 		}
 		frames := crcValidFrames(data, snapshot)
-		for _, e := range s.Find(Query{}) {
+		entries := s.Find(Query{})
+		for _, e := range entries {
 			if !slices.ContainsFunc(frames, func(p []byte) bool { return bytes.Contains(p, []byte(e.Key)) }) {
 				t.Fatalf("entry %q restored from no CRC-valid frame", e.Key)
+			}
+		}
+		seq, want := s.Seq(), fmt.Sprint(entries)
+		s.CrashClose()
+		for i := 1; i <= 2; i++ {
+			s, err := open()
+			if err != nil {
+				t.Fatalf("reopen %d of a directory that opened: %v", i, err)
+			}
+			got, gotSeq := fmt.Sprint(s.Find(Query{})), s.Seq()
+			s.CrashClose()
+			if gotSeq != seq || got != want {
+				t.Fatalf("reopen %d: seq %d, entries %s; first open: seq %d, entries %s", i, gotSeq, got, seq, want)
 			}
 		}
 	})
