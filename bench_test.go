@@ -352,8 +352,8 @@ func BenchmarkLoopbackCall(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if _, out, loop := gw.Stats(); loop == 0 || loop != out {
-		b.Fatalf("loopback hits = %d of %d outbound calls; the fast path was not measured", loop, out)
+	if s := gw.CallStats(); s.Loopback == 0 || s.Loopback != s.Outbound {
+		b.Fatalf("loopback hits = %d of %d outbound calls; the fast path was not measured", s.Loopback, s.Outbound)
 	}
 }
 

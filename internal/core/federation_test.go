@@ -363,8 +363,7 @@ func TestFederationCrossHomeCall(t *testing.T) {
 		t.Fatalf("cross-home call answered %q, want home-a", got.Str())
 	}
 	// The callee gateway counted a wire call, not a loopback dispatch.
-	_, _, loop := b.Network("net").Gateway().Stats()
-	if loop != 0 {
+	if loop := b.Network("net").Gateway().CallStats().Loopback; loop != 0 {
 		t.Errorf("cross-home call used loopback (%d)", loop)
 	}
 	st := b.PeerStatus()

@@ -202,12 +202,12 @@ func TestLoopbackWireAuthEquivalence(t *testing.T) {
 		loopback bool
 	}{{"loopback", true}, {"wire", false}} {
 		gw2.SetLoopbackEnabled(spec.loopback)
-		_, _, before := gw2.Stats()
+		before := gw2.CallStats().Loopback
 		got, err := gw2.CallRemote(ctx, remote, "Where", nil)
 		if err != nil || got.Str() != "at-a" {
 			t.Errorf("%s same-home call = (%v, %v), want at-a", spec.name, got, err)
 		}
-		_, _, after := gw2.Stats()
+		after := gw2.CallStats().Loopback
 		if tookLoopback := after > before; tookLoopback != spec.loopback {
 			t.Errorf("%s call took loopback=%v", spec.name, tookLoopback)
 		}

@@ -90,11 +90,10 @@ func TestCrossHomeCallSkipsLoopback(t *testing.T) {
 	if err != nil || got.Int() != 0 {
 		t.Fatalf("cross-home CallRemote = %v, %v", got, err)
 	}
-	if _, _, loop := gwB.Stats(); loop != 0 {
+	if loop := gwB.CallStats().Loopback; loop != 0 {
 		t.Errorf("cross-home call took loopback (%d loopback calls)", loop)
 	}
-	inA, _, _ := gwA.Stats()
-	if inA != 1 {
+	if inA := gwA.CallStats().Inbound; inA != 1 {
 		t.Errorf("home A gateway inbound = %d, want 1 wire call", inA)
 	}
 
@@ -109,7 +108,7 @@ func TestCrossHomeCallSkipsLoopback(t *testing.T) {
 	if _, err := gwA2.CallRemote(ctx, unscoped, "Level", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, loop := gwA2.Stats(); loop != 1 {
+	if loop := gwA2.CallStats().Loopback; loop != 1 {
 		t.Errorf("same-home call skipped loopback (%d loopback calls)", loop)
 	}
 }

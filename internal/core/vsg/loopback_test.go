@@ -287,7 +287,7 @@ func TestLoopbackWireOversizedEquivalence(t *testing.T) {
 
 	// The big calls must have routed over the wire even with loopback
 	// enabled: only the small one may count as a loopback hit.
-	if _, _, loop := r.gw2.Stats(); loop != 1 {
+	if loop := r.gw2.CallStats().Loopback; loop != 1 {
 		t.Errorf("loopback hits = %d, want 1 (large payloads route to the wire)", loop)
 	}
 }
@@ -335,11 +335,11 @@ func TestLoopbackStatsAndHealth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if in, _, _ := r.gw1.Stats(); in != 3 {
+	if in := r.gw1.CallStats().Inbound; in != 3 {
 		t.Errorf("gw1 inbound = %d, want 3 (loopback must count on the target)", in)
 	}
-	if _, out, loop := r.gw2.Stats(); out != 3 || loop != 3 {
-		t.Errorf("gw2 out=%d loop=%d, want 3/3", out, loop)
+	if s := r.gw2.CallStats(); s.Outbound != 3 || s.Loopback != 3 {
+		t.Errorf("gw2 out=%d loop=%d, want 3/3", s.Outbound, s.Loopback)
 	}
 	if h := r.gw2.Health(); h.LoopbackCalls != 3 {
 		t.Errorf("Health.LoopbackCalls = %d, want 3", h.LoopbackCalls)
@@ -351,10 +351,10 @@ func TestLoopbackStatsAndHealth(t *testing.T) {
 	if _, err := r.gw2.Call(ctx, "bench:echo", "EchoInt", arg); err != nil {
 		t.Fatal(err)
 	}
-	if _, out, loop := r.gw2.Stats(); out != 4 || loop != 3 {
-		t.Errorf("after -no-loopback: out=%d loop=%d, want 4/3", out, loop)
+	if s := r.gw2.CallStats(); s.Outbound != 4 || s.Loopback != 3 {
+		t.Errorf("after -no-loopback: out=%d loop=%d, want 4/3", s.Outbound, s.Loopback)
 	}
-	if in, _, _ := r.gw1.Stats(); in != 4 {
+	if in := r.gw1.CallStats().Inbound; in != 4 {
 		t.Errorf("gw1 inbound = %d, want 4", in)
 	}
 }

@@ -1067,16 +1067,6 @@ func (g *VSG) CallStats() CallStats {
 	}
 }
 
-// Stats returns the gateway's call counters: calls served for remote
-// peers (inbound), calls issued to federation services (outbound), and
-// how many of those outbound calls took the in-process loopback fast
-// path instead of the wire. Thin wrapper over CallStats, kept for the
-// benchmark harness and older callers.
-func (g *VSG) Stats() (inbound, outbound, loopback uint64) {
-	s := g.CallStats()
-	return s.Inbound, s.Outbound, s.Loopback
-}
-
 // Health describes the gateway's repository liaison: the registration-
 // refresh loop and the change watch. A non-zero
 // ConsecutiveRefreshFailures with an aging LastRefreshOK means the VSR is

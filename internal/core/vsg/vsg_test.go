@@ -106,9 +106,8 @@ func TestExportAndLocalCall(t *testing.T) {
 		t.Fatalf("Level = %v, %v", got, err)
 	}
 	// Local calls never touch SOAP.
-	in, out, _ := r.gw1.Stats()
-	if in != 0 || out != 0 {
-		t.Errorf("local call used the wire: in=%d out=%d", in, out)
+	if s := r.gw1.CallStats(); s.Inbound != 0 || s.Outbound != 0 {
+		t.Errorf("local call used the wire: in=%d out=%d", s.Inbound, s.Outbound)
 	}
 }
 
@@ -128,8 +127,7 @@ func TestCrossGatewayCall(t *testing.T) {
 	if err != nil || got.Int() != 7 {
 		t.Fatalf("Level via gw2 = %v, %v", got, err)
 	}
-	in1, _, _ := r.gw1.Stats()
-	_, out2, _ := r.gw2.Stats()
+	in1, out2 := r.gw1.CallStats().Inbound, r.gw2.CallStats().Outbound
 	if in1 != 2 || out2 != 2 {
 		t.Errorf("stats: gw1 in=%d gw2 out=%d, want 2/2", in1, out2)
 	}
@@ -591,10 +589,10 @@ func TestStatsCountCrossGatewayCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if in, _, _ := r.gw1.Stats(); in != 3 {
+	if in := r.gw1.CallStats().Inbound; in != 3 {
 		t.Errorf("gw1 inbound = %d, want 3", in)
 	}
-	if _, out, _ := r.gw2.Stats(); out != 3 {
+	if out := r.gw2.CallStats().Outbound; out != 3 {
 		t.Errorf("gw2 outbound = %d, want 3", out)
 	}
 }
@@ -727,7 +725,7 @@ func TestBinaryFaceRefusesXMLEnvelope(t *testing.T) {
 	if n := lamp.calls.Load(); n != 0 {
 		t.Errorf("inbound handler reached %d times", n)
 	}
-	if in, _, _ := r.gw1.Stats(); in != 0 {
+	if in := r.gw1.CallStats().Inbound; in != 0 {
 		t.Errorf("inbound counter %d, want 0", in)
 	}
 }

@@ -7,6 +7,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -17,6 +18,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -365,8 +367,10 @@ func TestDialerRekeyOnExpiry(t *testing.T) {
 func TestDialerContextCancellationIsNotADowngrade(t *testing.T) {
 	listener := &fakeAuth{home: "listener"}
 	srv := NewBinServer(listener)
+	handlerDone := make(chan struct{}, 1)
 	srv.Handle("/", BinHandlerFunc(func(ctx context.Context, caller string, req *BinRequest) *BinResponse {
-		<-ctx.Done() // hold the request until the caller gives up
+		<-ctx.Done() // hold the request until the server gives up on it
+		handlerDone <- struct{}{}
 		return &BinResponse{Status: 200}
 	}))
 	defer srv.Close()
@@ -387,6 +391,14 @@ func TestDialerContextCancellationIsNotADowngrade(t *testing.T) {
 	// not the link's.
 	if p := d.ProtocolFor("http://" + authority + "/"); p != "binary" {
 		t.Fatalf("protocol after cancellation = %q, want binary", p)
+	}
+	// A socket handler runs under the server's context, so closing the
+	// server ends the request the caller abandoned.
+	srv.Close()
+	select {
+	case <-handlerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler still running after the server closed")
 	}
 }
 
@@ -459,9 +471,9 @@ func TestBinServerRequestBeforeHandshake(t *testing.T) {
 }
 
 // TestLargeExchangeReleasesFrameBuffers: after a 1 MiB request and reply,
-// the next small exchange leaves neither the link (over a connection or
-// an in-process lane) nor the server's connection with a frame buffer
-// larger than maxIdleFrameBuf, and further small frames reuse theirs.
+// the next small exchange leaves neither the link nor its listener side
+// (over a connection or an in-process lane) with a frame buffer larger
+// than maxIdleFrameBuf, and further small frames reuse theirs.
 func TestLargeExchangeReleasesFrameBuffers(t *testing.T) {
 	srv := NewBinServer(&fakeAuth{home: "b"})
 	srv.Handle("/", BinHandlerFunc(func(ctx context.Context, caller string, req *BinRequest) *BinResponse {
@@ -485,11 +497,12 @@ func TestLargeExchangeReleasesFrameBuffers(t *testing.T) {
 	cliEnd, srvEnd := net.Pipe()
 	defer cliEnd.Close()
 	defer srvEnd.Close()
-	c := &srvConn{conn: srvEnd, sess: server}
+	c := &srvConn{sess: server}
+	rd := bufio.NewReaderSize(srvEnd, frameReadBuf)
 	l := &binLink{d: &Dialer{Session: &fakeAuth{home: "a"}}, conn: cliEnd, sess: client}
 	for i, size := range sizes {
 		served := make(chan bool, 1)
-		go func() { served <- srv.serveFrame(context.Background(), c) }()
+		go func() { served <- srv.serveFrame(srvEnd, rd, c) }()
 		body := bytes.Repeat([]byte{0x5A}, size)
 		res, err := l.exchange(context.Background(), "/echo", "application/octet-stream", "", body)
 		if err != nil {
@@ -507,15 +520,149 @@ func TestLargeExchangeReleasesFrameBuffers(t *testing.T) {
 		})
 	}
 
-	lane, err := newLocalLane(&fakeAuth{home: "a"}, srv)
-	if err != nil {
+	ll := &binLink{d: l.d, lane: srv, peer: &srvConn{}}
+	if err := ll.handshake(); err != nil {
 		t.Fatal(err)
 	}
-	ll := &binLink{d: l.d, lane: lane}
 	for i, size := range sizes {
 		if _, err := ll.exchange(context.Background(), "/echo", "application/octet-stream", "", make([]byte, size)); err != nil {
 			t.Fatalf("%d-byte lane exchange: %v", size, err)
 		}
-		check(i, map[string][]byte{"lane enc": lane.enc, "lane frame": lane.frame, "lane read": lane.read})
+		p := ll.peer
+		check(i, map[string][]byte{
+			"lane link buf": ll.buf, "lane link enc": ll.enc, "lane link wbuf": ll.wbuf,
+			"lane peer buf": p.buf, "lane peer out": p.out, "lane peer fbuf": p.fbuf,
+		})
+	}
+}
+
+// replyOf names what a link got back from the listener: the reply op,
+// with the code for an 'E' frame, or "none" when no reply came.
+func replyOf(reply []byte, err error) string {
+	switch {
+	case err != nil:
+		return "none"
+	case len(reply) == 0:
+		return "empty"
+	case reply[0] == opError:
+		code, _, _ := decodeError(reply)
+		return "E " + code
+	}
+	return string(reply[:1])
+}
+
+// TestCarriersAnswerAlike runs each frame-level case over both carriers
+// — a connection served by ServeConn and an in-process lane — and
+// requires the same replies and the same link fate from each: the
+// protocol lives in BinServer.answer and the binLink above roundTrip,
+// whatever moves the frames.
+func TestCarriersAnswerAlike(t *testing.T) {
+	// staleFor makes srv see every session as expired for its next n
+	// requests.
+	staleFor := func(srv *BinServer, n int32) {
+		var left atomic.Int32
+		left.Store(n)
+		srv.setClock(func() time.Time {
+			if left.Add(-1) >= 0 {
+				return time.Now().Add(2 * time.Hour)
+			}
+			return time.Now()
+		})
+	}
+	echo := func(l *binLink) string {
+		res, err := l.exchange(context.Background(), "/x", "text/plain", "", []byte("hi"))
+		if err != nil {
+			return "none"
+		}
+		return fmt.Sprintf("%d %s", res.Status, res.Body)
+	}
+	cases := []struct {
+		name string
+		// handshake opens the link before run.
+		handshake bool
+		run       func(srv *BinServer, l *binLink) string
+		want      string
+		kept      bool
+	}{
+		{name: "request before hello",
+			run: func(srv *BinServer, l *binLink) string {
+				client, _ := sessionPair(time.Hour)
+				return replyOf(l.roundTrip(context.Background(), encodeRequest(nil, client, "/x", "", "", nil)))
+			},
+			want: "E bad"},
+		{name: "hello to a disabled server",
+			run: func(srv *BinServer, l *binLink) string {
+				srv.SetEnabled(false)
+				return replyOf(l.roundTrip(context.Background(), encodeHello([]byte("dialer"))))
+			},
+			want: "E refused"},
+		{name: "expired session rekeys and retries once", handshake: true,
+			run: func(srv *BinServer, l *binLink) string {
+				staleFor(srv, 2)
+				raw := replyOf(l.roundTrip(context.Background(), encodeRequest(nil, l.sess, "/x", "", "", nil)))
+				out := echo(l)
+				return fmt.Sprintf("%s; %s; rekeys=%d", raw, out, l.st.rekeys)
+			},
+			want: "E expired; 200 listener:dialer:hi; rekeys=1", kept: true},
+		{name: "tampered MAC", handshake: true,
+			run: func(srv *BinServer, l *binLink) string {
+				q := encodeRequest(nil, l.sess, "/x", "", "", []byte("hi"))
+				q[len(q)-1] ^= 1
+				return replyOf(l.roundTrip(context.Background(), q))
+			},
+			want: "E bad"},
+		{name: "unknown op", handshake: true,
+			run: func(srv *BinServer, l *binLink) string {
+				return replyOf(l.roundTrip(context.Background(), []byte{'Z'}))
+			},
+			want: "E bad"},
+		{name: "exchange after Close", handshake: true,
+			run: func(srv *BinServer, l *binLink) string {
+				srv.Close()
+				return echo(l)
+			},
+			want: "none"},
+	}
+	carriers := []struct {
+		name string
+		link func(t *testing.T, srv *BinServer, d *Dialer) *binLink
+	}{
+		{"socket", func(t *testing.T, srv *BinServer, d *Dialer) *binLink {
+			cli, sv := net.Pipe()
+			t.Cleanup(func() { cli.Close() })
+			go srv.ServeConn(sv)
+			return &binLink{d: d, st: &linkState{}, conn: cli}
+		}},
+		{"lane", func(t *testing.T, srv *BinServer, d *Dialer) *binLink {
+			return &binLink{d: d, st: &linkState{}, lane: srv, peer: &srvConn{}}
+		}},
+	}
+	for _, tc := range cases {
+		for _, cr := range carriers {
+			t.Run(tc.name+"/"+cr.name, func(t *testing.T) {
+				srv := NewBinServer(&fakeAuth{home: "listener"})
+				srv.Handle("/", BinHandlerFunc(func(ctx context.Context, caller string, req *BinRequest) *BinResponse {
+					return &BinResponse{Status: 200, Body: []byte("listener:" + caller + ":" + string(req.Body))}
+				}))
+				defer srv.Close()
+				d := &Dialer{Session: &fakeAuth{home: "dialer"}, Binary: true}
+				l := cr.link(t, srv, d)
+				defer l.discard()
+				if tc.handshake {
+					if err := l.handshake(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := tc.run(srv, l); got != tc.want {
+					t.Errorf("reply = %q, want %q", got, tc.want)
+				}
+				// The link's fate: a kept link answers a fresh hello, a
+				// dropped one answers nothing.
+				fate := replyOf(l.roundTrip(context.Background(), encodeHello([]byte("dialer"))))
+				if kept := fate == "A"; kept != tc.kept {
+					t.Errorf("after the case the link answers a hello with %q, want kept=%v", fate, tc.kept)
+				}
+			})
+		}
 	}
 }

@@ -18,7 +18,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -63,15 +62,15 @@ func (f BinHandlerFunc) ServeBin(ctx context.Context, caller string, req *BinReq
 	return f(ctx, caller, req)
 }
 
-// errSessionExpired marks a request arriving on a session whose lifetime
-// has elapsed; the dialer answers it by rekeying in place.
-var errSessionExpired = errors.New("transport: session expired")
-
 // BinServer is one endpoint's binary-protocol face.
 type BinServer struct {
 	auth SessionAuth
 	// nowFn is the clock; tests override it to force expiry.
 	nowFn func() time.Time
+	// ctx is what socket handlers run under; Close cancels it, so a
+	// handler still running when the server shuts down is told to end.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	routes   map[string]BinHandler
@@ -86,9 +85,12 @@ func NewBinServer(auth SessionAuth) *BinServer {
 	if auth == nil {
 		auth = Anonymous
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &BinServer{
 		auth:   auth,
 		nowFn:  time.Now,
+		ctx:    ctx,
+		cancel: cancel,
 		routes: make(map[string]BinHandler),
 		conns:  make(map[net.Conn]struct{}),
 	}
@@ -143,46 +145,9 @@ func (s *BinServer) dispatch(ctx context.Context, caller string, q *BinRequest) 
 	return resp
 }
 
-// acceptLocal runs the listener half of a handshake for an in-process
-// lane (see RegisterLocal): real hello/accept blobs, no socket.
-func (s *BinServer) acceptLocal(hello []byte) (accept []byte, sess *Session, err error) {
-	s.mu.Lock()
-	closed, disabled := s.closed, s.disabled
-	s.mu.Unlock()
-	if closed {
-		return nil, nil, fmt.Errorf("transport: binary server closed")
-	}
-	if disabled {
-		return nil, nil, fmt.Errorf("transport: binary protocol disabled on this endpoint")
-	}
-	return s.auth.AcceptSession(hello)
-}
-
-// handleRequest serves one MAC'd 'Q' payload against sess, appending the
-// 'S' payload to dst (a caller-owned scratch buffer reused across
-// frames). An error poisons the lane: stale sessions — expired, or
-// anonymous on a server that has since gained an identity — surface
-// errSessionExpired (the dialer rekeys, or falls back when its new hello
-// is refused), anything else means the frame failed verification and
-// the connection cannot be trusted further.
-func (s *BinServer) handleRequest(ctx context.Context, sess *Session, payload, dst []byte) ([]byte, error) {
-	if sess.stale(s.auth, s.nowFn()) {
-		return nil, errSessionExpired
-	}
-	q, err := decodeRequest(sess, payload)
-	if err != nil {
-		return nil, err
-	}
-	resp := s.dispatch(ctx, sess.Peer, &BinRequest{
-		Path: q.Path, ContentType: q.ContentType, Action: q.Action, Body: q.Body,
-	})
-	return encodeResponse(dst, sess, q.Ctr, resp.Status, resp.ContentType, resp.Body), nil
-}
-
 // ServeConn runs the frame loop for one accepted binary connection; the
-// BinMagic preamble has already been consumed by the demultiplexer. The
-// first frame must be a hello; a hello arriving later rekeys the session
-// in place.
+// BinMagic preamble has already been consumed by the demultiplexer.
+// Handlers run under the server's context, which Close cancels.
 func (s *BinServer) ServeConn(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed {
@@ -199,98 +164,118 @@ func (s *BinServer) ServeConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	c := &srvConn{conn: conn}
-	defer func() {
-		if c.sess != nil {
-			s.auth.NoteSessionEnd(c.sess, false)
-		}
-	}()
-	ctx := context.Background()
-	for s.serveFrame(ctx, c) {
+	c := &srvConn{}
+	defer s.end(c)
+	rd := bufio.NewReaderSize(conn, frameReadBuf)
+	for s.serveFrame(conn, rd, c) {
 	}
 }
 
-// srvConn is one accepted connection's frame-loop state.
+// srvConn is the listener side of one link, a connection or an
+// in-process lane: its session and the frame buffers answer reuses
+// (see maxIdleFrameBuf).
 type srvConn struct {
-	conn net.Conn
-	rd   *bufio.Reader // frames are read through it (see frameReadBuf)
 	sess *Session
-	// buf holds incoming frames, out the encoded response payload, fbuf
-	// the framed response, each reused across frames (see
-	// maxIdleFrameBuf).
+	// buf holds incoming frames, out the encoded reply payload, fbuf
+	// the framed reply.
 	buf, out, fbuf []byte
 }
 
-// serveFrame reads and answers one frame, reporting whether the
-// connection stays up.
-func (s *BinServer) serveFrame(ctx context.Context, c *srvConn) bool {
+// serveFrame reads one frame off a connection and writes its answer,
+// reporting whether the connection stays up.
+func (s *BinServer) serveFrame(conn net.Conn, rd *bufio.Reader, c *srvConn) bool {
 	defer c.releaseBuffers()
-	payload, nbuf, err := readFrame(frameReader(&c.rd, c.conn), c.buf)
+	payload, nbuf, err := readFrame(rd, c.buf)
+	c.buf = nbuf
 	if err != nil {
 		return false
 	}
-	c.buf = nbuf
-	if len(payload) == 0 {
+	reply, keep := s.answer(s.ctx, c, payload)
+	if reply == nil {
 		return false
 	}
-	conn := c.conn
+	_, err = conn.Write(reply)
+	return keep && err == nil
+}
+
+// answer is the listener's half of the protocol, whichever carrier
+// brought the frame: it answers one frame payload on link c with the
+// framed 'A', 'S' or 'E' reply and reports whether the link stays up.
+// The first frame must be a hello; a hello arriving later rekeys the
+// session in place. A stale session — expired, or anonymous on a
+// server that has since gained an identity — gets 'E' expired and keeps
+// the link, so the dialer rekeys (or falls back when its new hello is
+// refused); any other fault means the link cannot be trusted further.
+// A closed server answers nothing and ends the link.
+func (s *BinServer) answer(ctx context.Context, c *srvConn, payload []byte) (reply []byte, keep bool) {
+	s.mu.Lock()
+	closed, disabled := s.closed, s.disabled
+	s.mu.Unlock()
+	if closed || len(payload) == 0 {
+		return nil, false
+	}
 	switch payload[0] {
 	case opHello:
 		blob, err := decodeBlob(payload)
 		if err != nil {
-			writeFrame(conn, encodeError(binErrBad, err.Error()))
-			return false
+			return c.frame(encodeError(binErrBad, err.Error())), false
 		}
-		s.mu.Lock()
-		disabled := s.disabled
-		s.mu.Unlock()
 		if disabled {
-			writeFrame(conn, encodeError(binErrRefused, "transport: binary protocol disabled on this endpoint"))
-			return false
+			return c.frame(encodeError(binErrRefused, "transport: binary protocol disabled on this endpoint")), false
 		}
 		accept, next, err := s.auth.AcceptSession(blob)
 		if err != nil {
-			writeFrame(conn, encodeError(binErrRefused, err.Error()))
-			return false
+			return c.frame(encodeError(binErrRefused, err.Error())), false
 		}
 		if c.sess != nil {
 			s.auth.NoteSessionEnd(c.sess, true)
 		}
 		c.sess = next
-		return writeFrame(conn, encodeAccept(accept)) == nil
+		return c.frame(encodeAccept(accept)), true
 	case opRequest:
 		if c.sess == nil {
-			writeFrame(conn, encodeError(binErrBad, "request before handshake"))
-			return false
+			return c.frame(encodeError(binErrBad, "request before handshake")), false
 		}
-		var err error
-		c.out, err = s.handleRequest(ctx, c.sess, payload, c.out[:0])
-		switch {
-		case errors.Is(err, errSessionExpired):
-			// Tell the dialer to rekey; the connection stays up.
-			return writeFrame(conn, encodeError(binErrExpired, "session expired; rekey")) == nil
-		case err != nil:
-			writeFrame(conn, encodeError(binErrBad, err.Error()))
-			return false
+		if c.sess.stale(s.auth, s.nowFn()) {
+			return c.frame(encodeError(binErrExpired, "session expired; rekey")), true
 		}
-		c.fbuf = appendFrame(c.fbuf[:0], c.out)
-		_, err = conn.Write(c.fbuf)
-		return err == nil
+		q, err := decodeRequest(c.sess, payload)
+		if err != nil {
+			return c.frame(encodeError(binErrBad, err.Error())), false
+		}
+		resp := s.dispatch(ctx, c.sess.Peer, &BinRequest{
+			Path: q.Path, ContentType: q.ContentType, Action: q.Action, Body: q.Body,
+		})
+		c.out = encodeResponse(c.out[:0], c.sess, q.Ctr, resp.Status, resp.ContentType, resp.Body)
+		return c.frame(c.out), true
 	default:
-		writeFrame(conn, encodeError(binErrBad, fmt.Sprintf("unexpected op %q", payload[0])))
-		return false
+		return c.frame(encodeError(binErrBad, fmt.Sprintf("unexpected op %q", payload[0]))), false
 	}
 }
 
+// frame frames a reply payload into c's reply buffer.
+func (c *srvConn) frame(payload []byte) []byte {
+	c.fbuf = appendFrame(c.fbuf[:0], payload)
+	return c.fbuf
+}
+
 // releaseBuffers drops any frame buffer that outgrew its last frame past
-// maxIdleFrameBuf, so a connection does not pin its largest frame.
+// maxIdleFrameBuf, so a link does not pin its largest frame.
 func (c *srvConn) releaseBuffers() {
 	c.buf, c.out, c.fbuf = trimFrameBuf(c.buf), trimFrameBuf(c.out), trimFrameBuf(c.fbuf)
 }
 
-// Close shuts the server: open connections are closed and new ones
-// refused. Registered local lanes fail their next exchange and fall back
-// to SOAP.
+// end closes link c's session as its connection or lane goes away.
+func (s *BinServer) end(c *srvConn) {
+	if c.sess != nil {
+		s.auth.NoteSessionEnd(c.sess, false)
+		c.sess = nil
+	}
+}
+
+// Close shuts the server: open connections are closed, new ones
+// refused, and the context socket handlers run under is cancelled.
+// Registered local lanes fail their next exchange and fall back to SOAP.
 func (s *BinServer) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -298,6 +283,7 @@ func (s *BinServer) Close() {
 		return
 	}
 	s.closed = true
+	s.cancel()
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)

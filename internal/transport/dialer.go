@@ -36,8 +36,13 @@ import (
 // request itself.
 var ErrBinaryUnavailable = errors.New("transport: binary fast path unavailable")
 
-// errLaneClosed marks a local lane whose server has shut down.
+// errLaneClosed marks a local lane whose server has shut down or whose
+// listener side ended the link.
 var errLaneClosed = errors.New("transport: binary lane closed")
+
+// errSessionExpired marks an 'E' expired reply: the listener found the
+// session stale, and the dialer rekeys in place and retries once.
+var errSessionExpired = errors.New("transport: session expired")
 
 // Link modes.
 const (
@@ -322,46 +327,29 @@ func (d *Dialer) acquire(st *linkState, authority string) (*binLink, error) {
 
 // negotiate establishes one new link: the in-process registry first,
 // then — only on the default TCP transport — a dial with the BinMagic
-// preamble and a handshake.
+// preamble. Either way the link opens with a handshake.
 func (d *Dialer) negotiate(st *linkState, authority string) (*binLink, error) {
+	l := &binLink{d: d, st: st}
 	if srv := lookupLocal(authority); srv != nil {
-		lane, err := newLocalLane(d.Session, srv)
+		l.lane, l.peer = srv, &srvConn{}
+	} else if d.Transport != nil {
+		// A custom transport (MemNet) has no socket to dial.
+		return nil, fmt.Errorf("no in-process binary endpoint for %s", authority)
+	} else {
+		conn, err := net.DialTimeout("tcp", authority, binDialTimeout)
 		if err != nil {
 			return nil, err
 		}
-		return &binLink{d: d, st: st, lane: lane}, nil
+		if _, err := conn.Write([]byte(BinMagic)); err != nil {
+			conn.Close()
+			return nil, err
+		}
+		l.conn = conn
 	}
-	if d.Transport != nil {
-		// A custom transport (MemNet) has no socket to dial.
-		return nil, fmt.Errorf("no in-process binary endpoint for %s", authority)
-	}
-	conn, err := net.DialTimeout("tcp", authority, binDialTimeout)
-	if err != nil {
+	if err := l.handshake(); err != nil {
+		l.discard()
 		return nil, err
 	}
-	deadline := time.Now().Add(binDialTimeout)
-	conn.SetDeadline(deadline)
-	hc, err := d.Session.NewSessionClient()
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	hello := appendFrame([]byte(BinMagic), encodeHello(hc.Hello()))
-	if _, err := conn.Write(hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	l := &binLink{d: d, st: st, conn: conn}
-	payload, _, err := readFrame(frameReader(&l.rd, conn), nil)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if l.sess, err = finishAccept(hc, payload); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	conn.SetDeadline(time.Time{})
 	return l, nil
 }
 
@@ -480,22 +468,23 @@ func (d *Dialer) Close() {
 	}
 }
 
-// binLink is one pooled fast-path link: either an in-process lane or a
-// TCP connection with its session. Links are used serially; the pool
-// provides concurrency.
+// binLink is one pooled fast-path link: a session over one carrier,
+// either a TCP connection or an in-process lane (local.go). Links are
+// used serially; the pool provides concurrency.
 type binLink struct {
 	d  *Dialer
 	st *linkState
 
-	// Exactly one of lane / conn is set.
-	lane *localLane
+	// The carrier: conn, or lane with peer, its listener side.
 	conn net.Conn
 	rd   *bufio.Reader // conn's frames are read through it (see frameReadBuf)
-	sess *Session      // TCP-side session (lane keeps its own pair)
+	lane *BinServer
+	peer *srvConn
+	sess *Session
 	// Frame buffers, reused across exchanges (see maxIdleFrameBuf).
-	buf  []byte // readFrame buffer
-	enc  []byte // encoded request payload scratch (conn path)
-	wbuf []byte // framed request scratch (conn path)
+	buf  []byte // reply frame payload
+	enc  []byte // encoded request payload
+	wbuf []byte // framed request
 	// interrupted marks a conn whose cancellation hook ran (or may still
 	// run) after its exchange: its deadline is no longer ours to trust.
 	interrupted bool
@@ -518,41 +507,18 @@ func copyBody(b []byte) []byte {
 func (l *binLink) exchange(ctx context.Context, path, contentType, action string, body []byte) (*BinResult, error) {
 	// Runs after the response body is copied out of the buffers.
 	defer l.releaseBuffers()
-	now := l.d.now()
-	if l.lane != nil {
-		if l.lane.client.stale(l.d.Session, now) {
-			if err := l.lane.rekey(l.d.Session); err != nil {
-				return nil, err
-			}
-			l.d.noteRekey(l.st)
-		}
-		resp, err := l.lane.exchange(ctx, path, contentType, action, body)
-		if errors.Is(err, errSessionExpired) {
-			// Listener clock ran ahead of ours: rekey and retry once.
-			if err := l.lane.rekey(l.d.Session); err != nil {
-				return nil, err
-			}
-			l.d.noteRekey(l.st)
-			resp, err = l.lane.exchange(ctx, path, contentType, action, body)
-		}
-		if err != nil {
+	if l.sess.stale(l.d.Session, l.d.now()) {
+		if err := l.rekey(); err != nil {
 			return nil, err
 		}
-		return &BinResult{Status: resp.Status, ContentType: resp.ContentType, Body: copyBody(resp.Body)}, nil
 	}
-	if l.sess.stale(l.d.Session, now) {
-		if err := l.rekeyConn(); err != nil {
+	resp, err := l.request(ctx, path, contentType, action, body)
+	if errors.Is(err, errSessionExpired) {
+		// Listener clock ran ahead of ours: rekey and retry once.
+		if err := l.rekey(); err != nil {
 			return nil, err
 		}
-		l.d.noteRekey(l.st)
-	}
-	resp, retry, err := l.exchangeConn(ctx, path, contentType, action, body)
-	if retry {
-		if err := l.rekeyConn(); err != nil {
-			return nil, err
-		}
-		l.d.noteRekey(l.st)
-		resp, _, err = l.exchangeConn(ctx, path, contentType, action, body)
+		resp, err = l.request(ctx, path, contentType, action, body)
 	}
 	if err != nil {
 		return nil, err
@@ -560,24 +526,76 @@ func (l *binLink) exchange(ctx context.Context, path, contentType, action string
 	return &BinResult{Status: resp.Status, ContentType: resp.ContentType, Body: copyBody(resp.Body)}, nil
 }
 
-// releaseBuffers drops any frame buffer that outgrew its last frame past
-// maxIdleFrameBuf, so a pooled link does not pin its largest frame.
-func (l *binLink) releaseBuffers() {
-	l.buf, l.enc, l.wbuf = trimFrameBuf(l.buf), trimFrameBuf(l.enc), trimFrameBuf(l.wbuf)
-	if ln := l.lane; ln != nil {
-		ln.enc, ln.frame, ln.read = trimFrameBuf(ln.enc), trimFrameBuf(ln.frame), trimFrameBuf(ln.read)
+// request sends one MAC'd request and verifies its reply. An 'E' expired
+// reply surfaces as errSessionExpired.
+func (l *binLink) request(ctx context.Context, path, contentType, action string, body []byte) (binResponse, error) {
+	ctr := l.sess.peekSendCtr()
+	l.enc = encodeRequest(l.enc[:0], l.sess, path, contentType, action, body)
+	payload, err := l.roundTrip(ctx, l.enc)
+	if err != nil {
+		return binResponse{}, err
 	}
+	if len(payload) > 0 && payload[0] == opError {
+		code, msg, err := decodeError(payload)
+		switch {
+		case err != nil:
+			return binResponse{}, err
+		case code == binErrExpired:
+			return binResponse{}, errSessionExpired
+		}
+		return binResponse{}, fmt.Errorf("transport: peer reported %s: %s", code, msg)
+	}
+	return decodeResponse(l.sess, payload, ctr)
 }
 
-// exchangeConn runs one request over the TCP link. retry reports an 'E'
-// expired reply — the session should be rekeyed and the request re-sent.
-func (l *binLink) exchangeConn(ctx context.Context, path, contentType, action string, body []byte) (resp binResponse, retry bool, err error) {
+// handshake runs one hello/accept exchange, bounded by binDialTimeout,
+// and installs the new session; a session it replaces ends as a rekey.
+func (l *binLink) handshake() error {
+	hc, err := l.d.Session.NewSessionClient()
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), binDialTimeout)
+	defer cancel()
+	payload, err := l.roundTrip(ctx, encodeHello(hc.Hello()))
+	if err != nil {
+		return err
+	}
+	sess, err := finishAccept(hc, payload)
+	if err != nil {
+		return err
+	}
+	if l.sess != nil {
+		l.d.Session.NoteSessionEnd(l.sess, true)
+	}
+	l.sess = sess
+	return nil
+}
+
+// rekey renews the link's session in place and counts it.
+func (l *binLink) rekey() error {
+	if err := l.handshake(); err != nil {
+		return err
+	}
+	l.d.noteRekey(l.st)
+	return nil
+}
+
+// roundTrip frames one payload, carries it to the listener and returns
+// the payload of the reply frame, which aliases l.buf. On a connection
+// the context's deadline and cancellation bound the write and the read;
+// a lane is answered on the caller's goroutine (laneTrip).
+func (l *binLink) roundTrip(ctx context.Context, payload []byte) ([]byte, error) {
+	l.wbuf = appendFrame(l.wbuf[:0], payload)
+	if l.lane != nil {
+		return l.laneTrip(ctx)
+	}
 	if deadline, ok := ctx.Deadline(); ok {
 		l.conn.SetDeadline(deadline)
 		defer l.conn.SetDeadline(time.Time{})
 	}
 	// Interrupt a blocked read or write when ctx is cancelled. If the
-	// hook has already started by the time the exchange is done, it can
+	// hook has already started by the time the round trip is done, it can
 	// land a past deadline after the deferred reset: mark the link instead
 	// of pooling it.
 	if ctx.Done() != nil {
@@ -589,68 +607,33 @@ func (l *binLink) exchangeConn(ctx context.Context, path, contentType, action st
 			}
 		}()
 	}
-	ctr := l.sess.peekSendCtr()
-	l.enc = encodeRequest(l.enc[:0], l.sess, path, contentType, action, body)
-	l.wbuf = appendFrame(l.wbuf[:0], l.enc)
 	if _, err := l.conn.Write(l.wbuf); err != nil {
-		return binResponse{}, false, err
+		return nil, err
 	}
-	payload, nbuf, err := readFrame(frameReader(&l.rd, l.conn), l.buf)
-	if err != nil {
-		return binResponse{}, false, err
-	}
+	reply, nbuf, err := readFrame(frameReader(&l.rd, l.conn), l.buf)
 	l.buf = nbuf
-	if len(payload) > 0 && payload[0] == opError {
-		code, msg, derr := decodeError(payload)
-		if derr != nil {
-			return binResponse{}, false, derr
-		}
-		if code == binErrExpired {
-			return binResponse{}, true, nil
-		}
-		return binResponse{}, false, fmt.Errorf("transport: peer reported %s: %s", code, msg)
-	}
-	resp, err = decodeResponse(l.sess, payload, ctr)
-	return resp, false, err
+	return reply, err
 }
 
-// rekeyConn renews the TCP link's session with an in-place hello.
-func (l *binLink) rekeyConn() error {
-	hc, err := l.d.Session.NewSessionClient()
-	if err != nil {
-		return err
-	}
-	l.conn.SetDeadline(time.Now().Add(binDialTimeout))
-	defer l.conn.SetDeadline(time.Time{})
-	if err := writeFrame(l.conn, encodeHello(hc.Hello())); err != nil {
-		return err
-	}
-	payload, nbuf, err := readFrame(frameReader(&l.rd, l.conn), l.buf)
-	if err != nil {
-		return err
-	}
-	l.buf = nbuf
-	sess, err := finishAccept(hc, payload)
-	if err != nil {
-		return err
-	}
-	l.d.Session.NoteSessionEnd(l.sess, true)
-	l.sess = sess
-	return nil
+// releaseBuffers drops any frame buffer that outgrew its last frame past
+// maxIdleFrameBuf, so a pooled link does not pin its largest frame.
+func (l *binLink) releaseBuffers() {
+	l.buf, l.enc, l.wbuf = trimFrameBuf(l.buf), trimFrameBuf(l.enc), trimFrameBuf(l.wbuf)
 }
 
-// discard closes the link for good.
+// discard closes the link for good, ending its session on both sides: a
+// connection's listener sees it close, a lane's is ended here.
 func (l *binLink) discard() {
-	if l.lane != nil {
-		l.lane.close(l.d.Session)
-		l.lane = nil
-		return
+	if l.sess != nil {
+		l.d.Session.NoteSessionEnd(l.sess, false)
+		l.sess = nil
 	}
 	if l.conn != nil {
-		if l.sess != nil {
-			l.d.Session.NoteSessionEnd(l.sess, false)
-		}
 		l.conn.Close()
 		l.conn = nil
+	}
+	if l.peer != nil {
+		l.lane.end(l.peer)
+		l.peer = nil
 	}
 }

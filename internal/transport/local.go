@@ -2,10 +2,13 @@
 // BinServer living in this same process (the common case for tests,
 // benchmarks, and single-process multi-home deployments — the same
 // situation the gateway's procGateways loopback already exploits), the
-// dialer exchanges real frames — CRC, session MAC, replay counters, the
-// works — through a direct function call instead of a socket. The bytes
-// on the "wire" are identical to the TCP path; only the kernel is
-// skipped.
+// dialer's link carries its frames through a direct function call
+// instead of a socket. The lane only moves frames: the dialer frames its
+// hello or request exactly as for TCP, the listener parses that frame
+// and answers it with the same BinServer.answer a socket's frame loop
+// calls, and the dialer parses the framed reply — CRC, session MAC and
+// replay counters included. The bytes on the "wire" are identical to the
+// TCP path; only the kernel is skipped.
 package transport
 
 import (
@@ -47,99 +50,34 @@ func lookupLocal(authority string) *BinServer {
 	return s
 }
 
-// localLane is one serial request/response lane against an in-process
-// BinServer: a session pair (dialer side + listener side) established by
-// a real handshake. Lanes are pooled per authority exactly like TCP
-// connections.
-type localLane struct {
-	srv    *BinServer
-	client *Session // dialer-side session (MACs requests)
-	server *Session // listener-side session handleRequest verifies with
-
-	// Scratch buffers reused across exchanges — the pooled half of the
-	// pooled framing. A lane is exclusive to one exchange at a time, and
-	// the dialer copies the response body out before releasing it, so
-	// nothing returned to callers aliases these.
-	enc   []byte // encoded request payload, then response payload dst
-	frame []byte // framed bytes "on the wire"
-	read  []byte // readFrame's verified-payload buffer
-}
-
-// newLocalLane runs one in-process handshake.
-func newLocalLane(auth SessionAuth, srv *BinServer) (*localLane, error) {
-	hc, err := auth.NewSessionClient()
-	if err != nil {
-		return nil, err
+// laneTrip carries the framed request in l.wbuf to the lane's server
+// the way a socket would, on the caller's goroutine: the listener parses
+// the frame (CRC included) and answers it under the caller's context,
+// and the reply frame is parsed back the same way. A reply that ends the
+// link ends the lane's listener side, so the next round trip fails as a
+// closed connection's would.
+func (l *binLink) laneTrip(ctx context.Context) ([]byte, error) {
+	p := l.peer
+	if p == nil {
+		return nil, errLaneClosed
 	}
-	accept, ssess, err := srv.acceptLocal(hc.Hello())
-	if err != nil {
-		return nil, err
+	defer p.releaseBuffers()
+	payload, nbuf, err := readFrameBytes(l.wbuf, p.buf)
+	p.buf = nbuf
+	var reply []byte
+	keep := false
+	if err == nil {
+		reply, keep = l.lane.answer(ctx, p, payload)
 	}
-	csess, err := hc.Finish(accept)
-	if err != nil {
-		return nil, err
+	if !keep {
+		l.lane.end(p)
+		l.peer = nil
 	}
-	return &localLane{srv: srv, client: csess, server: ssess}, nil
-}
-
-// exchange runs one request through the lane. The frame bytes produced
-// and parsed are the same the TCP path would carry.
-func (l *localLane) exchange(ctx context.Context, path, contentType, action string, body []byte) (binResponse, error) {
-	l.srv.mu.Lock()
-	closed := l.srv.closed
-	l.srv.mu.Unlock()
-	if closed {
-		return binResponse{}, errLaneClosed
+	if reply == nil {
+		return nil, errLaneClosed
 	}
-	ctr := l.client.peekSendCtr()
-	l.enc = encodeRequest(l.enc[:0], l.client, path, contentType, action, body)
-	l.frame = appendFrame(l.frame[:0], l.enc)
-	// Parse the frame back exactly as a listener would, CRC included.
-	payload, nbuf, err := readFrameBytes(l.frame, l.read)
-	l.read = nbuf
-	if err != nil {
-		return binResponse{}, err
-	}
-	// payload aliases l.read, so l.enc is free to hold the response.
-	out, err := l.srv.handleRequest(ctx, l.server, payload, l.enc[:0])
-	if err != nil {
-		return binResponse{}, err
-	}
-	l.enc = out
-	l.frame = appendFrame(l.frame[:0], out)
-	payload, nbuf, err = readFrameBytes(l.frame, l.read)
-	l.read = nbuf
-	if err != nil {
-		return binResponse{}, err
-	}
-	return decodeResponse(l.client, payload, ctr)
-}
-
-// rekey replaces the lane's session pair with a fresh handshake, ending
-// the old sessions as a rekey on both sides.
-func (l *localLane) rekey(auth SessionAuth) error {
-	hc, err := auth.NewSessionClient()
-	if err != nil {
-		return err
-	}
-	accept, ssess, err := l.srv.acceptLocal(hc.Hello())
-	if err != nil {
-		return err
-	}
-	csess, err := hc.Finish(accept)
-	if err != nil {
-		return err
-	}
-	l.srv.auth.NoteSessionEnd(l.server, true)
-	auth.NoteSessionEnd(l.client, true)
-	l.client, l.server = csess, ssess
-	return nil
-}
-
-// close ends the lane's sessions (connection-going-away semantics).
-func (l *localLane) close(auth SessionAuth) {
-	l.srv.auth.NoteSessionEnd(l.server, false)
-	auth.NoteSessionEnd(l.client, false)
+	payload, l.buf, err = readFrameBytes(reply, l.buf)
+	return payload, err
 }
 
 // readFrameBytes parses one complete frame held in memory, reading the
