@@ -14,6 +14,8 @@ import (
 	"io"
 	"log"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +36,7 @@ import (
 	"homeconnect/internal/soap"
 	"homeconnect/internal/transport"
 	"homeconnect/internal/uddi"
+	"homeconnect/internal/wsdl"
 	"homeconnect/internal/x10"
 )
 
@@ -462,6 +465,76 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.StopTimer()
 	if d := reg.Durability(); d.Appends < uint64(b.N) || d.LastError != "" {
 		b.Fatalf("WAL appended %d of %d saves (last error %q)", d.Appends, b.N, d.LastError)
+	}
+}
+
+// BenchmarkDurableSaveAll measures one bulk registration of 256 device
+// entries (the batch a gateway or perfbench preload sends) on a durable
+// registry, fsync off: the batch is journaled and its WAL frames go to
+// the segment in one write, reported as wal-writes/op (write system
+// calls the process made, read from /proc/self/io where the kernel
+// offers it).
+func BenchmarkDurableSaveAll(b *testing.B) {
+	reg, err := uddi.NewManualDurableServer(uddi.DurabilityOptions{
+		Dir: b.TempDir(), Fsync: uddi.FsyncOff, SnapshotEvery: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(reg.Close)
+	entries := benchDeviceEntries(b, 256)
+	reg.SaveAll(entries, time.Hour)
+	before := reg.Durability().Appends
+	writes0, countWrites := writeSyscalls()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg.SaveAll(entries, time.Hour)
+	}
+	b.StopTimer()
+	writes1, _ := writeSyscalls()
+	if d := reg.Durability(); d.Appends-before != uint64(b.N*len(entries)) || d.LastError != "" {
+		b.Fatalf("WAL appended %d of %d records (last error %q)", d.Appends-before, b.N*len(entries), d.LastError)
+	}
+	if countWrites {
+		b.ReportMetric(float64(writes1-writes0)/float64(b.N), "wal-writes/op")
+	}
+}
+
+// writeSyscalls returns the process's write system call count from
+// /proc/self/io, and false where that file is not offered.
+func writeSyscalls() (uint64, bool) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
+}
+
+// BenchmarkWSDLGenerate renders the WSDL document of one echo service
+// (the perfbench call workload's four-operation interface) at its
+// endpoint: the work behind every registration's description. Services
+// that share an interface share one memoized render, so this is the
+// address element's escape and one copy.
+func BenchmarkWSDLGenerate(b *testing.B) {
+	it := service.Interface{Name: "Echo", Operations: []service.Operation{
+		{Name: "Ping", Output: service.KindVoid},
+		{Name: "EchoInt", Inputs: []service.Parameter{{Name: "v", Type: service.KindInt}}, Output: service.KindInt},
+		{Name: "EchoStr", Inputs: []service.Parameter{{Name: "s", Type: service.KindString}}, Output: service.KindString},
+		{Name: "EchoBytes", Inputs: []service.Parameter{{Name: "b", Type: service.KindBytes}}, Output: service.KindBytes},
+	}}
+	const loc = "http://127.0.0.1:9/services/bench:echo-001"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := wsdl.Generate(it, loc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -487,8 +487,9 @@ func (n *Node) handback(ctx context.Context, leader string, first *uddi.Page, st
 
 // PullOnce runs one feed round against the leader: a repl_watch from the
 // cursor, carrying this node's epoch so a deposed leader fences itself.
-// Changes apply under the leader's sequence numbers; a resync answer
-// (the leader's journal outran us) falls back to a fresh state transfer.
+// Changes apply as one batch under the leader's sequence numbers; a
+// resync answer (the leader's journal outran us) falls back to a fresh
+// state transfer.
 // Returns how many changes were applied.
 func (n *Node) PullOnce(ctx context.Context) (int, error) {
 	if n.IsLeader() {
@@ -542,14 +543,11 @@ func (n *Node) PullOnce(ctx context.Context) (int, error) {
 		}
 		return 0, nil
 	}
-	applied := 0
-	for _, c := range rc.Changes {
-		if err := n.cfg.Registry.ApplyReplicated(c); err != nil {
-			n.fail(err)
-			return applied, err
-		}
-		applied++
+	if err := n.cfg.Registry.ApplyReplicated(rc.Changes...); err != nil {
+		n.fail(err)
+		return 0, err
 	}
+	applied := len(rc.Changes)
 	now := n.cfg.Clock.Now()
 	n.mu.Lock()
 	n.cursor = rc.Next

@@ -109,7 +109,7 @@ func decodeBinEntry(r *walReader) Entry {
 // allocation: it fails the reader and reads as zero.
 func (r *walReader) count() int {
 	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.b)-r.off) {
+	if r.err == nil && n > uint64(r.rest()) {
 		r.err = fmt.Errorf("uddi: count %d exceeds the record", n)
 	}
 	if r.err != nil {
@@ -120,7 +120,7 @@ func (r *walReader) count() int {
 
 // byte reads one byte; reading past the record fails the reader.
 func (r *walReader) byte() byte {
-	if r.err == nil && r.off >= len(r.b) {
+	if r.fill(1); r.err == nil && r.off >= len(r.b) {
 		r.err = fmt.Errorf("uddi: truncated record")
 	}
 	if r.err != nil {

@@ -254,9 +254,7 @@ func (st *Staging) Install(seq, epoch uint64, leader string) error {
 	}
 	// Wholesale swap: every shard locked in index order, then the journal
 	// lock — the same shard → jmu order every mutator uses.
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
+	s.lockShards(allShards)
 	for i := range s.shards {
 		s.shards[i].reset()
 	}
@@ -277,9 +275,7 @@ func (st *Staging) Install(seq, epoch uint64, leader string) error {
 	close(s.wake)
 	s.wake = make(chan struct{})
 	s.jmu.Unlock()
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
+	s.unlockShards(allShards)
 	return err
 }
 

@@ -30,7 +30,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -212,91 +211,68 @@ func (s *Server) walAppendEpochLocked(epoch uint64, leader string) {
 	if w == nil || w.f == nil {
 		return
 	}
-	b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	b = append(b, recVersion, opWALEpoch)
+	b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0, recVersion, opWALEpoch)
 	b = binary.AppendUvarint(b, s.seq)
 	b = binary.AppendUvarint(b, epoch)
 	b = appendWALString(b, leader)
-	w.scratch = b[:0]
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-	n, err := w.f.Write(b)
-	w.off += int64(n)
-	if err != nil {
-		w.lastErr = "append: " + err.Error()
+	sealFrame(b)
+	if !w.write(b) {
 		return
 	}
 	w.appends++
-	w.dirty = true
 	if w.policy != FsyncOff {
-		if err := w.f.Sync(); err != nil {
-			w.lastErr = "fsync: " + err.Error()
-		} else {
-			w.fsyncs++
-			w.dirty = false
+		w.sync()
+	}
+}
+
+// ApplyReplicated applies changes from the leader's feed as one batch
+// (one WAL write, one fsync under FsyncAlways, one watcher wake),
+// preserving the leader's sequence numbers — the invariant that keeps
+// every watcher and importer cursor valid across failover. Duplicate
+// redelivery (a sequence number at or below the local position, or
+// below a change before it) is skipped; a gap in the numbering clears
+// the in-memory journal ring, since Changes() relies on the ring being
+// contiguous, and watchers behind the gap resync. A batch holding an
+// invalid change applies nothing.
+func (s *Server) ApplyReplicated(cs ...Change) error {
+	for _, c := range cs {
+		if c.Seq == 0 {
+			return fmt.Errorf("uddi: replicated change without sequence number")
+		}
+		if c.Entry.Key == "" {
+			return fmt.Errorf("uddi: replicated change %d without service key", c.Seq)
+		}
+		switch c.Op {
+		case OpAdd, OpUpdate, OpDelete, OpExpire:
+		default:
+			return fmt.Errorf("uddi: unknown replicated op %q", c.Op)
 		}
 	}
-}
-
-// ApplyReplicated applies one change from the leader's feed, preserving
-// the leader's sequence number — the invariant that keeps every watcher
-// and importer cursor valid across failover. Duplicate redelivery (a
-// sequence number at or below the local position) is a no-op; a gap in
-// the numbering clears the in-memory journal ring, since Changes() relies
-// on the ring being contiguous, and watchers behind the gap resync.
-func (s *Server) ApplyReplicated(c Change) error {
-	if c.Seq == 0 {
-		return fmt.Errorf("uddi: replicated change without sequence number")
-	}
-	if c.Entry.Key == "" {
-		return fmt.Errorf("uddi: replicated change %d without service key", c.Seq)
-	}
 	// The feed is applied by a single goroutine per replica, so reading
-	// the position outside the shard lock is race-free here.
-	if c.Seq <= s.Seq() {
-		return nil
+	// the position outside the shard locks is race-free here.
+	last := s.Seq()
+	fresh := make([]Change, 0, len(cs))
+	var mask uint16
+	for _, c := range cs {
+		if c.Seq > last {
+			last = c.Seq
+			fresh = append(fresh, c)
+			mask |= 1 << shardIndex(c.Entry.Key)
+		}
 	}
-	sh := s.shardFor(c.Entry.Key)
-	sh.mu.Lock()
-	switch c.Op {
-	case OpAdd, OpUpdate:
-		sh.put(&record{entry: c.Entry.Clone(), expires: c.Expires})
-	case OpDelete, OpExpire:
-		sh.remove(c.Entry.Key)
-	default:
-		sh.mu.Unlock()
-		return fmt.Errorf("uddi: unknown replicated op %q", c.Op)
+	s.lockShards(mask)
+	for _, c := range fresh {
+		idx := shardIndex(c.Entry.Key)
+		if c.Op == OpAdd || c.Op == OpUpdate {
+			s.shards[idx].put(&record{entry: c.Entry.Clone(), expires: c.Expires})
+		} else {
+			s.shards[idx].remove(c.Entry.Key)
+		}
+		s.shardOps[idx].Add(1)
 	}
-	s.shardOps[shardIndex(c.Entry.Key)].Add(1)
-	s.appendReplicated(c)
-	sh.mu.Unlock()
+	s.appendBatch(fresh)
+	s.unlockShards(mask)
 	return nil
-}
-
-// appendReplicated is appendChange under an externally assigned sequence
-// number. Caller holds the shard lock for the change's key.
-func (s *Server) appendReplicated(c Change) {
-	e := c.Entry
-	if c.Op == OpDelete || c.Op == OpExpire {
-		e = Entry{Key: e.Key, Name: e.Name}
-	}
-	s.jmu.Lock()
-	if c.Seq != s.seq+1 {
-		// Non-contiguous feed (the leader's journal outran us and we were
-		// re-grounded mid-stream): the ring's slice math assumes contiguous
-		// numbering, so it must restart at the new position.
-		s.journal = s.journal[:0]
-	}
-	s.seq = c.Seq
-	s.journal = append(s.journal, Change{Seq: c.Seq, Op: c.Op, Entry: e.Clone(), Expires: c.Expires})
-	if len(s.journal) > s.jcap {
-		s.journal = s.journal[len(s.journal)-s.jcap:]
-	}
-	s.walAppend(c.Op, e, c.Expires)
-	close(s.wake)
-	s.wake = make(chan struct{})
-	s.jmu.Unlock()
 }
 
 // walResetLocked discards the entire on-disk history and restarts it at

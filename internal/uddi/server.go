@@ -309,27 +309,70 @@ func (s *Server) JournalStats() (length, capacity int, seq uint64) {
 	return len(s.journal), s.jcap, s.seq
 }
 
-// appendChange journals one mutation, writing it through to the WAL (when
-// durable) before the caller's save/delete returns. expires carries the
-// registration deadline for adds/updates so recovery can re-arm leases
-// with their remaining lifetime; zero for deletes and expiries. Callers
-// hold the shard lock for the change's key, which serializes per-key
-// journal order with map order.
-func (s *Server) appendChange(op ChangeOp, e Entry, expires time.Time) {
-	if op == OpDelete || op == OpExpire {
-		// Invalidation needs identity, not payload; drop the heavy fields.
-		e = Entry{Key: e.Key, Name: e.Name}
+// appendBatch journals cs in order, writes their WAL frames (when
+// durable) with one write, and one fsync under FsyncAlways, then wakes
+// watchers once: the one append path every mutation takes. A change
+// with Seq 0 takes the next sequence number; a replicated change keeps
+// its leader's, and one that does not follow the journal head restarts
+// the ring (see ApplyReplicated). Deletes and expiries journal identity,
+// not payload. Expires carries the registration deadline of adds and
+// updates so recovery can re-arm leases with their remaining lifetime.
+// The caller has installed cs in the shards and holds the shard lock of
+// every key in cs until appendBatch returns, so no reader sees a change
+// before its frame is written and per-key journal order matches map
+// order. appendBatch numbers and trims cs in place.
+func (s *Server) appendBatch(cs []Change) {
+	if len(cs) == 0 {
+		return
 	}
 	s.jmu.Lock()
-	s.seq++
-	s.journal = append(s.journal, Change{Seq: s.seq, Op: op, Entry: e.Clone(), Expires: expires})
+	for i := range cs {
+		c := &cs[i]
+		switch {
+		case c.Seq == 0:
+			c.Seq = s.seq + 1
+		case c.Seq != s.seq+1:
+			// Non-contiguous feed (the leader's journal outran us and we
+			// were re-grounded mid-stream): the ring's slice math assumes
+			// contiguous numbering, so it must restart at the new position.
+			s.journal = s.journal[:0]
+		}
+		s.seq = c.Seq
+		if c.Op == OpDelete || c.Op == OpExpire {
+			// Invalidation needs identity, not payload; drop the heavy fields.
+			c.Entry = Entry{Key: c.Entry.Key, Name: c.Entry.Name}
+		}
+		s.journal = append(s.journal, Change{Seq: c.Seq, Op: c.Op, Entry: c.Entry.Clone(), Expires: c.Expires})
+	}
 	if len(s.journal) > s.jcap {
 		s.journal = s.journal[len(s.journal)-s.jcap:]
 	}
-	s.walAppend(op, e, expires)
+	s.walAppend(cs)
 	close(s.wake)
 	s.wake = make(chan struct{})
 	s.jmu.Unlock()
+}
+
+// allShards is the lockShards mask of every shard.
+const allShards = 1<<numShards - 1
+
+// lockShards write-locks the shards whose bits are set in mask, in
+// index order: the order every multi-shard mutator takes them in.
+func (s *Server) lockShards(mask uint16) {
+	for i := range s.shards {
+		if mask&(1<<i) != 0 {
+			s.shards[i].mu.Lock()
+		}
+	}
+}
+
+// unlockShards releases what lockShards(mask) took.
+func (s *Server) unlockShards(mask uint16) {
+	for i := len(s.shards) - 1; i >= 0; i-- {
+		if mask&(1<<i) != 0 {
+			s.shards[i].mu.Unlock()
+		}
+	}
 }
 
 // janitor deletes lapsed registrations and journals each expiry, so
@@ -356,62 +399,90 @@ func (s *Server) expireSweep() {
 		return
 	}
 	now := s.now()
+	var lapsed []Change
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
+		lapsed = lapsed[:0]
 		for key, rec := range sh.entries {
 			if now.After(rec.expires) {
 				sh.remove(key)
-				s.appendChange(OpExpire, rec.entry, time.Time{})
-				s.auditEvent(audit.Event{Type: audit.Expire, Service: rec.entry.Name,
-					Detail: "registration TTL lapsed (gateway went silent)"})
+				lapsed = append(lapsed, Change{Op: OpExpire, Entry: rec.entry})
 			}
 		}
+		s.appendBatch(lapsed)
 		sh.mu.Unlock()
+		for _, c := range lapsed {
+			s.auditEvent(audit.Event{Type: audit.Expire, Service: c.Entry.Name,
+				Detail: "registration TTL lapsed (gateway went silent)"})
+		}
 	}
 }
 
 // Save registers or replaces an entry with the given TTL and returns its
-// key.
+// key: a batch of one.
 func (s *Server) Save(e Entry, ttl time.Duration) string {
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
-	if e.Key == "" {
-		e.Key = NewKey()
-	}
-	sh := s.shardFor(e.Key)
-	sh.mu.Lock()
-	s.saves.Add(1)
-	s.shardOps[shardIndex(e.Key)].Add(1)
-	op := OpAdd
-	rehomedFrom := ""
-	if old, ok := sh.entries[e.Key]; ok && !s.now().After(old.expires) {
-		op = OpUpdate
-		if old.entry.AccessPoint != e.AccessPoint {
-			rehomedFrom = old.entry.AccessPoint
-		}
-	}
-	deadline := s.now().Add(ttl)
-	sh.put(&record{entry: e.Clone(), expires: deadline})
-	s.appendChange(op, e, deadline)
-	sh.mu.Unlock()
-	if rehomedFrom != "" {
-		s.auditEvent(audit.Event{Type: audit.ReHome, Service: e.Name,
-			Detail: rehomedFrom + " → " + e.AccessPoint})
-	}
-	return e.Key
+	var key [1]string
+	s.save([]Entry{e}, ttl, key[:])
+	return key[0]
 }
 
 // SaveAll registers every entry under one TTL and returns the keys in
 // order — the batched form gateways use to renew all their exports in a
-// single round trip.
+// single round trip. The batch is journaled and written as one: one WAL
+// write, one fsync under FsyncAlways, one watcher wake.
 func (s *Server) SaveAll(entries []Entry, ttl time.Duration) []string {
 	keys := make([]string, len(entries))
-	for i, e := range entries {
-		keys[i] = s.Save(e, ttl)
-	}
+	s.save(entries, ttl, keys)
 	return keys
+}
+
+// save installs entries under one deadline, filling keys (generating
+// those entries lack), and appends them as one batch. It holds the
+// shard locks of every key until the batch is written, so no reader
+// sees an entry before its WAL frame is on the file.
+func (s *Server) save(entries []Entry, ttl time.Duration, keys []string) {
+	if ttl <= 0 {
+		ttl = DefaultTTL
+	}
+	var mask uint16
+	for i := range entries {
+		if keys[i] = entries[i].Key; keys[i] == "" {
+			keys[i] = NewKey()
+		}
+		mask |= 1 << shardIndex(keys[i])
+	}
+	var one [1]Change
+	cs := one[:0]
+	if len(entries) > 1 {
+		cs = make([]Change, 0, len(entries))
+	}
+	var rehomes []audit.Event
+	s.lockShards(mask)
+	now := s.now()
+	deadline := now.Add(ttl)
+	for i, e := range entries {
+		e.Key = keys[i]
+		idx := shardIndex(e.Key)
+		sh := &s.shards[idx]
+		s.saves.Add(1)
+		s.shardOps[idx].Add(1)
+		op := OpAdd
+		if old, ok := sh.entries[e.Key]; ok && !now.After(old.expires) {
+			op = OpUpdate
+			if old.entry.AccessPoint != e.AccessPoint {
+				rehomes = append(rehomes, audit.Event{Type: audit.ReHome, Service: e.Name,
+					Detail: old.entry.AccessPoint + " → " + e.AccessPoint})
+			}
+		}
+		sh.put(&record{entry: e.Clone(), expires: deadline})
+		cs = append(cs, Change{Op: op, Entry: e, Expires: deadline})
+	}
+	s.appendBatch(cs)
+	s.unlockShards(mask)
+	for _, ev := range rehomes {
+		s.auditEvent(ev)
+	}
 }
 
 // Delete removes an entry; deleting an unknown key is not an error,
@@ -421,7 +492,7 @@ func (s *Server) Delete(key string) {
 	sh.mu.Lock()
 	if rec, ok := sh.remove(key); ok {
 		s.shardOps[shardIndex(key)].Add(1)
-		s.appendChange(OpDelete, rec.entry, time.Time{})
+		s.appendBatch([]Change{{Op: OpDelete, Entry: rec.entry}})
 	}
 	sh.mu.Unlock()
 }

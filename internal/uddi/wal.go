@@ -34,9 +34,11 @@ package uddi
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -79,10 +81,18 @@ const (
 	// its file's length instead.
 	maxWALFrame = 4 << 20
 
-	// snapBufSize is the snapshot writer's buffer. Entries stream through
-	// it one at a time, so writing a snapshot takes the same memory at
-	// any registry size.
+	// snapBufSize is the buffer snapshots are written and read through,
+	// and WAL segments read through at boot. Entries stream through it
+	// one at a time, so writing or loading a snapshot takes the same
+	// memory at any registry size (plus, on load, the entries themselves).
 	snapBufSize = 64 << 10
+
+	// maxIdleScratch is the largest frame buffer the WAL keeps between
+	// batches once its batches are small again, the transport's
+	// maxIdleFrameBuf rule: a run of large batches (a bulk registration,
+	// a replica catch-up) shares one buffer, and the first small batch
+	// after the run drops it.
+	maxIdleScratch = 64 << 10
 
 	// snapshotsKept is how many snapshot generations stay on disk; the
 	// older one is the fallback when the newest fails its CRC.
@@ -93,8 +103,9 @@ const (
 type FsyncPolicy string
 
 const (
-	// FsyncAlways syncs after every record: no acknowledged write is ever
-	// lost, at the price of a disk flush per mutation.
+	// FsyncAlways syncs after every batch (a Save, a SaveAll, a replica
+	// feed round) before acknowledging it: no acknowledged write is ever
+	// lost, at the price of a disk flush per batch.
 	FsyncAlways FsyncPolicy = "always"
 	// FsyncInterval syncs on the janitor/Sweep cadence (~100ms for a
 	// background registry): a power cut loses at most one interval of
@@ -305,40 +316,48 @@ func (s *Server) recover(w *wal) error {
 	s.seq = w.snapSeq
 	w.recovery.SnapshotSeq = w.snapSeq
 
-	// Replay segments in order. Any unreadable frame truncates the log
-	// there: the tail (and any later segment) is unacknowledgeable
-	// history we can no longer trust.
+	// Replay segments in order, each streamed through one reused buffer.
+	// Any unreadable frame truncates the log there: the tail (and any
+	// later segment) is unacknowledgeable history we can no longer trust.
+	r := &walReader{b: make([]byte, 0, snapBufSize)}
 	truncated := false
 	for i := 0; i < len(w.segs) && !truncated; i++ {
 		sg := w.segs[i]
-		data, rerr := os.ReadFile(sg.path)
-		if rerr != nil {
-			return rerr
+		f, size, oerr := openSized(sg.path)
+		if oerr != nil {
+			return oerr
 		}
-		off := 0
-		if !strings.HasPrefix(string(data[:min(len(data), len(walMagic))]), walMagic) {
+		r.reset(f, size)
+		if r.fill(len(walMagic)); !bytes.HasPrefix(r.b[r.off:], []byte(walMagic)) {
+			f.Close()
+			if r.err != nil {
+				return r.err
+			}
 			// Unrecognized segment: treat the whole file as a torn tail.
-			truncated = s.truncateWAL(w, i, sg.path, 0, int64(len(data)))
+			truncated = s.truncateWAL(w, i, sg.path, 0, int64(size))
 			break
 		}
-		off = len(walMagic)
+		r.off += len(walMagic)
 		cleanAt := int64(-1)
-		for off < len(data) {
-			payload, next, ferr := readWALFrame(data, off, maxWALFrame)
+		for r.rest() > 0 {
+			off := int64(size - r.rest())
+			payload, ferr := r.frame(maxWALFrame)
+			if r.err != nil {
+				break // an I/O error, not a torn frame
+			}
 			if ferr != nil {
-				truncated = s.truncateWAL(w, i, sg.path, int64(off), int64(len(data)-off))
+				truncated = s.truncateWAL(w, i, sg.path, off, int64(size)-off)
 				break
 			}
 			rec, derr := decodeWALRecord(payload)
 			if derr != nil {
-				truncated = s.truncateWAL(w, i, sg.path, int64(off), int64(len(data)-off))
+				truncated = s.truncateWAL(w, i, sg.path, off, int64(size)-off)
 				break
 			}
 			if rec.op == opWALMarker {
-				if next == len(data) && i == len(w.segs)-1 {
-					cleanAt = int64(off)
+				if r.rest() == 0 && i == len(w.segs)-1 {
+					cleanAt = off
 				}
-				off = next
 				continue
 			}
 			if rec.op == opWALEpoch {
@@ -357,14 +376,16 @@ func (s *Server) recover(w *wal) error {
 				if rec.epoch >= s.epoch {
 					s.epoch, s.epochLeader = rec.epoch, rec.leader
 				}
-				off = next
 				continue
 			}
 			if rec.seq > w.snapSeq {
 				s.applyRecovered(rec)
 				w.recovery.Replayed++
 			}
-			off = next
+		}
+		f.Close()
+		if r.err != nil {
+			return r.err
 		}
 		if cleanAt >= 0 {
 			// Clean shutdown: drop the marker so appends resume after the
@@ -461,37 +482,67 @@ func (s *Server) applyRecovered(rec walRecord) {
 	}
 }
 
-// walAppend frames and writes one mutation to the active segment. Called
-// under jmu, immediately after the in-memory journal append, so WAL order
-// is journal order. The scratch buffer is reused: with fsync off this
-// path adds no allocations over the in-memory append.
-func (s *Server) walAppend(op ChangeOp, e Entry, expires time.Time) {
+// walAppend frames a batch of journaled changes and writes the frames
+// to the active segment with one write, then syncs once under
+// FsyncAlways, all before the batch is acknowledged. Called under jmu,
+// right after the in-memory journal append, so WAL order is journal
+// order. The scratch buffer is reused: with fsync off a batch of one
+// adds no allocations over the in-memory append.
+func (s *Server) walAppend(cs []Change) {
 	w := s.wal
 	if w == nil || w.f == nil {
 		return
 	}
-	b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	b = appendWALRecord(b, changeOpWAL(op), s.seq, e, expires)
+	b := w.scratch[:0]
+	for i := range cs {
+		c := &cs[i]
+		at := len(b)
+		b = appendWALRecord(append(b, 0, 0, 0, 0, 0, 0, 0, 0), changeOpWAL(c.Op), c.Seq, c.Entry, c.Expires)
+		sealFrame(b[at:])
+	}
+	if !w.write(b) {
+		return
+	}
+	w.appends += uint64(len(cs))
+	w.sinceSnap += len(cs)
+	if w.policy == FsyncAlways {
+		w.sync()
+	}
+}
+
+// sealFrame fills in the header of frame: its payload's length and CRC
+// over the eight bytes reserved at its start.
+func sealFrame(frame []byte) {
+	payload := frame[8:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+}
+
+// write writes b, whole frames, to the active segment with one write
+// and keeps b's buffer for the next batch (see maxIdleScratch). It
+// reports whether the write succeeded; a failure is kept in lastErr.
+func (w *wal) write(b []byte) bool {
 	w.scratch = b[:0]
-	payload := b[8:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	if cap(b) > maxIdleScratch && len(b) <= maxIdleScratch {
+		w.scratch = nil
+	}
 	n, err := w.f.Write(b)
 	w.off += int64(n)
 	if err != nil {
 		w.lastErr = "append: " + err.Error()
-		return
+		return false
 	}
-	w.appends++
-	w.sinceSnap++
 	w.dirty = true
-	if w.policy == FsyncAlways {
-		if err := w.f.Sync(); err != nil {
-			w.lastErr = "fsync: " + err.Error()
-		} else {
-			w.fsyncs++
-			w.dirty = false
-		}
+	return true
+}
+
+// sync flushes the active segment to stable storage.
+func (w *wal) sync() {
+	if err := w.f.Sync(); err != nil {
+		w.lastErr = "fsync: " + err.Error()
+	} else {
+		w.fsyncs++
+		w.dirty = false
 	}
 }
 
@@ -503,12 +554,7 @@ func (s *Server) walMaintain() {
 	var snap bool
 	if w != nil && w.f != nil {
 		if w.policy == FsyncInterval && w.dirty {
-			if err := w.f.Sync(); err != nil {
-				w.lastErr = "fsync: " + err.Error()
-			} else {
-				w.fsyncs++
-				w.dirty = false
-			}
+			w.sync()
 		}
 		snap = w.snapEvery > 0 && w.sinceSnap >= w.snapEvery && !w.snapBusy
 		if snap {
@@ -664,12 +710,9 @@ func (s *Server) Shutdown() error {
 	w := s.wal
 	seq := s.seq
 	if w != nil && w.f != nil {
-		b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-		b = append(b, recVersion, opWALMarker)
+		b := append(w.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0, recVersion, opWALMarker)
 		b = binary.AppendUvarint(b, seq)
-		payload := b[8:]
-		binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+		sealFrame(b)
 		if _, werr := w.f.Write(b); werr != nil && err == nil {
 			err = werr
 		}
@@ -828,38 +871,108 @@ func appendWALEntry(b []byte, e Entry, expires time.Time) []byte {
 	return b
 }
 
-// readWALFrame validates the frame at data[off:], whose payload may be
-// at most limit bytes, and returns its payload and the offset just past
-// it.
-func readWALFrame(data []byte, off, limit int) (payload []byte, next int, err error) {
-	if off+8 > len(data) {
-		return nil, 0, fmt.Errorf("uddi: truncated frame header")
-	}
-	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n <= 0 || n > limit || off+8+n > len(data) {
-		return nil, 0, fmt.Errorf("uddi: frame length %d out of range", n)
-	}
-	payload = data[off+8 : off+8+n]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, fmt.Errorf("uddi: frame CRC mismatch")
-	}
-	return payload, off + 8 + n, nil
-}
-
 type walReader struct {
 	b   []byte
 	off int
 	err error
+
+	src  io.Reader
+	left int
+}
+
+// openSized opens path for reading and returns its length.
+func openSized(path string) (*os.File, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, int(st.Size()), nil
+}
+
+// reset points the reader at the n bytes src holds, keeping its window.
+func (r *walReader) reset(src io.Reader, n int) {
+	r.b, r.off, r.err, r.src, r.left = r.b[:0], 0, nil, src, n
+}
+
+// rest is how many bytes are left to read.
+func (r *walReader) rest() int { return len(r.b) - r.off + r.left }
+
+// fill makes k bytes available at b[r.off:], or every byte left if
+// fewer remain.
+func (r *walReader) fill(k int) {
+	if r.src != nil && len(r.b)-r.off < k {
+		r.refill(k)
+	}
+}
+
+// refill slides the unread bytes to the front of the window, grows it
+// when k exceeds its capacity, and reads from src until it is full or
+// src is exhausted. A read error fails the reader.
+func (r *walReader) refill(k int) {
+	if r.left == 0 || r.err != nil {
+		return
+	}
+	n := copy(r.b[:cap(r.b)], r.b[r.off:])
+	if k > cap(r.b) {
+		r.b = append(make([]byte, 0, k), r.b[:n]...)
+	}
+	r.b, r.off = r.b[:n], 0
+	m, err := io.ReadFull(r.src, r.b[n:n+min(cap(r.b)-n, r.left)])
+	r.b, r.left = r.b[:n+m], r.left-m
+	if err != nil {
+		r.err = err
+	}
+}
+
+// drain reads and discards every byte left.
+func (r *walReader) drain() {
+	for r.err == nil && r.rest() > 0 {
+		r.off = len(r.b)
+		r.fill(cap(r.b))
+	}
+}
+
+// frame reads the frame at the reader's position, whose payload may be
+// at most limit bytes, and returns its payload, valid until the next
+// read. A torn or corrupt frame is reported without moving the reader.
+func (r *walReader) frame(limit int) ([]byte, error) {
+	if r.rest() < 8 {
+		return nil, fmt.Errorf("uddi: truncated frame header")
+	}
+	if r.fill(8); r.err != nil {
+		return nil, r.err
+	}
+	n := int(binary.LittleEndian.Uint32(r.b[r.off:]))
+	sum := binary.LittleEndian.Uint32(r.b[r.off+4:])
+	if n <= 0 || n > limit || 8+n > r.rest() {
+		return nil, fmt.Errorf("uddi: frame length %d out of range", n)
+	}
+	if r.fill(8 + n); r.err != nil {
+		return nil, r.err
+	}
+	payload := r.b[r.off+8 : r.off+8+n]
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, fmt.Errorf("uddi: frame CRC mismatch")
+	}
+	r.off += 8 + n
+	return payload, nil
 }
 
 func (r *walReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
+	r.fill(binary.MaxVarintLen64)
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		r.err = fmt.Errorf("uddi: bad uvarint")
+		if r.err == nil {
+			r.err = fmt.Errorf("uddi: bad uvarint")
+		}
 		return 0
 	}
 	r.off += n
@@ -871,8 +984,11 @@ func (r *walReader) str() string {
 	if r.err != nil {
 		return ""
 	}
-	if n < 0 || r.off+n > len(r.b) {
+	if n < 0 || n > r.rest() {
 		r.err = fmt.Errorf("uddi: string length %d out of range", n)
+		return ""
+	}
+	if r.fill(n); r.err != nil {
 		return ""
 	}
 	v := string(r.b[r.off : r.off+n])
@@ -1005,30 +1121,40 @@ func streamSnapshot(f *os.File, seq uint64, recs []*record, epoch uint64, leader
 	return err
 }
 
-// loadSnapshot reads and validates one snapshot file. The epoch/leader
-// tail is optional: snapshots written before replication end at the last
-// entry group and load with epoch 0.
+// loadSnapshot reads and validates one snapshot file, streaming its
+// payload through a snapBufSize window under a running CRC; a snapshot
+// whose CRC fails returns an error and none of its entries. The
+// epoch/leader tail is optional: snapshots written before replication
+// end at the last entry group and load with epoch 0.
 func loadSnapshot(path string) (entries []Entry, deadlines []time.Time, seq, epoch uint64, leader string, err error) {
-	data, err := os.ReadFile(path)
+	f, size, err := openSized(path)
 	if err != nil {
 		return nil, nil, 0, 0, "", err
 	}
-	if !strings.HasPrefix(string(data[:min(len(data), len(snapMagic))]), snapMagic) {
+	defer f.Close()
+	var hdr [len(snapMagic) + 8]byte
+	if _, err := io.ReadFull(f, hdr[:min(size, len(hdr))]); err != nil {
+		return nil, nil, 0, 0, "", err
+	}
+	if size < len(snapMagic) || string(hdr[:len(snapMagic)]) != snapMagic {
 		return nil, nil, 0, 0, "", fmt.Errorf("uddi: bad snapshot magic")
+	}
+	if size < len(hdr) {
+		return nil, nil, 0, 0, "", fmt.Errorf("uddi: truncated frame header")
 	}
 	// The one frame must end at end of file: the file's length, not
 	// maxWALFrame, bounds it.
-	payload, next, err := readWALFrame(data, len(snapMagic), len(data))
-	if err != nil {
-		return nil, nil, 0, 0, "", err
+	n := int(binary.LittleEndian.Uint32(hdr[len(snapMagic):]))
+	sum := binary.LittleEndian.Uint32(hdr[len(snapMagic)+4:])
+	if n <= 0 || n != size-len(hdr) {
+		return nil, nil, 0, 0, "", fmt.Errorf("uddi: snapshot frame length %d, file holds %d", n, size-len(hdr))
 	}
-	if next != len(data) {
-		return nil, nil, 0, 0, "", fmt.Errorf("uddi: trailing bytes after snapshot frame")
+	crc := crc32.NewIEEE()
+	r := &walReader{b: make([]byte, 0, snapBufSize)}
+	r.reset(io.TeeReader(f, crc), n)
+	if v := r.byte(); r.err == nil && v != recVersion {
+		return nil, nil, 0, 0, "", fmt.Errorf("uddi: unknown snapshot version %d", v)
 	}
-	if payload[0] != recVersion {
-		return nil, nil, 0, 0, "", fmt.Errorf("uddi: unknown snapshot version %d", payload[0])
-	}
-	r := &walReader{b: payload, off: 1}
 	seq = r.uvarint()
 	count := r.count()
 	if r.err != nil {
@@ -1044,12 +1170,15 @@ func loadSnapshot(path string) (entries []Entry, deadlines []time.Time, seq, epo
 		entries = append(entries, e)
 		deadlines = append(deadlines, exp)
 	}
-	if r.off < len(payload) {
+	if r.rest() > 0 {
 		epoch = r.uvarint()
 		leader = r.str()
-		if r.err != nil {
-			return nil, nil, 0, 0, "", r.err
-		}
+	}
+	if r.drain(); r.err != nil {
+		return nil, nil, 0, 0, "", r.err
+	}
+	if crc.Sum32() != sum {
+		return nil, nil, 0, 0, "", fmt.Errorf("uddi: frame CRC mismatch")
 	}
 	return entries, deadlines, seq, epoch, leader, nil
 }

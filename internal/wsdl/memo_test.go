@@ -1,6 +1,7 @@
 package wsdl
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,6 +123,68 @@ func FuzzWSDLParse(f *testing.F) {
 				return
 			}
 			sameParse(t, &m, string(g))
+		}
+	})
+}
+
+// sameRender fails t unless m's Generate of (it, loc) equals an
+// uncached render, one through an empty memo: the same bytes or the
+// same error.
+func sameRender(t *testing.T, m *renderMemo, it service.Interface, loc string) {
+	t.Helper()
+	want, wantErr := new(renderMemo).generate(it, loc)
+	got, gotErr := m.generate(it, loc)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("memo error %v, uncached error %v\ninterface: %+v", gotErr, wantErr, it)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("memo rendered\n%q\nuncached\n%q\ninterface: %+v at %q", got, want, it, loc)
+	}
+}
+
+func TestRenderMemoOneEntryPerInterface(t *testing.T) {
+	var m renderMemo
+	for _, loc := range []string{"http://10.0.0.1/a", "", "http://10.0.0.2/b?x=1&y=2"} {
+		sameRender(t, &m, vcrInterface(), loc)
+		sameRender(t, &m, switchInterface(), loc)
+	}
+	if n := len(m.docs); n != 2 {
+		t.Errorf("memo holds %d renders, want 2", n)
+	}
+	// A failed render is not memoized.
+	bad := switchInterface()
+	bad.Operations[0].Output = service.KindInvalid
+	sameRender(t, &m, bad, "http://x/")
+	if n := len(m.docs); n != 2 {
+		t.Errorf("memo holds %d renders after a failed one, want 2", n)
+	}
+}
+
+// FuzzWSDLGenerate is the render memo's differential check: for two
+// interfaces built from arbitrary names, docs and kinds (the second
+// moves text between fields of the first, so a key that did not
+// delimit its fields would collide), rendering through one memo at
+// arbitrary locations must equal an uncached render, whether the memo
+// hits or misses.
+func FuzzWSDLGenerate(f *testing.F) {
+	f.Add("Switch", "", "Set", "", "on", int64(service.KindBool), int64(service.KindVoid), "http://127.0.0.1:9/services/d-1", "")
+	f.Add(`a<b&"c'`, "d\xffoc\n", "Op", "x", "p", int64(service.KindInt), int64(service.KindString), `http://h/?a=1&b="2"`, "http://\x80/")
+	f.Add("ab", "c", "Get", "", "v", int64(service.KindVoid), int64(99), "u", "v")
+	f.Fuzz(func(t *testing.T, name, doc, opName, opDoc, param string, inKind, outKind int64, loc1, loc2 string) {
+		it := service.Interface{Name: name, Doc: doc, Operations: []service.Operation{
+			{Name: opName, Doc: opDoc, Inputs: []service.Parameter{{Name: param, Type: service.Kind(inKind)}}, Output: service.Kind(outKind)},
+			{Name: opName + "2", Output: service.KindVoid},
+		}}
+		moved := it
+		moved.Name, moved.Doc = name+doc, ""
+		moved.Operations = []service.Operation{
+			{Name: opName + opDoc, Inputs: []service.Parameter{{Name: param, Type: service.Kind(inKind)}}, Output: service.Kind(outKind)},
+			{Name: opName + "2", Output: service.KindVoid},
+		}
+		var m renderMemo
+		for _, loc := range []string{loc1, loc2, loc1} {
+			sameRender(t, &m, it, loc)
+			sameRender(t, &m, moved, loc)
 		}
 	})
 }

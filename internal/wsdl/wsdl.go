@@ -71,10 +71,19 @@ func kindOf(t string) (service.Kind, error) {
 }
 
 // Generate renders the interface as a WSDL document advertising the given
-// SOAP endpoint location.
+// SOAP endpoint location. An empty location omits the soap:address
+// element. Renders are memoized per interface (see renderMemo), so
+// services that share an interface pay for one render between them.
 func Generate(it service.Interface, location string) ([]byte, error) {
+	return renders.generate(it, location)
+}
+
+// render builds the document for it, cut around the one place a
+// location goes: head ends inside the port element, tail closes it and
+// the document.
+func render(it service.Interface) (head, tail string, err error) {
 	if err := it.Validate(); err != nil {
-		return nil, err
+		return "", "", err
 	}
 	tns := TNSPrefix + it.Name
 	w := xmltree.NewWriter()
@@ -95,7 +104,7 @@ func Generate(it service.Interface, location string) ([]byte, error) {
 		for _, p := range op.Inputs {
 			t, err := xsdOf(p.Type)
 			if err != nil {
-				return nil, fmt.Errorf("wsdl: %s/%s: %w", op.Name, p.Name, err)
+				return "", "", fmt.Errorf("wsdl: %s/%s: %w", op.Name, p.Name, err)
 			}
 			w.SelfClose("part", "name", p.Name, "type", t)
 		}
@@ -104,7 +113,7 @@ func Generate(it service.Interface, location string) ([]byte, error) {
 		if op.Output != service.KindVoid {
 			t, err := xsdOf(op.Output)
 			if err != nil {
-				return nil, fmt.Errorf("wsdl: %s return: %w", op.Name, err)
+				return "", "", fmt.Errorf("wsdl: %s return: %w", op.Name, err)
 			}
 			w.SelfClose("part", "name", "return", "type", t)
 		}
@@ -137,15 +146,13 @@ func Generate(it service.Interface, location string) ([]byte, error) {
 		w.Close()
 	}
 	w.Close()
-	// Service.
+	// Service: the soap:address element, when there is one, is the port's
+	// only child.
 	w.Open("service", "name", it.Name)
 	w.Open("port", "name", it.Name+"Port", "binding", "tns:"+it.Name+"SoapBinding")
-	if location != "" {
-		w.SelfClose("soap:address", "location", location)
-	}
-	w.Close()
-	w.Close()
-	return w.Bytes(), nil
+	n := w.Len()
+	doc := w.Bytes()
+	return string(doc[:n]), string(doc[n:]), nil
 }
 
 // Parse reads a WSDL document back into an interface and endpoint
