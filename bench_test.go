@@ -677,6 +677,75 @@ func BenchmarkStateTransfer(b *testing.B) {
 	reg.Close()
 }
 
+// BenchmarkReplicaFeedCatchUp measures a durable replica catching up on
+// 1024 device changes through the replication feed: repl_watch rounds
+// over the in-process HCB1 lane, each a byte-bounded batch the leader
+// encodes into its frame buffer, applied under the leader's sequence
+// numbers and written to the replica's WAL (fsync off) in one write per
+// round. A fresh replica each op, following the leader from seq 0,
+// keeps the figure to the feed; rounds/op counts the repl_watch rounds.
+func BenchmarkReplicaFeedCatchUp(b *testing.B) {
+	const n = 1024
+	leaderReg := uddi.NewManualServer()
+	b.Cleanup(leaderReg.Close)
+	leaderReg.SetJournalCapacity(2 * n)
+	leaderReg.SaveAll(benchDeviceEntries(b, n), time.Hour)
+	srv, err := vsr.StartServerWith("127.0.0.1:0", leaderReg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	srv.SetBinaryEnabled(true)
+	d := transport.NewDialer(nil)
+	b.Cleanup(d.Close)
+	ctx := context.Background()
+	dir := b.TempDir()
+	rounds := 0
+	catchUp := func() {
+		b.StopTimer()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		reg, err := uddi.NewManualDurableServer(uddi.DurabilityOptions{
+			Dir: dir, Fsync: uddi.FsyncOff, SnapshotEvery: -1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		node, err := replica.New(replica.Config{Self: "http://replica.invalid/uddi",
+			Set: []string{srv.URL()}, Registry: reg, Dialer: d})
+		if err != nil {
+			b.Fatal(err)
+		}
+		node.Follow(srv.URL())
+		b.StartTimer()
+		for reg.Seq() < n {
+			if _, err := node.PullOnce(ctx); err != nil {
+				b.Fatal(err)
+			}
+			rounds++
+		}
+		b.StopTimer()
+		if reg.Len() != n || reg.Durability().Appends != n {
+			b.Fatalf("replica holds %d entries, %d WAL records, want %d", reg.Len(), reg.Durability().Appends, n)
+		}
+		reg.Close()
+		b.StartTimer()
+	}
+	catchUp() // negotiates the binary link outside the timing
+	if p := d.ProtocolFor(srv.URL()); p != "binary" {
+		b.Fatalf("feed rode %q, want binary", p)
+	}
+	rounds = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		catchUp()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}
+
 // BenchmarkGatewayColdStart measures a fresh gateway's first contact
 // with a registry of 256 device entries: start with the watch on, wait
 // for the watch to come up, resolve every service once, close. The

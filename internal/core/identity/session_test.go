@@ -72,14 +72,16 @@ func TestSessionKeysAgree(t *testing.T) {
 
 	d := transport.NewDialer(a)
 	defer d.Close()
-	res, err := d.Exchange(context.Background(), "http://keysagree.test:1/x", "text/plain", "", []byte("ping"))
+	var body string
+	err := d.Exchange(context.Background(), "http://keysagree.test:1/x", "text/plain", "", []byte("ping"),
+		func(res transport.BinResult) { body = string(res.Body) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The caller the handler saw is the session-authenticated home — the
 	// same principal per-operation signatures would have established.
-	if string(res.Body) != "cottage:ping" {
-		t.Fatalf("exchange body = %q, want cottage:ping", res.Body)
+	if body != "cottage:ping" {
+		t.Fatalf("exchange body = %q, want cottage:ping", body)
 	}
 }
 

@@ -92,8 +92,9 @@ type Status struct {
 	// Attached is true once the state transfer completed and the feed is
 	// live.
 	Attached bool `json:"attached"`
-	// HandedBack counts acknowledged writes this node re-registered with
-	// a new leader on rejoin — writes only its own WAL knew about.
+	// HandedBack counts acknowledged writes this node re-sent to a new
+	// leader on rejoin — registrations and removals only its own WAL
+	// knew about.
 	HandedBack int    `json:"handed_back,omitempty"`
 	LastError  string `json:"last_error,omitempty"`
 	LastFeed   string `json:"last_feed,omitempty"`
@@ -423,21 +424,29 @@ func (n *Node) transfer(ctx context.Context, leader string) (uddi.Page, *uddi.St
 		leader, maxAttachRestarts+1)
 }
 
-// handback re-registers acknowledged writes that exist only in this
-// node's WAL with the new leader, before the attach discards them. It
-// runs only on a deposed leader rejoining a newer regime — a replica
-// that merely fell behind must NOT resurrect entries its leader deleted.
-// The candidates are the local writes journaled above the regime
-// boundary the leader's first page names (first.Boundary): everything
-// at or below it was replicated into the new regime, so such an entry
-// missing from the transfer is one the new regime removed, and stays
-// removed. Each candidate that survives locally and is absent from the
-// transfer is saved back under its own key with its remaining lifetime,
-// so nothing a client got an acknowledgment for is lost to the failover,
-// and lease semantics are preserved. When the local journal no longer
-// reaches back to the boundary, every local entry absent from the
-// transfer is a candidate: losing an acknowledged write is the worse
-// failure. Only the candidates are copied out of the registry.
+// handback re-sends acknowledged writes that exist only in this node's
+// WAL to the new leader, before the attach discards them. It runs only
+// on a deposed leader rejoining a newer regime — a replica that merely
+// fell behind must NOT resurrect entries its leader deleted. The
+// candidates are the local changes journaled above the regime boundary
+// the leader's first page names (first.Boundary): everything at or below
+// it was replicated into the new regime, so such an entry missing from
+// the transfer is one the new regime removed, and stays removed.
+//
+//   - Each written candidate that survives locally and is absent from the
+//     transfer is saved back under its own key with its remaining
+//     lifetime, so lease semantics are preserved.
+//   - Each key whose last local change above the boundary is a delete,
+//     and which the transfer still holds, is deleted again — unless the
+//     new leader's journal shows the new regime wrote the key after the
+//     boundary, which makes that write the newer one. When the leader's
+//     journal cannot show that (it no longer reaches the boundary), the
+//     key is kept: losing an acknowledged registration is the worse
+//     failure.
+//
+// When the local journal no longer reaches back to the boundary, every
+// local entry absent from the transfer is a save candidate and no delete
+// is re-sent. Only the candidates are copied out of the registry.
 func (n *Node) handback(ctx context.Context, leader string, first *uddi.Page, st *uddi.Staging) (int, error) {
 	reg := n.cfg.Registry
 	epoch, epochLeader := reg.Epoch()
@@ -445,11 +454,19 @@ func (n *Node) handback(ctx context.Context, leader string, first *uddi.Page, st
 		return 0, nil
 	}
 	var unreplicated map[string]bool // nil: the journal does not reach the boundary
-	if changes, _, resync := reg.Changes(first.Boundary); !resync {
+	var deletes []string
+	if changes, ok := journalAbove(reg, first.Boundary); ok {
 		unreplicated = make(map[string]bool, len(changes))
+		last := make(map[string]uddi.ChangeOp, len(changes))
 		for _, c := range changes {
+			last[c.Entry.Key] = c.Op
 			if c.Op == uddi.OpAdd || c.Op == uddi.OpUpdate {
 				unreplicated[c.Entry.Key] = true
+			}
+		}
+		for key, op := range last {
+			if op == uddi.OpDelete && st.Has(key) {
+				deletes = append(deletes, key)
 			}
 		}
 	}
@@ -482,7 +499,67 @@ func (n *Node) handback(ctx context.Context, leader string, first *uddi.Page, st
 		}
 		handed++
 	}
+	if len(deletes) == 0 {
+		return handed, nil
+	}
+	rewritten, ok := leaderWrites(ctx, cl, first.Boundary)
+	if !ok {
+		return handed, nil
+	}
+	sort.Strings(deletes)
+	for _, key := range deletes {
+		if rewritten[key] {
+			continue
+		}
+		if err := cl.Delete(ctx, key); err != nil {
+			return handed, fmt.Errorf("replica: handback of delete %s: %w", key, err)
+		}
+		handed++
+	}
 	return handed, nil
+}
+
+// journalAbove returns every change reg journaled above since, reading
+// the journal batch by batch. ok is false when the journal no longer
+// reaches back to since.
+func journalAbove(reg *uddi.Server, since uint64) (changes []uddi.Change, ok bool) {
+	for {
+		cs, next, resync := reg.Changes(since)
+		if resync {
+			return nil, false
+		}
+		if len(cs) == 0 {
+			return changes, true
+		}
+		changes = append(changes, cs...)
+		since = next
+	}
+}
+
+// maxLeaderWriteRounds bounds how many journal batches leaderWrites reads
+// from a leader that keeps accepting writes while it is read.
+const maxLeaderWriteRounds = 64
+
+// leaderWrites returns the keys the leader behind cl journaled above
+// since, any op. ok is false when its journal cannot show them all: it
+// no longer reaches back to since, the read failed, or it did not catch
+// up within maxLeaderWriteRounds batches.
+func leaderWrites(ctx context.Context, cl *uddi.Client, since uint64) (map[string]bool, bool) {
+	keys := make(map[string]bool)
+	for round := 0; round < maxLeaderWriteRounds; round++ {
+		changes, next, resync, err := cl.Watch(ctx, since, 0)
+		if err != nil || resync {
+			return nil, false
+		}
+		if len(changes) == 0 {
+			return keys, true
+		}
+		for _, c := range changes {
+			keys[c.Entry.Key] = true
+		}
+		since = next
+	}
+	return nil, false
 }
 
 // PullOnce runs one feed round against the leader: a repl_watch from the

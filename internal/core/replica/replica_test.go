@@ -408,6 +408,97 @@ func TestFailoverScenarios(t *testing.T) {
 		}
 	})
 
+	// An unregister acknowledged by the old leader alone must survive the
+	// failover too: the survivors still hold the entry, so the rejoining
+	// old leader deletes it again — but not a key the new regime wrote
+	// after the boundary, whose write is the newer one.
+	t.Run("handback of unreplicated acknowledged removals", func(t *testing.T) {
+		mem, ms := testSet(t, 3)
+		boot(t, ms)
+		for _, k := range []string{"uuid:removed-on-old", "uuid:rewritten", "uuid:kept"} {
+			save(t, mem, ms[0].url, k)
+		}
+		pull(t, ms[1])
+		pull(t, ms[2])
+		// Acknowledged by m0 alone: the feed dies before anyone pulls them.
+		c0 := &uddi.Client{URL: ms[0].url, HTTP: mem.Client()}
+		for _, k := range []string{"uuid:removed-on-old", "uuid:rewritten"} {
+			if err := c0.Delete(ctx, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mem.Handle(ms[0].host, nil)
+		if p, _ := ms[1].node.ElectOnce(ctx); !p {
+			t.Fatal("m1 did not take over")
+		}
+		if p, err := ms[2].node.ElectOnce(ctx); err != nil || p {
+			t.Fatalf("m2 election: promoted %v err %v, want to follow m1", p, err)
+		}
+		// The new regime writes one of the keys the old leader removed.
+		save(t, mem, ms[1].url, "uuid:rewritten")
+		pull(t, ms[2])
+		if _, ok := ms[1].reg.Get("uuid:removed-on-old"); !ok {
+			t.Fatal("test premise broken: the unreplicated removal reached m1")
+		}
+
+		mem.Handle(ms[0].host, ms[0].srv.Handler())
+		if err := ms[0].node.Bootstrap(ctx); err != nil {
+			t.Fatalf("old leader rejoin: %v", err)
+		}
+		if ms[0].node.IsLeader() {
+			t.Fatal("old leader did not rejoin as a replica")
+		}
+		if st := ms[0].node.Status(); st.HandedBack != 1 {
+			t.Fatalf("HandedBack = %d, want 1 (the unreplicated removal only)", st.HandedBack)
+		}
+		for _, m := range ms {
+			if !m.node.IsLeader() {
+				pull(t, m)
+			}
+			if _, ok := m.reg.Get("uuid:removed-on-old"); ok {
+				t.Fatalf("%s keeps an acknowledged removal after the failover", m.host)
+			}
+			if _, ok := m.reg.Get("uuid:rewritten"); !ok {
+				t.Fatalf("%s lost the new regime's write of a key the old leader removed", m.host)
+			}
+			if _, ok := m.reg.Get("uuid:kept"); !ok {
+				t.Fatalf("%s lost an untouched replicated entry", m.host)
+			}
+		}
+	})
+
+	// When the new leader's journal no longer reaches the boundary, it
+	// cannot show whether the new regime rewrote a removed key: the key
+	// is kept rather than risk deleting a newer registration.
+	t.Run("removal handback keeps the key when the leader journal is short", func(t *testing.T) {
+		mem, ms := testSet(t, 2)
+		boot(t, ms)
+		save(t, mem, ms[0].url, "uuid:removed-on-old")
+		pull(t, ms[1])
+		c0 := &uddi.Client{URL: ms[0].url, HTTP: mem.Client()}
+		if err := c0.Delete(ctx, "uuid:removed-on-old"); err != nil {
+			t.Fatal(err)
+		}
+		mem.Handle(ms[0].host, nil)
+		if p, _ := ms[1].node.ElectOnce(ctx); !p {
+			t.Fatal("m1 did not take over")
+		}
+		ms[1].reg.SetJournalCapacity(1)
+		save(t, mem, ms[1].url, "uuid:new-1")
+		save(t, mem, ms[1].url, "uuid:new-2")
+
+		mem.Handle(ms[0].host, ms[0].srv.Handler())
+		if err := ms[0].node.Bootstrap(ctx); err != nil {
+			t.Fatalf("old leader rejoin: %v", err)
+		}
+		if _, ok := ms[1].reg.Get("uuid:removed-on-old"); !ok {
+			t.Fatal("removal re-sent although the leader's journal could not show the key untouched")
+		}
+		if st := ms[0].node.Status(); st.HandedBack != 0 {
+			t.Fatalf("HandedBack = %d, want 0", st.HandedBack)
+		}
+	})
+
 	// A replica that merely lagged must NOT hand back: entries the
 	// leader deleted while the replica was detached would otherwise rise
 	// again.

@@ -708,7 +708,12 @@ func TestBinaryFaceRefusesXMLEnvelope(t *testing.T) {
 	d := transport.NewDialer(nil)
 	defer d.Close()
 	url := r.gw1.EndpointFor("jini:lamp-1")
-	res, err := d.Exchange(ctx, url, `text/xml; charset="utf-8"`, Namespace("jini:lamp-1")+"#Level", env)
+	var res transport.BinResult
+	err = d.Exchange(ctx, url, `text/xml; charset="utf-8"`, Namespace("jini:lamp-1")+"#Level", env,
+		func(r transport.BinResult) {
+			res = r
+			res.Body = append([]byte(nil), r.Body...)
+		})
 	if err != nil {
 		t.Fatalf("exchange: %v", err)
 	}

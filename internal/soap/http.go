@@ -143,26 +143,31 @@ func (c *Client) callBinary(ctx context.Context, soapAction string, call Call) (
 	if err != nil {
 		return service.Value{}, err
 	}
-	res, err := c.Dialer.Exchange(ctx, c.URL, BinCallContentType, soapAction, body)
+	var v service.Value
+	var fault *Fault
+	var derr error
+	err = c.Dialer.Exchange(ctx, c.URL, BinCallContentType, soapAction, body, func(res transport.BinResult) {
+		switch {
+		case res.Status == http.StatusRequestEntityTooLarge:
+			// The server refused to frame a result whose envelope would not
+			// fit: the HTTP path fails decoding the truncated envelope.
+			derr = ErrEnvelopeTooLarge
+		case res.Status != http.StatusOK && res.Status != http.StatusInternalServerError:
+			// Same classification as the HTTP binding: faults ride 500,
+			// anything else is transport failure.
+			derr = fmt.Errorf("soap: %w: binary status %d", service.ErrUnavailable, res.Status)
+		default:
+			v, fault, derr = DecodeBinResponse(res.Body)
+		}
+	})
 	if err != nil {
 		if errors.Is(err, transport.ErrBinaryUnavailable) {
 			return service.Value{}, err
 		}
 		return service.Value{}, fmt.Errorf("soap: %w: %w", service.ErrUnavailable, err)
 	}
-	if res.Status == http.StatusRequestEntityTooLarge {
-		// The server refused to frame a result whose envelope would not
-		// fit: the HTTP path fails decoding the truncated envelope.
-		return service.Value{}, ErrEnvelopeTooLarge
-	}
-	if res.Status != http.StatusOK && res.Status != http.StatusInternalServerError {
-		// Same classification as the HTTP binding: faults ride 500,
-		// anything else is transport failure.
-		return service.Value{}, fmt.Errorf("soap: %w: binary status %d", service.ErrUnavailable, res.Status)
-	}
-	v, fault, err := DecodeBinResponse(res.Body)
-	if err != nil {
-		return service.Value{}, err
+	if derr != nil {
+		return service.Value{}, derr
 	}
 	if fault != nil {
 		return service.Value{}, fault.RemoteError()

@@ -57,7 +57,7 @@ func TestAnonymousSessionsNegotiateBinary(t *testing.T) {
 			d := NewDialer(nil)
 			defer d.Close()
 			for i := 0; i < 3; i++ {
-				res, err := d.Exchange(context.Background(), "http://"+authority+"/uddi", "text/plain", "", []byte("x"))
+				res, err := exchangeCopy(d, context.Background(), "http://"+authority+"/uddi", "text/plain", "", []byte("x"))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,7 +146,7 @@ func TestSessionModeMismatchFallsBack(t *testing.T) {
 			authority := serveTCP(t, srv)
 			d := &Dialer{Session: tc.dialer, Binary: true}
 			defer d.Close()
-			_, err := d.Exchange(context.Background(), "http://"+authority+"/uddi", "text/plain", "", []byte("x"))
+			_, err := exchangeCopy(d, context.Background(), "http://"+authority+"/uddi", "text/plain", "", []byte("x"))
 			if !errors.Is(err, ErrBinaryUnavailable) {
 				t.Fatalf("mismatched handshake = %v, want ErrBinaryUnavailable", err)
 			}
@@ -217,7 +217,7 @@ func TestSignedSwitchEndsAnonymousSessions(t *testing.T) {
 				d := &Dialer{Session: dialerAuth, Binary: true}
 				defer d.Close()
 				url := "http://" + authority + "/uddi"
-				if _, err := d.Exchange(context.Background(), url, "text/plain", "", []byte("x")); err != nil {
+				if _, err := exchangeCopy(d, context.Background(), url, "text/plain", "", []byte("x")); err != nil {
 					t.Fatal(err)
 				}
 
@@ -225,7 +225,7 @@ func TestSignedSwitchEndsAnonymousSessions(t *testing.T) {
 				if m, ok := dialerAuth.(*modalAuth); ok {
 					m.signed.Store(true)
 				}
-				res, err := d.Exchange(context.Background(), url, "text/plain", "", []byte("y"))
+				res, err := exchangeCopy(d, context.Background(), url, "text/plain", "", []byte("y"))
 				st := d.WireStatsSnapshot()[authority]
 				if both {
 					if err != nil || string(res.Body) != "caller=dialer" {

@@ -169,7 +169,7 @@ func TestRequestResponseMACAndCounters(t *testing.T) {
 	}
 
 	// Response echoes the request counter; a mismatched echo is refused.
-	resp := encodeResponse(nil, server, q.Ctr, 200, "text/plain", []byte("ok"))
+	resp := responsePayload(server, q.Ctr, 200, "text/plain", []byte("ok"))
 	r, err := decodeResponse(client, resp, q.Ctr)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestRequestResponseMACAndCounters(t *testing.T) {
 	if r.Status != 200 || string(r.Body) != "ok" {
 		t.Fatalf("decoded response = %+v", r)
 	}
-	wrong := encodeResponse(nil, server, 99, 200, "text/plain", []byte("ok"))
+	wrong := responsePayload(server, 99, 200, "text/plain", []byte("ok"))
 	if _, err := decodeResponse(client, wrong, 1); err == nil {
 		t.Fatal("response answering the wrong request accepted")
 	}
@@ -246,7 +246,7 @@ func TestDialerOverTCP(t *testing.T) {
 	defer d.Close()
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		res, err := d.Exchange(ctx, "http://"+authority+"/uddi", "text/xml", "", []byte(fmt.Sprintf("b%d", i)))
+		res, err := exchangeCopy(d, ctx, "http://"+authority+"/uddi", "text/xml", "", []byte(fmt.Sprintf("b%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestDialerRefusedHandshakeDowngrades(t *testing.T) {
 
 	d := &Dialer{Session: &fakeAuth{home: "dialer"}, Binary: true}
 	defer d.Close()
-	_, err := d.Exchange(context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("x"))
+	_, err := exchangeCopy(d, context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("x"))
 	if !errors.Is(err, ErrBinaryUnavailable) {
 		t.Fatalf("refused handshake = %v, want ErrBinaryUnavailable", err)
 	}
@@ -281,13 +281,13 @@ func TestDialerRefusedHandshakeDowngrades(t *testing.T) {
 		t.Fatalf("ProtocolFor after refusal = %q, want soap", p)
 	}
 	// Within the re-probe window every further attempt short-circuits.
-	if _, err := d.Exchange(context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("x")); !errors.Is(err, ErrBinaryUnavailable) {
+	if _, err := exchangeCopy(d, context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("x")); !errors.Is(err, ErrBinaryUnavailable) {
 		t.Fatalf("second attempt = %v, want ErrBinaryUnavailable", err)
 	}
 	// After the window, the dialer re-probes and can recover.
 	listener.refuse = false
 	d.setClock(func() time.Time { return time.Now().Add(binReprobeInterval + time.Second) })
-	res, err := d.Exchange(context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("again"))
+	res, err := exchangeCopy(d, context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("again"))
 	if err != nil || string(res.Body) != "dialer:/uddi:again" {
 		t.Fatalf("post-reprobe exchange = %v %v", res, err)
 	}
@@ -302,7 +302,7 @@ func TestDialerDisabledServerRefusal(t *testing.T) {
 
 	d := &Dialer{Session: &fakeAuth{home: "dialer"}, Binary: true}
 	defer d.Close()
-	_, err := d.Exchange(context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("x"))
+	_, err := exchangeCopy(d, context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("x"))
 	if !errors.Is(err, ErrBinaryUnavailable) {
 		t.Fatalf("disabled server = %v, want ErrBinaryUnavailable", err)
 	}
@@ -317,7 +317,7 @@ func TestDialerLocalLane(t *testing.T) {
 
 	d := &Dialer{Session: &fakeAuth{home: "dialer"}, Binary: true}
 	defer d.Close()
-	res, err := d.Exchange(context.Background(), "http://local.test:1/peer", "text/xml", "pull", []byte("cursor=5"))
+	res, err := exchangeCopy(d, context.Background(), "http://local.test:1/peer", "text/xml", "pull", []byte("cursor=5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestDialerLocalLane(t *testing.T) {
 	// Closing the server poisons pooled lanes; the next exchange reports
 	// the fast path unavailable so the caller falls back to SOAP.
 	srv.Close()
-	if _, err := d.Exchange(context.Background(), "http://local.test:1/peer", "text/xml", "", nil); !errors.Is(err, ErrBinaryUnavailable) {
+	if _, err := exchangeCopy(d, context.Background(), "http://local.test:1/peer", "text/xml", "", nil); !errors.Is(err, ErrBinaryUnavailable) {
 		t.Fatalf("closed-server exchange = %v, want ErrBinaryUnavailable", err)
 	}
 }
@@ -345,14 +345,14 @@ func TestDialerRekeyOnExpiry(t *testing.T) {
 
 	d := &Dialer{Session: dialerAuth, Binary: true}
 	defer d.Close()
-	if _, err := d.Exchange(context.Background(), "http://rekey.test:1/uddi", "text/xml", "", []byte("a")); err != nil {
+	if _, err := exchangeCopy(d, context.Background(), "http://rekey.test:1/uddi", "text/xml", "", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	// Past the session lifetime the pooled lane rekeys in place: the
 	// exchange succeeds, the rekey is counted, and the provider saw the
 	// old session end as a rekey.
 	d.setClock(func() time.Time { return time.Now().Add(time.Minute) })
-	if _, err := d.Exchange(context.Background(), "http://rekey.test:1/uddi", "text/xml", "", []byte("b")); err != nil {
+	if _, err := exchangeCopy(d, context.Background(), "http://rekey.test:1/uddi", "text/xml", "", []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	st := d.WireStatsSnapshot()["rekey.test:1"]
@@ -380,7 +380,7 @@ func TestDialerContextCancellationIsNotADowngrade(t *testing.T) {
 	defer d.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err := d.Exchange(ctx, "http://"+authority+"/uddi", "text/xml", "", []byte("x"))
+	_, err := exchangeCopy(d, ctx, "http://"+authority+"/uddi", "text/xml", "", []byte("x"))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("canceled exchange = %v, want the context error", err)
 	}
@@ -433,7 +433,7 @@ func TestDemuxSharesPortWithHTTP(t *testing.T) {
 	// Binary on the same port.
 	d := &Dialer{Session: &fakeAuth{home: "dialer"}, Binary: true}
 	defer d.Close()
-	res, err := d.Exchange(context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("b"))
+	res, err := exchangeCopy(d, context.Background(), "http://"+authority+"/uddi", "text/xml", "", []byte("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,8 +515,8 @@ func TestLargeExchangeReleasesFrameBuffers(t *testing.T) {
 			t.Fatalf("%d-byte exchange: echoed %d bytes", size, len(res.Body))
 		}
 		check(i, map[string][]byte{
-			"link buf": l.buf, "link enc": l.enc, "link wbuf": l.wbuf,
-			"conn buf": c.buf, "conn out": c.out, "conn fbuf": c.fbuf,
+			"link buf": l.buf, "link wbuf": l.wbuf,
+			"conn buf": c.buf, "conn fbuf": c.fbuf,
 		})
 	}
 
@@ -530,8 +530,8 @@ func TestLargeExchangeReleasesFrameBuffers(t *testing.T) {
 		}
 		p := ll.peer
 		check(i, map[string][]byte{
-			"lane link buf": ll.buf, "lane link enc": ll.enc, "lane link wbuf": ll.wbuf,
-			"lane peer buf": p.buf, "lane peer out": p.out, "lane peer fbuf": p.fbuf,
+			"lane link buf": ll.buf, "lane link wbuf": ll.wbuf,
+			"lane peer buf": p.buf, "lane peer fbuf": p.fbuf,
 		})
 	}
 }
@@ -587,19 +587,19 @@ func TestCarriersAnswerAlike(t *testing.T) {
 		{name: "request before hello",
 			run: func(srv *BinServer, l *binLink) string {
 				client, _ := sessionPair(time.Hour)
-				return replyOf(l.roundTrip(context.Background(), encodeRequest(nil, client, "/x", "", "", nil)))
+				return replyOf(l.roundTrip(context.Background(), appendFrame(nil, encodeRequest(nil, client, "/x", "", "", nil))))
 			},
 			want: "E bad"},
 		{name: "hello to a disabled server",
 			run: func(srv *BinServer, l *binLink) string {
 				srv.SetEnabled(false)
-				return replyOf(l.roundTrip(context.Background(), encodeHello([]byte("dialer"))))
+				return replyOf(l.roundTrip(context.Background(), appendFrame(nil, encodeHello([]byte("dialer")))))
 			},
 			want: "E refused"},
 		{name: "expired session rekeys and retries once", handshake: true,
 			run: func(srv *BinServer, l *binLink) string {
 				staleFor(srv, 2)
-				raw := replyOf(l.roundTrip(context.Background(), encodeRequest(nil, l.sess, "/x", "", "", nil)))
+				raw := replyOf(l.roundTrip(context.Background(), appendFrame(nil, encodeRequest(nil, l.sess, "/x", "", "", nil))))
 				out := echo(l)
 				return fmt.Sprintf("%s; %s; rekeys=%d", raw, out, l.st.rekeys)
 			},
@@ -608,12 +608,12 @@ func TestCarriersAnswerAlike(t *testing.T) {
 			run: func(srv *BinServer, l *binLink) string {
 				q := encodeRequest(nil, l.sess, "/x", "", "", []byte("hi"))
 				q[len(q)-1] ^= 1
-				return replyOf(l.roundTrip(context.Background(), q))
+				return replyOf(l.roundTrip(context.Background(), appendFrame(nil, q)))
 			},
 			want: "E bad"},
 		{name: "unknown op", handshake: true,
 			run: func(srv *BinServer, l *binLink) string {
-				return replyOf(l.roundTrip(context.Background(), []byte{'Z'}))
+				return replyOf(l.roundTrip(context.Background(), appendFrame(nil, []byte{'Z'})))
 			},
 			want: "E bad"},
 		{name: "exchange after Close", handshake: true,
@@ -658,11 +658,29 @@ func TestCarriersAnswerAlike(t *testing.T) {
 				}
 				// The link's fate: a kept link answers a fresh hello, a
 				// dropped one answers nothing.
-				fate := replyOf(l.roundTrip(context.Background(), encodeHello([]byte("dialer"))))
+				fate := replyOf(l.roundTrip(context.Background(), appendFrame(nil, encodeHello([]byte("dialer")))))
 				if kept := fate == "A"; kept != tc.kept {
 					t.Errorf("after the case the link answers a hello with %q, want kept=%v", fate, tc.kept)
 				}
 			})
 		}
 	}
+}
+
+// exchangeCopy runs d.Exchange and returns a copy of the reply, for
+// tests that inspect it after the link is back in the pool.
+func exchangeCopy(d *Dialer, ctx context.Context, rawURL, contentType, action string, body []byte) (*BinResult, error) {
+	var out *BinResult
+	err := d.Exchange(ctx, rawURL, contentType, action, body, func(res BinResult) {
+		res.Body = append([]byte(nil), res.Body...)
+		out = &res
+	})
+	return out, err
+}
+
+// responsePayload is the MAC'd 'S' payload the listener frames for a
+// reply to request ctr.
+func responsePayload(s *Session, ctr uint64, status int, contentType string, body []byte) []byte {
+	_, frame := responseFrame(nil, s, ctr, &BinResponse{Status: status, ContentType: contentType, Body: body})
+	return frame[8:]
 }

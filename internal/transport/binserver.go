@@ -45,6 +45,11 @@ type BinResponse struct {
 	Status      int
 	ContentType string
 	Body        []byte
+	// AppendBody, when set, carries the body instead of Body: the
+	// listener calls it once to append the body to the reply frame, so a
+	// large reply is encoded straight into the link's reused frame buffer
+	// rather than into a buffer of its own that is then copied.
+	AppendBody func(dst []byte) []byte
 }
 
 // BinHandler serves framed requests for one path prefix. caller is the
@@ -176,9 +181,9 @@ func (s *BinServer) ServeConn(conn net.Conn) {
 // (see maxIdleFrameBuf).
 type srvConn struct {
 	sess *Session
-	// buf holds incoming frames, out the encoded reply payload, fbuf
-	// the framed reply.
-	buf, out, fbuf []byte
+	// buf holds incoming frames, fbuf the framed reply, whose payload is
+	// encoded straight into it.
+	buf, fbuf []byte
 }
 
 // serveFrame reads one frame off a connection and writes its answer,
@@ -246,8 +251,9 @@ func (s *BinServer) answer(ctx context.Context, c *srvConn, payload []byte) (rep
 		resp := s.dispatch(ctx, c.sess.Peer, &BinRequest{
 			Path: q.Path, ContentType: q.ContentType, Action: q.Action, Body: q.Body,
 		})
-		c.out = encodeResponse(c.out[:0], c.sess, q.Ctr, resp.Status, resp.ContentType, resp.Body)
-		return c.frame(c.out), true
+		var frame []byte
+		c.fbuf, frame = responseFrame(c.fbuf, c.sess, q.Ctr, resp)
+		return frame, true
 	default:
 		return c.frame(encodeError(binErrBad, fmt.Sprintf("unexpected op %q", payload[0]))), false
 	}
@@ -262,7 +268,7 @@ func (c *srvConn) frame(payload []byte) []byte {
 // releaseBuffers drops any frame buffer that outgrew its last frame past
 // maxIdleFrameBuf, so a link does not pin its largest frame.
 func (c *srvConn) releaseBuffers() {
-	c.buf, c.out, c.fbuf = trimFrameBuf(c.buf), trimFrameBuf(c.out), trimFrameBuf(c.fbuf)
+	c.buf, c.fbuf = trimFrameBuf(c.buf), trimFrameBuf(c.fbuf)
 }
 
 // end closes link c's session as its connection or lane goes away.

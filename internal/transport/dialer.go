@@ -225,20 +225,25 @@ type BinResult struct {
 }
 
 // Exchange runs one request over the binary fast path to rawURL's
-// authority. contentType names a native binary encoding (binuddi, the
-// binary call framing); XML documents go over HTTPClient, never here.
-// ErrBinaryUnavailable means the authority has not (or no longer)
-// negotiated binary — re-send the operation over HTTPClient(); because
-// the request carries all application state (watch cursors included),
-// nothing is lost in the downgrade. Context cancellation surfaces as the
-// context's error, never as a downgrade.
-func (d *Dialer) Exchange(ctx context.Context, rawURL, contentType, action string, body []byte) (*BinResult, error) {
+// authority and hands the reply to decode. contentType names a native
+// binary encoding (binuddi, the binary call framing); XML documents go
+// over HTTPClient, never here. decode runs while the link still owns the
+// reply's buffer: res.Body is valid only until decode returns, so decode
+// copies out whatever it keeps, and the reply is never copied whole.
+// Exchange's error is the transport's; a decode error is the caller's to
+// keep. ErrBinaryUnavailable means the authority has
+// not (or no longer) negotiated binary — re-send the operation over
+// HTTPClient(); because the request carries all application state (watch
+// cursors included), nothing is lost in the downgrade. Context
+// cancellation surfaces as the context's error, never as a downgrade,
+// and a reply that arrives after it is not decoded.
+func (d *Dialer) Exchange(ctx context.Context, rawURL, contentType, action string, body []byte, decode func(res BinResult)) error {
 	if !d.binaryEligible() {
-		return nil, ErrBinaryUnavailable
+		return ErrBinaryUnavailable
 	}
 	u, err := url.Parse(rawURL)
 	if err != nil || u.Host == "" {
-		return nil, ErrBinaryUnavailable
+		return ErrBinaryUnavailable
 	}
 	authority, path := u.Host, u.Path
 	if path == "" {
@@ -248,16 +253,25 @@ func (d *Dialer) Exchange(ctx context.Context, rawURL, contentType, action strin
 
 	l, err := d.acquire(st, authority)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res, err := l.exchange(ctx, path, contentType, action, body)
 	if err != nil {
 		l.discard()
 		if cerr := callerErr(ctx, err); cerr != nil {
-			return nil, fmt.Errorf("transport: binary exchange: %w", cerr)
+			return fmt.Errorf("transport: binary exchange: %w", cerr)
 		}
 		d.downgrade(st)
-		return nil, fmt.Errorf("%w: %v", ErrBinaryUnavailable, err)
+		return fmt.Errorf("%w: %v", ErrBinaryUnavailable, err)
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		// The caller's context ended while the exchange ran — on a local
+		// lane the handler even saw it end. An HTTP round trip would have
+		// been abandoned at that moment, so report the context, not the
+		// (possibly context-shaped) reply.
+		err = fmt.Errorf("transport: binary exchange: %w", cerr)
+	} else {
+		decode(res)
 	}
 	if l.interrupted {
 		// The cancellation hook fired after the exchange finished: it may
@@ -267,14 +281,7 @@ func (d *Dialer) Exchange(ctx context.Context, rawURL, contentType, action strin
 	} else {
 		d.release(st, l)
 	}
-	if err := ctx.Err(); err != nil {
-		// The caller's context ended while the exchange ran — on a local
-		// lane the handler even saw it end. An HTTP round trip would have
-		// been abandoned at that moment, so report the context, not the
-		// (possibly context-shaped) reply.
-		return nil, fmt.Errorf("transport: binary exchange: %w", err)
-	}
-	return res, nil
+	return err
 }
 
 // callerErr reports a failed exchange that is the caller's own doing:
@@ -481,57 +488,50 @@ type binLink struct {
 	lane *BinServer
 	peer *srvConn
 	sess *Session
-	// Frame buffers, reused across exchanges (see maxIdleFrameBuf).
-	buf  []byte // reply frame payload
-	enc  []byte // encoded request payload
-	wbuf []byte // framed request
+	// Frame buffers, reused across exchanges (see maxIdleFrameBuf): buf
+	// holds the reply frame's payload, wbuf the framed request, whose
+	// payload is encoded straight into it.
+	buf  []byte
+	wbuf []byte
 	// interrupted marks a conn whose cancellation hook ran (or may still
 	// run) after its exchange: its deadline is no longer ours to trust.
 	interrupted bool
 }
 
-// copyBody detaches a response body from the link's reusable buffers
-// before the link goes back to the pool — the one steady-state copy the
-// fast path pays so callers can hold results indefinitely.
-func copyBody(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
 // exchange runs one request, rekeying in place when the session is
 // stale (proactively: its lifetime elapsed on the dialer clock, or it is
 // anonymous and an identity has since been installed) or when the
-// listener says 'E' expired.
-func (l *binLink) exchange(ctx context.Context, path, contentType, action string, body []byte) (*BinResult, error) {
-	// Runs after the response body is copied out of the buffers.
+// listener says 'E' expired. The result's body aliases the link's
+// buffer until its next exchange.
+func (l *binLink) exchange(ctx context.Context, path, contentType, action string, body []byte) (BinResult, error) {
+	// Dropping an outgrown buffer leaves the result's body valid: it
+	// still holds the array.
 	defer l.releaseBuffers()
 	if l.sess.stale(l.d.Session, l.d.now()) {
 		if err := l.rekey(); err != nil {
-			return nil, err
+			return BinResult{}, err
 		}
 	}
 	resp, err := l.request(ctx, path, contentType, action, body)
 	if errors.Is(err, errSessionExpired) {
 		// Listener clock ran ahead of ours: rekey and retry once.
 		if err := l.rekey(); err != nil {
-			return nil, err
+			return BinResult{}, err
 		}
 		resp, err = l.request(ctx, path, contentType, action, body)
 	}
 	if err != nil {
-		return nil, err
+		return BinResult{}, err
 	}
-	return &BinResult{Status: resp.Status, ContentType: resp.ContentType, Body: copyBody(resp.Body)}, nil
+	return BinResult{Status: resp.Status, ContentType: resp.ContentType, Body: resp.Body}, nil
 }
 
 // request sends one MAC'd request and verifies its reply. An 'E' expired
 // reply surfaces as errSessionExpired.
 func (l *binLink) request(ctx context.Context, path, contentType, action string, body []byte) (binResponse, error) {
 	ctr := l.sess.peekSendCtr()
-	l.enc = encodeRequest(l.enc[:0], l.sess, path, contentType, action, body)
-	payload, err := l.roundTrip(ctx, l.enc)
+	l.wbuf = requestFrame(l.wbuf, l.sess, path, contentType, action, body)
+	payload, err := l.roundTrip(ctx, l.wbuf)
 	if err != nil {
 		return binResponse{}, err
 	}
@@ -557,7 +557,8 @@ func (l *binLink) handshake() error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), binDialTimeout)
 	defer cancel()
-	payload, err := l.roundTrip(ctx, encodeHello(hc.Hello()))
+	l.wbuf = appendFrame(l.wbuf[:0], encodeHello(hc.Hello()))
+	payload, err := l.roundTrip(ctx, l.wbuf)
 	if err != nil {
 		return err
 	}
@@ -581,14 +582,13 @@ func (l *binLink) rekey() error {
 	return nil
 }
 
-// roundTrip frames one payload, carries it to the listener and returns
-// the payload of the reply frame, which aliases l.buf. On a connection
-// the context's deadline and cancellation bound the write and the read;
-// a lane is answered on the caller's goroutine (laneTrip).
-func (l *binLink) roundTrip(ctx context.Context, payload []byte) ([]byte, error) {
-	l.wbuf = appendFrame(l.wbuf[:0], payload)
+// roundTrip carries one frame to the listener and returns the payload
+// of the reply frame, which aliases l.buf. On a connection the context's
+// deadline and cancellation bound the write and the read; a lane is
+// answered on the caller's goroutine (laneTrip).
+func (l *binLink) roundTrip(ctx context.Context, frame []byte) ([]byte, error) {
 	if l.lane != nil {
-		return l.laneTrip(ctx)
+		return l.laneTrip(ctx, frame)
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		l.conn.SetDeadline(deadline)
@@ -607,7 +607,7 @@ func (l *binLink) roundTrip(ctx context.Context, payload []byte) ([]byte, error)
 			}
 		}()
 	}
-	if _, err := l.conn.Write(l.wbuf); err != nil {
+	if _, err := l.conn.Write(frame); err != nil {
 		return nil, err
 	}
 	reply, nbuf, err := readFrame(frameReader(&l.rd, l.conn), l.buf)
@@ -618,7 +618,7 @@ func (l *binLink) roundTrip(ctx context.Context, payload []byte) ([]byte, error)
 // releaseBuffers drops any frame buffer that outgrew its last frame past
 // maxIdleFrameBuf, so a pooled link does not pin its largest frame.
 func (l *binLink) releaseBuffers() {
-	l.buf, l.enc, l.wbuf = trimFrameBuf(l.buf), trimFrameBuf(l.enc), trimFrameBuf(l.wbuf)
+	l.buf, l.wbuf = trimFrameBuf(l.buf), trimFrameBuf(l.wbuf)
 }
 
 // discard closes the link for good, ending its session on both sides: a

@@ -189,6 +189,57 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// frameHead is the room a frame's header takes ahead of its payload; a
+// payload encoded straight into a frame buffer starts after it, and
+// sealFrame fills it in.
+var frameHead [8]byte
+
+// sealFrame fills in the length/CRC header reserved at frame[:8] for the
+// payload that follows it, and returns frame.
+func sealFrame(frame []byte) []byte {
+	payload := frame[8:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return frame
+}
+
+// requestFrame encodes one request frame into buf's storage: the MAC'd
+// 'Q' payload goes straight after the header, consuming one send
+// counter, so the request is encoded once, in the buffer it is sent from.
+func requestFrame(buf []byte, s *Session, path, contentType, action string, body []byte) []byte {
+	return sealFrame(encodeRequest(append(buf[:0], frameHead[:]...), s, path, contentType, action, body))
+}
+
+// responseFrame encodes the reply frame to request ctr into buf's
+// storage, the MAC'd 'S' payload straight after the header, and returns
+// the grown buffer and the frame. The body, Body or what AppendBody
+// appends, is written in place too: room for the longest length prefix
+// is left ahead of it, and once its length is known the header and
+// fields move up against the prefix it needed. The frame then starts up
+// to binary.MaxVarintLen64-1 bytes into the buffer.
+func responseFrame(buf []byte, s *Session, ctr uint64, resp *BinResponse) (nbuf, frame []byte) {
+	b := slices.Grow(buf[:0], 8+1+3*binary.MaxVarintLen64+len(resp.ContentType)+binary.MaxVarintLen64+len(resp.Body)+macSize)
+	b = appendResponseFields(append(b, frameHead[:]...), ctr, resp.Status, resp.ContentType)
+	fields := len(b)
+	b = append(b, make([]byte, binary.MaxVarintLen64)...)
+	at := len(b)
+	if resp.AppendBody != nil {
+		b = resp.AppendBody(b)
+	} else {
+		b = append(b, resp.Body...)
+	}
+	b = slices.Grow(b, macSize)
+	var prefix [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(prefix[:], uint64(len(b)-at))
+	copy(b[at-k:at], prefix[:k])
+	shift := binary.MaxVarintLen64 - k
+	copy(b[shift:], b[:fields])
+	frame = b[shift:]
+	payload := s.appendSendMAC(frame[8:])
+	frame = sealFrame(frame[:8+len(payload)])
+	return b[:shift+len(frame)], frame
+}
+
 // readFrame reads one frame from r into buf, returning the verified
 // payload. The returned slice aliases buf. A buffer too small for the
 // frame grows as bytes arrive, by at most maxIdleFrameBuf or what it
@@ -237,17 +288,19 @@ type binResponse struct {
 }
 
 // encodeRequest appends a MAC'd 'Q' payload to dst under the session's
-// send key, consuming one send counter. Links pass their own scratch as
-// dst so steady-state requests reuse one grown buffer.
+// send key, consuming one send counter. dst is grown once, for the whole
+// payload and its MAC.
 func encodeRequest(dst []byte, s *Session, path, contentType, action string, body []byte) []byte {
 	ctr := s.nextSendCtr()
-	b := append(dst, opRequest)
+	start := len(dst)
+	b := slices.Grow(dst, 1+5*binary.MaxVarintLen64+len(path)+len(contentType)+len(action)+len(body)+macSize)
+	b = append(b, opRequest)
 	b = binary.AppendUvarint(b, ctr)
 	b = appendBinString(b, path)
 	b = appendBinString(b, contentType)
 	b = appendBinString(b, action)
 	b = appendBinBytes(b, body)
-	return s.appendSendMAC(b)
+	return b[:start+len(s.appendSendMAC(b[start:]))]
 }
 
 // decodeRequest parses and MAC-verifies a 'Q' payload under the
@@ -274,15 +327,13 @@ func decodeRequest(s *Session, payload []byte) (binRequest, error) {
 	return q, nil
 }
 
-// encodeResponse appends a MAC'd 'S' payload to dst echoing the request
-// counter.
-func encodeResponse(dst []byte, s *Session, ctr uint64, status int, contentType string, body []byte) []byte {
-	b := append(dst, opResponse)
+// appendResponseFields appends an 'S' payload's op byte and the fields
+// ahead of its body.
+func appendResponseFields(b []byte, ctr uint64, status int, contentType string) []byte {
+	b = append(b, opResponse)
 	b = binary.AppendUvarint(b, ctr)
 	b = binary.AppendUvarint(b, uint64(status))
-	b = appendBinString(b, contentType)
-	b = appendBinBytes(b, body)
-	return s.appendSendMAC(b)
+	return appendBinString(b, contentType)
 }
 
 // decodeResponse parses and MAC-verifies an 'S' payload, checking the

@@ -64,7 +64,7 @@ func FuzzBinConn(f *testing.F) {
 	hello := appendFrame(nil, encodeHello(hc.Hello()))
 	client, server := sessionPair(time.Hour)
 	req := appendFrame(nil, encodeRequest(nil, client, "/uddi", "text/xml", "", []byte("<find/>")))
-	resp := encodeResponse(nil, server, 1, 200, "text/xml", []byte("<ok/>"))
+	resp := responsePayload(server, 1, 200, "text/xml", []byte("<ok/>"))
 	f.Add(append(append([]byte{}, hello...), req...))
 	f.Add(req)
 	f.Add(hugeHeader())
@@ -103,7 +103,7 @@ func FuzzBinConn(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again := encodeResponse(nil, server, r.Ctr, r.Status, r.ContentType, r.Body)
+		again := responsePayload(server, r.Ctr, r.Status, r.ContentType, r.Body)
 		r2, err := decodeResponse(client, again, r.Ctr)
 		if err != nil {
 			t.Fatalf("decoded response %+v does not re-encode: %v", r, err)

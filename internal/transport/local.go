@@ -50,19 +50,19 @@ func lookupLocal(authority string) *BinServer {
 	return s
 }
 
-// laneTrip carries the framed request in l.wbuf to the lane's server
-// the way a socket would, on the caller's goroutine: the listener parses
+// laneTrip carries one frame to the lane's server the way a socket
+// would, on the caller's goroutine: the listener parses
 // the frame (CRC included) and answers it under the caller's context,
 // and the reply frame is parsed back the same way. A reply that ends the
 // link ends the lane's listener side, so the next round trip fails as a
 // closed connection's would.
-func (l *binLink) laneTrip(ctx context.Context) ([]byte, error) {
+func (l *binLink) laneTrip(ctx context.Context, frame []byte) ([]byte, error) {
 	p := l.peer
 	if p == nil {
 		return nil, errLaneClosed
 	}
 	defer p.releaseBuffers()
-	payload, nbuf, err := readFrameBytes(l.wbuf, p.buf)
+	payload, nbuf, err := readFrameBytes(frame, p.buf)
 	p.buf = nbuf
 	var reply []byte
 	keep := false

@@ -23,7 +23,9 @@ func deviceBatch(from, n int) []Entry {
 }
 
 // TestWatcherGetsWholeSaveAll: a watcher parked on the journal is woken
-// once for a SaveAll and its round carries the whole batch.
+// once for a SaveAll; its round carries the first byte-bounded batch of
+// it, and rounds resumed from each cursor without waiting carry the
+// rest, in order.
 func TestWatcherGetsWholeSaveAll(t *testing.T) {
 	s := NewManualServer()
 	defer s.Close()
@@ -41,8 +43,18 @@ func TestWatcherGetsWholeSaveAll(t *testing.T) {
 	s.SaveAll(deviceBatch(0, 256), time.Hour)
 	select {
 	case chs := <-done:
+		if len(chs) == 0 || len(chs) != batchLen(pageBytes, chs) {
+			t.Fatalf("woken round carried %d changes, want one non-empty batch", len(chs))
+		}
+		for cursor := chs[len(chs)-1].Seq; len(chs) < 256; {
+			more, next, _, err := s.WatchChanges(context.Background(), cursor, 0)
+			if err != nil || len(more) == 0 {
+				t.Fatalf("after %d changes: round of %d, err %v", len(chs), len(more), err)
+			}
+			chs, cursor = append(chs, more...), next
+		}
 		if len(chs) != 256 {
-			t.Fatalf("woken round carried %d changes, want the whole batch of 256", len(chs))
+			t.Fatalf("rounds carried %d changes, want the whole batch of 256", len(chs))
 		}
 		for i, c := range chs {
 			if c.Seq != since+uint64(i)+1 || c.Entry.Key != deviceEntry(i).Key {
@@ -54,8 +66,9 @@ func TestWatcherGetsWholeSaveAll(t *testing.T) {
 	}
 }
 
-// TestFsyncPerBatch: under FsyncAlways a SaveAll costs one fsync and a
-// replica feed round one more on the replica, whatever their size.
+// TestFsyncPerBatch: under FsyncAlways a SaveAll costs one fsync, and
+// each replica feed round (one byte-bounded batch of the leader's
+// journal) one more on the replica, whatever their size.
 func TestFsyncPerBatch(t *testing.T) {
 	leader := durableServer(t, t.TempDir(), DurabilityOptions{Fsync: FsyncAlways, SnapshotEvery: -1})
 	defer leader.Close()
@@ -75,15 +88,20 @@ func TestFsyncPerBatch(t *testing.T) {
 			t.Errorf("SaveAll of %d: %d records appended", n, got)
 		}
 
-		feed, next, _ := leader.Changes(cursor)
-		cursor = next
-		rb := replica.Durability()
-		if err := replica.ApplyReplicated(feed...); err != nil {
-			t.Fatal(err)
-		}
-		ra := replica.Durability()
-		if got := ra.Fsyncs - rb.Fsyncs; got != 1 {
-			t.Errorf("feed round of %d: %d fsyncs, want 1", len(feed), got)
+		for replica.Seq() < leader.Seq() {
+			feed, next, _ := leader.Changes(cursor)
+			if len(feed) == 0 {
+				t.Fatalf("empty feed round at %d, leader at %d", cursor, leader.Seq())
+			}
+			cursor = next
+			rb := replica.Durability()
+			if err := replica.ApplyReplicated(feed...); err != nil {
+				t.Fatal(err)
+			}
+			ra := replica.Durability()
+			if got := ra.Fsyncs - rb.Fsyncs; got != 1 {
+				t.Errorf("feed round of %d: %d fsyncs, want 1", len(feed), got)
+			}
 		}
 		if replica.Seq() != leader.Seq() {
 			t.Fatalf("replica at seq %d, leader at %d", replica.Seq(), leader.Seq())

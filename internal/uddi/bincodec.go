@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -61,8 +62,8 @@ const (
 )
 
 // appendBinEntry appends one entry in WAL field order (minus the
-// journal-only expiry stamp). Category pairs sort so identical entries
-// encode identically.
+// journal-only expiry stamp); binEntrySize is its exact length. Category
+// pairs sort so identical entries encode identically.
 func appendBinEntry(b []byte, e *Entry) []byte {
 	b = appendWALString(b, e.Key)
 	b = appendWALString(b, e.Name)
@@ -72,7 +73,10 @@ func appendBinEntry(b []byte, e *Entry) []byte {
 	b = appendWALString(b, e.WSDL)
 	b = binary.AppendUvarint(b, uint64(len(e.Categories)))
 	if len(e.Categories) > 0 {
-		keys := make([]string, 0, len(e.Categories))
+		// Sized for the usual bag (vsr sends two pairs plus context) so
+		// the sort scratch stays on the stack.
+		var small [8]string
+		keys := small[:0]
 		for k := range e.Categories {
 			keys = append(keys, k)
 		}
@@ -84,6 +88,11 @@ func appendBinEntry(b []byte, e *Entry) []byte {
 	}
 	return b
 }
+
+// minBinEntry is the smallest encoded entry: six empty strings and an
+// empty category count. Decoders size no slice for more entries than a
+// record's remaining bytes could hold at that size.
+const minBinEntry = 7
 
 func decodeBinEntry(r *walReader) Entry {
 	var e Entry
@@ -145,8 +154,16 @@ func binReaderFor(data []byte) (op byte, r *walReader, err error) {
 
 // --- request encoding (client side) -------------------------------------
 
+// recordHead bounds a record's version and op bytes plus two uvarint
+// header fields, what every sized encoder adds to its entries.
+const recordHead = 2 + 2*binary.MaxVarintLen64
+
 func encodeBinSaveAll(entries []Entry, ttl time.Duration) []byte {
-	b := []byte{binUDDIVersion, binUDDISaveAll}
+	n := recordHead
+	for i := range entries {
+		n += binEntrySize(&entries[i])
+	}
+	b := append(make([]byte, 0, n), binUDDIVersion, binUDDISaveAll)
 	b = binary.AppendUvarint(b, uint64(ttl/time.Millisecond))
 	b = binary.AppendUvarint(b, uint64(len(entries)))
 	for i := range entries {
@@ -229,9 +246,18 @@ func encodeBinRequest(req *request) []byte {
 }
 
 // --- response encoding (server side) ------------------------------------
+//
+// Each reply encoder appends its record to the buffer it is handed (the
+// link's frame buffer, see BinHandler), growing it once to the record's
+// size bound before writing, so no reply is encoded into a buffer of its
+// own or regrown along the way.
 
-func encodeBinKeys(keys []string) []byte {
-	b := []byte{binUDDIVersion, binUDDIKeys}
+func appendBinKeys(b []byte, keys []string) []byte {
+	n := recordHead
+	for _, k := range keys {
+		n += walStringSize(k)
+	}
+	b = append(slices.Grow(b, n), binUDDIVersion, binUDDIKeys)
 	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
 		b = appendWALString(b, k)
@@ -239,8 +265,12 @@ func encodeBinKeys(keys []string) []byte {
 	return b
 }
 
-func encodeBinEntries(seq uint64, entries []Entry) []byte {
-	b := []byte{binUDDIVersion, binUDDIEntries}
+func appendBinEntries(b []byte, seq uint64, entries []Entry) []byte {
+	n := recordHead
+	for i := range entries {
+		n += binEntrySize(&entries[i])
+	}
+	b = append(slices.Grow(b, n), binUDDIVersion, binUDDIEntries)
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(len(entries)))
 	for i := range entries {
@@ -249,14 +279,19 @@ func encodeBinEntries(seq uint64, entries []Entry) []byte {
 	return b
 }
 
-// encodeBinChangeList encodes a watch reply ('C') or, with lease, a
+// appendBinChangeList appends a watch reply ('C') or, with lease, a
 // replication feed reply ('H'), which also carries the leader and each
 // change's lease deadline. next is the cursor after changes.
-func encodeBinChangeList(rep *reply, changes []Change, next uint64, lease bool) []byte {
-	b := []byte{binUDDIVersion, binUDDIChanges}
-	if lease {
-		b[1] = binUDDIReplChange
+func appendBinChangeList(b []byte, rep *reply, changes []Change, next uint64, lease bool) []byte {
+	n := recordHead + 2 + binary.MaxVarintLen64 + walStringSize(rep.leader)
+	for i := range changes {
+		n += binChangeSize(&changes[i].Entry)
 	}
+	op := byte(binUDDIChanges)
+	if lease {
+		op = binUDDIReplChange
+	}
+	b = append(slices.Grow(b, n), binUDDIVersion, op)
 	b = binary.AppendUvarint(b, next)
 	if rep.resync {
 		b = append(b, 1)
@@ -284,14 +319,14 @@ func encodeBinChangeList(rep *reply, changes []Change, next uint64, lease bool) 
 	return b
 }
 
-func encodeBinError(code, info string) []byte {
-	b := []byte{binUDDIVersion, binUDDIError}
+func appendBinError(b []byte, code, info string) []byte {
+	b = append(b, binUDDIVersion, binUDDIError)
 	b = appendWALString(b, code)
 	return appendWALString(b, info)
 }
 
-func encodeBinReplStatus(st ReplStatus) []byte {
-	b := []byte{binUDDIVersion, binUDDIReplStatusR}
+func appendBinReplStatus(b []byte, st ReplStatus) []byte {
+	b = append(b, binUDDIVersion, binUDDIReplStatusR)
 	b = binary.AppendUvarint(b, st.Seq)
 	b = binary.AppendUvarint(b, st.Epoch)
 	b = appendWALString(b, st.Leader)
@@ -387,7 +422,10 @@ func decodeBinEntries(data []byte) ([]Entry, uint64, error) {
 		return nil, 0, r.err
 	}
 	var entries []Entry
-	for i := 0; i < n; i++ {
+	if n > 0 {
+		entries = make([]Entry, 0, min(n, r.rest()/minBinEntry))
+	}
+	for i := 0; i < n && r.err == nil; i++ {
 		entries = append(entries, decodeBinEntry(r))
 	}
 	return entries, seq, r.err
@@ -426,6 +464,10 @@ func decodeBinChangeList(data []byte, lease bool) (reply, error) {
 		rep.leader = r.str()
 	}
 	n := r.count()
+	if n > 0 {
+		// A change is at least a seq, an op byte, an expiry and an entry.
+		rep.changes = make([]Change, 0, min(n, r.rest()/(minBinEntry+3)))
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		c := Change{Seq: r.uvarint()}
 		c.Op = walOpChange(r.byte())
@@ -448,12 +490,20 @@ func decodeBinChangeList(data []byte, lease bool) (reply, error) {
 // BinHandler returns face f's binary-native wire: UDDI operations as
 // compact WAL-style records, decoded into the request serve runs with no
 // XML in between. A request with any other content type is refused with
-// 415 E_unsupported before it reaches the store.
+// 415 E_unsupported before it reaches the store. The reply record is
+// encoded straight into the link's frame buffer (AppendBody), so a state
+// page or feed batch is never built in a buffer of its own. Decoded
+// entries are the request's own, so a save installs them without a copy.
 func (s *Server) BinHandler(f Face) transport.BinHandler {
 	return transport.BinHandlerFunc(func(ctx context.Context, caller string, r *transport.BinRequest) *transport.BinResponse {
 		req := decodeBinRequest(r)
 		rep := s.serve(ctx, &f, caller, &req)
-		return s.encodeBinReply(&req, &rep)
+		status := http.StatusOK
+		if rep.fail != nil {
+			status = rep.fail.status
+		}
+		return &transport.BinResponse{Status: status, ContentType: BinContentType,
+			AppendBody: func(b []byte) []byte { return s.appendBinReply(b, &req, &rep) }}
 	})
 }
 
@@ -493,7 +543,7 @@ func decodeBinRequest(br *transport.BinRequest) request {
 	case binUDDISaveAll:
 		req.ttl = time.Duration(r.uvarint()) * time.Millisecond
 		n := r.count()
-		req.entries = make([]Entry, 0, n)
+		req.entries = make([]Entry, 0, min(n, r.rest()/minBinEntry))
 		for i := 0; i < n && r.err == nil; i++ {
 			req.entries = append(req.entries, decodeBinEntry(r))
 		}
@@ -522,27 +572,25 @@ func decodeBinRequest(br *transport.BinRequest) request {
 	return req
 }
 
-// encodeBinReply encodes a served request's reply as its response record.
-func (s *Server) encodeBinReply(req *request, rep *reply) *transport.BinResponse {
+// appendBinReply appends a served request's reply record to b.
+func (s *Server) appendBinReply(b []byte, req *request, rep *reply) []byte {
 	if f := rep.fail; f != nil {
-		return &transport.BinResponse{Status: f.status, ContentType: BinContentType,
-			Body: encodeBinError(f.code, f.info)}
+		return appendBinError(b, f.code, f.info)
 	}
-	var body []byte
 	switch req.op {
 	case opSave, opDelete:
-		body = encodeBinKeys(rep.keys)
+		return appendBinKeys(b, rep.keys)
 	case opFind, opGet:
-		body = encodeBinEntries(rep.seq, rep.entries)
+		return appendBinEntries(b, rep.seq, rep.entries)
 	case opWatch, opReplWatch:
 		changes, next := cutChanges(rep)
-		body = encodeBinChangeList(rep, changes, next, req.op == opReplWatch)
+		return appendBinChangeList(b, rep, changes, next, req.op == opReplWatch)
 	case opReplStatus:
-		body = encodeBinReplStatus(rep.status)
+		return appendBinReplStatus(b, rep.status)
 	case opPage:
-		body = s.encodeBinPage(rep)
+		return s.appendBinPage(b, rep)
 	}
-	return &transport.BinResponse{Status: http.StatusOK, ContentType: BinContentType, Body: body}
+	return b
 }
 
 // cutChanges bounds one binary watch batch: it keeps the visible changes

@@ -45,8 +45,17 @@ func TestBinEntryRoundTrip(t *testing.T) {
 
 // binServe runs one native record through a registry's binary face.
 func binServe(s *Server, opts Face, caller string, req []byte) *transport.BinResponse {
-	return s.BinHandler(opts).ServeBin(context.Background(), caller,
-		&transport.BinRequest{Path: "/uddi", ContentType: BinContentType, Body: req})
+	return bodyOf(s.BinHandler(opts).ServeBin(context.Background(), caller,
+		&transport.BinRequest{Path: "/uddi", ContentType: BinContentType, Body: req}))
+}
+
+// bodyOf returns resp with its reply record in Body, appended the way
+// the listener appends it to a reply frame.
+func bodyOf(resp *transport.BinResponse) *transport.BinResponse {
+	if resp.AppendBody != nil {
+		resp.Body, resp.AppendBody = resp.AppendBody(nil), nil
+	}
+	return resp
 }
 
 // decodeBinChanges decodes a binary watch reply.
@@ -209,8 +218,8 @@ func TestBinHandlerRefusesNonNativeContent(t *testing.T) {
 		h := s.BinHandler(opts)
 		for _, ct := range contentTypes {
 			before := s.Seq()
-			resp := h.ServeBin(context.Background(), "home-a",
-				&transport.BinRequest{Path: "/uddi", ContentType: ct, Body: body})
+			resp := bodyOf(h.ServeBin(context.Background(), "home-a",
+				&transport.BinRequest{Path: "/uddi", ContentType: ct, Body: body}))
 			if resp.Status != 415 {
 				t.Errorf("%s face, %q: status %d, want 415", name, ct, resp.Status)
 			}

@@ -67,14 +67,13 @@ func (c *Client) call(ctx context.Context, req *request) (reply, error) {
 		attempts = c.Resolver.Len() + 1
 	}
 	rec := encodeBinRequest(req)
-	var xml, body []byte
+	var xml []byte
 	var err error
 	for i := 0; i < attempts; i++ {
 		url := c.endpoint()
 		var rep reply
-		body, err = c.exchangeAt(ctx, url, rec)
-		switch {
-		case errors.Is(err, transport.ErrBinaryUnavailable):
+		rep, err = c.exchangeAt(ctx, url, req, rec)
+		if errors.Is(err, transport.ErrBinaryUnavailable) {
 			if xml == nil {
 				xml = encodeXMLRequest(req)
 			}
@@ -82,8 +81,6 @@ func (c *Client) call(ctx context.Context, req *request) (reply, error) {
 			if root, err = c.postAt(ctx, url, xml); err == nil {
 				rep, err = decodeXMLReply(req, root)
 			}
-		case err == nil:
-			rep, err = decodeBinReplyTo(req, body)
 		}
 		if err == nil {
 			return rep, nil
@@ -99,31 +96,29 @@ func (c *Client) call(ctx context.Context, req *request) (reply, error) {
 	return reply{}, err
 }
 
-// exchangeAt sends one binary-native record to url over the Dialer.
+// exchangeAt sends req's binary-native record rec to url over the
+// Dialer and decodes the reply record while the link still holds it.
 // transport.ErrBinaryUnavailable (always, without a Dialer) means the
 // endpoint has no fast path and the operation goes over HTTP instead.
-func (c *Client) exchangeAt(ctx context.Context, url string, rec []byte) ([]byte, error) {
+// A refusal decodes to its typed error here, while the endpoint choice
+// is still open: a replica's E_notLeader must become an error for the
+// failover loop to act on.
+func (c *Client) exchangeAt(ctx context.Context, url string, req *request, rec []byte) (reply, error) {
 	if c.Dialer == nil {
-		return nil, transport.ErrBinaryUnavailable
+		return reply{}, transport.ErrBinaryUnavailable
 	}
-	res, err := c.Dialer.Exchange(ctx, url, BinContentType, "", rec)
+	var rep reply
+	var derr error
+	err := c.Dialer.Exchange(ctx, url, BinContentType, "", rec, func(res transport.BinResult) {
+		rep, derr = decodeBinReplyTo(req, res.Body)
+	})
 	if errors.Is(err, transport.ErrBinaryUnavailable) {
-		return nil, err
+		return reply{}, err
 	}
 	if err != nil {
-		return nil, fmt.Errorf("uddi: %w", &endpointDownError{err})
+		return reply{}, fmt.Errorf("uddi: %w", &endpointDownError{err})
 	}
-	// Decode refusals here rather than in the caller: by the time the
-	// caller decodes the record the endpoint choice is spent, so a
-	// replica's E_notLeader must become an error now for the failover
-	// loop to act.
-	if len(res.Body) >= 2 && res.Body[0] == binUDDIVersion && res.Body[1] == binUDDIError {
-		r := walReader{b: res.Body, off: 2}
-		if code, info := r.str(), r.str(); r.err == nil {
-			return nil, binErrorOf(code, info)
-		}
-	}
-	return res.Body, nil
+	return rep, derr
 }
 
 // postAt POSTs one XML document to url over HTTP and parses the reply.

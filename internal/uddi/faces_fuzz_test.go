@@ -140,8 +140,8 @@ func serveXMLWire(t *testing.T, s *Server, fc faceCase, req *request) faceOutcom
 // the binary face, the client's decoder.
 func serveBinWire(t *testing.T, s *Server, fc faceCase, req *request) faceOutcome {
 	t.Helper()
-	resp := s.BinHandler(fc.face).ServeBin(context.Background(), fc.caller,
-		&transport.BinRequest{Path: "/uddi", ContentType: BinContentType, Body: encodeBinRequest(req)})
+	resp := bodyOf(s.BinHandler(fc.face).ServeBin(context.Background(), fc.caller,
+		&transport.BinRequest{Path: "/uddi", ContentType: BinContentType, Body: encodeBinRequest(req)}))
 	out := faceOutcome{status: resp.Status}
 	if op, r, err := binReaderFor(resp.Body); err == nil && op == binUDDIError {
 		out.code, out.info = r.str(), r.str()

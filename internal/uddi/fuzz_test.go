@@ -68,8 +68,8 @@ func FuzzBinHandler(f *testing.F) {
 		}
 		for name, opts := range faces {
 			before := s.Seq()
-			resp := s.BinHandler(opts).ServeBin(ctx, "home-a",
-				&transport.BinRequest{Path: "/uddi", ContentType: contentType, Body: body})
+			resp := bodyOf(s.BinHandler(opts).ServeBin(ctx, "home-a",
+				&transport.BinRequest{Path: "/uddi", ContentType: contentType, Body: body}))
 			if resp.Status == 200 {
 				dec := binDecoders[body[1]]
 				if dec == nil {

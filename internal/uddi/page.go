@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -23,9 +24,9 @@ import (
 // one record: a single larger record travels alone.
 const pageBytes = 64 << 10
 
-// pageSlack is the headroom a page buffer is sized with beyond
-// pageBytes: room for the record that crosses the bound (a device entry
-// is about 1.3 KB) and the trailer, so the buffer is allocated once.
+// pageSlack is the headroom a page buffer is grown by beyond pageBytes:
+// room for the record that crosses the bound (a device entry is about
+// 1.3 KB) and the trailer, so the buffer is grown at most once.
 const pageSlack = 4 << 10
 
 // Page is one key-ordered, byte-bounded run of a registry's live
@@ -125,14 +126,15 @@ func (s *Server) walkPage(after string, view View, put func(e Entry, expires tim
 	return ""
 }
 
-// encodeBinPage encodes a served page request: the header serve read,
-// then the entries keyed after the reply's continuation key straight
-// from the registry's records, into one buffer sized for the bound.
-// Behind a view, entries are filtered and rewritten and carry no
-// deadline.
-func (s *Server) encodeBinPage(rep *reply) []byte {
+// appendBinPage appends a served page request's reply: the header serve
+// read, then the entries keyed after the reply's continuation key
+// straight from the registry's records. b is the link's reused frame
+// buffer, grown once for the bound. Behind a view, entries are filtered
+// and rewritten and carry no deadline.
+func (s *Server) appendBinPage(b []byte, rep *reply) []byte {
 	p := &rep.page
-	b := make([]byte, 0, pageBytes+pageSlack)
+	b = slices.Grow(b, pageBytes+pageSlack)
+	start := len(b)
 	b = append(b, binUDDIVersion, binUDDIPageR)
 	b = binary.AppendUvarint(b, p.Seq)
 	b = binary.AppendUvarint(b, p.Epoch)
@@ -141,7 +143,7 @@ func (s *Server) encodeBinPage(rep *reply) []byte {
 	next := s.walkPage(rep.after, rep.view, func(e Entry, exp time.Time) bool {
 		b = append(b, 1)
 		b = appendWALEntry(b, e, exp)
-		return len(b) >= pageBytes
+		return len(b)-start >= pageBytes
 	})
 	b = append(b, 0)
 	return appendWALString(b, next)
@@ -263,7 +265,7 @@ func (st *Staging) Install(seq, epoch uint64, leader string) error {
 	}
 	s.jmu.Lock()
 	s.seq = seq
-	s.journal = s.journal[:0]
+	s.journal.reset()
 	// The re-ground breaks journal continuity with everything this node
 	// served before, so its remembered epoch boundaries no longer describe
 	// positions in a history it can replay — old-epoch cursors must resync.
@@ -301,7 +303,14 @@ func (s *Server) Leases(fn func(key string, expires time.Time)) {
 // binChangeSize bounds the encoded size of one change in a binary watch
 // reply: seq and expiry uvarints, the op byte, and the entry.
 func binChangeSize(e *Entry) int {
-	n := 2*binary.MaxVarintLen64 + 1 + uvarintSize(len(e.Categories))
+	return 2*binary.MaxVarintLen64 + 1 + binEntrySize(e)
+}
+
+// binEntrySize is the exact encoded size of one entry (appendBinEntry):
+// what every sized encoder, the WAL batch included, adds up before it
+// allocates.
+func binEntrySize(e *Entry) int {
+	n := uvarintSize(len(e.Categories))
 	for _, v := range [...]string{e.Key, e.Name, e.Description, e.AccessPoint, e.TModel, e.WSDL} {
 		n += walStringSize(v)
 	}

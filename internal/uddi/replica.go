@@ -233,7 +233,9 @@ func (s *Server) walAppendEpochLocked(epoch uint64, leader string) {
 // below a change before it) is skipped; a gap in the numbering clears
 // the in-memory journal ring, since Changes() relies on the ring being
 // contiguous, and watchers behind the gap resync. A batch holding an
-// invalid change applies nothing.
+// invalid change applies nothing. The registry takes ownership of the
+// changes' entries (a decoded feed round is not used again): they are
+// installed as they are, and must not be modified afterwards.
 func (s *Server) ApplyReplicated(cs ...Change) error {
 	for _, c := range cs {
 		if c.Seq == 0 {
@@ -251,7 +253,7 @@ func (s *Server) ApplyReplicated(cs ...Change) error {
 	// The feed is applied by a single goroutine per replica, so reading
 	// the position outside the shard locks is race-free here.
 	last := s.Seq()
-	fresh := make([]Change, 0, len(cs))
+	fresh := cs[:0] // filtered in place: the changes are the registry's now
 	var mask uint16
 	for _, c := range cs {
 		if c.Seq > last {
@@ -264,7 +266,7 @@ func (s *Server) ApplyReplicated(cs ...Change) error {
 	for _, c := range fresh {
 		idx := shardIndex(c.Entry.Key)
 		if c.Op == OpAdd || c.Op == OpUpdate {
-			s.shards[idx].put(&record{entry: c.Entry.Clone(), expires: c.Expires})
+			s.shards[idx].put(&record{entry: c.Entry, expires: c.Expires})
 		} else {
 			s.shards[idx].remove(c.Entry.Key)
 		}

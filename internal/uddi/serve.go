@@ -170,7 +170,7 @@ func (s *Server) serve(ctx context.Context, f *Face, caller string, req *request
 				return refuse(http.StatusBadRequest, "E_fatalError", "uddi: service without name")
 			}
 		}
-		return reply{keys: s.SaveAll(req.entries, req.ttl)}
+		return reply{keys: s.saveDecoded(req.entries, req.ttl)}
 	case opDelete:
 		if req.key == "" {
 			return refuse(http.StatusBadRequest, "E_invalidKeyPassed", req.name+" without serviceKey")
@@ -202,7 +202,14 @@ func (s *Server) serve(ctx context.Context, f *Face, caller string, req *request
 		}
 		return reply{entries: []Entry{e}}
 	case opWatch:
-		changes, next, epoch, resync, err := s.WatchChangesEpoch(ctx, req.since, req.epoch, timeout, false)
+		// A view can hide or shrink entries, so the batch a codec cuts
+		// after it may reach past the bound on the raw changes: a watch
+		// behind a view reads the whole tail.
+		limit := pageBytes
+		if view != nil {
+			limit = 0
+		}
+		changes, next, epoch, resync, err := s.watchChangesEpoch(ctx, req.since, req.epoch, timeout, false, limit)
 		if err != nil {
 			// The caller went away mid-poll.
 			return refuse(http.StatusRequestTimeout, "E_fatalError", err.Error())

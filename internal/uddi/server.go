@@ -3,7 +3,9 @@ package uddi
 import (
 	"context"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +45,11 @@ type Server struct {
 	// The journal: a ring of the most recent changes, covering sequence
 	// numbers (seq-len(journal), seq]. Mutators append while holding
 	// their shard lock (shard → journal lock order, never the reverse),
-	// so journal order always matches per-key map order.
+	// so journal order always matches per-key map order. A journaled add
+	// or update shares its entry with the installed record, which is
+	// never mutated.
 	jmu     sync.Mutex
-	journal []Change
+	journal changeRing
 	jcap    int
 	seq     uint64
 	wake    chan struct{} // closed and replaced on every append
@@ -275,9 +279,51 @@ func (s *Server) SetJournalCapacity(n int) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	s.jcap = n
-	if len(s.journal) > n {
-		s.journal = append([]Change(nil), s.journal[len(s.journal)-n:]...)
+	s.journal.keep(n)
+}
+
+// changeRing holds the journal: the most recent changes, oldest first,
+// in an array that grows to the journal capacity and is then written
+// round, so a steady stream of appends neither reallocates nor moves
+// the changes it holds.
+type changeRing struct {
+	buf  []Change
+	head int // index of the oldest change once buf is full
+}
+
+func (r *changeRing) len() int { return len(r.buf) }
+
+// push appends c, overwriting the oldest change once the ring holds max.
+func (r *changeRing) push(c Change, max int) {
+	if len(r.buf) < max {
+		r.buf = append(r.buf, c)
+		return
 	}
+	r.buf[r.head] = c
+	r.head = (r.head + 1) % len(r.buf)
+}
+
+// last returns the newest k changes, oldest first, as up to two runs.
+func (r *changeRing) last(k int) (a, b []Change) {
+	n := len(r.buf)
+	start := r.head + n - k
+	if start >= n {
+		start -= n
+		return r.buf[start : start+k], nil
+	}
+	return r.buf[start:], r.buf[:r.head]
+}
+
+// keep drops all but the newest n changes, laying them out in order.
+func (r *changeRing) keep(n int) {
+	a, b := r.last(min(n, len(r.buf)))
+	r.buf, r.head = append(append(make([]Change, 0, len(a)+len(b)), a...), b...), 0
+}
+
+// reset empties the ring, keeping its array.
+func (r *changeRing) reset() {
+	clear(r.buf)
+	r.buf, r.head = r.buf[:0], 0
 }
 
 func shardIndex(key string) int {
@@ -306,7 +352,7 @@ func (s *Server) ShardLoads() []int64 {
 func (s *Server) JournalStats() (length, capacity int, seq uint64) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
-	return len(s.journal), s.jcap, s.seq
+	return s.journal.len(), s.jcap, s.seq
 }
 
 // appendBatch journals cs in order, writes their WAL frames (when
@@ -335,17 +381,14 @@ func (s *Server) appendBatch(cs []Change) {
 			// Non-contiguous feed (the leader's journal outran us and we
 			// were re-grounded mid-stream): the ring's slice math assumes
 			// contiguous numbering, so it must restart at the new position.
-			s.journal = s.journal[:0]
+			s.journal.reset()
 		}
 		s.seq = c.Seq
 		if c.Op == OpDelete || c.Op == OpExpire {
 			// Invalidation needs identity, not payload; drop the heavy fields.
 			c.Entry = Entry{Key: c.Entry.Key, Name: c.Entry.Name}
 		}
-		s.journal = append(s.journal, Change{Seq: c.Seq, Op: c.Op, Entry: c.Entry.Clone(), Expires: c.Expires})
-	}
-	if len(s.journal) > s.jcap {
-		s.journal = s.journal[len(s.journal)-s.jcap:]
+		s.journal.push(*c, s.jcap)
 	}
 	s.walAppend(cs)
 	close(s.wake)
@@ -410,6 +453,9 @@ func (s *Server) expireSweep() {
 				lapsed = append(lapsed, Change{Op: OpExpire, Entry: rec.entry})
 			}
 		}
+		// Key order, not map order: the same registry journals (and writes
+		// to its WAL) the same sweep identically on every run.
+		slices.SortFunc(lapsed, func(a, b Change) int { return strings.Compare(a.Entry.Key, b.Entry.Key) })
 		s.appendBatch(lapsed)
 		sh.mu.Unlock()
 		for _, c := range lapsed {
@@ -420,28 +466,39 @@ func (s *Server) expireSweep() {
 }
 
 // Save registers or replaces an entry with the given TTL and returns its
-// key: a batch of one.
+// key: a batch of one. The registry keeps its own copy of e.
 func (s *Server) Save(e Entry, ttl time.Duration) string {
 	var key [1]string
-	s.save([]Entry{e}, ttl, key[:])
+	s.save([]Entry{e}, ttl, key[:], true)
 	return key[0]
 }
 
 // SaveAll registers every entry under one TTL and returns the keys in
 // order — the batched form gateways use to renew all their exports in a
 // single round trip. The batch is journaled and written as one: one WAL
-// write, one fsync under FsyncAlways, one watcher wake.
+// write, one fsync under FsyncAlways, one watcher wake. The registry
+// keeps its own copy of every entry.
 func (s *Server) SaveAll(entries []Entry, ttl time.Duration) []string {
 	keys := make([]string, len(entries))
-	s.save(entries, ttl, keys)
+	s.save(entries, ttl, keys, true)
+	return keys
+}
+
+// saveDecoded is SaveAll for entries a wire codec just decoded: nothing
+// else holds them, so they are installed as they are, not copied.
+func (s *Server) saveDecoded(entries []Entry, ttl time.Duration) []string {
+	keys := make([]string, len(entries))
+	s.save(entries, ttl, keys, false)
 	return keys
 }
 
 // save installs entries under one deadline, filling keys (generating
-// those entries lack), and appends them as one batch. It holds the
-// shard locks of every key until the batch is written, so no reader
-// sees an entry before its WAL frame is on the file.
-func (s *Server) save(entries []Entry, ttl time.Duration, keys []string) {
+// those entries lack), and appends them as one batch. With clone it
+// installs copies; otherwise it takes the entries' category maps as
+// they are. It holds the shard locks of every key until the batch is
+// written, so no reader sees an entry before its WAL frame is on the
+// file. The record and its journal change share one entry.
+func (s *Server) save(entries []Entry, ttl time.Duration, keys []string, clone bool) {
 	if ttl <= 0 {
 		ttl = DefaultTTL
 	}
@@ -462,6 +519,9 @@ func (s *Server) save(entries []Entry, ttl time.Duration, keys []string) {
 	now := s.now()
 	deadline := now.Add(ttl)
 	for i, e := range entries {
+		if clone {
+			e = e.Clone()
+		}
 		e.Key = keys[i]
 		idx := shardIndex(e.Key)
 		sh := &s.shards[idx]
@@ -475,7 +535,7 @@ func (s *Server) save(entries []Entry, ttl time.Duration, keys []string) {
 					Detail: old.entry.AccessPoint + " → " + e.AccessPoint})
 			}
 		}
-		sh.put(&record{entry: e.Clone(), expires: deadline})
+		sh.put(&record{entry: e, expires: deadline})
 		cs = append(cs, Change{Op: op, Entry: e, Expires: deadline})
 	}
 	s.appendBatch(cs)
@@ -573,7 +633,11 @@ func (s *Server) Seq() uint64 {
 // since, plus the cursor to resume from. resync is true when the journal
 // no longer covers since (the watcher fell too far behind, or it resumed
 // against a restarted registry): the watcher must discard everything it
-// cached and continue from next.
+// cached and continue from next. One call returns at most one batch —
+// the changes until their encoded size passes pageBytes — and next is
+// then the last one's seq: a caller that wants the whole tail resumes
+// from next until a call returns none. The entries share storage with
+// the registry's records and must not be modified.
 func (s *Server) Changes(since uint64) (changes []Change, next uint64, resync bool) {
 	changes, next, _, resync = s.ChangesEpoch(since, 0, false)
 	return changes, next, resync
@@ -600,10 +664,16 @@ func (s *Server) Changes(since uint64) (changes []Change, next uint64, resync bo
 // discarded by a state transfer, not papered over by replay (replayed
 // records at or below its own position would be skipped as duplicates).
 func (s *Server) ChangesEpoch(since, sinceEpoch uint64, strict bool) (changes []Change, next, nextEpoch uint64, resync bool) {
+	return s.changesEpoch(since, sinceEpoch, strict, pageBytes)
+}
+
+// changesEpoch is ChangesEpoch copying one batch of at most limit
+// encoded bytes (see batchLen), or, with limit 0, the whole tail.
+func (s *Server) changesEpoch(since, sinceEpoch uint64, strict bool, limit int) (changes []Change, next, nextEpoch uint64, resync bool) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	nextEpoch = s.epoch
-	oldest := s.seq - uint64(len(s.journal)) // journal covers (oldest, seq]
+	oldest := s.seq - uint64(s.journal.len()) // journal covers (oldest, seq]
 	if sinceEpoch > 0 && sinceEpoch < s.epoch {
 		b, ok := s.epochBoundaryLocked(sinceEpoch)
 		if !ok {
@@ -633,13 +703,39 @@ func (s *Server) ChangesEpoch(since, sinceEpoch uint64, strict bool) (changes []
 	if since < oldest {
 		return nil, s.seq, nextEpoch, true
 	}
-	// Sequence numbers are contiguous, so the requested tail is a single
-	// slice — no per-record scan of a journal that is mostly history.
-	tail := s.journal[len(s.journal)-int(s.seq-since):]
-	if len(tail) > 0 {
-		changes = append(make([]Change, 0, len(tail)), tail...)
+	// Sequence numbers are contiguous, so the requested tail is the
+	// ring's newest seq-since changes — no per-record scan of a journal
+	// that is mostly history — and only its first batch is copied.
+	a, b := s.journal.last(int(s.seq - since))
+	n := batchLen(limit, a, b)
+	if n == 0 {
+		return nil, s.seq, nextEpoch, false
+	}
+	changes = append(make([]Change, 0, n), a[:min(n, len(a))]...)
+	changes = append(changes, b[:n-len(changes)]...)
+	if n < len(a)+len(b) {
+		return changes, changes[n-1].Seq, nextEpoch, false
 	}
 	return changes, s.seq, nextEpoch, false
+}
+
+// batchLen is how many changes of the runs, taken in order, one batch
+// of limit bytes holds: up to and including the one whose encoded size
+// (binChangeSize) carries the batch past limit, or all of them when
+// limit is 0. With limit pageBytes a batch holds every change either
+// wire codec puts in one reply: both cut at pageBytes of their own
+// encoding, which for the same entry is never smaller.
+func batchLen(limit int, runs ...[]Change) int {
+	n, size := 0, 0
+	for _, run := range runs {
+		for i := range run {
+			n++
+			if size += binChangeSize(&run[i].Entry); limit > 0 && size >= limit {
+				return n
+			}
+		}
+	}
+	return n
 }
 
 // WatchChanges long-polls the journal: it returns as soon as there are
@@ -657,13 +753,19 @@ func (s *Server) WatchChanges(ctx context.Context, since uint64, timeout time.Du
 // watcher re-grounds its cursor and epoch rather than parking on a
 // boundary it cannot see.
 func (s *Server) WatchChangesEpoch(ctx context.Context, since, sinceEpoch uint64, timeout time.Duration, strict bool) (changes []Change, next, nextEpoch uint64, resync bool, err error) {
+	return s.watchChangesEpoch(ctx, since, sinceEpoch, timeout, strict, pageBytes)
+}
+
+// watchChangesEpoch is WatchChangesEpoch returning batches of at most
+// limit encoded bytes (0: the whole tail; see changesEpoch).
+func (s *Server) watchChangesEpoch(ctx context.Context, since, sinceEpoch uint64, timeout time.Duration, strict bool, limit int) (changes []Change, next, nextEpoch uint64, resync bool, err error) {
 	// Wall-clock deadline: the swappable clock governs TTLs, not polls.
 	deadline := time.Now().Add(timeout)
 	for {
 		s.jmu.Lock()
 		waitCh := s.wake
 		s.jmu.Unlock()
-		changes, next, nextEpoch, resync = s.ChangesEpoch(since, sinceEpoch, strict)
+		changes, next, nextEpoch, resync = s.changesEpoch(since, sinceEpoch, strict, limit)
 		if len(changes) > 0 || resync || (sinceEpoch > 0 && nextEpoch != sinceEpoch) {
 			return changes, next, nextEpoch, resync, nil
 		}

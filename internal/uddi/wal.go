@@ -476,24 +476,28 @@ func (s *Server) applyRecovered(rec walRecord) {
 	// Refilling the ring is what lets Changes(since) cover the span back
 	// to the snapshot: watchers and peer cursors inside that window
 	// resume with no resync after a restart.
-	s.journal = append(s.journal, c)
-	if len(s.journal) > s.jcap {
-		s.journal = s.journal[len(s.journal)-s.jcap:]
-	}
+	s.journal.push(c, s.jcap)
 }
 
 // walAppend frames a batch of journaled changes and writes the frames
 // to the active segment with one write, then syncs once under
 // FsyncAlways, all before the batch is acknowledged. Called under jmu,
 // right after the in-memory journal append, so WAL order is journal
-// order. The scratch buffer is reused: with fsync off a batch of one
-// adds no allocations over the in-memory append.
+// order. The scratch buffer is reused, and grown at most once per batch
+// to the batch's size bound: with fsync off a batch of one adds no
+// allocations over the in-memory append.
 func (s *Server) walAppend(cs []Change) {
 	w := s.wal
 	if w == nil || w.f == nil {
 		return
 	}
-	b := w.scratch[:0]
+	n := 0
+	for i := range cs {
+		// Frame header, version byte, then the change as binChangeSize
+		// bounds it.
+		n += 8 + 1 + binChangeSize(&cs[i].Entry)
+	}
+	b := slices.Grow(w.scratch[:0], n)
 	for i := range cs {
 		c := &cs[i]
 		at := len(b)
@@ -839,36 +843,14 @@ func appendWALRecord(b []byte, op byte, seq uint64, e Entry, expires time.Time) 
 }
 
 // appendWALEntry appends one (expiry, entry) group, the encoding WAL
-// records and snapshots share. Category pairs are sorted so identical
-// entries encode identically.
+// records and snapshots share: the expiry, then the entry as the binary
+// wire encodes it (appendBinEntry).
 func appendWALEntry(b []byte, e Entry, expires time.Time) []byte {
 	var expMS uint64
 	if !expires.IsZero() {
 		expMS = uint64(expires.UnixMilli())
 	}
-	b = binary.AppendUvarint(b, expMS)
-	b = appendWALString(b, e.Key)
-	b = appendWALString(b, e.Name)
-	b = appendWALString(b, e.Description)
-	b = appendWALString(b, e.AccessPoint)
-	b = appendWALString(b, e.TModel)
-	b = appendWALString(b, e.WSDL)
-	b = binary.AppendUvarint(b, uint64(len(e.Categories)))
-	if len(e.Categories) > 0 {
-		// Sized for the usual bag (vsr sends two pairs plus context) so
-		// the sort scratch stays on the stack.
-		var small [8]string
-		keys := small[:0]
-		for k := range e.Categories {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendWALString(b, k)
-			b = appendWALString(b, e.Categories[k])
-		}
-	}
-	return b
+	return appendBinEntry(binary.AppendUvarint(b, expMS), &e)
 }
 
 type walReader struct {

@@ -5,6 +5,7 @@
 package uddi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -573,4 +574,56 @@ func findByName(s *Server, name string) (Entry, bool) {
 		return e, true
 	}
 	return Entry{}, false
+}
+
+// TestExpirySweepDeterministic: one scripted durable registry, run
+// twice with a fixed clock and fixed keys, writes byte-identical WAL
+// files even when one sweep expires several entries of one shard. The
+// sweep journals a shard's expiries in key order, not map order.
+func TestExpirySweepDeterministic(t *testing.T) {
+	// Eight keys that share one index shard.
+	var keys []string
+	for i := 0; len(keys) < 8; i++ {
+		k := "uuid:lapse-" + strings.Repeat("x", i%3) + string(rune('a'+i%26)) + string(rune('a'+i/26))
+		if shardIndex(k) == 5 {
+			keys = append(keys, k)
+		}
+	}
+	run := func() []byte {
+		dir := t.TempDir()
+		now := goldenNow
+		s := durableServer(t, dir, DurabilityOptions{SnapshotEvery: -1, Clock: func() time.Time { return now }})
+		for i, k := range keys {
+			e := entryNamed(k)
+			e.Key = k
+			ttl := time.Second
+			if i%4 == 0 {
+				ttl = time.Hour // a survivor between the lapsed ones
+			}
+			s.Save(e, ttl)
+		}
+		now = now.Add(time.Minute)
+		s.Sweep()
+		if n := s.Len(); n != 2 {
+			t.Fatalf("%d entries survive the sweep, want 2", n)
+		}
+		if err := s.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		var all []byte
+		for _, seg := range walSegments(t, dir) {
+			b, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, b...)
+		}
+		return all
+	}
+	first := run()
+	for i := 0; i < 3; i++ {
+		if again := run(); !bytes.Equal(first, again) {
+			t.Fatalf("run %d wrote different WAL bytes than the first (%d vs %d bytes)", i+2, len(again), len(first))
+		}
+	}
 }
