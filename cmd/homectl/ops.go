@@ -8,12 +8,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,17 +28,15 @@ func opsBase(vsrURL string) string {
 	return strings.TrimSuffix(strings.TrimRight(vsrURL, "/"), "/uddi")
 }
 
-// opsGet fetches one face, signing the request when -identity is set.
-func opsGet(ctx context.Context, faceURL string) ([]byte, error) {
+// opsGet fetches one face of the -vsr member, signing the request when
+// -identity is set.
+func (c *ctl) opsGet(ctx context.Context, face string) ([]byte, error) {
+	faceURL := opsBase(c.opsURL) + face
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, faceURL, nil)
 	if err != nil {
 		return nil, err
 	}
-	client := authHTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	resp, err := c.httpC.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -58,20 +55,21 @@ func opsGet(ctx context.Context, faceURL string) ([]byte, error) {
 // JSON, and each deployment shape (vsrd, homesim federation, vsgd)
 // reports its own layout. An audit persistence failure is surfaced as a
 // loud warning on stderr so it cannot hide inside the JSON.
-func health(ctx context.Context, vsrURL string) {
-	body, err := opsGet(ctx, opsBase(vsrURL)+"/health")
+func (c *ctl) health(ctx context.Context) error {
+	body, err := c.opsGet(ctx, "/health")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	os.Stdout.Write(body)
+	c.stdout.Write(body)
 	var report struct {
 		Audit audit.Stats `json:"audit"`
 	}
 	if json.Unmarshal(body, &report) == nil && report.Audit.WriteError != "" {
-		fmt.Fprintf(os.Stderr, "\nhomectl: AUDIT WRITE ERROR — the log keeps recording in memory but %s is incomplete: %s\n",
+		fmt.Fprintf(c.stderr, "\nhomectl: AUDIT WRITE ERROR — the log keeps recording in memory but %s is incomplete: %s\n",
 			dash(report.Audit.Path), report.Audit.WriteError)
 	}
-	warnReplicationLag(body)
+	c.warnReplicationLag(body)
+	return nil
 }
 
 // replicationReport is the slice of /health the replication widgets
@@ -95,7 +93,7 @@ type replicationReport struct {
 // warnReplicationLag shouts on stderr when a replica has fallen further
 // behind its leader than one snapshot interval: past that point a feed
 // interruption risks a full resync instead of a journal catch-up.
-func warnReplicationLag(body []byte) {
+func (c *ctl) warnReplicationLag(body []byte) {
 	var r replicationReport
 	if json.Unmarshal(body, &r) != nil || r.Replication == nil || r.Replication.Role != "replica" {
 		return
@@ -105,28 +103,28 @@ func warnReplicationLag(body []byte) {
 		interval = uint64(r.Durability.SnapshotEvery)
 	}
 	if r.Replication.Lag > interval {
-		fmt.Fprintf(os.Stderr, "\nhomectl: REPLICATION LAG — replica is %d changes behind %s (snapshot interval %d); a feed interruption now forces a full resync\n",
+		fmt.Fprintf(c.stderr, "\nhomectl: REPLICATION LAG — replica is %d changes behind %s (snapshot interval %d); a feed interruption now forces a full resync\n",
 			r.Replication.Lag, dash(r.Replication.Leader), interval)
 	}
 }
 
 // peers renders the peering section of /health as a table, one row per
 // replication link.
-func peers(ctx context.Context, vsrURL string) {
-	body, err := opsGet(ctx, opsBase(vsrURL)+"/health")
+func (c *ctl) peers(ctx context.Context) error {
+	body, err := c.opsGet(ctx, "/health")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var report struct {
 		Peers map[string]peer.Status `json:"peers"`
 	}
 	if err := json.Unmarshal(body, &report); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	printReplication(body)
+	c.printReplication(body)
 	if len(report.Peers) == 0 {
-		fmt.Println("no peer links")
-		return
+		fmt.Fprintln(c.stdout, "no peer links")
+		return nil
 	}
 	names := make([]string, 0, len(report.Peers))
 	for name := range report.Peers {
@@ -135,7 +133,7 @@ func peers(ctx context.Context, vsrURL string) {
 	sort.Strings(names)
 	// PROTO sits after RESYNCS: scripts address the earlier columns by
 	// position (the soak job's awk does), so new columns append.
-	fmt.Printf("%-12s %-6s %-5s %-8s %-7s %-7s %-7s %-6s %s\n", "PEER", "STATE", "AUTH", "IMPORTED", "APPLIED", "CURSOR", "RESYNCS", "PROTO", "DETAIL")
+	fmt.Fprintf(c.stdout, "%-12s %-6s %-5s %-8s %-7s %-7s %-7s %-6s %s\n", "PEER", "STATE", "AUTH", "IMPORTED", "APPLIED", "CURSOR", "RESYNCS", "PROTO", "DETAIL")
 	for _, name := range names {
 		st := report.Peers[name]
 		state, auth := "down", "-"
@@ -153,74 +151,76 @@ func peers(ctx context.Context, vsrURL string) {
 		if label == "" {
 			label = name
 		}
-		fmt.Printf("%-12s %-6s %-5s %-8d %-7d %-7d %-7d %-6s %s\n", label, state, auth, st.Imported, st.Applied, st.Cursor, st.Resyncs, dash(st.Proto), detail)
+		fmt.Fprintf(c.stdout, "%-12s %-6s %-5s %-8d %-7d %-7d %-7d %-6s %s\n", label, state, auth, st.Imported, st.Applied, st.Cursor, st.Resyncs, dash(st.Proto), detail)
 	}
+	return nil
 }
 
 // auditCmd renders the /audit face: log stats, the verification verdict
 // when asked for, and the newest records oldest-first.
-func auditCmd(ctx context.Context, vsrURL string, n int, verify bool) {
+func (c *ctl) auditCmd(ctx context.Context, n int, verify bool) error {
 	q := url.Values{}
 	q.Set("n", strconv.Itoa(n))
 	if verify {
 		q.Set("verify", "1")
 	}
-	body, err := opsGet(ctx, opsBase(vsrURL)+"/audit?"+q.Encode())
+	body, err := c.opsGet(ctx, "/audit?"+q.Encode())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var snap ops.AuditSnapshot
 	if err := json.Unmarshal(body, &snap); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !snap.Enabled {
-		fmt.Println("auditing is off (start the daemon with -audit or -audit-log)")
-		return
+		fmt.Fprintln(c.stdout, "auditing is off (start the daemon with -audit or -audit-log)")
+		return nil
 	}
 	where := "in memory"
 	if snap.Stats.Path != "" {
 		where = snap.Stats.Path
 	}
-	fmt.Printf("audit: %d records, %d sealed batches of %d (%s)\n",
+	fmt.Fprintf(c.stdout, "audit: %d records, %d sealed batches of %d (%s)\n",
 		snap.Stats.Seq, snap.Stats.Batches, snap.Stats.BatchSize, where)
 	if snap.Stats.LastRoot != "" {
-		fmt.Printf("last root: %s\n", snap.Stats.LastRoot)
+		fmt.Fprintf(c.stdout, "last root: %s\n", snap.Stats.LastRoot)
 	}
 	if snap.Stats.WriteError != "" {
-		fmt.Printf("WRITE ERROR: %s\n", snap.Stats.WriteError)
+		fmt.Fprintf(c.stdout, "WRITE ERROR: %s\n", snap.Stats.WriteError)
 	}
 	if verify {
 		if snap.Verify == nil {
-			log.Fatal("homectl: face did not return a verification result")
+			return errors.New("face did not return a verification result")
 		}
 		if !snap.Verify.OK {
-			fmt.Printf("verify: FAILED — %s\n", snap.Verify.Error)
-			os.Exit(1)
+			fmt.Fprintf(c.stdout, "verify: FAILED — %s\n", snap.Verify.Error)
+			return errors.New("audit chain verification failed")
 		}
-		fmt.Printf("verify: OK — chain covers %d records, %d sealed roots recomputed, %d unsealed\n",
+		fmt.Fprintf(c.stdout, "verify: OK — chain covers %d records, %d sealed roots recomputed, %d unsealed\n",
 			snap.Verify.Records, snap.Verify.Batches, snap.Verify.Unsealed)
 	}
 	if len(snap.Tail) == 0 {
-		return
+		return nil
 	}
-	fmt.Printf("%5s %-12s %-14s %-10s %-12s %-24s %s\n", "SEQ", "TIME", "TYPE", "FACE", "CALLER", "SERVICE", "DETAIL")
+	fmt.Fprintf(c.stdout, "%5s %-12s %-14s %-10s %-12s %-24s %s\n", "SEQ", "TIME", "TYPE", "FACE", "CALLER", "SERVICE", "DETAIL")
 	for _, rec := range snap.Tail {
-		fmt.Printf("%5d %-12s %-14s %-10s %-12s %-24s %s\n",
+		fmt.Fprintf(c.stdout, "%5d %-12s %-14s %-10s %-12s %-24s %s\n",
 			rec.Seq, rec.Time().Format("15:04:05.000"), rec.Type, rec.Face,
 			dash(rec.Caller), dash(rec.Service), auditDetail(rec))
 	}
+	return nil
 }
 
 // printReplication renders the repository's replica-set role above the
 // peer table when /health carries a replication block: the peer links
 // below all ride whichever member this is, so the role frames the table.
-func printReplication(body []byte) {
+func (c *ctl) printReplication(body []byte) {
 	var r replicationReport
 	if json.Unmarshal(body, &r) != nil || r.Replication == nil {
 		return
 	}
 	st := r.Replication
-	fmt.Printf("%-8s %-6s %-5s %s\n", "ROLE", "EPOCH", "LAG", "LEADER")
+	fmt.Fprintf(c.stdout, "%-8s %-6s %-5s %s\n", "ROLE", "EPOCH", "LAG", "LEADER")
 	detail := st.Leader
 	if st.Role == "replica" && !st.Attached {
 		detail += " (attaching)"
@@ -228,8 +228,8 @@ func printReplication(body []byte) {
 	if st.LastError != "" {
 		detail += " — " + st.LastError
 	}
-	fmt.Printf("%-8s %-6d %-5d %s\n\n", st.Role, st.Epoch, st.Lag, dash(detail))
-	warnReplicationLag(body)
+	fmt.Fprintf(c.stdout, "%-8s %-6d %-5d %s\n\n", st.Role, st.Epoch, st.Lag, dash(detail))
+	c.warnReplicationLag(body)
 }
 
 func dash(s string) string {

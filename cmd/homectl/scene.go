@@ -7,7 +7,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
 	"net/url"
 	"os"
 	"sort"
@@ -16,14 +15,11 @@ import (
 
 	"homeconnect/internal/core/events"
 	"homeconnect/internal/core/scene"
-	"homeconnect/internal/core/vsg"
 	"homeconnect/internal/core/vsr"
 	"homeconnect/internal/service"
-	"homeconnect/internal/soap"
 )
 
-func sceneUsage() {
-	fmt.Fprintf(os.Stderr, `usage: homectl [-vsr URL] scene <command>
+const sceneUsage = `usage: homectl [-vsr URL] scene <command>
 
 commands:
   load <file>                    validate a scene file, print canonical XML
@@ -31,70 +27,71 @@ commands:
   run <file> <scene> [k=v ...]   fire one scene now; k=v become trigger payload
   status <file> [duration]       arm every scene's triggers for the duration
                                  (default 30s), then print run statistics
-`)
-	os.Exit(2)
-}
+`
 
-func sceneCmd(ctx context.Context, repo *vsr.VSR, args []string) {
+func (c *ctl) sceneCmd(ctx context.Context, args []string) error {
 	if len(args) < 2 {
-		sceneUsage()
+		return errSceneUsage
 	}
 	switch args[0] {
 	case "load":
-		sceneLoad(args[1])
+		return c.sceneLoad(args[1])
 	case "list":
-		sceneList(args[1])
+		return c.sceneList(args[1])
 	case "run":
 		if len(args) < 3 {
-			sceneUsage()
+			return errSceneUsage
 		}
-		sceneRun(ctx, repo, args[1], args[2], args[3:])
+		return c.sceneRun(ctx, args[1], args[2], args[3:])
 	case "status":
 		d := 30 * time.Second
 		if len(args) >= 3 {
 			var err error
 			if d, err = time.ParseDuration(args[2]); err != nil {
-				log.Fatalf("bad duration %q: %v", args[2], err)
+				return fmt.Errorf("bad duration %q: %v", args[2], err)
 			}
 		}
-		sceneStatus(ctx, repo, args[1], d)
-	default:
-		sceneUsage()
+		return c.sceneStatus(ctx, args[1], d)
 	}
+	return errSceneUsage
 }
 
-func readScenes(path string) []*scene.Scene {
+func readScenes(path string) ([]*scene.Scene, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	scs, err := scene.Decode(data)
+	return scene.Decode(data)
+}
+
+func (c *ctl) sceneLoad(path string) error {
+	scs, err := readScenes(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	return scs
+	c.stdout.Write(scene.Encode(scs))
+	fmt.Fprintf(c.stderr, "%d scene(s) valid\n", len(scs))
+	return nil
 }
 
-func sceneLoad(path string) {
-	scs := readScenes(path)
-	os.Stdout.Write(scene.Encode(scs))
-	fmt.Fprintf(os.Stderr, "%d scene(s) valid\n", len(scs))
-}
-
-func sceneList(path string) {
-	scs := readScenes(path)
-	fmt.Printf("%-20s %-9s %-6s %s\n", "SCENE", "TRIGGERS", "STEPS", "DOC")
+func (c *ctl) sceneList(path string) error {
+	scs, err := readScenes(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.stdout, "%-20s %-9s %-6s %s\n", "SCENE", "TRIGGERS", "STEPS", "DOC")
 	for _, s := range scs {
-		fmt.Printf("%-20s %-9d %-6d %s\n", s.Name, len(s.Triggers), len(s.Steps), s.Doc)
+		fmt.Fprintf(c.stdout, "%-20s %-9d %-6d %s\n", s.Name, len(s.Triggers), len(s.Steps), s.Doc)
 	}
+	return nil
 }
 
 // soapCaller resolves scene calls through the repository and invokes them
-// over SOAP — the same path as `homectl call`.
-type soapCaller struct{ repo *vsr.VSR }
+// over the dialer — the same path as `homectl call`.
+type soapCaller struct{ c *ctl }
 
-func (c soapCaller) Call(ctx context.Context, id, op string, args []service.Value) (service.Value, error) {
-	r, err := c.repo.Lookup(ctx, id)
+func (sc soapCaller) Call(ctx context.Context, id, op string, args []service.Value) (service.Value, error) {
+	r, err := sc.c.repo.Lookup(ctx, id)
 	if err != nil {
 		return service.Value{}, err
 	}
@@ -105,23 +102,31 @@ func (c soapCaller) Call(ctx context.Context, id, op string, args []service.Valu
 	if err := service.ValidateArgs(opSpec, args); err != nil {
 		return service.Value{}, err
 	}
-	call := soap.Call{Namespace: vsg.Namespace(id), Operation: op}
-	for i, p := range opSpec.Inputs {
-		call.Args = append(call.Args, soap.Arg{Name: p.Name, Value: args[i]})
-	}
-	client := &soap.Client{URL: r.Endpoint, HTTP: authHTTP}
-	return client.Call(ctx, vsg.Namespace(id)+"#"+op, call)
+	return sc.c.invoke(ctx, r, opSpec, args)
 }
 
-// attachSources long-polls each registered network's gateway hub so event
-// triggers and publish steps work from outside the federation process.
-// Networks are discovered from the repository's service registrations.
-func attachSources(ctx context.Context, repo *vsr.VSR, eng *scene.Engine) []*scene.PollSource {
-	remotes, err := repo.Find(ctx, vsr.Query{})
+// sceneEngine builds an engine that calls through the repository, with
+// every scene in path loaded and each registered network's gateway hub
+// long-polled so event triggers and publish steps work from outside the
+// federation process (networks are discovered from the repository's
+// service registrations). stop closes the engine and its sources.
+func (c *ctl) sceneEngine(ctx context.Context, path string) (eng *scene.Engine, stop func(), err error) {
+	scs, err := readScenes(path)
 	if err != nil {
-		log.Fatalf("discover networks: %v", err)
+		return nil, nil, err
 	}
+	remotes, err := c.repo.Find(ctx, vsr.Query{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("discover networks: %w", err)
+	}
+	eng = scene.NewEngine(soapCaller{c: c})
 	var sources []*scene.PollSource
+	stop = func() {
+		for _, s := range sources {
+			s.Close()
+		}
+		eng.Close()
+	}
 	seen := make(map[string]bool)
 	for _, r := range remotes {
 		network := r.Desc.Context[service.CtxNetwork]
@@ -133,38 +138,36 @@ func attachSources(ctx context.Context, repo *vsr.VSR, eng *scene.Engine) []*sce
 			continue
 		}
 		seen[network] = true
-		src := scene.NewPollSource(&events.Client{BaseURL: u.Scheme + "://" + u.Host + "/events", HTTP: authHTTP})
+		src := scene.NewPollSource(&events.Client{BaseURL: u.Scheme + "://" + u.Host + "/events", HTTP: c.httpC})
 		eng.AddSource(network, src)
 		sources = append(sources, src)
 	}
-	return sources
-}
-
-func sceneRun(ctx context.Context, repo *vsr.VSR, path, name string, kvs []string) {
-	eng := scene.NewEngine(soapCaller{repo: repo})
-	defer eng.Close()
-	sources := attachSources(ctx, repo, eng)
-	defer func() {
-		for _, s := range sources {
-			s.Close()
-		}
-	}()
-	for _, sc := range readScenes(path) {
+	for _, sc := range scs {
 		if err := eng.Load(sc); err != nil {
-			log.Fatal(err)
+			stop()
+			return nil, nil, err
 		}
 	}
+	return eng, stop, nil
+}
+
+func (c *ctl) sceneRun(ctx context.Context, path, name string, kvs []string) error {
 	trigger := service.Event{Source: "homectl", Topic: "manual", Payload: make(map[string]service.Value)}
 	for _, kv := range kvs {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
-			log.Fatalf("bad payload argument %q (want k=v)", kv)
+			return fmt.Errorf("bad payload argument %q (want k=v)", kv)
 		}
 		trigger.Payload[k] = service.StringValue(v)
 	}
+	eng, stop, err := c.sceneEngine(ctx, path)
+	if err != nil {
+		return err
+	}
+	defer stop()
 	rec, err := eng.Run(ctx, name, trigger)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, sr := range rec.Steps {
 		out := sr.Result.Text()
@@ -174,36 +177,26 @@ func sceneRun(ctx context.Context, repo *vsr.VSR, path, name string, kvs []strin
 		if sr.Err != nil {
 			out = "error: " + sr.Err.Error()
 		}
-		fmt.Printf("  step %-16s %-8s attempts=%d %s\n", sr.Name, sr.Kind, sr.Attempts, out)
+		fmt.Fprintf(c.stdout, "  step %-16s %-8s attempts=%d %s\n", sr.Name, sr.Kind, sr.Attempts, out)
 	}
-	fmt.Printf("scene %s: %s in %v\n", rec.Scene, rec.Outcome, rec.Latency.Round(time.Millisecond))
-	if rec.Err != nil {
-		log.Fatal(rec.Err)
-	}
+	fmt.Fprintf(c.stdout, "scene %s: %s in %v\n", rec.Scene, rec.Outcome, rec.Latency.Round(time.Millisecond))
+	return rec.Err
 }
 
-func sceneStatus(ctx context.Context, repo *vsr.VSR, path string, d time.Duration) {
-	eng := scene.NewEngine(soapCaller{repo: repo})
-	defer eng.Close()
-	sources := attachSources(ctx, repo, eng)
-	defer func() {
-		for _, s := range sources {
-			s.Close()
-		}
-	}()
-	for _, sc := range readScenes(path) {
-		if err := eng.Load(sc); err != nil {
-			log.Fatal(err)
-		}
+func (c *ctl) sceneStatus(ctx context.Context, path string, d time.Duration) error {
+	eng, stop, err := c.sceneEngine(ctx, path)
+	if err != nil {
+		return err
 	}
+	defer stop()
 	if err := eng.StartAll(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "scenes armed for %v...\n", d)
+	fmt.Fprintf(c.stderr, "scenes armed for %v...\n", d)
 	time.Sleep(d)
 	statuses := eng.List()
 	sort.Slice(statuses, func(i, j int) bool { return statuses[i].Name < statuses[j].Name })
-	fmt.Printf("%-20s %-8s %-6s %-10s %-8s %-10s %s\n",
+	fmt.Fprintf(c.stdout, "%-20s %-8s %-6s %-10s %-8s %-10s %s\n",
 		"SCENE", "RUNS", "OK", "GUARDED", "FAILED", "MEAN", "LAST")
 	for _, st := range statuses {
 		mean := time.Duration(0)
@@ -217,8 +210,9 @@ func sceneStatus(ctx context.Context, repo *vsr.VSR, path string, d time.Duratio
 		if st.Stats.LastError != "" {
 			last += " (" + st.Stats.LastError + ")"
 		}
-		fmt.Printf("%-20s %-8d %-6d %-10d %-8d %-10v %s\n",
+		fmt.Fprintf(c.stdout, "%-20s %-8d %-6d %-10d %-8d %-10v %s\n",
 			st.Name, st.Stats.Runs, st.Stats.Completed, st.Stats.Guarded,
 			st.Stats.Failed, mean.Round(time.Millisecond), last)
 	}
+	return nil
 }

@@ -297,13 +297,37 @@ func (l *Log) reopen() error {
 	l.pending = append(l.pending[:0], st.pending...)
 	l.pendingFirst = st.pendingFirst
 	l.roots = st.roots
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
+	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o600)
 	if err != nil {
+		return fmt.Errorf("audit: open %s: %w", l.path, err)
+	}
+	if err := endLine(f); err != nil {
+		f.Close()
 		return fmt.Errorf("audit: open %s: %w", l.path, err)
 	}
 	l.f = f
 	l.w = bufio.NewWriter(f)
 	return nil
+}
+
+// endLine ends a non-empty file that lacks its final newline (a crash
+// can cut just that byte; replay accepts the last line without it), so
+// the next record starts a line of its own instead of fusing with the
+// last one into a line no replay accepts.
+func endLine(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // canonical appends the record's canonical encoding to buf: a version

@@ -12,7 +12,7 @@ import (
 )
 
 // fill records n events into l with deterministic content.
-func fill(t *testing.T, l *Log, n int) {
+func fill(t testing.TB, l *Log, n int) {
 	t.Helper()
 	l.nowFn = func() time.Time { return time.UnixMilli(1_700_000_000_000) }
 	for i := 1; i <= n; i++ {
@@ -186,6 +186,40 @@ func TestReopenContinuesChain(t *testing.T) {
 	if tail := l2.Tail(100, ""); len(tail) != 10 || tail[0].Seq != 1 || tail[9].Seq != 10 {
 		t.Fatalf("reopened ring window wrong: %d records", len(tail))
 	}
+}
+
+// TestReopenAfterLostFinalNewline: a crash that cuts only the trailing
+// newline leaves a file replay accepts; the next record must still start
+// a line of its own, or the following boot refuses the file.
+func TestReopenAfterLostFinalNewline(t *testing.T) {
+	path := persisted(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(data, []byte("\n")), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	l, err := New(Options{Path: path, BatchSize: 4})
+	if err != nil {
+		t.Fatalf("reopen without the final newline: %v", err)
+	}
+	fill(t, l, 1)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := VerifyFile(path, 4)
+	if err != nil {
+		t.Fatalf("VerifyFile after one more record: %v", err)
+	}
+	if res.Records != 11 {
+		t.Fatalf("VerifyFile counted %d records, want 11", res.Records)
+	}
+	l, err = New(Options{Path: path, BatchSize: 4})
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	l.Close()
 }
 
 func TestReopenRefusesTamperedFile(t *testing.T) {

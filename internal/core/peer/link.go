@@ -102,7 +102,7 @@ func newLink(p *Peering, urls []string) *Link {
 	// negotiated a session (anonymous in open mode), SOAP/HTTP otherwise
 	// — signed once the home has an identity, plain over the underlying
 	// transport (shared TCP, or an injected MemNet) before.
-	remote.SetDialer(p.dialerFor())
+	remote.SetDialer(p.dialer)
 	ctx, cancel := context.WithCancel(context.Background())
 	l := &Link{
 		p:        p,
@@ -120,18 +120,13 @@ func newLink(p *Peering, urls []string) *Link {
 
 // Status returns a snapshot of the link's condition.
 func (l *Link) Status() Status {
-	l.p.mu.Lock()
-	d := l.p.dialer
-	l.p.mu.Unlock()
 	cursor, epoch := l.follow.Cursor()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.st
 	st.Cursor, st.CursorEpoch = cursor, epoch
 	st.Imported = len(l.imported)
-	if d != nil {
-		st.Proto = d.ProtocolFor(l.url)
-	}
+	st.Proto = l.p.dialer.ProtocolFor(l.url)
 	if st.Proto == "" && st.Connected {
 		st.Proto = "soap"
 	}

@@ -68,16 +68,11 @@ type Peering struct {
 	reg   *uddi.Server
 	auth  *identity.Auth
 	clock vclock.Clock
-	// rt, when set, carries link traffic instead of the shared TCP
-	// transport — the dialer seam a transport.MemNet plugs into.
-	rt http.RoundTripper
-	// dialer owns link credentials and per-peer protocol negotiation:
-	// watch rounds and reconciles ride the binary fast path to peers
-	// that negotiate it and signed HTTP to the rest. Built lazily on the
-	// first link so it sees the final rt; binaryOff records a
-	// SetBinaryEnabled(false) made before then.
-	dialer    *transport.Dialer
-	binaryOff bool
+	// dialer owns link credentials, per-peer protocol negotiation and
+	// the wire settings (SetTransport, SetBinaryEnabled): watch rounds
+	// and reconciles ride the binary fast path to peers that negotiate
+	// it and signed HTTP to the rest. Every link shares it.
+	dialer *transport.Dialer
 
 	mu        sync.Mutex
 	importTTL time.Duration
@@ -125,6 +120,7 @@ func New(home string, registry *uddi.Server, auth *identity.Auth) (*Peering, err
 		reg:       registry,
 		auth:      auth,
 		clock:     vclock.System,
+		dialer:    transport.NewDialer(auth),
 		importTTL: vsr.DefaultTTL,
 		links:     make(map[string]*Link),
 		denySeen:  make(map[string]struct{}),
@@ -140,47 +136,20 @@ func (p *Peering) SetClock(c vclock.Clock) {
 	}
 }
 
-// SetTransport routes subsequent links' wire traffic through rt instead
-// of the shared TCP transport; signing and verification still apply on
-// top. The simulation passes its transport.MemNet here. Call before
-// Peer; existing links keep their transport.
-func (p *Peering) SetTransport(rt http.RoundTripper) { p.rt = rt }
-
-// dialerFor returns the peering's shared link dialer, building it on
-// first use. Callers hold p.mu.
-func (p *Peering) dialerFor() *transport.Dialer {
-	if p.dialer == nil {
-		p.dialer = transport.NewDialer(p.auth)
-		p.dialer.Transport = p.rt
-		if p.binaryOff {
-			p.dialer.Binary = false
-		}
-	}
-	return p.dialer
-}
+// SetTransport routes the links' wire traffic through rt instead of the
+// shared TCP transport; signing and verification still apply on top.
+// The simulation passes its transport.MemNet here. Call before Peer.
+func (p *Peering) SetTransport(rt http.RoundTripper) { p.dialer.Transport = rt }
 
 // SetBinaryEnabled turns the binary fast path off (or back on) for this
 // home's import links; disabled, every round rides signed SOAP/HTTP.
 // Call alongside SetTransport, before Peer.
-func (p *Peering) SetBinaryEnabled(on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.binaryOff = !on
-	if p.dialer != nil {
-		p.dialer.SetBinary(on)
-	}
-}
+func (p *Peering) SetBinaryEnabled(on bool) { p.dialer.SetBinary(on) }
 
 // WireStats reports per-peer link protocol state (see
 // transport.WireStats); empty before the first link.
 func (p *Peering) WireStats() transport.WireStats {
-	p.mu.Lock()
-	d := p.dialer
-	p.mu.Unlock()
-	if d == nil {
-		return nil
-	}
-	return d.WireStatsSnapshot()
+	return p.dialer.WireStatsSnapshot()
 }
 
 // SetRecorder installs the audit recorder peering decisions are reported
@@ -424,13 +393,9 @@ func (p *Peering) Close() {
 		links = append(links, l)
 	}
 	p.links = make(map[string]*Link)
-	d := p.dialer
-	p.dialer = nil
 	p.mu.Unlock()
 	for _, l := range links {
 		l.stop(false)
 	}
-	if d != nil {
-		d.Close()
-	}
+	p.dialer.Close()
 }

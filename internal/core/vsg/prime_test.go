@@ -1,12 +1,17 @@
 package vsg
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"testing"
 	"time"
 
 	"homeconnect/internal/core/vsr"
+	"homeconnect/internal/transport"
 	"homeconnect/internal/uddi"
 	"homeconnect/internal/vclock"
 )
@@ -206,7 +211,8 @@ func TestDeltaFillsAndEvicts(t *testing.T) {
 	}
 }
 
-// grounds is the number of times the gateway has grounded its cache.
+// grounds is the gateway's cache generation: the number of times it has
+// grounded its cache, plus its watch outages.
 func (m *manualWatch) grounds() uint64 {
 	m.gw.mu.Lock()
 	defer m.gw.mu.Unlock()
@@ -261,5 +267,113 @@ func TestFailedWalkFlushesCache(t *testing.T) {
 	}
 	if h := m.gw.Health(); h.CacheInvalidations != uint64(len(ids)) {
 		t.Errorf("cache invalidations = %d, want %d", h.CacheInvalidations, len(ids))
+	}
+}
+
+// holdFinds carries a gateway's SOAP/HTTP traffic and holds the reply to
+// each registry inquiry (find_service) until the test releases it, so
+// the test can act while the inquiry is in flight.
+type holdFinds struct {
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdFinds) RoundTrip(req *http.Request) (*http.Response, error) {
+	var doc []byte
+	if req.GetBody != nil {
+		if body, err := req.GetBody(); err == nil {
+			doc, _ = io.ReadAll(body)
+		}
+	}
+	resp, err := transport.Shared().RoundTrip(req)
+	if bytes.Contains(doc, []byte("find_service")) {
+		h.held <- struct{}{}
+		<-h.release
+	}
+	return resp, err
+}
+
+// TestResolveFillRule: while the watch is up the resolve cache is exactly
+// the watch's view — a miss is answered but fills nothing, and the delta
+// fills it. While the watch is down a miss fills the cache, unless an
+// outage or a ground happened while its inquiry was in flight.
+func TestResolveFillRule(t *testing.T) {
+	m := newManualWatch(t)
+	hold := &holdFinds{held: make(chan struct{}), release: make(chan struct{})}
+	m.gw.SetTransport(hold)
+	m.gw.SetBinaryEnabled(false)
+	ctx := context.Background()
+	v := vsr.New(m.srv.URL())
+	register := func(id, endpoint string) {
+		t.Helper()
+		if _, err := v.Register(ctx, lampDesc(id), endpoint); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// resolve runs one Resolve whose inquiry is held while act runs.
+	resolve := func(id string, act func()) vsr.Remote {
+		t.Helper()
+		type result struct {
+			r   vsr.Remote
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			r, err := m.gw.Resolve(ctx, id)
+			done <- result{r, err}
+		}()
+		<-hold.held
+		act()
+		hold.release <- struct{}{}
+		res := <-done
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		return res.r
+	}
+	down := func() { m.gw.applyDelta(vsr.Delta{Op: vsr.DeltaDown, Err: errors.New("stream lost")}) }
+
+	m.step(t) // Up on an empty registry
+	register("jini:lamp-1", "http://h/1")
+	if r := resolve("jini:lamp-1", func() {}); r.Endpoint != "http://h/1" {
+		t.Fatalf("resolved %q, want http://h/1", r.Endpoint)
+	}
+	if cached(m.gw, "jini:lamp-1") {
+		t.Fatal("a miss filled the cache while the watch was up")
+	}
+	m.step(t)
+	if !cached(m.gw, "jini:lamp-1") {
+		t.Fatal("the add delta did not fill the cache")
+	}
+
+	down()
+	register("jini:lamp-2", "http://h/2")
+	resolve("jini:lamp-2", func() {})
+	if !cached(m.gw, "jini:lamp-2") {
+		t.Fatal("a miss did not fill the cache while the watch was down")
+	}
+
+	register("jini:lamp-3", "http://h/3")
+	resolve("jini:lamp-3", down)
+	if cached(m.gw, "jini:lamp-3") {
+		t.Fatal("an inquiry in flight across an outage filled the cache")
+	}
+
+	// The held inquiry read the old endpoint; the ground read the new
+	// one, and the stale answer must not overwrite it.
+	r := resolve("jini:lamp-3", func() {
+		register("jini:lamp-3", "http://h/3-moved")
+		if _, err := m.gw.ground(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if r.Endpoint != "http://h/3" {
+		t.Fatalf("held inquiry answered %q, want the old endpoint http://h/3", r.Endpoint)
+	}
+	m.gw.mu.Lock()
+	got := m.gw.resolveCache["jini:lamp-3"].remote.Endpoint
+	m.gw.mu.Unlock()
+	if got != "http://h/3-moved" {
+		t.Fatalf("cache holds %q after a ground during the inquiry, want http://h/3-moved", got)
 	}
 }

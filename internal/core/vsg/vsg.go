@@ -16,9 +16,9 @@
 // batched request per refresh interval (RegisterAll), and the resolve
 // cache is the registry view the repository's change watch maintains —
 // grounded from a page walk before the first watch round and on resync,
-// then filled, rewritten or evicted the moment the VSR journals a change,
-// with the cache TTL surviving only as the fallback staleness bound while
-// the watch is down (degraded mode, surfaced via Health).
+// then filled, rewritten or evicted the moment the VSR journals a change.
+// Only while the watch is not up (degraded mode, surfaced via Health) do
+// lookups fill the cache themselves, bounded by the cache TTL.
 package vsg
 
 import (
@@ -95,37 +95,27 @@ type VSG struct {
 	// auth is the home's authentication context (nil = open mode
 	// forever); set before Start.
 	auth *identity.Auth
-	// dialer owns outbound credentials and protocol negotiation:
-	// repository traffic and cross-home calls try the binary fast path
-	// (signed sessions once auth has an identity, anonymous before) and
-	// degrade to SOAP/HTTP — signed when auth is live — per authority.
-	// Rebuilt by SetAuth and SetTransport; authHTTP is its HTTP side.
-	dialer   *transport.Dialer
-	authHTTP *http.Client
-	// bin is the inbound binary face sharing the listener with HTTP
-	// (inert on detached gateways). binaryOff records SetBinaryEnabled
-	// calls made before Start builds bin.
-	bin       *transport.BinServer
-	binaryOff bool
-	// rt, when set (SetTransport), carries all outbound wire traffic
-	// instead of the shared TCP transport — the dialer seam a
-	// transport.MemNet plugs into.
-	rt http.RoundTripper
+	// dialer owns outbound credentials, protocol negotiation and the
+	// wire settings (SetTransport, SetBinaryEnabled): repository traffic
+	// and cross-home calls try the binary fast path (signed sessions once
+	// auth has an identity, anonymous before) and degrade to SOAP/HTTP —
+	// signed when auth is live — per authority. Rebuilt by SetAuth.
+	dialer *transport.Dialer
+	// bin is the inbound binary face sharing the listener with HTTP,
+	// built by Start.
+	bin *transport.BinServer
 	// clock is the gateway's time source (SetClock); refresh cadence and
 	// cache-expiry stamps follow it.
 	clock vclock.Clock
 
 	ln    net.Listener
 	httpS *http.Server
-	// base is the URL authority for a detached gateway (StartDetached) —
-	// a virtual hostname on an in-memory network, no listener.
-	base string
 
 	mu      sync.Mutex
 	exports map[string]*export
-	// resolveCache holds resolutions: every service the watch has
-	// delivered, plus lookups made while it was not yet grounded or was
-	// down; see SetCacheTTL.
+	// resolveCache holds resolutions: while the watch is up, exactly the
+	// services it has delivered; otherwise also lookups made while it was
+	// down (see Resolve and SetCacheTTL).
 	resolveCache map[string]cachedRemote
 	cacheTTL     time.Duration
 	closed       bool
@@ -148,12 +138,9 @@ type VSG struct {
 	// the only staleness bound (degraded mode, surfaced via Health).
 	watchUp      bool
 	lastWatchErr string
-	// changedSeq records the latest delta sequence per service ID and
-	// cacheGen counts resyncs/outages; together they fence cache inserts
-	// whose repository lookup predates a concurrent change (the looked-up
-	// data would be stale yet never invalidated).
-	changedSeq map[string]uint64
-	cacheGen   uint64
+	// cacheGen counts grounds and watch outages: a lookup that was in
+	// flight across either must not fill the cache (see Resolve).
+	cacheGen uint64
 
 	// loopbackOff disables in-process dispatch on this (calling) gateway;
 	// atomic because it gates the per-call hot path. The zero value means
@@ -194,7 +181,6 @@ func New(name, vsrURL string) *VSG {
 		clock:        vclock.System,
 		exports:      make(map[string]*export),
 		resolveCache: make(map[string]cachedRemote),
-		changedSeq:   make(map[string]uint64),
 		cacheTTL:     2 * time.Second,
 		watchEnabled: true,
 	}
@@ -213,12 +199,9 @@ func (g *VSG) SetClock(c vclock.Clock) {
 
 // SetTransport routes the gateway's outbound wire traffic — repository
 // operations and cross-home SOAP — through rt instead of the shared TCP
-// transport; credential signing still applies on top. The simulation
-// passes its transport.MemNet here. Call before Start and before
-// SetAuth takes effect on traffic.
+// transport; credential signing still applies on top. Call before Start.
 func (g *VSG) SetTransport(rt http.RoundTripper) {
-	g.rt = rt
-	g.rebuildHTTP()
+	g.dialer.Transport = rt
 }
 
 // Name returns the gateway's network name.
@@ -255,23 +238,22 @@ func (g *VSG) SetAuth(a *identity.Auth) {
 	g.rebuildHTTP()
 }
 
-// rebuildHTTP derives the outbound dialer from the auth context and the
-// injected transport. The dialer owns credentials and per-authority
-// protocol negotiation; its HTTP side is the credential-signing client
-// when auth is set, the plain shared transport (or rt) otherwise.
+// rebuildHTTP derives the outbound dialer from the auth context, carrying
+// the wire settings (Transport, Binary) over from the dialer it replaces.
+// Its HTTP side is the credential-signing client when auth is set, the
+// plain transport otherwise.
 func (g *VSG) rebuildHTTP() {
-	if g.dialer != nil {
-		g.dialer.Close()
-	}
 	var creds transport.Credentials
 	if g.auth != nil {
 		creds = g.auth
 	}
-	g.dialer = transport.NewDialer(creds)
-	g.dialer.Transport = g.rt
-	g.dialer.Binary = !g.binaryOff
-	g.authHTTP = g.dialer.HTTPClient()
-	g.vsr.SetDialer(g.dialer)
+	d := transport.NewDialer(creds)
+	if old := g.dialer; old != nil {
+		d.Transport, d.Binary = old.Transport, old.Binary
+		old.Close()
+	}
+	g.dialer = d
+	g.vsr.SetDialer(d)
 }
 
 // Auth returns the gateway's authentication context (nil in open mode).
@@ -368,7 +350,6 @@ func (g *VSG) SetLoopbackEnabled(on bool) {
 // the vsgd -binary=false flag and the SOAP-only home of a mixed-mode
 // federation. Default on, in open and secured mode alike.
 func (g *VSG) SetBinaryEnabled(on bool) {
-	g.binaryOff = !on
 	g.dialer.SetBinary(on)
 	if g.bin != nil {
 		g.bin.SetEnabled(on)
@@ -418,26 +399,7 @@ func (g *VSG) Start(addr string) error {
 	return nil
 }
 
-// StartDetached brings the gateway up with no TCP listener and no
-// background loops: its wire faces are the returned handler (registered
-// on an in-memory network under base, e.g. "home-17-jini"), exports
-// refresh only when the owner calls RefreshExports, and no repository
-// watch runs, so the resolve cache is bounded by its TTL. The
-// deterministic simulation drives refreshes from its event loop, so
-// nothing here ticks on its own.
-// The gateway still joins the in-process loopback registry: same-home
-// loopback dispatch is one of the paths under measurement.
-func (g *VSG) StartDetached(base string) http.Handler {
-	g.base = base
-	h := g.buildMux()
-	procMu.Lock()
-	procGateways[g.BaseURL()] = g
-	procMu.Unlock()
-	return h
-}
-
-// buildMux assembles the gateway's wire faces, shared by the listening
-// and detached constructions.
+// buildMux assembles the gateway's wire faces.
 func (g *VSG) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	// Both wire faces sit behind the home-boundary middleware: with an
@@ -464,9 +426,7 @@ func (g *VSG) buildMux() *http.ServeMux {
 		sessions = g.auth
 	}
 	g.bin = transport.NewBinServer(sessions)
-	if g.binaryOff {
-		g.bin.SetEnabled(false)
-	}
+	g.bin.SetEnabled(g.dialer.Binary)
 	g.bin.Handle(servicesPath, transport.BinHandlerFunc(g.serveBinCall))
 	return mux
 }
@@ -565,14 +525,11 @@ func (g *VSG) Close() {
 	g.hub.Close()
 }
 
-// BaseURL returns the gateway's HTTP root: its TCP address when
-// listening, its virtual hostname when detached.
+// BaseURL returns the gateway's HTTP root, its TCP address ("" before
+// Start).
 func (g *VSG) BaseURL() string {
 	if g.ln != nil {
 		return "http://" + g.ln.Addr().String()
-	}
-	if g.base != "" {
-		return "http://" + g.base
 	}
 	return ""
 }
@@ -682,8 +639,8 @@ func (g *VSG) refreshLoop(ctx context.Context) {
 
 // RefreshExports renews every export's repository registration in one
 // batched round trip: the body of one background refresh round, exposed
-// so a detached gateway's owner can schedule renewal itself. Failures
-// land in Health exactly as a background round's would.
+// so an owner can renew on its own schedule too. Failures land in Health
+// exactly as a background round's would.
 func (g *VSG) RefreshExports(ctx context.Context) error {
 	g.mu.Lock()
 	regs := make([]vsr.Registration, 0, len(g.exports))
@@ -743,6 +700,9 @@ func (g *VSG) applyDelta(d vsr.Delta) {
 	case vsr.DeltaDown:
 		// Degraded mode: cached entries keep serving, but only within
 		// their TTL — the blind staleness bound the watch normally lifts.
+		// A lookup in flight may have read state older than a delta
+		// applied before the outage; the generation bump keeps it out.
+		g.cacheGen++
 		if g.watchUp {
 			detail := "repository change stream lost; resolve cache degraded to TTL bound"
 			if d.Err != nil {
@@ -756,7 +716,6 @@ func (g *VSG) applyDelta(d vsr.Delta) {
 		}
 	case vsr.DeltaAdd, vsr.DeltaUpdate:
 		g.watchDeltas.Add(1)
-		g.stampChange(d)
 		if g.cacheTTL <= 0 {
 			return
 		}
@@ -766,7 +725,6 @@ func (g *VSG) applyDelta(d vsr.Delta) {
 		g.resolveCache[d.ServiceID] = cachedRemote{remote: d.Remote, expires: g.clock.Now().Add(g.cacheTTL)}
 	case vsr.DeltaDelete, vsr.DeltaExpire:
 		g.watchDeltas.Add(1)
-		g.stampChange(d)
 		if _, ok := g.resolveCache[d.ServiceID]; ok {
 			delete(g.resolveCache, d.ServiceID)
 			g.invalidations.Add(1)
@@ -777,14 +735,11 @@ func (g *VSG) applyDelta(d vsr.Delta) {
 // ground is the gateway's ground function (vsr.Follow): it replaces the
 // resolve cache with the repository's state, read in one page walk
 // (vsr.Walk), and returns the walk's journal position. The follower
-// applies no delta while it runs. Lookups already in flight are fenced
-// out, since they may predate what the walk read. A walk that fails
+// applies no delta while it runs. Lookups already in flight fill
+// nothing, since they may predate what the walk read. A walk that fails
 // flushes the cache instead: with no ground truth anything cached may be
-// stale, and recorded fence sequence numbers may come from a previous
-// registry incarnation (a restarted registry counts from zero again,
-// which would leave stale fences blocking cache fills). With caching
-// off there is nothing to walk for, and the follower follows from the
-// journal's start.
+// stale. With caching off there is nothing to walk for, and the follower
+// follows from the journal's start.
 func (g *VSG) ground(ctx context.Context) (seq uint64, err error) {
 	g.mu.Lock()
 	ttl := g.cacheTTL
@@ -809,69 +764,42 @@ func (g *VSG) ground(ctx context.Context) (seq uint64, err error) {
 	}
 	g.invalidations.Add(evicted)
 	g.resolveCache = view
-	g.changedSeq = make(map[string]uint64)
 	g.cacheGen++
 	return seq, err
 }
 
-// fencePruneLen and fenceHorizon bound the changedSeq fence map: once it
-// outgrows fencePruneLen, stamps more than fenceHorizon sequence numbers
-// behind the newest delta are dropped. A dropped stamp only mis-admits a
-// cache fill whose repository inquiry was delayed across that many
-// registry mutations — and such an entry still falls to the next delta
-// for its ID. Without pruning the map would grow with every service ID
-// ever journaled, for the life of the gateway.
-const (
-	fencePruneLen = 1024
-	fenceHorizon  = 1024
-)
-
-// stampChange records a change delta's sequence number for the cache-fill
-// fence, pruning ancient stamps. Caller holds mu.
-func (g *VSG) stampChange(d vsr.Delta) {
-	g.changedSeq[d.ServiceID] = d.Seq
-	if len(g.changedSeq) > fencePruneLen && d.Seq > fenceHorizon {
-		for id, seq := range g.changedSeq {
-			if seq < d.Seq-fenceHorizon {
-				delete(g.changedSeq, id)
-			}
-		}
-	}
-}
-
 // Resolve finds the service with the given federation ID, consulting the
-// resolve cache first. While the repository watch is up, the cache holds
-// every registration the watch has delivered and hits are served
-// regardless of age — entries are rewritten or evicted the moment the
-// repository reports a change, so they cannot go stale. A miss is one
-// repository inquiry (LookupSeq). When the watch is down (degraded mode,
-// see Health) the entry's TTL is the staleness bound again, as in the
-// paper's poll model.
+// resolve cache first. While the repository watch is up, the cache is
+// exactly the watch's view and hits are served regardless of age —
+// entries are rewritten or evicted the moment the repository reports a
+// change, so they cannot go stale. A miss is one repository inquiry
+// (Lookup) and fills nothing: the delta that carries the registration
+// fills the cache. While the watch is not up (degraded mode, see Health,
+// or the watch disabled) the entry's TTL is the staleness bound again,
+// as in the paper's poll model, and a miss fills the cache itself.
 func (g *VSG) Resolve(ctx context.Context, serviceID string) (vsr.Remote, error) {
 	g.mu.Lock()
 	if c, ok := g.resolveCache[serviceID]; ok && (g.watchUp || g.clock.Now().Before(c.expires)) {
 		g.mu.Unlock()
 		return c.remote, nil
 	}
-	ttl := g.cacheTTL
-	seenGen := g.cacheGen
+	gen := g.cacheGen
 	g.mu.Unlock()
 
-	remote, seq, err := g.vsr.LookupSeq(ctx, serviceID)
+	remote, err := g.vsr.Lookup(ctx, serviceID)
 	if err != nil {
 		return vsr.Remote{}, err
 	}
-	if ttl > 0 {
-		g.mu.Lock()
-		// Fence: a delta newer than the inquiry means the looked-up data
-		// is already stale and must not enter the cache, where push
-		// invalidation — believing it already delivered that change —
-		// would never evict it. Same for a resync/outage generation bump.
-		if g.changedSeq[serviceID] <= seq && g.cacheGen == seenGen {
-			g.resolveCache[serviceID] = cachedRemote{remote: remote, expires: g.clock.Now().Add(ttl)}
-		}
-		g.mu.Unlock()
+	g.mu.Lock()
+	// Fill only while the watch is not up, and only if no ground or
+	// outage happened while the inquiry ran (gen unchanged): then no
+	// delta was applied meanwhile either, since deltas arrive only while
+	// the watch is up. Such a fill converges: on recovery the follower
+	// replays every later change in order, or re-grounds.
+	if !g.watchUp && g.cacheTTL > 0 && g.cacheGen == gen {
+		g.resolveCache[serviceID] = cachedRemote{remote: remote, expires: g.clock.Now().Add(g.cacheTTL)}
 	}
+	g.mu.Unlock()
 	return remote, nil
 }
 
@@ -924,10 +852,10 @@ func (g *VSG) CallRemote(ctx context.Context, remote vsr.Remote, op string, args
 		call.Args = append(call.Args, soap.Arg{Name: p.Name, Value: args[i]})
 	}
 	// The dialer first offers the binary fast path to the target's
-	// authority; its HTTP side (g.authHTTP) signs the envelope headers
-	// with this home's identity when one is installed, so the target
-	// home knows who is calling.
-	client := &soap.Client{URL: remote.Endpoint, HTTP: g.authHTTP, Dialer: g.dialer}
+	// authority; its HTTP side signs the envelope headers with this
+	// home's identity when one is installed, so the target home knows
+	// who is calling.
+	client := &soap.Client{URL: remote.Endpoint, Dialer: g.dialer}
 	return client.Call(ctx, Namespace(remote.Desc.ID)+"#"+op, call)
 }
 
@@ -968,8 +896,8 @@ func (g *VSG) loopbackTarget(endpoint string, args []service.Value) *VSG {
 	return target
 }
 
-// invokeLocal is the loopback receive side: the inbound SOAP handler's
-// semantics without the codec. Argument validation, call accounting and
+// invokeLocal is the loopback receive side: the inbound admission path
+// (admit) without the codec. Argument validation, call accounting and
 // fault shaping match the wire byte for byte at the API surface — a
 // target-side failure surfaces as the same *service.RemoteError a decoded
 // fault would have produced, so callers cannot tell the paths apart
@@ -980,32 +908,11 @@ func (g *VSG) invokeLocal(ctx context.Context, id, op string, args []service.Val
 		// wrapped in ErrUnavailable; keep both sentinels on loopback.
 		return service.Value{}, fmt.Errorf("vsg: loopback: %w: %w", service.ErrUnavailable, err)
 	}
-	local := g.canonicalID(id)
-	// Wire-equivalent authorization: a loopback call is by construction a
-	// same-home call (loopbackTarget requires it), whose wire twin would
-	// carry this home's own verified identity — but the check still runs,
-	// through the same authorize and the same fault mapping, so the two
-	// paths cannot diverge if the boundary semantics ever change.
-	if err := g.authorize(g.home, local); err != nil {
-		return service.Value{}, remoteErrorFrom(err)
-	}
-	e, ok := g.localExport(local)
-	if !ok {
-		// The wire would reach this same gateway and fault NoSuchService;
-		// don't fall through to HTTP just to learn the same thing.
-		return service.Value{}, remoteErrorFrom(fmt.Errorf("%s: %w", id, service.ErrNoSuchService))
-	}
-	opSpec, ok := e.desc.Interface.Operation(op)
-	if !ok {
-		return service.Value{}, remoteErrorFrom(fmt.Errorf("%s.%s: %w", id, op, service.ErrNoSuchOperation))
-	}
-	if err := service.ValidateArgs(opSpec, args); err != nil {
-		return service.Value{}, remoteErrorFrom(err)
-	}
-	g.inboundCalls.Add(1)
-	g.auditEvent(audit.Event{Type: audit.CallAdmit, Caller: g.home,
-		Service: local, Op: op, Detail: "loopback"})
-	v, err := e.invoker.Invoke(ctx, op, args)
+	// A loopback call is by construction a same-home call (loopbackTarget
+	// requires it), whose wire twin would carry this home's own verified
+	// identity; admission still runs the boundary check, so the two paths
+	// cannot diverge if the boundary semantics ever change.
+	v, err := g.admit(ctx, g.home, id, op, args, "loopback")
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			// Mid-call cancellation: the wire surfaces the context error
@@ -1149,39 +1056,46 @@ type inbound struct {
 	g *VSG
 }
 
-// ServeSOAP implements soap.Handler.
+// ServeSOAP implements soap.Handler for both wire faces. The caller home
+// was verified by the auth middleware (or the session) in front of it.
 func (in inbound) ServeSOAP(ctx context.Context, call soap.Call) (service.Value, error) {
 	id, ok := ServiceIDFromNamespace(call.Namespace)
 	if !ok {
 		return service.Value{}, fmt.Errorf("namespace %q: %w", call.Namespace, service.ErrNoSuchService)
 	}
-	// Peers address exports by this home's scoped IDs; strip our own
-	// scope so both spellings reach the same export.
-	local := in.g.canonicalID(id)
-	// The home-boundary check comes before existence: a caller the ACL
-	// refuses learns nothing about what this home runs. The caller home
-	// was verified by the auth middleware in front of this handler.
-	caller := identity.CallerFromContext(ctx)
-	if err := in.g.authorize(caller, local); err != nil {
-		return service.Value{}, err
-	}
-	e, ok := in.g.localExport(local)
-	if !ok {
-		return service.Value{}, fmt.Errorf("%s: %w", id, service.ErrNoSuchService)
-	}
-	op, ok := e.desc.Interface.Operation(call.Operation)
-	if !ok {
-		return service.Value{}, fmt.Errorf("%s.%s: %w", id, call.Operation, service.ErrNoSuchOperation)
-	}
 	args := make([]service.Value, len(call.Args))
 	for i := range call.Args {
 		args[i] = call.Args[i].Value
 	}
-	if err := service.ValidateArgs(op, args); err != nil {
+	return in.g.admit(ctx, identity.CallerFromContext(ctx), id, call.Operation, args, "wire")
+}
+
+// admit is the one inbound admission path, shared by the wire faces
+// (ServeSOAP) and the loopback receive side (invokeLocal): scope strip,
+// home-boundary check, export, operation, arguments, accounting, audit,
+// invoke. id is the service ID as the caller addressed it; via names the
+// path in the audit record.
+func (g *VSG) admit(ctx context.Context, caller, id, op string, args []service.Value, via string) (service.Value, error) {
+	// Peers address exports by this home's scoped IDs; strip our own
+	// scope so both spellings reach the same export.
+	local := g.canonicalID(id)
+	// The home-boundary check comes before existence: a caller the ACL
+	// refuses learns nothing about what this home runs.
+	if err := g.authorize(caller, local); err != nil {
 		return service.Value{}, err
 	}
-	in.g.inboundCalls.Add(1)
-	in.g.auditEvent(audit.Event{Type: audit.CallAdmit, Caller: caller,
-		Service: local, Op: call.Operation, Detail: "wire"})
-	return e.invoker.Invoke(ctx, call.Operation, args)
+	e, ok := g.localExport(local)
+	if !ok {
+		return service.Value{}, fmt.Errorf("%s: %w", id, service.ErrNoSuchService)
+	}
+	opSpec, ok := e.desc.Interface.Operation(op)
+	if !ok {
+		return service.Value{}, fmt.Errorf("%s.%s: %w", id, op, service.ErrNoSuchOperation)
+	}
+	if err := service.ValidateArgs(opSpec, args); err != nil {
+		return service.Value{}, err
+	}
+	g.inboundCalls.Add(1)
+	g.auditEvent(audit.Event{Type: audit.CallAdmit, Caller: caller, Service: local, Op: op, Detail: via})
+	return e.invoker.Invoke(ctx, op, args)
 }

@@ -244,20 +244,23 @@ func TestResolveCaching(t *testing.T) {
 	}
 }
 
-// detachedRig is a repository and gateway with no sockets, no background
-// loops and no wall clock: the registry expires by the virtual clock and
-// refresh happens only when the test calls RefreshExports. Lease tests
-// advance virtual time instead of sleeping through it.
-type detachedRig struct {
+// leaseRig is a repository on an in-memory network and a started
+// gateway reaching it through SetTransport, with registrations leased
+// for ttl. The registry expires by a virtual clock the test advances;
+// the gateway runs on a virtual clock of its own that never moves, so
+// its refresh loop never ticks and renewal happens only when the test
+// calls RefreshExports. Lease tests advance virtual time instead of
+// sleeping through it.
+type leaseRig struct {
 	vc  *vclock.Virtual
-	net *transport.MemNet
 	reg *uddi.Server
 	gw  *VSG
 }
 
-func newDetachedRig(t *testing.T) *detachedRig {
+func newLeaseRig(t *testing.T, ttl time.Duration) *leaseRig {
 	t.Helper()
-	vc := vclock.NewVirtual(time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC))
+	start := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	vc := vclock.NewVirtual(start)
 	mnet := transport.NewMemNet()
 	reg := uddi.NewManualServer()
 	reg.SetClock(vc.Now)
@@ -266,16 +269,18 @@ func newDetachedRig(t *testing.T) *detachedRig {
 	mnet.Handle("repo", srv.Handler())
 
 	gw := New("net1", srv.URL())
-	gw.SetClock(vc)
+	gw.SetClock(vclock.NewVirtual(start))
 	gw.SetTransport(mnet)
-	gw.StartDetached("gw-net1")
+	gw.VSR().SetTTL(ttl)
+	if err := gw.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(gw.Close)
-	return &detachedRig{vc: vc, net: mnet, reg: reg, gw: gw}
+	return &leaseRig{vc: vc, reg: reg, gw: gw}
 }
 
 func TestRefreshKeepsRegistrationAlive(t *testing.T) {
-	r := newDetachedRig(t)
-	r.gw.VSR().SetTTL(500 * time.Millisecond)
+	r := newLeaseRig(t, 500*time.Millisecond)
 	ctx := context.Background()
 	if err := r.gw.Export(ctx, lampDesc("jini:lamp-1"), &fakeLamp{}); err != nil {
 		t.Fatal(err)
@@ -554,8 +559,7 @@ func TestHealthSurfacesWatchOutage(t *testing.T) {
 // TestBatchedRefreshKeepsManyExportsAlive: a gateway with several exports
 // renews them all (in one round trip per interval) — none lapse.
 func TestBatchedRefreshKeepsManyExportsAlive(t *testing.T) {
-	r := newDetachedRig(t)
-	r.gw.VSR().SetTTL(500 * time.Millisecond)
+	r := newLeaseRig(t, 500*time.Millisecond)
 	ctx := context.Background()
 	ids := []string{"jini:lamp-1", "jini:lamp-2", "jini:lamp-3", "jini:lamp-4"}
 	for _, id := range ids {

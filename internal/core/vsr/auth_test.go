@@ -61,11 +61,14 @@ func newAuthFixture(t *testing.T) *authFixture {
 }
 
 // client builds a VSR client for the registry face signed by the given
-// context (nil = unsigned).
+// context (nil = unsigned). Signed clients keep binary negotiation off,
+// so their requests ride signed SOAP/HTTP.
 func (f *authFixture) client(url string, as *identity.Auth) *VSR {
 	v := New(url)
 	if as != nil {
-		v.SetHTTPClient(transport.NewDialer(as).HTTPClient())
+		d := transport.NewDialer(as)
+		d.SetBinary(false)
+		v.SetDialer(d)
 	}
 	return v
 }

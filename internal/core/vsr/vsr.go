@@ -69,7 +69,7 @@ type VSR struct {
 // New returns a VSR client against the given registry URL. It rides the
 // process-wide open dialer (transport.OpenDialer): the binary fast path
 // over an anonymous session where the registry offers one, SOAP/HTTP
-// otherwise. SetDialer or SetHTTPClient replace it.
+// otherwise. SetDialer replaces it.
 func New(url string) *VSR {
 	return &VSR{client: &uddi.Client{URL: url, Dialer: transport.OpenDialer()}, ttl: DefaultTTL}
 }
@@ -89,23 +89,12 @@ func NewSet(urls ...string) *VSR {
 	}
 }
 
-// SetHTTPClient replaces the underlying client with a plain HTTP one —
-// how a caller with its own transport or per-request signing (homectl's
-// credential-signing client) keeps every request on SOAP/HTTP. Call
-// before the first request; supersedes SetDialer.
-func (v *VSR) SetHTTPClient(c *http.Client) {
-	v.client.HTTP = c
-	v.client.Dialer = nil
-}
-
 // SetDialer routes repository traffic through a transport.Dialer, which
 // owns credentials and protocol negotiation: requests ride the binary
 // fast path once the registry's authority has negotiated it and fall
-// back to signed HTTP otherwise. Call before the first request;
-// supersedes SetHTTPClient.
+// back to signed HTTP otherwise. Call before the first request.
 func (v *VSR) SetDialer(d *transport.Dialer) {
 	v.client.Dialer = d
-	v.client.HTTP = nil
 }
 
 // TTL returns the registration lifetime used by Register.
@@ -210,9 +199,8 @@ func (v *VSR) Find(ctx context.Context, q Query) ([]Remote, error) {
 }
 
 // FindSeq is Find plus the repository's change-journal sequence number
-// observed at read time: the fence gateways use to reject cache fills
-// that a concurrent change (already journaled, delta possibly still in
-// flight) has made stale.
+// observed at read time: any change the inquiry might have missed has a
+// higher number, so a watch can start there.
 func (v *VSR) FindSeq(ctx context.Context, q Query) ([]Remote, uint64, error) {
 	uq := uddi.Query{TModel: q.Interface, Categories: map[string]string{}}
 	if q.ID != "" {
@@ -277,21 +265,14 @@ const walkTimeout = 10 * time.Second
 
 // Lookup returns the single service with the given federation ID.
 func (v *VSR) Lookup(ctx context.Context, id string) (Remote, error) {
-	r, _, err := v.LookupSeq(ctx, id)
-	return r, err
-}
-
-// LookupSeq is Lookup plus the journal sequence number of the inquiry
-// (see FindSeq).
-func (v *VSR) LookupSeq(ctx context.Context, id string) (Remote, uint64, error) {
-	found, seq, err := v.FindSeq(ctx, Query{ID: id})
+	found, err := v.Find(ctx, Query{ID: id})
 	if err != nil {
-		return Remote{}, 0, err
+		return Remote{}, err
 	}
 	if len(found) == 0 {
-		return Remote{}, 0, fmt.Errorf("vsr: %s: %w", id, service.ErrNoSuchService)
+		return Remote{}, fmt.Errorf("vsr: %s: %w", id, service.ErrNoSuchService)
 	}
-	return found[0], seq, nil
+	return found[0], nil
 }
 
 // DeltaOp classifies one watch notification.
