@@ -76,8 +76,8 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 }
 
-// TestRunAuditOff: against a repository with auditing off, audit (and
-// audit verify) says so and succeeds: there is no chain to check.
+// TestRunAuditOff: against a repository with auditing off, audit says
+// so and succeeds, while audit verify fails: there is no chain to prove.
 func TestRunAuditOff(t *testing.T) {
 	srv, err := vsr.StartServer("127.0.0.1:0")
 	if err != nil {
@@ -86,12 +86,18 @@ func TestRunAuditOff(t *testing.T) {
 	defer srv.Close()
 	srv.MountOps(ops.HealthHandler(func() any { return nil }),
 		ops.AuditHandler(func() *audit.Log { return nil }))
-	for _, args := range [][]string{{"audit"}, {"audit", "verify"}} {
-		code, stdout, stderr := runCtl(append([]string{"-vsr", srv.URL()}, args...)...)
+	t.Run("audit", func(t *testing.T) {
+		code, stdout, stderr := runCtl("-vsr", srv.URL(), "audit")
 		if code != 0 || !strings.Contains(stdout, "auditing is off") {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 0 and \"auditing is off\"", args, code, stdout, stderr)
+			t.Errorf("exit %d, stdout %q, stderr %q; want 0 and \"auditing is off\"", code, stdout, stderr)
 		}
-	}
+	})
+	t.Run("verify", func(t *testing.T) {
+		code, _, stderr := runCtl("-vsr", srv.URL(), "audit", "verify")
+		if want := "homectl: audit verify: auditing is off"; code != 1 || !strings.Contains(stderr, want) {
+			t.Errorf("exit %d, stderr %q; want 1 and %q", code, stderr, want)
+		}
+	})
 }
 
 // TestRunSignedList: with -identity, repository traffic is signed as the

@@ -173,6 +173,9 @@ func (c *ctl) auditCmd(ctx context.Context, n int, verify bool) error {
 		return err
 	}
 	if !snap.Enabled {
+		if verify {
+			return errors.New("audit verify: auditing is off")
+		}
 		fmt.Fprintln(c.stdout, "auditing is off (start the daemon with -audit or -audit-log)")
 		return nil
 	}

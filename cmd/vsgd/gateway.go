@@ -19,7 +19,7 @@ import (
 type config struct {
 	vsrURL, name, addr       string
 	cacheTTL                 time.Duration
-	noWatch, noLoopback      bool
+	noWatch                  bool
 	binary                   bool
 	home, idFile             string
 	auditOn                  bool
@@ -75,7 +75,6 @@ func startGateway(cfg config) (*gateway, error) {
 	}
 	gw.SetCacheTTL(cfg.cacheTTL)
 	gw.SetWatchEnabled(!cfg.noWatch)
-	gw.SetLoopbackEnabled(!cfg.noLoopback)
 	gw.SetBinaryEnabled(cfg.binary)
 	g := &gateway{VSG: gw}
 	if cfg.auditOn || cfg.auditLog != "" {

@@ -9,9 +9,7 @@
 // resolve cache is the registry view the watch maintains (grounded from
 // the repository's pages, then push-updated); -cache-ttl sets the
 // fallback TTL used while the watch is down, and -no-watch reverts to
-// the paper's blind TTL poll model. Calls that resolve to a gateway in the same
-// process dispatch in-process (loopback) instead of over SOAP/HTTP;
-// -no-loopback forces every call onto the wire.
+// the paper's blind TTL poll model.
 //
 // When the repository federates with other homes (vsrd -home), pass the
 // same name via -home so peers' scoped calls ("cottage/jini:lamp-1")
@@ -51,7 +49,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:0", "gateway listen address")
 	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 2*time.Second, "resolve-cache fallback TTL while the VSR watch is down (0 disables caching)")
 	flag.BoolVar(&cfg.noWatch, "no-watch", false, "disable the VSR change watch (blind TTL caching, the paper's poll model)")
-	flag.BoolVar(&cfg.noLoopback, "no-loopback", false, "disable in-process loopback dispatch; every call goes over SOAP/HTTP")
 	flag.BoolVar(&cfg.binary, "binary", true, "negotiate the session-keyed binary fast path with framework peers (signed with -identity, anonymous without; SOAP/HTTP stays available)")
 	flag.StringVar(&cfg.home, "home", "", "home name; must match the repository's vsrd -home when federating")
 	flag.StringVar(&cfg.idFile, "identity", "", "home identity file (same file as vsrd's; requires -home)")

@@ -12,7 +12,7 @@
 // Both directions are generated from service metadata rather than written
 // per service, the role Javassist played in the paper's prototype.
 // Concrete PCMs (internal/bridge/...) supply the middleware-specific
-// List/Offer functions and get the reconciliation loops from here.
+// List/Offer functions and get the scan loop and the watch follower here.
 package pcm
 
 import (
@@ -37,7 +37,7 @@ type PCM interface {
 	Stop() error
 }
 
-// DefaultSyncInterval is how often exporters and importers reconcile.
+// DefaultSyncInterval is how often exporters rescan their middleware.
 // Small enough that hot-plugged devices appear quickly in tests; a real
 // deployment would subscribe to middleware events instead where possible.
 const DefaultSyncInterval = 200 * time.Millisecond
@@ -147,11 +147,11 @@ func (e *Exporter) teardown(gw *vsg.VSG) {
 	}
 }
 
-// Importer reconciles remote federation services into the local
-// middleware — the Server Proxy direction.
+// Importer keeps a Server Proxy in the local middleware for every
+// eligible remote federation service — the Server Proxy direction. It
+// follows the repository watch (vsr.Follower) on the gateway's own
+// repository client, so an idle importer sends only its parked long-poll.
 type Importer struct {
-	// Interval between scans; DefaultSyncInterval if zero.
-	Interval time.Duration
 	// Middleware is the local middleware name; services native to it are
 	// never imported (they are already reachable locally).
 	Middleware string
@@ -164,31 +164,41 @@ type Importer struct {
 	offered map[string]func()
 }
 
-// Run reconciles until ctx is cancelled, then removes every proxy it
-// offered.
+// Run follows the repository until ctx is cancelled, then removes every
+// proxy it offered. The registry view is grounded from a page walk before
+// the first round and after every resync, and kept by the change deltas;
+// after each, the offered set is diffed against it (sync). Up, down and
+// resync change nothing: while the watch is down every proxy stays.
 func (i *Importer) Run(ctx context.Context, gw *vsg.VSG) {
-	interval := i.Interval
-	if interval <= 0 {
-		interval = DefaultSyncInterval
-	}
 	i.mu.Lock()
 	if i.offered == nil {
 		i.offered = make(map[string]func())
 	}
 	i.mu.Unlock()
 
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	i.sync(ctx, gw)
-	for {
-		select {
-		case <-ctx.Done():
-			i.teardown()
-			return
-		case <-ticker.C:
-			i.sync(ctx, gw)
+	view := make(map[string]vsr.Remote) // the follower's goroutine only
+	ground := func(ctx context.Context) (uint64, error) {
+		walked := make(map[string]vsr.Remote)
+		seq, err := gw.VSR().Walk(ctx, func(r vsr.Remote) { walked[r.Desc.ID] = r })
+		if err == nil { // a partial walk proves nothing gone
+			view = walked
+			i.sync(ctx, gw, view)
 		}
+		return seq, err
 	}
+	apply := func(d vsr.Delta) {
+		switch d.Op {
+		case vsr.DeltaAdd, vsr.DeltaUpdate:
+			view[d.ServiceID] = d.Remote
+		case vsr.DeltaDelete, vsr.DeltaExpire:
+			delete(view, d.ServiceID)
+		default:
+			return
+		}
+		i.sync(ctx, gw, view)
+	}
+	gw.VSR().Follow(ground, apply).Run(ctx)
+	i.teardown()
 }
 
 // eligible reports whether a remote service should get a local proxy.
@@ -205,27 +215,19 @@ func (i *Importer) eligible(gw *vsg.VSG, r vsr.Remote) bool {
 	return true
 }
 
-func (i *Importer) sync(ctx context.Context, gw *vsg.VSG) {
-	remotes, err := gw.List(ctx, vsr.Query{})
-	if err != nil {
-		return
-	}
-	current := make(map[string]vsr.Remote)
-	for _, r := range remotes {
-		if i.eligible(gw, r) {
-			current[r.Desc.ID] = r
-		}
-	}
+// sync offers a proxy for every eligible service in view that lacks one
+// and removes the proxies of services no longer in it or eligible.
+func (i *Importer) sync(ctx context.Context, gw *vsg.VSG, view map[string]vsr.Remote) {
 	i.mu.Lock()
 	var toOffer []vsr.Remote
 	var toRemove []string
-	for id, r := range current {
-		if _, ok := i.offered[id]; !ok {
+	for id, r := range view {
+		if _, ok := i.offered[id]; !ok && i.eligible(gw, r) {
 			toOffer = append(toOffer, r)
 		}
 	}
 	for id := range i.offered {
-		if _, ok := current[id]; !ok {
+		if r, ok := view[id]; !ok || !i.eligible(gw, r) {
 			toRemove = append(toRemove, id)
 		}
 	}
@@ -313,13 +315,16 @@ func (r *Runner) Stop() {
 }
 
 // RemoteInvoker builds the Invoker a Server Proxy uses: calls on the
-// local stand-in travel through the gateway to the originating service.
-// This is the reusable half of proxy auto-generation — the metadata
+// local stand-in travel through the gateway to the service by its
+// federation ID, so they follow the service wherever the gateway's
+// resolve cache says it lives now (a re-home needs no new proxy). This
+// is the reusable half of proxy auto-generation — the metadata
 // (operation names, signatures) comes from the remote description, and
 // the returned Invoker works for any interface.
 func RemoteInvoker(gw *vsg.VSG, remote vsr.Remote) service.Invoker {
+	id := remote.Desc.ID
 	return service.InvokerFunc(func(ctx context.Context, op string, args []service.Value) (service.Value, error) {
-		return gw.CallRemote(ctx, remote, op, args)
+		return gw.Call(ctx, id, op, args)
 	})
 }
 

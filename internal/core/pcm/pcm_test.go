@@ -152,7 +152,6 @@ func TestImporterReconciles(t *testing.T) {
 	var mu sync.Mutex
 	offered := make(map[string]bool)
 	imp := &Importer{
-		Interval:   20 * time.Millisecond,
 		Middleware: "mw",
 		Offer: func(_ context.Context, r vsr.Remote) (func(), error) {
 			mu.Lock()
@@ -224,7 +223,6 @@ func TestImporterEligibility(t *testing.T) {
 	var mu sync.Mutex
 	offered := make(map[string]bool)
 	imp := &Importer{
-		Interval:   20 * time.Millisecond,
 		Middleware: "mw",
 		Offer: func(_ context.Context, r vsr.Remote) (func(), error) {
 			mu.Lock()

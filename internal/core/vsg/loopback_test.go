@@ -352,7 +352,7 @@ func TestLoopbackStatsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := r.gw2.CallStats(); s.Outbound != 4 || s.Loopback != 3 {
-		t.Errorf("after -no-loopback: out=%d loop=%d, want 4/3", s.Outbound, s.Loopback)
+		t.Errorf("after SetLoopbackEnabled(false): out=%d loop=%d, want 4/3", s.Outbound, s.Loopback)
 	}
 	if in := r.gw1.CallStats().Inbound; in != 4 {
 		t.Errorf("gw1 inbound = %d, want 4", in)

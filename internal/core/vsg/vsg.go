@@ -338,8 +338,8 @@ func (g *VSG) SetCacheTTL(d time.Duration) {
 // the same process dispatch straight to the target's service.Invoker,
 // skipping HTTP and the SOAP codec while preserving wire semantics
 // (argument validation, fault mapping through service.RemoteError, call
-// accounting on both gateways). Disable it — the vsgd -no-loopback flag —
-// to force every call onto the wire, e.g. to benchmark the SOAP path.
+// accounting on both gateways). Disable it to force every call onto the
+// wire, e.g. to benchmark the SOAP path.
 func (g *VSG) SetLoopbackEnabled(on bool) {
 	g.loopbackOff.Store(!on)
 }
