@@ -289,7 +289,7 @@ func (p *PCM) offer(gw *vsg.VSG, remote vsr.Remote) (func(), error) {
 	dev := p.dev
 	p.mu.Unlock()
 
-	invoker := pcm.RemoteInvoker(gw, remote)
+	invoker := p.imp.Invoker(gw, remote)
 	iface := remote.Desc.Interface
 	sigs := make([]string, 0, len(iface.Operations))
 	for _, op := range iface.Operations {

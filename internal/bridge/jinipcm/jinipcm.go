@@ -227,7 +227,7 @@ func (p *PCM) offer(ctx context.Context, gw *vsg.VSG, remote vsr.Remote) (func()
 	exporter := p.exporter
 	p.mu.Unlock()
 
-	invoker := pcm.RemoteInvoker(gw, remote)
+	invoker := p.imp.Invoker(gw, remote)
 	iface := remote.Desc.Interface
 	impl := jini.InvocableFunc(func(method string, goArgs []any) (any, error) {
 		opSpec, ok := iface.Operation(method)

@@ -192,7 +192,7 @@ func ActionsFromInterface(iface service.Interface) []upnp.Action {
 // offer hosts a virtual UPnP device for one remote service (SP
 // direction).
 func (p *PCM) offer(gw *vsg.VSG, remote vsr.Remote) (func(), error) {
-	invoker := pcm.RemoteInvoker(gw, remote)
+	invoker := p.imp.Invoker(gw, remote)
 	shortID := sanitize(remote.Desc.ID)
 	svc := upnp.Service{
 		Type:    "urn:homeconnect-org:service:" + remote.Desc.Interface.Name + ":1",

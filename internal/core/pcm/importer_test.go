@@ -30,25 +30,30 @@ func answer(s string) service.Invoker {
 	})
 }
 
-// proxies records an importer's offers: the invoker of every live proxy
-// (built as the bridges build theirs, with RemoteInvoker) and how many
-// proxies were ever removed.
+// proxies records the offers of its importer, imp: the invoker of every
+// live proxy (built as the bridges build theirs, with imp.Invoker) and how
+// many proxies were ever removed.
 type proxies struct {
-	gw *vsg.VSG
+	gw  *vsg.VSG
+	imp *Importer
 
 	mu      sync.Mutex
 	live    map[string]service.Invoker
 	removed int
 }
 
+// newProxies returns the recorder of a fresh importer for middleware "mw"
+// whose Offer is p.offer; a test may wrap that Offer before running it.
 func newProxies(gw *vsg.VSG) *proxies {
-	return &proxies{gw: gw, live: make(map[string]service.Invoker)}
+	p := &proxies{gw: gw, live: make(map[string]service.Invoker)}
+	p.imp = &Importer{Middleware: "mw", Offer: p.offer}
+	return p
 }
 
 func (p *proxies) offer(_ context.Context, r vsr.Remote) (func(), error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.live[r.Desc.ID] = RemoteInvoker(p.gw, r)
+	p.live[r.Desc.ID] = p.imp.Invoker(p.gw, r)
 	return func() {
 		p.mu.Lock()
 		defer p.mu.Unlock()
@@ -87,10 +92,31 @@ func registerForeign(t *testing.T, repo *vsr.VSR, id string) string {
 	return key
 }
 
-// TestImporterProxyFollowsRehome: a service that moves from network a to
-// network c keeps working through the proxy b offered while it lived on
-// a — the proxy calls by federation ID, so it reaches c once b's gateway
-// has seen the move.
+// answersWithin fails the test unless the live proxy for id answers want
+// within a second.
+func answersWithin(t *testing.T, p *proxies, id, want string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		var v service.Value
+		err := fmt.Errorf("no proxy for %s", id)
+		if proxy := p.get(id); proxy != nil {
+			v, err = proxy.Invoke(context.Background(), "Echo", []service.Value{service.StringValue("hi")})
+		}
+		if err == nil && v.Str() == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the proxy for %s answers %v, %v; want %q", id, v, err, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestImporterProxyFollowsRehome: a service unexported on network a and
+// exported on network c back to back (a delete, then an add) is answered
+// from c by b's proxy within a second. The delete removes the old proxy
+// and the add offers a new one.
 func TestImporterProxyFollowsRehome(t *testing.T) {
 	srv, gwB := newGateway(t, "b")
 	gwA := startGateway(t, "a", srv.URL())
@@ -101,12 +127,9 @@ func TestImporterProxyFollowsRehome(t *testing.T) {
 	}
 
 	p := newProxies(gwB)
-	runImporter(t, &Importer{Middleware: "mw", Offer: p.offer}, gwB)
+	runImporter(t, p.imp, gwB)
 	waitFor(t, func() bool { return p.has("other:x") })
-	proxy := p.get("other:x")
-	if v, err := proxy.Invoke(ctx, "Echo", []service.Value{service.StringValue("hi")}); err != nil || v.Str() != "from a" {
-		t.Fatalf("before the move: %v, %v; want \"from a\"", v, err)
-	}
+	answersWithin(t, p, "other:x", "from a")
 
 	if err := gwA.Unexport(ctx, "other:x"); err != nil {
 		t.Fatal(err)
@@ -114,16 +137,68 @@ func TestImporterProxyFollowsRehome(t *testing.T) {
 	if err := gwC.Export(ctx, echoDesc("other:x", "other"), answer("from c")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(time.Second)
-	for {
-		v, err := proxy.Invoke(ctx, "Echo", []service.Value{service.StringValue("hi")})
-		if err == nil && v.Str() == "from c" {
-			return
+	answersWithin(t, p, "other:x", "from c")
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.removed != 1 {
+		t.Fatalf("%d proxies removed; want 1 (the delete removes a's)", p.removed)
+	}
+}
+
+// TestImporterProxyFollowsReregistration: a service re-registered under
+// the same ID at network c's endpoint (an update, while a still serves
+// it) keeps the proxy b offered, and that proxy answers from c: it calls
+// the endpoint the importer's view holds, so it reaches c once b's
+// importer has seen the update.
+func TestImporterProxyFollowsReregistration(t *testing.T) {
+	srv, gwB := newGateway(t, "b")
+	gwA := startGateway(t, "a", srv.URL())
+	gwC := startGateway(t, "c", srv.URL())
+	ctx := context.Background()
+	if err := gwA.Export(ctx, echoDesc("other:x", "other"), answer("from a")); err != nil {
+		t.Fatal(err)
+	}
+
+	p := newProxies(gwB)
+	runImporter(t, p.imp, gwB)
+	waitFor(t, func() bool { return p.has("other:x") })
+	answersWithin(t, p, "other:x", "from a")
+
+	if err := gwC.Export(ctx, echoDesc("other:x", "other"), answer("from c")); err != nil {
+		t.Fatal(err)
+	}
+	answersWithin(t, p, "other:x", "from c")
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.removed != 0 {
+		t.Fatalf("%d proxies removed; want 0 (an update re-offers nothing)", p.removed)
+	}
+}
+
+// TestImporterRetriesFailedOffer: an Offer that fails once in an idle
+// registry is retried, with no registry change to prompt it.
+func TestImporterRetriesFailedOffer(t *testing.T) {
+	srv, gw := newGateway(t, "net1")
+	registerForeign(t, vsr.New(srv.URL()), "other:flaky")
+	p := newProxies(gw)
+	var mu sync.Mutex
+	calls := 0
+	p.imp.Offer = func(ctx context.Context, r vsr.Remote) (func(), error) {
+		mu.Lock()
+		calls++
+		first := calls == 1
+		mu.Unlock()
+		if first {
+			return nil, fmt.Errorf("port busy")
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("1s after the move the proxy answers %v, %v; want \"from c\"", v, err)
-		}
-		time.Sleep(10 * time.Millisecond)
+		return p.offer(ctx, r)
+	}
+	runImporter(t, p.imp, gw)
+	waitFor(t, func() bool { return p.has("other:flaky") })
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 2 {
+		t.Fatalf("Offer called %d times; want 2", calls)
 	}
 }
 
@@ -136,7 +211,7 @@ func TestImporterIdleSendsNoFinds(t *testing.T) {
 		registerForeign(t, repo, fmt.Sprintf("other:s%d", i))
 	}
 	p := newProxies(gw)
-	imp := &Importer{Middleware: "mw", Offer: p.offer}
+	imp := p.imp
 	runImporter(t, imp, gw)
 	waitFor(t, func() bool { return imp.OfferedCount() == 3 })
 
@@ -158,13 +233,14 @@ func TestImporterRegroundsAfterGap(t *testing.T) {
 
 	p := newProxies(gw)
 	blocked, release := make(chan struct{}), make(chan struct{})
-	imp := &Importer{Middleware: "mw", Offer: func(ctx context.Context, r vsr.Remote) (func(), error) {
+	imp := p.imp
+	imp.Offer = func(ctx context.Context, r vsr.Remote) (func(), error) {
 		if r.Desc.ID == "other:slow" {
 			close(blocked)
 			<-release
 		}
 		return p.offer(ctx, r)
-	}}
+	}
 	runImporter(t, imp, gw)
 	waitFor(t, func() bool { return p.has("other:gone") })
 
@@ -178,11 +254,18 @@ func TestImporterRegroundsAfterGap(t *testing.T) {
 	}
 	close(release)
 
-	waitFor(t, func() bool { return imp.OfferedCount() == 7 && !p.has("other:gone") })
+	waitFor(t, func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.live) == 7 && p.live["other:gone"] == nil
+	})
 	for _, id := range []string{"other:slow", "other:late0", "other:late5"} {
 		if !p.has(id) {
 			t.Errorf("no proxy for %s after the re-ground", id)
 		}
+	}
+	if n := imp.OfferedCount(); n != 7 {
+		t.Errorf("OfferedCount = %d after the re-ground; want 7", n)
 	}
 }
 
@@ -195,7 +278,7 @@ func TestImporterKeepsProxiesThroughOutage(t *testing.T) {
 		registerForeign(t, repo, fmt.Sprintf("other:s%d", i))
 	}
 	p := newProxies(gw)
-	imp := &Importer{Middleware: "mw", Offer: p.offer}
+	imp := p.imp
 	runImporter(t, imp, gw)
 	waitFor(t, func() bool { return imp.OfferedCount() == 3 })
 
@@ -211,7 +294,8 @@ func TestImporterKeepsProxiesThroughOutage(t *testing.T) {
 }
 
 // TestImporterIgnoresGatewayCacheSettings: a gateway with no watch and no
-// resolve cache still gets its proxies, and they still call through.
+// resolve cache still gets its proxies, and they call through without
+// asking the repository: they resolve from the importer's view.
 func TestImporterIgnoresGatewayCacheSettings(t *testing.T) {
 	srv, gwA := newGateway(t, "a")
 	if err := gwA.Export(context.Background(), echoDesc("other:x", "other"), answer("from a")); err != nil {
@@ -226,10 +310,14 @@ func TestImporterIgnoresGatewayCacheSettings(t *testing.T) {
 	t.Cleanup(gw.Close)
 
 	p := newProxies(gw)
-	runImporter(t, &Importer{Middleware: "mw", Offer: p.offer}, gw)
+	runImporter(t, p.imp, gw)
 	waitFor(t, func() bool { return p.has("other:x") })
+	_, before := srv.Registry().Stats()
 	v, err := p.get("other:x").Invoke(context.Background(), "Echo", []service.Value{service.StringValue("hi")})
 	if err != nil || v.Str() != "from a" {
 		t.Fatalf("proxy call: %v, %v; want \"from a\"", v, err)
+	}
+	if _, after := srv.Registry().Stats(); after != before {
+		t.Fatalf("a proxy call sent %d registry finds; want 0", after-before)
 	}
 }

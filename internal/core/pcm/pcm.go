@@ -17,6 +17,9 @@ package pcm
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,9 +40,10 @@ type PCM interface {
 	Stop() error
 }
 
-// DefaultSyncInterval is how often exporters rescan their middleware.
-// Small enough that hot-plugged devices appear quickly in tests; a real
-// deployment would subscribe to middleware events instead where possible.
+// DefaultSyncInterval is how often exporters rescan their middleware,
+// and how soon an importer retries a failed Offer. Small enough that
+// hot-plugged devices appear quickly in tests; a real deployment would
+// subscribe to middleware events instead where possible.
 const DefaultSyncInterval = 200 * time.Millisecond
 
 // LocalService pairs a discovered local service with the client proxy
@@ -157,47 +161,91 @@ type Importer struct {
 	Middleware string
 	// Offer creates a Server Proxy in the local middleware for a remote
 	// service and returns its teardown. The proxy must be tagged so the
-	// middleware's own Exporter skips it (service.CtxImported).
+	// middleware's own Exporter skips it (service.CtxImported), and should
+	// call through Invoker.
 	Offer func(ctx context.Context, remote vsr.Remote) (remove func(), err error)
 
 	mu      sync.Mutex
+	view    map[string]vsr.Remote // the registry as the follower last saw it
 	offered map[string]func()
 }
 
 // Run follows the repository until ctx is cancelled, then removes every
-// proxy it offered. The registry view is grounded from a page walk before
-// the first round and after every resync, and kept by the change deltas;
-// after each, the offered set is diffed against it (sync). Up, down and
-// resync change nothing: while the watch is down every proxy stays.
+// proxy it offered. The view is grounded from a page walk before the
+// first round and after every resync, and kept by the change deltas. A
+// ground reconciles every proxy with the view, a change delta only the
+// service it names. Up, down and resync change nothing: while the watch
+// is down every proxy stays. A failed Offer is retried every
+// DefaultSyncInterval, from the view, until it succeeds or its service
+// goes.
 func (i *Importer) Run(ctx context.Context, gw *vsg.VSG) {
 	i.mu.Lock()
+	i.view = make(map[string]vsr.Remote)
 	if i.offered == nil {
 		i.offered = make(map[string]func())
 	}
 	i.mu.Unlock()
 
-	view := make(map[string]vsr.Remote) // the follower's goroutine only
+	var turn sync.Mutex // held by whoever reconciles: the follower or a retry
+	failed := make(map[string]bool)
+	retrying := false
+	var settle func(id string)
+	retry := func() {
+		turn.Lock()
+		defer turn.Unlock()
+		retrying = false
+		for id := range failed {
+			if ctx.Err() == nil {
+				settle(id)
+			}
+		}
+	}
+	settle = func(id string) {
+		if i.reconcile(ctx, gw, id) == nil {
+			delete(failed, id)
+			return
+		}
+		failed[id] = true
+		if !retrying {
+			retrying = true
+			time.AfterFunc(DefaultSyncInterval, retry)
+		}
+	}
 	ground := func(ctx context.Context) (uint64, error) {
 		walked := make(map[string]vsr.Remote)
 		seq, err := gw.VSR().Walk(ctx, func(r vsr.Remote) { walked[r.Desc.ID] = r })
-		if err == nil { // a partial walk proves nothing gone
-			view = walked
-			i.sync(ctx, gw, view)
+		if err != nil {
+			return seq, err // a partial walk proves nothing gone
 		}
-		return seq, err
+		turn.Lock()
+		defer turn.Unlock()
+		i.mu.Lock()
+		i.view = walked
+		ids := append(slices.Collect(maps.Keys(walked)), slices.Collect(maps.Keys(i.offered))...)
+		i.mu.Unlock()
+		for _, id := range ids {
+			settle(id)
+		}
+		return seq, nil
 	}
 	apply := func(d vsr.Delta) {
+		turn.Lock()
+		defer turn.Unlock()
+		i.mu.Lock()
 		switch d.Op {
 		case vsr.DeltaAdd, vsr.DeltaUpdate:
-			view[d.ServiceID] = d.Remote
+			i.view[d.ServiceID] = d.Remote
 		case vsr.DeltaDelete, vsr.DeltaExpire:
-			delete(view, d.ServiceID)
-		default:
-			return
+			delete(i.view, d.ServiceID)
 		}
-		i.sync(ctx, gw, view)
+		i.mu.Unlock()
+		if d.ServiceID != "" { // up, down and resync name no service
+			settle(d.ServiceID)
+		}
 	}
 	gw.VSR().Follow(ground, apply).Run(ctx)
+	turn.Lock() // a retry under way finishes first; later ones see ctx done
+	defer turn.Unlock()
 	i.teardown()
 }
 
@@ -215,42 +263,56 @@ func (i *Importer) eligible(gw *vsg.VSG, r vsr.Remote) bool {
 	return true
 }
 
-// sync offers a proxy for every eligible service in view that lacks one
-// and removes the proxies of services no longer in it or eligible.
-func (i *Importer) sync(ctx context.Context, gw *vsg.VSG, view map[string]vsr.Remote) {
+// reconcile brings service id's proxy in line with the view: it offers
+// one if the service is there, eligible and lacks one, and removes it if
+// the service is gone or no longer eligible. The error is a failed Offer.
+func (i *Importer) reconcile(ctx context.Context, gw *vsg.VSG, id string) error {
 	i.mu.Lock()
-	var toOffer []vsr.Remote
-	var toRemove []string
-	for id, r := range view {
-		if _, ok := i.offered[id]; !ok && i.eligible(gw, r) {
-			toOffer = append(toOffer, r)
-		}
-	}
-	for id := range i.offered {
-		if r, ok := view[id]; !ok || !i.eligible(gw, r) {
-			toRemove = append(toRemove, id)
-		}
+	r, ok := i.view[id]
+	want := ok && i.eligible(gw, r)
+	remove, have := i.offered[id]
+	switch {
+	case want && !have:
+		i.offered[id] = nil // counted now: the proxy may be visible before Offer returns
+	case have && !want:
+		delete(i.offered, id)
 	}
 	i.mu.Unlock()
-
-	for _, r := range toOffer {
+	switch {
+	case want && !have:
 		remove, err := i.Offer(ctx, r)
+		i.mu.Lock()
 		if err != nil {
-			continue
+			delete(i.offered, id)
+		} else {
+			i.offered[id] = remove
 		}
-		i.mu.Lock()
-		i.offered[r.Desc.ID] = remove
 		i.mu.Unlock()
+		return err
+	case have && !want && remove != nil:
+		remove()
 	}
-	for _, id := range toRemove {
+	return nil
+}
+
+// Invoker builds the Invoker a Server Proxy uses: calls on the local
+// stand-in travel through the gateway to the service's endpoint as the
+// importer's view has it now, so a service re-registered at a new
+// endpoint keeps its proxy, and no call asks the repository. This is the
+// reusable half of proxy auto-generation — the metadata (operation
+// names, signatures) comes from the remote description, and the
+// returned Invoker works for any interface.
+func (i *Importer) Invoker(gw *vsg.VSG, remote vsr.Remote) service.Invoker {
+	id := remote.Desc.ID
+	return service.InvokerFunc(func(ctx context.Context, op string, args []service.Value) (service.Value, error) {
 		i.mu.Lock()
-		remove := i.offered[id]
-		delete(i.offered, id)
+		current, ok := i.view[id]
 		i.mu.Unlock()
-		if remove != nil {
-			remove()
+		if !ok {
+			return service.Value{}, fmt.Errorf("%s: %w", id, service.ErrNoSuchService)
 		}
-	}
+		return gw.CallRemote(ctx, current, op, args)
+	})
 }
 
 func (i *Importer) teardown() {
@@ -266,7 +328,8 @@ func (i *Importer) teardown() {
 	}
 }
 
-// OfferedCount reports how many proxies the importer currently maintains.
+// OfferedCount reports how many proxies the importer currently maintains,
+// counting one whose Offer is under way.
 func (i *Importer) OfferedCount() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -312,20 +375,6 @@ func (r *Runner) Stop() {
 		cancel()
 	}
 	r.wg.Wait()
-}
-
-// RemoteInvoker builds the Invoker a Server Proxy uses: calls on the
-// local stand-in travel through the gateway to the service by its
-// federation ID, so they follow the service wherever the gateway's
-// resolve cache says it lives now (a re-home needs no new proxy). This
-// is the reusable half of proxy auto-generation — the metadata
-// (operation names, signatures) comes from the remote description, and
-// the returned Invoker works for any interface.
-func RemoteInvoker(gw *vsg.VSG, remote vsr.Remote) service.Invoker {
-	id := remote.Desc.ID
-	return service.InvokerFunc(func(ctx context.Context, op string, args []service.Value) (service.Value, error) {
-		return gw.Call(ctx, id, op, args)
-	})
 }
 
 // ImportedContext returns the context map a Server Proxy registration
