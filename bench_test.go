@@ -749,8 +749,8 @@ func BenchmarkReplicaFeedCatchUp(b *testing.B) {
 // BenchmarkGatewayColdStart measures a fresh gateway's first contact
 // with a registry of 256 device entries: start with the watch on, wait
 // for the watch to come up, resolve every service once, close. The
-// gateway grounds its resolve cache from one page walk when the watch
-// comes up, so the resolves are cache hits; inquiries/op counts the
+// gateway grounds its registry view from one page walk when the watch
+// comes up, so the resolves are hits in it; inquiries/op counts the
 // registry finds they still cost (256 when every first resolve is a
 // lookup).
 func BenchmarkGatewayColdStart(b *testing.B) {

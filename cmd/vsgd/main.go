@@ -5,11 +5,13 @@
 // middleware reachable over real sockets: Jini lookup services, UPnP
 // devices, and mail servers.
 //
-// The gateway watches the repository for change notifications, so its
-// resolve cache is the registry view the watch maintains (grounded from
-// the repository's pages, then push-updated); -cache-ttl sets the
-// fallback TTL used while the watch is down, and -no-watch reverts to
-// the paper's blind TTL poll model.
+// The gateway follows the repository's change notifications into one
+// view of the registry (grounded from the repository's pages, then
+// push-updated) that its resolves and its PCM's server proxies share.
+// -cache-ttl and -no-watch choose only how resolves read: -cache-ttl sets
+// the fallback TTL used while the watch is down (0 asks the repository
+// every time), and -no-watch keeps resolves on the paper's blind TTL poll
+// model. Server proxies and the view follow the registry regardless.
 //
 // When the repository federates with other homes (vsrd -home), pass the
 // same name via -home so peers' scoped calls ("cottage/jini:lamp-1")
@@ -47,8 +49,8 @@ func main() {
 	flag.StringVar(&cfg.vsrURL, "vsr", "http://127.0.0.1:8600/uddi", "Virtual Service Repository URL")
 	flag.StringVar(&cfg.name, "name", "", "network name (required)")
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:0", "gateway listen address")
-	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 2*time.Second, "resolve-cache fallback TTL while the VSR watch is down (0 disables caching)")
-	flag.BoolVar(&cfg.noWatch, "no-watch", false, "disable the VSR change watch (blind TTL caching, the paper's poll model)")
+	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 2*time.Second, "resolve-cache fallback TTL while the VSR watch is down (0 disables caching); server proxies follow the registry regardless")
+	flag.BoolVar(&cfg.noWatch, "no-watch", false, "resolve by the paper's poll model (blind TTL caching) instead of the VSR watch's view; server proxies follow the registry regardless")
 	flag.BoolVar(&cfg.binary, "binary", true, "negotiate the session-keyed binary fast path with framework peers (signed with -identity, anonymous without; SOAP/HTTP stays available)")
 	flag.StringVar(&cfg.home, "home", "", "home name; must match the repository's vsrd -home when federating")
 	flag.StringVar(&cfg.idFile, "identity", "", "home identity file (same file as vsrd's; requires -home)")

@@ -1,8 +1,11 @@
 package pcm
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"homeconnect/internal/core/vsg"
 	"homeconnect/internal/core/vsr"
 	"homeconnect/internal/service"
+	"homeconnect/internal/transport"
 )
 
 // startGateway starts a gateway named name on the repository at url.
@@ -148,8 +152,8 @@ func TestImporterProxyFollowsRehome(t *testing.T) {
 // TestImporterProxyFollowsReregistration: a service re-registered under
 // the same ID at network c's endpoint (an update, while a still serves
 // it) keeps the proxy b offered, and that proxy answers from c: it calls
-// the endpoint the importer's view holds, so it reaches c once b's
-// importer has seen the update.
+// the endpoint the gateway's view holds, so it reaches c once b's
+// gateway has seen the update.
 func TestImporterProxyFollowsReregistration(t *testing.T) {
 	srv, gwB := newGateway(t, "b")
 	gwA := startGateway(t, "a", srv.URL())
@@ -295,7 +299,7 @@ func TestImporterKeepsProxiesThroughOutage(t *testing.T) {
 
 // TestImporterIgnoresGatewayCacheSettings: a gateway with no watch and no
 // resolve cache still gets its proxies, and they call through without
-// asking the repository: they resolve from the importer's view.
+// asking the repository: they resolve from the gateway's view.
 func TestImporterIgnoresGatewayCacheSettings(t *testing.T) {
 	srv, gwA := newGateway(t, "a")
 	if err := gwA.Export(context.Background(), echoDesc("other:x", "other"), answer("from a")); err != nil {
@@ -319,5 +323,161 @@ func TestImporterIgnoresGatewayCacheSettings(t *testing.T) {
 	}
 	if _, after := srv.Registry().Stats(); after != before {
 		t.Fatalf("a proxy call sent %d registry finds; want 0", after-before)
+	}
+}
+
+// trafficCount carries a gateway's SOAP/HTTP traffic and counts the
+// registry walks it starts (first-page state_page requests) and the most
+// watch requests parked at the repository at once. Between hold and
+// release, watch replies wait in the carrier, so the test can make the
+// journal outrun the gateway.
+type trafficCount struct {
+	mu                       sync.Mutex
+	walks, parked, maxParked int
+	held                     chan struct{} // closed by release
+	waiting                  chan struct{} // one value per reply held
+}
+
+func (c *trafficCount) RoundTrip(req *http.Request) (*http.Response, error) {
+	var doc []byte
+	if req.GetBody != nil {
+		if body, err := req.GetBody(); err == nil {
+			doc, _ = io.ReadAll(body)
+		}
+	}
+	watch := bytes.Contains(doc, []byte("<watch>"))
+	c.mu.Lock()
+	if bytes.Contains(doc, []byte("<state_page>")) && bytes.Contains(doc, []byte("<after></after>")) {
+		c.walks++
+	}
+	if watch {
+		c.parked++
+		c.maxParked = max(c.maxParked, c.parked)
+	}
+	c.mu.Unlock()
+	resp, err := transport.Shared().RoundTrip(req)
+	if watch {
+		c.mu.Lock()
+		c.parked--
+		held, waiting := c.held, c.waiting
+		c.mu.Unlock()
+		if held != nil {
+			waiting <- struct{}{}
+			<-held
+		}
+	}
+	return resp, err
+}
+
+func (c *trafficCount) hold() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.held, c.waiting = make(chan struct{}), make(chan struct{}, 8)
+}
+
+func (c *trafficCount) release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	close(c.held)
+	c.held = nil
+}
+
+func (c *trafficCount) counts() (walks, maxParked int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.walks, c.maxParked
+}
+
+// TestImporterSharesGatewayView: an importer reads its gateway's view of
+// the registry instead of keeping its own, so the gateway walks the
+// registry once at first contact and once per journal overrun, and parks
+// one watch at a time, importer or not.
+func TestImporterSharesGatewayView(t *testing.T) {
+	srv, err := vsr.StartServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	srv.Registry().SetJournalCapacity(2)
+	repo := vsr.New(srv.URL())
+	registerForeign(t, repo, "other:s0")
+
+	count := &trafficCount{}
+	gw := vsg.New("net1", srv.URL())
+	gw.SetBinaryEnabled(false)
+	gw.SetTransport(count)
+	if err := gw.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	p := newProxies(gw)
+	runImporter(t, p.imp, gw)
+	waitFor(t, func() bool { return p.has("other:s0") && gw.Health().WatchActive })
+	if walks, _ := count.counts(); walks != 1 {
+		t.Fatalf("first contact walked the registry %d times; want 1", walks)
+	}
+
+	// The overrun: the gateway's next watch reply waits while more
+	// changes land than the journal keeps.
+	count.hold()
+	registerForeign(t, repo, "other:s1")
+	select {
+	case <-count.waiting:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no watch reply came back to hold")
+	}
+	for i := 2; i < 6; i++ {
+		registerForeign(t, repo, fmt.Sprintf("other:s%d", i))
+	}
+	count.release()
+	waitFor(t, func() bool { return gw.Health().WatchResyncs == 1 && p.has("other:s5") })
+	for i := range 6 {
+		if id := fmt.Sprintf("other:s%d", i); !p.has(id) {
+			t.Errorf("no proxy for %s after the overrun", id)
+		}
+	}
+	walks, maxParked := count.counts()
+	if walks != 2 {
+		t.Errorf("one journal overrun took %d walks in all; want 2", walks)
+	}
+	if maxParked > 1 {
+		t.Errorf("%d watches parked at once; want at most 1", maxParked)
+	}
+}
+
+// TestImporterSlowOfferLeavesViewCurrent: while an Offer is blocked, the
+// gateway's view keeps following the registry, so a service registered
+// meanwhile resolves within a second with no registry inquiry.
+func TestImporterSlowOfferLeavesViewCurrent(t *testing.T) {
+	srv, gw := newGateway(t, "net1")
+	repo := vsr.New(srv.URL())
+	p := newProxies(gw)
+	blocked, release := make(chan struct{}), make(chan struct{})
+	p.imp.Offer = func(ctx context.Context, r vsr.Remote) (func(), error) {
+		if r.Desc.ID == "other:slow" {
+			close(blocked)
+			<-release
+		}
+		return p.offer(ctx, r)
+	}
+	runImporter(t, p.imp, gw)
+	t.Cleanup(func() { close(release) }) // before the importer stops
+	registerForeign(t, repo, "other:slow")
+	<-blocked
+
+	_, before := srv.Registry().Stats()
+	registerForeign(t, repo, "other:new")
+	deadline := time.Now().Add(time.Second)
+	for _, ok := gw.Viewed("other:new"); !ok; _, ok = gw.Viewed("other:new") {
+		if time.Now().After(deadline) {
+			t.Fatal("other:new never reached the gateway's view while an Offer was blocked")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := gw.Resolve(context.Background(), "other:new"); err != nil {
+		t.Fatal(err)
+	}
+	if _, after := srv.Registry().Stats(); after != before {
+		t.Errorf("resolving other:new cost %d registry inquiries; want 0", after-before)
 	}
 }

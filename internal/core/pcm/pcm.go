@@ -5,21 +5,20 @@
 //     into the VSG services": the Exporter helper scans the local
 //     middleware for services and keeps them exported on the gateway;
 //   - the Server Proxy (SP) "provides the interfaces of remote services
-//     to the local services": the Importer helper watches the Virtual
-//     Service Repository and keeps native stand-ins registered in the
-//     local middleware for every remote service.
+//     to the local services": the Importer helper follows its gateway's
+//     view of the Virtual Service Repository and keeps native stand-ins
+//     registered in the local middleware for every remote service.
 //
 // Both directions are generated from service metadata rather than written
 // per service, the role Javassist played in the paper's prototype.
 // Concrete PCMs (internal/bridge/...) supply the middleware-specific
-// List/Offer functions and get the scan loop and the watch follower here.
+// List/Offer functions and get the scan loop and the proxy reconciler
+// here; the registry view the reconciler reads is the gateway's own.
 package pcm
 
 import (
 	"context"
 	"fmt"
-	"maps"
-	"slices"
 	"sync"
 	"time"
 
@@ -153,8 +152,8 @@ func (e *Exporter) teardown(gw *vsg.VSG) {
 
 // Importer keeps a Server Proxy in the local middleware for every
 // eligible remote federation service — the Server Proxy direction. It
-// follows the repository watch (vsr.Follower) on the gateway's own
-// repository client, so an idle importer sends only its parked long-poll.
+// subscribes to its gateway's view of the repository (vsg.Subscribe), so
+// it sends the repository nothing of its own.
 type Importer struct {
 	// Middleware is the local middleware name; services native to it are
 	// never imported (they are already reachable locally).
@@ -166,87 +165,59 @@ type Importer struct {
 	Offer func(ctx context.Context, remote vsr.Remote) (remove func(), err error)
 
 	mu      sync.Mutex
-	view    map[string]vsr.Remote // the registry as the follower last saw it
 	offered map[string]func()
 }
 
-// Run follows the repository until ctx is cancelled, then removes every
-// proxy it offered. The view is grounded from a page walk before the
-// first round and after every resync, and kept by the change deltas. A
-// ground reconciles every proxy with the view, a change delta only the
-// service it names. Up, down and resync change nothing: while the watch
-// is down every proxy stays. A failed Offer is retried every
-// DefaultSyncInterval, from the view, until it succeeds or its service
-// goes.
+// Run reconciles proxies with the gateway's view until ctx is cancelled,
+// then removes every proxy it offered. The subscription marks pending
+// each service in the view, then each one a change names (and whether it
+// left, so one that left and came back gets a new proxy). Run reconciles
+// them on its own goroutine, so a slow Offer never holds up the view. An
+// outage changes nothing: the view keeps its last state, and every proxy
+// stays. A failed Offer is marked pending again after DefaultSyncInterval.
 func (i *Importer) Run(ctx context.Context, gw *vsg.VSG) {
 	i.mu.Lock()
-	i.view = make(map[string]vsr.Remote)
-	if i.offered == nil {
-		i.offered = make(map[string]func())
-	}
+	i.offered = make(map[string]func())
 	i.mu.Unlock()
-
-	var turn sync.Mutex // held by whoever reconciles: the follower or a retry
-	failed := make(map[string]bool)
-	retrying := false
-	var settle func(id string)
-	retry := func() {
-		turn.Lock()
-		defer turn.Unlock()
-		retrying = false
-		for id := range failed {
-			if ctx.Err() == nil {
-				settle(id)
+	var mu sync.Mutex
+	pending, wake := make(map[string]bool), make(chan struct{}, 1)
+	mark := func(id string, gone bool) {
+		mu.Lock()
+		pending[id] = pending[id] || gone
+		mu.Unlock()
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}
+	defer gw.Subscribe(mark)()
+	var failed []string
+	var retry <-chan time.Time
+	for {
+		mu.Lock()
+		batch := pending
+		pending = make(map[string]bool)
+		mu.Unlock()
+		for id, gone := range batch {
+			if ctx.Err() == nil && i.reconcile(ctx, gw, id, gone) != nil {
+				failed = append(failed, id)
 			}
 		}
-	}
-	settle = func(id string) {
-		if i.reconcile(ctx, gw, id) == nil {
-			delete(failed, id)
+		if len(failed) > 0 && retry == nil {
+			retry = time.After(DefaultSyncInterval)
+		}
+		select {
+		case <-ctx.Done():
+			i.teardown()
 			return
-		}
-		failed[id] = true
-		if !retrying {
-			retrying = true
-			time.AfterFunc(DefaultSyncInterval, retry)
-		}
-	}
-	ground := func(ctx context.Context) (uint64, error) {
-		walked := make(map[string]vsr.Remote)
-		seq, err := gw.VSR().Walk(ctx, func(r vsr.Remote) { walked[r.Desc.ID] = r })
-		if err != nil {
-			return seq, err // a partial walk proves nothing gone
-		}
-		turn.Lock()
-		defer turn.Unlock()
-		i.mu.Lock()
-		i.view = walked
-		ids := append(slices.Collect(maps.Keys(walked)), slices.Collect(maps.Keys(i.offered))...)
-		i.mu.Unlock()
-		for _, id := range ids {
-			settle(id)
-		}
-		return seq, nil
-	}
-	apply := func(d vsr.Delta) {
-		turn.Lock()
-		defer turn.Unlock()
-		i.mu.Lock()
-		switch d.Op {
-		case vsr.DeltaAdd, vsr.DeltaUpdate:
-			i.view[d.ServiceID] = d.Remote
-		case vsr.DeltaDelete, vsr.DeltaExpire:
-			delete(i.view, d.ServiceID)
-		}
-		i.mu.Unlock()
-		if d.ServiceID != "" { // up, down and resync name no service
-			settle(d.ServiceID)
+		case <-wake:
+		case <-retry:
+			for _, id := range failed {
+				mark(id, false)
+			}
+			failed, retry = nil, nil
 		}
 	}
-	gw.VSR().Follow(ground, apply).Run(ctx)
-	turn.Lock() // a retry under way finishes first; later ones see ctx done
-	defer turn.Unlock()
-	i.teardown()
 }
 
 // eligible reports whether a remote service should get a local proxy.
@@ -263,41 +234,43 @@ func (i *Importer) eligible(gw *vsg.VSG, r vsr.Remote) bool {
 	return true
 }
 
-// reconcile brings service id's proxy in line with the view: it offers
-// one if the service is there, eligible and lacks one, and removes it if
-// the service is gone or no longer eligible. The error is a failed Offer.
-func (i *Importer) reconcile(ctx context.Context, gw *vsg.VSG, id string) error {
-	i.mu.Lock()
-	r, ok := i.view[id]
+// reconcile brings service id's proxy in line with the view: it removes
+// the proxy if the service left the view meanwhile (gone), is not there or
+// is not eligible, and offers one if the service is there, eligible and
+// lacks one. The error is a failed Offer.
+func (i *Importer) reconcile(ctx context.Context, gw *vsg.VSG, id string, gone bool) error {
+	r, ok := gw.Viewed(id)
 	want := ok && i.eligible(gw, r)
-	remove, have := i.offered[id]
-	switch {
-	case want && !have:
+	i.mu.Lock()
+	remove, had := i.offered[id]
+	drop := had && (gone || !want)
+	offer := want && (!had || drop)
+	if offer {
 		i.offered[id] = nil // counted now: the proxy may be visible before Offer returns
-	case have && !want:
+	} else if drop {
 		delete(i.offered, id)
 	}
 	i.mu.Unlock()
-	switch {
-	case want && !have:
-		remove, err := i.Offer(ctx, r)
-		i.mu.Lock()
-		if err != nil {
-			delete(i.offered, id)
-		} else {
-			i.offered[id] = remove
-		}
-		i.mu.Unlock()
-		return err
-	case have && !want && remove != nil:
+	if drop && remove != nil {
 		remove()
 	}
-	return nil
+	if !offer {
+		return nil
+	}
+	remove, err := i.Offer(ctx, r)
+	i.mu.Lock()
+	if err != nil {
+		delete(i.offered, id)
+	} else {
+		i.offered[id] = remove
+	}
+	i.mu.Unlock()
+	return err
 }
 
 // Invoker builds the Invoker a Server Proxy uses: calls on the local
 // stand-in travel through the gateway to the service's endpoint as the
-// importer's view has it now, so a service re-registered at a new
+// gateway's view has it now, so a service re-registered at a new
 // endpoint keeps its proxy, and no call asks the repository. This is the
 // reusable half of proxy auto-generation — the metadata (operation
 // names, signatures) comes from the remote description, and the
@@ -305,9 +278,7 @@ func (i *Importer) reconcile(ctx context.Context, gw *vsg.VSG, id string) error 
 func (i *Importer) Invoker(gw *vsg.VSG, remote vsr.Remote) service.Invoker {
 	id := remote.Desc.ID
 	return service.InvokerFunc(func(ctx context.Context, op string, args []service.Value) (service.Value, error) {
-		i.mu.Lock()
-		current, ok := i.view[id]
-		i.mu.Unlock()
+		current, ok := gw.Viewed(id)
 		if !ok {
 			return service.Value{}, fmt.Errorf("%s: %w", id, service.ErrNoSuchService)
 		}
@@ -315,12 +286,10 @@ func (i *Importer) Invoker(gw *vsg.VSG, remote vsr.Remote) service.Invoker {
 	})
 }
 
+// teardown removes every proxy, on Run's goroutine: no Offer is under way.
 func (i *Importer) teardown() {
 	i.mu.Lock()
-	removes := make([]func(), 0, len(i.offered))
-	for _, r := range i.offered {
-		removes = append(removes, r)
-	}
+	removes := i.offered
 	i.offered = make(map[string]func())
 	i.mu.Unlock()
 	for _, r := range removes {

@@ -16,21 +16,26 @@ import (
 	"homeconnect/internal/vclock"
 )
 
-// cached reports whether the gateway's resolve cache holds id.
+// cached reports whether the gateway resolves id without an inquiry
+// (expiry aside): from its view while Resolve reads it, or from its poll
+// cache.
 func cached(g *VSG, id string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	_, ok := g.resolveCache[id]
+	if _, ok := g.view[id]; ok && g.watchUp && g.cacheTTL > 0 {
+		return true
+	}
+	_, ok := g.polled[id]
 	return ok
 }
 
-// waitCached waits until the gateway's watch has put id in its cache.
+// waitCached waits until the gateway's watch has put id in its view.
 func waitCached(t *testing.T, g *VSG, id string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cached(g, id) {
 		if time.Now().After(deadline) {
-			t.Fatalf("watch never delivered %s into the resolve cache", id)
+			t.Fatalf("watch never delivered %s into the view", id)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -87,11 +92,12 @@ func TestWatchPrimesResolveCache(t *testing.T) {
 // manualWatch is a gateway whose watch the test drives round by round,
 // against a repository whose clock and expiry the test controls.
 type manualWatch struct {
-	vc  *vclock.Virtual
-	reg *uddi.Server
-	srv *vsr.Server
-	gw  *VSG
-	f   *vsr.Follower
+	vc    *vclock.Virtual
+	reg   *uddi.Server
+	srv   *vsr.Server
+	gw    *VSG
+	f     *vsr.Follower
+	walks uint64 // grounds the follower ran
 }
 
 func newManualWatch(t *testing.T) *manualWatch {
@@ -106,7 +112,12 @@ func newManualWatch(t *testing.T) *manualWatch {
 	t.Cleanup(srv.Close)
 	gw := New("net2", srv.URL())
 	t.Cleanup(gw.Close)
-	return &manualWatch{vc: vc, reg: reg, srv: srv, gw: gw, f: gw.vsr.Follow(gw.ground, gw.applyDelta)}
+	m := &manualWatch{vc: vc, reg: reg, srv: srv, gw: gw}
+	m.f = gw.vsr.Follow(func(ctx context.Context) (uint64, error) {
+		m.walks++
+		return gw.ground(ctx)
+	}, gw.applyDelta)
+	return m
 }
 
 // step drives one watch round.
@@ -211,12 +222,12 @@ func TestDeltaFillsAndEvicts(t *testing.T) {
 	}
 }
 
-// grounds is the gateway's cache generation: the number of times it has
-// grounded its cache, plus its watch outages.
+// grounds is the number of times the follower grounded the gateway's
+// view, plus the gateway's watch outages (a failed walk is one).
 func (m *manualWatch) grounds() uint64 {
 	m.gw.mu.Lock()
 	defer m.gw.mu.Unlock()
-	return m.gw.cacheGen
+	return m.walks + m.gw.cacheGen
 }
 
 // TestFirstStepOnTrimmedJournalWalksOnce: a gateway meeting a repository
@@ -242,7 +253,7 @@ func TestFirstStepOnTrimmedJournalWalksOnce(t *testing.T) {
 }
 
 // TestFailedWalkFlushesCache: a ground whose walk fails leaves no
-// resolution behind — with no ground truth any of them may be stale —
+// resolution served — with no ground truth any of them may be stale —
 // and fences out lookups in flight.
 func TestFailedWalkFlushesCache(t *testing.T) {
 	m := newManualWatch(t)
@@ -293,10 +304,11 @@ func (h *holdFinds) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// TestResolveFillRule: while the watch is up the resolve cache is exactly
-// the watch's view — a miss is answered but fills nothing, and the delta
+// TestResolveFillRule: while the watch is up Resolve reads exactly the
+// watch's view — a miss is answered but fills nothing, and the delta
 // fills it. While the watch is down a miss fills the cache, unless an
-// outage or a ground happened while its inquiry was in flight.
+// outage happened while its inquiry was in flight, and an answer read
+// before a ground never overwrites what the ground read.
 func TestResolveFillRule(t *testing.T) {
 	m := newManualWatch(t)
 	hold := &holdFinds{held: make(chan struct{}), release: make(chan struct{})}
@@ -370,10 +382,7 @@ func TestResolveFillRule(t *testing.T) {
 	if r.Endpoint != "http://h/3" {
 		t.Fatalf("held inquiry answered %q, want the old endpoint http://h/3", r.Endpoint)
 	}
-	m.gw.mu.Lock()
-	got := m.gw.resolveCache["jini:lamp-3"].remote.Endpoint
-	m.gw.mu.Unlock()
-	if got != "http://h/3-moved" {
-		t.Fatalf("cache holds %q after a ground during the inquiry, want http://h/3-moved", got)
+	if got, _ := m.gw.Viewed("jini:lamp-3"); got.Endpoint != "http://h/3-moved" {
+		t.Fatalf("view holds %q after a ground during the inquiry, want http://h/3-moved", got.Endpoint)
 	}
 }

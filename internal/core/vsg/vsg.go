@@ -13,20 +13,22 @@
 //
 // Two departures from the paper's poll model keep repository load and
 // staleness independent of call rate: VSR registrations renew in one
-// batched request per refresh interval (RegisterAll), and the resolve
-// cache is the registry view the repository's change watch maintains —
-// grounded from a page walk before the first watch round and on resync,
-// then filled, rewritten or evicted the moment the VSR journals a change.
-// Only while the watch is not up (degraded mode, surfaced via Health) do
-// lookups fill the cache themselves, bounded by the cache TTL.
+// batched request per refresh interval (RegisterAll), and each gateway
+// holds one registry view that the repository's change watch maintains —
+// grounded from a page walk before the first round and on resync, then
+// kept by each change the VSR journals. Resolve reads it while the watch
+// is up, PCM importers always; otherwise (degraded mode, see Health, or
+// the watch off) lookups fill a cache bounded by the cache TTL.
 package vsg
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,18 +115,20 @@ type VSG struct {
 
 	mu      sync.Mutex
 	exports map[string]*export
-	// resolveCache holds resolutions: while the watch is up, exactly the
-	// services it has delivered; otherwise also lookups made while it was
-	// down (see Resolve and SetCacheTTL).
-	resolveCache map[string]cachedRemote
-	cacheTTL     time.Duration
-	closed       bool
+	// view is the registry as the follower last saw it; Resolve reads it
+	// while the watch is up, importers always (Viewed, Subscribe).
+	view map[string]vsr.Remote
+	// subs hear of view changes (Subscribe); copied on write.
+	subs []*func(id string, gone bool)
+	// polled holds the poll model's TTL-stamped lookups (see Resolve).
+	polled   map[string]cachedRemote
+	cacheTTL time.Duration
+	closed   bool
 
-	refreshCancel context.CancelFunc
-	refreshDone   chan struct{}
-	watchDone     chan struct{}
+	stopLoops context.CancelFunc
+	loops     sync.WaitGroup
 
-	// watchEnabled gates the repository watch; set before Start.
+	// watchEnabled lets Resolve read the view; set before Start.
 	watchEnabled bool
 
 	// refresh health, guarded by mu: refreshLoop failures would otherwise
@@ -133,13 +137,13 @@ type VSG struct {
 	lastRefreshErr  string
 	lastRefreshOK   time.Time
 
-	// watch health, guarded by mu. While watchUp, cached resolutions are
-	// push-invalidated and never go stale; while down, the cache TTL is
-	// the only staleness bound (degraded mode, surfaced via Health).
+	// watch health, guarded by mu. While watchUp (never with the watch
+	// disabled) Resolve reads the view, which cannot go stale; while
+	// down, the TTL is the only staleness bound (degraded mode).
 	watchUp      bool
 	lastWatchErr string
-	// cacheGen counts grounds and watch outages: a lookup that was in
-	// flight across either must not fill the cache (see Resolve).
+	// cacheGen counts watch outages: a lookup that was in flight across
+	// one must not fill the poll cache (see Resolve).
 	cacheGen uint64
 
 	// loopbackOff disables in-process dispatch on this (calling) gateway;
@@ -153,7 +157,7 @@ type VSG struct {
 	outboundCalls atomic.Uint64
 	loopbackCalls atomic.Uint64
 	deniedCalls   atomic.Uint64
-	// watch accounting: deltas applied and cache entries invalidated or
+	// watch accounting: deltas applied and view entries invalidated or
 	// rewritten by push notifications.
 	watchDeltas   atomic.Uint64
 	invalidations atomic.Uint64
@@ -180,7 +184,8 @@ func New(name, vsrURL string) *VSG {
 		hub:          events.NewHub(),
 		clock:        vclock.System,
 		exports:      make(map[string]*export),
-		resolveCache: make(map[string]cachedRemote),
+		view:         make(map[string]vsr.Remote),
+		polled:       make(map[string]cachedRemote),
 		cacheTTL:     2 * time.Second,
 		watchEnabled: true,
 	}
@@ -207,7 +212,7 @@ func (g *VSG) SetTransport(rt http.RoundTripper) {
 // Name returns the gateway's network name.
 func (g *VSG) Name() string { return g.name }
 
-// VSR returns the repository client (used by PCM importers).
+// VSR returns the gateway's repository client.
 func (g *VSG) VSR() *vsr.VSR { return g.vsr }
 
 // SetHome names the residence this gateway belongs to; call before
@@ -322,15 +327,16 @@ func (g *VSG) canonicalID(id string) string {
 // Hub returns the gateway's event hub.
 func (g *VSG) Hub() *events.Hub { return g.hub }
 
-// SetCacheTTL adjusts resolve caching; zero disables it (each call hits
-// the repository, the ablation measured by BenchmarkVSRFindCached). With
-// the repository watch up, the TTL is only the fallback staleness bound:
-// cached entries are push-invalidated and served regardless of age.
+// SetCacheTTL adjusts resolve caching; zero disables it (each Resolve
+// asks the repository, the ablation measured by BenchmarkVSRFindCached).
+// With the repository watch up, Resolve reads the view and the TTL is
+// only the poll path's fallback staleness bound. The view follows the
+// registry regardless.
 func (g *VSG) SetCacheTTL(d time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.cacheTTL = d
-	g.resolveCache = make(map[string]cachedRemote)
+	clear(g.polled)
 }
 
 // SetLoopbackEnabled gates the loopback fast path on this gateway's
@@ -356,18 +362,16 @@ func (g *VSG) SetBinaryEnabled(on bool) {
 	}
 }
 
-// SetWatchEnabled gates the repository watch; call before Start. With the
-// watch off the gateway degrades to the paper's poll model: blind
-// TTL-bounded caching and no push invalidation (the middle point of the
-// DESIGN.md §7 ablation).
+// SetWatchEnabled chooses whether Resolve reads the watch's view; call
+// before Start. With it off Resolve keeps to the paper's poll model: blind
+// TTL-bounded caching (the middle point of the DESIGN.md §7 ablation),
+// and Health never reports the watch active. The view follows regardless.
 func (g *VSG) SetWatchEnabled(on bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.watchEnabled = on
 }
 
-// Start brings the gateway up on addr ("127.0.0.1:0" for ephemeral) and
-// begins refreshing VSR registrations.
+// Start brings the gateway up on addr ("127.0.0.1:0" for ephemeral),
+// refreshing VSR registrations and following the repository's watch.
 func (g *VSG) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -386,16 +390,10 @@ func (g *VSG) Start(addr string) error {
 	procMu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	g.refreshCancel = cancel
-	g.refreshDone = make(chan struct{})
+	g.stopLoops = cancel
+	g.loops.Add(2)
 	go g.refreshLoop(ctx)
-	g.mu.Lock()
-	watch := g.watchEnabled
-	g.mu.Unlock()
-	if watch {
-		g.watchDone = make(chan struct{})
-		go g.watchLoop(ctx)
-	}
+	go g.watchLoop(ctx)
 	return nil
 }
 
@@ -500,12 +498,9 @@ func (g *VSG) Close() {
 		procMu.Unlock()
 	}
 
-	if g.refreshCancel != nil {
-		g.refreshCancel()
-		<-g.refreshDone
-		if g.watchDone != nil {
-			<-g.watchDone
-		}
+	if g.stopLoops != nil {
+		g.stopLoops()
+		g.loops.Wait()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -620,7 +615,7 @@ func (g *VSG) localExport(id string) (*export, bool) {
 // is one batched RegisterAll, so a gateway with N exports costs the
 // repository one request per interval, not N.
 func (g *VSG) refreshLoop(ctx context.Context) {
-	defer close(g.refreshDone)
+	defer g.loops.Done()
 	interval := g.vsr.TTL() / 3
 	if interval < 100*time.Millisecond {
 		interval = 100 * time.Millisecond
@@ -669,41 +664,41 @@ func (g *VSG) RefreshExports(ctx context.Context) error {
 	return roundErr
 }
 
-// watchLoop consumes the repository's change stream and keeps the resolve
-// cache a view of the registry: the follower grounds it from one page
-// walk before its first round and on every resync, and from then on each
-// add or update stores the service's new resolution (a re-homed service
-// is callable again as soon as the delta lands), deletions and expiries
-// evict, and a stream outage demotes the cache to its TTL fallback.
+// watchLoop follows the repository's change stream into the view: the
+// follower grounds it from one page walk before its first round and on
+// every resync; adds and updates store the service's new resolution (a
+// re-homed service is callable again as soon as the delta lands), and
+// deletions and expiries evict.
 func (g *VSG) watchLoop(ctx context.Context) {
-	defer close(g.watchDone)
+	defer g.loops.Done()
 	g.vsr.Follow(g.ground, g.applyDelta).Run(ctx)
 }
 
-// applyDelta folds one repository notification into the gateway's state.
+// applyDelta folds one repository notification into the gateway's state
+// and tells the subscribers which service it changed.
 func (g *VSG) applyDelta(d vsr.Delta) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	switch d.Op {
 	case vsr.DeltaUp:
-		if !g.watchUp {
+		if g.watchEnabled && !g.watchUp {
 			g.auditEvent(audit.Event{Type: audit.WatchUp, Detail: "repository change stream connected"})
 		}
-		g.watchUp = true
+		g.watchUp = g.watchEnabled
 		g.lastWatchErr = ""
 	case vsr.DeltaResync:
-		// The follower re-grounds the cache next; a walk that fails
+		// The follower re-grounds the view next; a walk that fails
 		// arrives as Down.
 		g.watchResyncs.Add(1)
 		g.auditEvent(audit.Event{Type: audit.WatchResync,
-			Detail: "journal skipped past cursor; re-grounding the resolve cache from the repository"})
+			Detail: "journal skipped past cursor; re-grounding the registry view from the repository"})
 	case vsr.DeltaDown:
-		// Degraded mode: cached entries keep serving, but only within
-		// their TTL — the blind staleness bound the watch normally lifts.
-		// A lookup in flight may have read state older than a delta
-		// applied before the outage; the generation bump keeps it out.
+		// Degraded mode: Resolve stops reading the view (its entries count
+		// as invalidated) and polls, TTL-bounded. A lookup in flight may
+		// have read state older than a delta applied before the outage;
+		// the generation bump keeps it out. The view itself stays.
 		g.cacheGen++
 		if g.watchUp {
+			g.invalidations.Add(uint64(len(g.view)))
 			detail := "repository change stream lost; resolve cache degraded to TTL bound"
 			if d.Err != nil {
 				detail += ": " + d.Err.Error()
@@ -716,70 +711,107 @@ func (g *VSG) applyDelta(d vsr.Delta) {
 		}
 	case vsr.DeltaAdd, vsr.DeltaUpdate:
 		g.watchDeltas.Add(1)
-		if g.cacheTTL <= 0 {
-			return
-		}
-		if _, ok := g.resolveCache[d.ServiceID]; ok {
+		if _, ok := g.view[d.ServiceID]; ok {
 			g.invalidations.Add(1)
 		}
-		g.resolveCache[d.ServiceID] = cachedRemote{remote: d.Remote, expires: g.clock.Now().Add(g.cacheTTL)}
+		g.view[d.ServiceID] = d.Remote
 	case vsr.DeltaDelete, vsr.DeltaExpire:
 		g.watchDeltas.Add(1)
-		if _, ok := g.resolveCache[d.ServiceID]; ok {
-			delete(g.resolveCache, d.ServiceID)
+		if _, ok := g.view[d.ServiceID]; ok {
+			delete(g.view, d.ServiceID)
 			g.invalidations.Add(1)
 		}
+	}
+	subs := g.subs
+	g.mu.Unlock()
+	if d.ServiceID != "" { // up, down and resync name no service
+		notify(subs, d.ServiceID, d.Op == vsr.DeltaDelete || d.Op == vsr.DeltaExpire)
 	}
 }
 
 // ground is the gateway's ground function (vsr.Follow): it replaces the
-// resolve cache with the repository's state, read in one page walk
-// (vsr.Walk), and returns the walk's journal position. The follower
-// applies no delta while it runs. Lookups already in flight fill
-// nothing, since they may predate what the walk read. A walk that fails
-// flushes the cache instead: with no ground truth anything cached may be
-// stale. With caching off there is nothing to walk for, and the follower
-// follows from the journal's start.
-func (g *VSG) ground(ctx context.Context) (seq uint64, err error) {
+// view with the repository's state, read in one page walk (vsr.Walk),
+// and returns the walk's journal position. The follower applies no delta
+// while it runs. A walk that fails keeps the last view (a partial walk
+// proves nothing gone) but is an outage: Resolve stops reading the view
+// until a ground succeeds.
+func (g *VSG) ground(ctx context.Context) (uint64, error) {
+	view := make(map[string]vsr.Remote)
+	seq, err := g.vsr.Walk(ctx, func(r vsr.Remote) { view[r.Desc.ID] = r })
+	if err != nil {
+		g.applyDelta(vsr.Delta{Op: vsr.DeltaDown, Err: err})
+		return seq, err
+	}
 	g.mu.Lock()
-	ttl := g.cacheTTL
+	old := g.view
+	g.view = view
+	subs := g.subs
 	g.mu.Unlock()
-	view := make(map[string]cachedRemote)
-	if ttl > 0 {
-		expires := g.clock.Now().Add(ttl)
-		seq, err = g.vsr.Walk(ctx, func(r vsr.Remote) {
-			view[r.Desc.ID] = cachedRemote{remote: r, expires: expires}
-		})
-		if err != nil {
-			clear(view)
-		}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var evicted uint64
-	for id := range g.resolveCache {
+	// Only this goroutine writes the view, so both maps stay still.
+	for id := range old {
 		if _, kept := view[id]; !kept {
-			evicted++
+			g.invalidations.Add(1)
+			notify(subs, id, true)
 		}
 	}
-	g.invalidations.Add(evicted)
-	g.resolveCache = view
-	g.cacheGen++
-	return seq, err
+	for id := range view {
+		notify(subs, id, false)
+	}
+	return seq, nil
 }
 
-// Resolve finds the service with the given federation ID, consulting the
-// resolve cache first. While the repository watch is up, the cache is
-// exactly the watch's view and hits are served regardless of age —
-// entries are rewritten or evicted the moment the repository reports a
-// change, so they cannot go stale. A miss is one repository inquiry
-// (Lookup) and fills nothing: the delta that carries the registration
-// fills the cache. While the watch is not up (degraded mode, see Health,
-// or the watch disabled) the entry's TTL is the staleness bound again,
-// as in the paper's poll model, and a miss fills the cache itself.
+// Subscribe has fn hear the ID of every service in the view, then of each
+// one a delta or a ground adds, updates, keeps or removes (gone). fn runs
+// on the caller, then on the gateway's follower, and must not block. The
+// returned function ends the subscription.
+func (g *VSG) Subscribe(fn func(id string, gone bool)) (cancel func()) {
+	sub := &fn
+	g.mu.Lock()
+	g.subs = append(slices.Clip(g.subs), sub)
+	ids := slices.Collect(maps.Keys(g.view))
+	g.mu.Unlock()
+	for _, id := range ids {
+		fn(id, false)
+	}
+	return func() {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		g.subs = slices.DeleteFunc(slices.Clone(g.subs), func(s *func(string, bool)) bool { return s == sub })
+	}
+}
+
+// notify tells each subscriber that service id changed.
+func notify(subs []*func(id string, gone bool), id string, gone bool) {
+	for _, fn := range subs {
+		(*fn)(id, gone)
+	}
+}
+
+// Viewed returns service id as the gateway's view holds it now, whatever
+// the cache settings; it asks the repository nothing.
+func (g *VSG) Viewed(id string) (vsr.Remote, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	r, ok := g.view[id]
+	return r, ok
+}
+
+// Resolve finds the service with the given federation ID. While the
+// repository watch is up it reads the view, and a hit is served
+// regardless of age: entries are rewritten or evicted the moment the
+// repository reports a change. A miss is one repository inquiry (Lookup)
+// and fills nothing: the delta that carries the registration fills the
+// view. Otherwise (degraded mode, see Health, the watch disabled, or
+// before its first good round) Resolve is the paper's poll model: a
+// TTL-stamped cache whose misses fill it. A zero TTL caches nothing.
 func (g *VSG) Resolve(ctx context.Context, serviceID string) (vsr.Remote, error) {
 	g.mu.Lock()
-	if c, ok := g.resolveCache[serviceID]; ok && (g.watchUp || g.clock.Now().Before(c.expires)) {
+	serving := g.watchUp && g.cacheTTL > 0
+	if r, ok := g.view[serviceID]; ok && serving {
+		g.mu.Unlock()
+		return r, nil
+	}
+	if c, ok := g.polled[serviceID]; ok && !serving && g.clock.Now().Before(c.expires) {
 		g.mu.Unlock()
 		return c.remote, nil
 	}
@@ -787,19 +819,16 @@ func (g *VSG) Resolve(ctx context.Context, serviceID string) (vsr.Remote, error)
 	g.mu.Unlock()
 
 	remote, err := g.vsr.Lookup(ctx, serviceID)
-	if err != nil {
-		return vsr.Remote{}, err
+	if err != nil || serving {
+		return remote, err
 	}
 	g.mu.Lock()
-	// Fill only while the watch is not up, and only if no ground or
-	// outage happened while the inquiry ran (gen unchanged): then no
-	// delta was applied meanwhile either, since deltas arrive only while
-	// the watch is up. Such a fill converges: on recovery the follower
-	// replays every later change in order, or re-grounds.
+	defer g.mu.Unlock()
+	// Fill only while the view is not served, and only if no outage
+	// happened while the inquiry ran (gen unchanged).
 	if !g.watchUp && g.cacheTTL > 0 && g.cacheGen == gen {
-		g.resolveCache[serviceID] = cachedRemote{remote: remote, expires: g.clock.Now().Add(g.cacheTTL)}
+		g.polled[serviceID] = cachedRemote{remote: remote, expires: g.clock.Now().Add(g.cacheTTL)}
 	}
-	g.mu.Unlock()
 	return remote, nil
 }
 
@@ -989,21 +1018,22 @@ type Health struct {
 	LastRefreshError string `json:"last_refresh_error,omitempty"`
 	// LastRefreshOK is when a round last re-registered every export.
 	LastRefreshOK time.Time `json:"last_refresh_ok"`
-	// WatchActive reports a live repository change stream: the resolve
-	// cache follows it and cannot go stale.
+	// WatchActive reports a live repository change stream that Resolve
+	// reads: the view follows it and cannot go stale.
 	WatchActive bool `json:"watch_active"`
 	// LastWatchError is the failure that broke the watch stream, cleared
 	// on recovery.
 	LastWatchError string `json:"last_watch_error,omitempty"`
 	// WatchDeltas counts change notifications applied since start.
 	WatchDeltas uint64 `json:"watch_deltas"`
-	// CacheInvalidations counts cached resolutions evicted or rewritten
-	// by push notifications or re-groundings since start.
+	// CacheInvalidations counts view entries evicted or rewritten by push
+	// notifications or re-groundings since start, plus the whole view
+	// whenever an outage (a failed walk included) stops Resolve reading it.
 	CacheInvalidations uint64 `json:"cache_invalidations"`
-	// WatchResyncs counts cache re-groundings forced because the
+	// WatchResyncs counts view re-groundings forced because the
 	// repository journal skipped past this gateway's cursor (overrun, or
 	// a registry that restarted without durable state): each reads the
-	// repository's pages again, or flushes the cache if that walk fails.
+	// repository's pages again; a walk that fails is an outage.
 	// A durable repository restart resumes the cursor and does not bump
 	// this.
 	WatchResyncs uint64 `json:"watch_resyncs"`

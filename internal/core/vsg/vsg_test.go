@@ -635,16 +635,18 @@ func TestExportServesBeforeRegistrationReturns(t *testing.T) {
 	gw1 := New("net1", proxy.URL+"/uddi")
 	gw1.SetWatchEnabled(false)
 	gw2 := New("net2", srv.URL())
+	ctx := context.Background()
+	// Set before the gateways start: gw1's watch traffic passes the
+	// proxy too.
+	inWindow = func() error {
+		_, err := gw2.Call(ctx, "jini:lamp-1", "SetLevel", []service.Value{service.IntValue(7)})
+		return err
+	}
 	for _, gw := range []*VSG{gw1, gw2} {
 		if err := gw.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 		defer gw.Close()
-	}
-	ctx := context.Background()
-	inWindow = func() error {
-		_, err := gw2.Call(ctx, "jini:lamp-1", "SetLevel", []service.Value{service.IntValue(7)})
-		return err
 	}
 	lamp := &fakeLamp{}
 	if err := gw1.Export(ctx, lampDesc("jini:lamp-1"), lamp); err != nil {

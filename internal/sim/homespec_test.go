@@ -88,6 +88,26 @@ func waitConnected(t *testing.T, f *core.Federation, url string) peer.Status {
 	}
 }
 
+// waitWatchActive waits until every gateway of f reports its repository
+// watch up, so Health compares settled state.
+func waitWatchActive(t *testing.T, f *core.Federation) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		active := true
+		for _, h := range f.Health() {
+			active = active && h.WatchActive
+		}
+		if active {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: a gateway's watch never came up: %+v", f.Home(), f.Health())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestHomeSpecMatchesConfigConstruction(t *testing.T) {
 	cfgFed, specFed, omega := buildPair(t)
 
@@ -112,6 +132,8 @@ func TestHomeSpecMatchesConfigConstruction(t *testing.T) {
 
 	stCfg := waitConnected(t, cfgFed, omega.PeerURL())
 	stSpec := waitConnected(t, specFed, omega.PeerURL())
+	waitWatchActive(t, cfgFed)
+	waitWatchActive(t, specFed)
 
 	// PeerStatus equivalence (URL and timestamps aside, which differ by
 	// construction): both links authenticated, same remote, same import
