@@ -14,6 +14,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -744,6 +745,73 @@ func BenchmarkReplicaFeedCatchUp(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}
+
+// BenchmarkRegistryResident measures what a registry holds per entry: a
+// fresh in-memory replica catches up on 1024 vsr.EntryFor device entries
+// through the replication feed (repl_watch rounds over the in-process
+// HCB1 lane, as in BenchmarkReplicaFeedCatchUp but without a WAL), and
+// resident-B/entry is the live heap the caught-up replica adds, read
+// after a collection, per entry it holds. The devices share one
+// interface, so their entries share one copy of its WSDL document and
+// the figure is each entry's own fields and index.
+func BenchmarkRegistryResident(b *testing.B) {
+	const n = 1024
+	leaderReg := uddi.NewManualServer()
+	b.Cleanup(leaderReg.Close)
+	leaderReg.SetJournalCapacity(2 * n)
+	leaderReg.SaveAll(benchDeviceEntries(b, n), time.Hour)
+	srv, err := vsr.StartServerWith("127.0.0.1:0", leaderReg, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	srv.SetBinaryEnabled(true)
+	d := transport.NewDialer(nil)
+	b.Cleanup(d.Close)
+	ctx := context.Background()
+	catchUp := func() *uddi.Server {
+		reg := uddi.NewManualServer()
+		node, err := replica.New(replica.Config{Self: "http://replica.invalid/uddi",
+			Set: []string{srv.URL()}, Registry: reg, Dialer: d})
+		if err != nil {
+			b.Fatal(err)
+		}
+		node.Follow(srv.URL())
+		for reg.Seq() < n {
+			if _, err := node.PullOnce(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return reg
+	}
+	catchUp().Close() // negotiates the binary link outside the timing
+	if p := d.ProtocolFor(srv.URL()); p != "binary" {
+		b.Fatalf("feed rode %q, want binary", p)
+	}
+	var ms runtime.MemStats
+	heap := func() int64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var resident int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := heap()
+		b.StartTimer()
+		reg := catchUp()
+		b.StopTimer()
+		resident += heap() - before
+		if reg.Len() != n {
+			b.Fatalf("replica holds %d entries, want %d", reg.Len(), n)
+		}
+		reg.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(resident)/float64(b.N*n), "resident-B/entry")
 }
 
 // BenchmarkGatewayColdStart measures a fresh gateway's first contact

@@ -111,11 +111,17 @@ func (v *VSR) SetTTL(d time.Duration) {
 // repository representation Register publishes. It is exported for the
 // inter-home peering layer (internal/core/peer), which re-registers
 // remote descriptions under home-scoped IDs without an HTTP round trip.
+//
+// As in UDDI, the interface and the address are separate parts of the
+// record: the WSDL is the interface's document with no soap:address, the
+// same text for every service of that interface, and the endpoint is the
+// entry's AccessPoint. So a registry's decoders keep one copy of each
+// interface's document, however many services publish it.
 func EntryFor(desc service.Description, endpoint string) (uddi.Entry, error) {
 	if err := desc.Validate(); err != nil {
 		return uddi.Entry{}, err
 	}
-	doc, err := wsdl.Generate(desc.Interface, endpoint)
+	doc, err := wsdl.Generate(desc.Interface, "")
 	if err != nil {
 		return uddi.Entry{}, fmt.Errorf("vsr: generate wsdl for %s: %w", desc.ID, err)
 	}
@@ -371,7 +377,7 @@ func deltaFromChange(c uddi.Change) (Delta, bool) {
 // remoteFromEntry rebuilds the service description from a UDDI entry.
 // The WSDL goes through the process-wide parse memo: every registration
 // refresh re-journals its document, and the services of one interface
-// share a parse whatever their address.
+// publish the same document (see EntryFor), so they share one parse.
 func remoteFromEntry(e uddi.Entry) (Remote, error) {
 	doc, err := wsdl.ParseShared(e.WSDL)
 	if err != nil {
@@ -395,6 +401,8 @@ func remoteFromEntry(e uddi.Entry) (Remote, error) {
 	}
 	endpoint := e.AccessPoint
 	if endpoint == "" {
+		// An entry published before EntryFor left the address out of
+		// the document may carry it only there.
 		endpoint = doc.Location
 	}
 	return Remote{Desc: desc, Endpoint: endpoint}, nil

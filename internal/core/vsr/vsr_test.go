@@ -3,11 +3,14 @@ package vsr
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"homeconnect/internal/service"
+	"homeconnect/internal/uddi"
+	"homeconnect/internal/wsdl"
 )
 
 func lampDesc() service.Description {
@@ -408,5 +411,56 @@ func TestFollowerStep(t *testing.T) {
 	step(true)
 	if n == len(want) || len(got) != n || got[len(want)] != "down " {
 		t.Fatalf("deltas after the repository died = %q, want Down once per distinct failure", got[len(want):])
+	}
+}
+
+// TestEntryForLeavesAddressToAccessPoint: the document EntryFor publishes
+// is the interface's alone — no soap:address, the same text for every
+// service of the interface — and the endpoint travels in the access
+// point. An entry published in the older located form (the address in
+// the document too, as testdata's device entries are) still resolves to
+// its access point, and to the document's address when it has none.
+func TestEntryForLeavesAddressToAccessPoint(t *testing.T) {
+	srv, v := newVSR(t)
+	ctx := context.Background()
+	a, err := EntryFor(lampDesc(), "http://10.0.0.1:8800/services/jini:lamp-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := lampDesc()
+	other.ID = "jini:lamp-2"
+	b, err := EntryFor(other, "http://10.0.0.2:8800/services/jini:lamp-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(a.WSDL, "soap:address") || a.WSDL != b.WSDL {
+		t.Fatalf("EntryFor documents differ or carry an address:\n%s\n%s", a.WSDL, b.WSDL)
+	}
+	if a.AccessPoint != "http://10.0.0.1:8800/services/jini:lamp-1" {
+		t.Errorf("access point = %q", a.AccessPoint)
+	}
+
+	it := service.Interface{Name: "Switch", Operations: []service.Operation{
+		{Name: "Set", Inputs: []service.Parameter{{Name: "on", Type: service.KindBool}}, Output: service.KindVoid},
+	}}
+	for _, tc := range []struct{ id, accessPoint, located, want string }{
+		{"dev0:d-00000", "http://127.0.0.1:9/services/dev0:d-00000", "http://127.0.0.1:9/services/dev0:d-00000", "http://127.0.0.1:9/services/dev0:d-00000"},
+		{"dev1:d-00001", "http://10.0.0.9:9/services/dev1:d-00001", "http://127.0.0.1:9/services/dev1:d-00001", "http://10.0.0.9:9/services/dev1:d-00001"},
+		{"dev2:d-00002", "", "http://127.0.0.1:9/services/dev2:d-00002", "http://127.0.0.1:9/services/dev2:d-00002"},
+	} {
+		doc, err := wsdl.Generate(it, tc.located)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Registry().Save(uddi.Entry{Key: "uuid:svc-" + tc.id, Name: tc.id, Description: tc.id,
+			AccessPoint: tc.accessPoint, TModel: "Switch", WSDL: string(doc),
+			Categories: map[string]string{catServiceID: tc.id, catMiddleware: "dev"}}, time.Hour)
+		got, err := v.Lookup(ctx, tc.id)
+		if err != nil {
+			t.Fatalf("Lookup(%s): %v", tc.id, err)
+		}
+		if got.Endpoint != tc.want || !got.Desc.Interface.Equal(it) {
+			t.Errorf("located entry %s resolved to %q with %+v, want %q", tc.id, got.Endpoint, got.Desc.Interface, tc.want)
+		}
 	}
 }

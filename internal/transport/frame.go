@@ -242,21 +242,33 @@ func responseFrame(buf []byte, s *Session, ctr uint64, resp *BinResponse) (nbuf,
 
 // readFrame reads one frame from r into buf, returning the verified
 // payload. The returned slice aliases buf. A buffer too small for the
-// frame grows as bytes arrive, by at most maxIdleFrameBuf or what it
-// already holds, so a bare header costs what it claims only up to that.
+// frame grows to at most maxIdleFrameBuf until that many payload bytes
+// have arrived, so a bare header costs what it claims only up to that;
+// once they have, it grows straight to the frame's length, so a large
+// frame costs at most two buffers, not a copy through every size between.
+// The header is read into buf too (an array of its own would escape
+// through r, an allocation per frame), so a reused buffer reads a frame
+// it can hold without allocating.
 func readFrame(r io.Reader, buf []byte) (payload, nbuf []byte, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 8 {
+		buf = make([]byte, 8)
+	}
+	buf = buf[:8]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	n := int(binary.LittleEndian.Uint32(buf[0:4]))
 	if n > maxBinFrame {
 		return nil, buf, fmt.Errorf("transport: frame length %d exceeds limit", n)
 	}
-	want := binary.LittleEndian.Uint32(hdr[4:8])
+	want := binary.LittleEndian.Uint32(buf[4:8])
 	for buf = buf[:0]; len(buf) < n; {
 		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), maxIdleFrameBuf)))
+			size := n
+			if len(buf) < maxIdleFrameBuf {
+				size = min(n, maxIdleFrameBuf)
+			}
+			buf = slices.Grow(buf, size-len(buf))
 		}
 		end := min(n, cap(buf))
 		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {

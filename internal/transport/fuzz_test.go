@@ -49,6 +49,49 @@ func TestFrameHeaderAllocatesWhatArrives(t *testing.T) {
 	}
 }
 
+// TestLargeFrameGrowsOnce: a frame far larger than maxIdleFrameBuf, read
+// into a nil buffer, costs room for its header and then two buffers —
+// the bounded one its first maxIdleFrameBuf bytes arrive in, then one of
+// the frame's length — not a copy through every size between; read
+// again into the buffer it returned, it costs nothing.
+func TestLargeFrameGrowsOnce(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xa5}, 338<<10)
+	frame := appendFrame(nil, payload)
+	var rd bytes.Reader
+	var buf, got []byte
+	read := func() {
+		rd.Reset(frame)
+		p, nbuf, err := readFrame(&rd, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = p
+		buf = nbuf[:0]
+	}
+	fresh := func() { buf = nil; read() }
+	// The race detector's instrumentation makes slices.Grow allocate the
+	// zeroed slice it appends, so the nil-buffer counts hold only without it.
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(10, fresh); allocs > 3 {
+			t.Errorf("reading a %d KiB frame into a nil buffer allocated %.0f times, want the header and at most 2 buffers", len(payload)>>10, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fresh()
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(payload)+maxIdleFrameBuf+16<<10); grew > bound {
+			t.Errorf("reading a %d KiB frame allocated %d KiB, want at most %d KiB", len(payload)>>10, grew>>10, bound>>10)
+		}
+	}
+	fresh()
+	if !bytes.Equal(got, payload) {
+		t.Error("payload read back differs")
+	}
+	if allocs := testing.AllocsPerRun(10, read); allocs != 0 {
+		t.Errorf("reading a frame into a buffer that holds it allocated %.0f times, want 0", allocs)
+	}
+}
+
 // FuzzBinConn: arbitrary bytes are one connection's inbound stream into
 // an anonymous BinServer — the bytes any host can send before, during
 // and after a handshake. The server must not panic, and ServeConn must

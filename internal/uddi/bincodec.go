@@ -20,6 +20,8 @@ import (
 	"net/http"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"homeconnect/internal/service"
@@ -94,23 +96,89 @@ func appendBinEntry(b []byte, e *Entry) []byte {
 // record's remaining bytes could hold at that size.
 const minBinEntry = 7
 
+// decodeBinEntry reads one entry. The strings that repeat across
+// entries (the interface's tModel and WSDL, the category keys) come from
+// the intern table, so a registry of many services of one interface
+// holds one copy of its document.
 func decodeBinEntry(r *walReader) Entry {
 	var e Entry
 	e.Key = r.str()
 	e.Name = r.str()
 	e.Description = r.str()
 	e.AccessPoint = r.str()
-	e.TModel = r.str()
-	e.WSDL = r.str()
+	e.TModel = r.shared()
+	e.WSDL = r.shared()
 	ncats := r.count()
 	if ncats > 0 {
 		e.Categories = make(map[string]string, ncats)
 		for i := 0; i < ncats; i++ {
-			k := r.str()
+			k := r.shared()
 			e.Categories[k] = r.str()
 		}
 	}
 	return e
+}
+
+// interned keeps one copy of each string that repeats across registry
+// entries. Every service of an interface publishes the same document
+// (vsr.EntryFor leaves the address to the access point), so a registry
+// of N devices decodes one ~1 KB text N times; the decoders file every
+// entry with the table's copy and drop the decoded bytes. The table is
+// process-wide, so a registry's saves, WAL replay, snapshot load and
+// replica feed, and a client's pages and watch rounds, all share it. It
+// is bounded by reset, like the wsdl memos: a home holds few interfaces,
+// so blowing the cap means churn, not a working set worth keeping. The
+// cap counts bytes as well as strings, so documents a peer sends and then
+// deletes pin at most maxInternedBytes (plus the one string that
+// overflowed it).
+var interned struct {
+	mu    sync.Mutex
+	m     map[string]string
+	bytes int
+}
+
+const (
+	maxInterned      = 1024
+	maxInternedBytes = 4 << 20
+)
+
+// intern returns the table's copy of b's text, adding one on a miss. A
+// hit allocates nothing.
+func intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	interned.mu.Lock()
+	defer interned.mu.Unlock()
+	if s, ok := interned.m[string(b)]; ok {
+		return s
+	}
+	return internAdd(string(b))
+}
+
+// internString is intern for a string a decoder already holds; a miss
+// files a copy, so the table pins no larger buffer s may point into.
+func internString(s string) string {
+	if s == "" {
+		return ""
+	}
+	interned.mu.Lock()
+	defer interned.mu.Unlock()
+	if v, ok := interned.m[s]; ok {
+		return v
+	}
+	return internAdd(strings.Clone(s))
+}
+
+// internAdd files s, first emptying a full table. Caller holds
+// interned.mu.
+func internAdd(s string) string {
+	if interned.m == nil || len(interned.m) >= maxInterned || interned.bytes+len(s) > maxInternedBytes {
+		interned.m, interned.bytes = make(map[string]string), 0
+	}
+	interned.m[s] = s
+	interned.bytes += len(s)
+	return s
 }
 
 // count reads an element count. Every element takes at least one byte,

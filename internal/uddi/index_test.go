@@ -66,12 +66,15 @@ func checkPostings(t *testing.T, s *Server) {
 		}
 		for p, set := range want {
 			got := sh.postings[p]
-			if len(got) != len(set) {
-				t.Errorf("shard %d: posting %q=%q holds %d records, want %d", i, p.key, p.value, len(got), len(set))
+			if (got.rec == nil) == (got.more == nil) {
+				t.Errorf("shard %d: posting %q=%q holds a record inline and a map both or neither", i, p.key, p.value)
+			}
+			if got.len() != len(set) {
+				t.Errorf("shard %d: posting %q=%q holds %d records, want %d", i, p.key, p.value, got.len(), len(set))
 				continue
 			}
 			for key, rec := range set {
-				if got[key] != rec {
+				if got.rec != nil && (got.key != key || got.rec != rec) || got.more != nil && got.more[key] != rec {
 					t.Errorf("shard %d: posting %q=%q has a stale record for %s", i, p.key, p.value, key)
 				}
 			}

@@ -103,14 +103,48 @@ type shard struct {
 	mu      sync.RWMutex
 	entries map[string]*record
 	// postings maps each category pair carried by some entry to the
-	// records carrying it, keyed by service key — what lets Find probe a
-	// handful of candidates instead of reading every entry.
-	postings map[catPair]map[string]*record
+	// records carrying it — what lets Find probe a handful of candidates
+	// instead of reading every entry.
+	postings map[catPair]posting
 }
 
 // catPair is one category (key, value). A struct, not a joined string,
 // so no byte in a key or value can make two pairs collide.
 type catPair struct{ key, value string }
+
+// posting is the set of records carrying one category pair. Most pairs
+// belong to one record (a device's own service ID), so the first record
+// is held inline under its service key, and a map keyed by service key
+// holds the set once a second record arrives. Exactly one of rec and
+// more is set.
+type posting struct {
+	key  string
+	rec  *record
+	more map[string]*record
+}
+
+func (p posting) len() int {
+	if p.more != nil {
+		return len(p.more)
+	}
+	if p.rec != nil {
+		return 1
+	}
+	return 0
+}
+
+// all yields every record in the posting.
+func (p posting) all(yield func(*record) bool) {
+	if p.rec != nil {
+		yield(p.rec)
+		return
+	}
+	for _, rec := range p.more {
+		if !yield(rec) {
+			return
+		}
+	}
+}
 
 type record struct {
 	entry   Entry
@@ -132,13 +166,18 @@ func (sh *shard) put(rec *record) {
 	}
 	sh.entries[key] = rec
 	for k, v := range rec.entry.Categories {
-		p := catPair{k, v}
-		set := sh.postings[p]
-		if set == nil {
-			set = make(map[string]*record, 1)
-			sh.postings[p] = set
+		pair := catPair{k, v}
+		p := sh.postings[pair]
+		switch {
+		case p.more != nil:
+			p.more[key] = rec
+		case p.rec == nil || p.key == key:
+			p.key, p.rec = key, rec
+		default:
+			p.more = map[string]*record{p.key: p.rec, key: rec}
+			p.key, p.rec = "", nil
 		}
-		set[key] = rec
+		sh.postings[pair] = p
 	}
 }
 
@@ -155,12 +194,17 @@ func (sh *shard) remove(key string) (*record, bool) {
 	return rec, ok
 }
 
-// unpost drops key from p's posting, and the posting once it is empty.
-func (sh *shard) unpost(p catPair, key string) {
-	set := sh.postings[p]
-	delete(set, key)
-	if len(set) == 0 {
-		delete(sh.postings, p)
+// unpost drops key from the pair's posting, and the posting once it is
+// empty.
+func (sh *shard) unpost(pair catPair, key string) {
+	p := sh.postings[pair]
+	if p.more != nil {
+		delete(p.more, key)
+	} else if p.key == key {
+		p.rec = nil
+	}
+	if p.len() == 0 {
+		delete(sh.postings, pair)
 	}
 }
 
@@ -168,7 +212,7 @@ func (sh *shard) unpost(p catPair, key string) {
 // server exclusively, as at construction).
 func (sh *shard) reset() {
 	sh.entries = make(map[string]*record)
-	sh.postings = make(map[catPair]map[string]*record)
+	sh.postings = make(map[catPair]posting)
 }
 
 // candidates returns the records that can satisfy q: the smallest posting
@@ -176,13 +220,13 @@ func (sh *shard) reset() {
 // an empty value also matches entries lacking the key (see Query.Matches),
 // so it narrows nothing. Caller holds sh.mu for reading and still decides
 // each candidate with Matches.
-func (sh *shard) candidates(q Query) map[string]*record {
-	cands := sh.entries
+func (sh *shard) candidates(q Query) posting {
+	cands := posting{more: sh.entries}
 	for k, v := range q.Categories {
 		if v == "" {
 			continue
 		}
-		if p := sh.postings[catPair{k, v}]; len(p) < len(cands) {
+		if p := sh.postings[catPair{k, v}]; p.len() < cands.len() {
 			cands = p
 		}
 	}
@@ -581,7 +625,7 @@ func (s *Server) Find(q Query) []Entry {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, rec := range sh.candidates(q) {
+		for rec := range sh.candidates(q).all {
 			if now.After(rec.expires) {
 				continue
 			}

@@ -14,14 +14,17 @@ import (
 	"time"
 )
 
-// deviceWSDL is the WSDL vsr.EntryFor generates for a one-operation
-// Switch interface published at endpoint: the bulk of a device entry.
+// deviceWSDL is the legacy located form of a device entry's WSDL: the
+// one-operation Switch interface with the service's own endpoint in its
+// soap:address, as vsr.EntryFor published it before the address moved
+// to the access point alone. The golden files hold these bytes, and
+// located entries must still decode and resolve as they did.
 const deviceWSDL = `<?xml version="1.0" encoding="UTF-8"?>
 <definitions name="Switch" targetNamespace="urn:homeconnect:iface:Switch" xmlns="http://schemas.xmlsoap.org/wsdl/" xmlns:tns="urn:homeconnect:iface:Switch" xmlns:soap="http://schemas.xmlsoap.org/wsdl/soap/" xmlns:xsd="http://www.w3.org/2001/XMLSchema"><message name="SetInput"><part name="on" type="xsd:boolean"/></message><message name="SetOutput"></message><portType name="Switch"><operation name="Set"><input message="tns:SetInput"/><output message="tns:SetOutput"/></operation></portType><binding name="SwitchSoapBinding" type="tns:Switch"><soap:binding style="rpc" transport="http://schemas.xmlsoap.org/soap/http"/><operation name="Set"><soap:operation soapAction="urn:homeconnect:iface:Switch#Set"/><input><soap:body use="encoded" namespace="urn:homeconnect:iface:Switch"/></input><output><soap:body use="encoded" namespace="urn:homeconnect:iface:Switch"/></output></operation></binding><service name="Switch"><port name="SwitchPort" binding="tns:SwitchSoapBinding"><soap:address location="%s"/></port></service></definitions>`
 
-// deviceEntry is device i as a gateway registers it: the entry shape
-// (and, at ~1.3 KB encoded, the size) vsr.EntryFor builds for the
-// benchmark's switch devices.
+// deviceEntry is device i as a gateway registered it in the located
+// form: the entry shape (and, at ~1.3 KB encoded, the size) of the
+// benchmark's switch devices, each with its own copy of the document.
 func deviceEntry(i int) Entry {
 	id := fmt.Sprintf("dev%d:d-%05d", i%8, i)
 	endpoint := "http://127.0.0.1:9/services/" + id

@@ -961,40 +961,33 @@ func (r *walReader) uvarint() uint64 {
 	return v
 }
 
-func (r *walReader) str() string {
+// raw reads a length-prefixed string's bytes, valid until the next read.
+func (r *walReader) raw() []byte {
 	n := int(r.uvarint())
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n < 0 || n > r.rest() {
 		r.err = fmt.Errorf("uddi: string length %d out of range", n)
-		return ""
+		return nil
 	}
 	if r.fill(n); r.err != nil {
-		return ""
+		return nil
 	}
-	v := string(r.b[r.off : r.off+n])
+	v := r.b[r.off : r.off+n]
 	r.off += n
 	return v
 }
 
+func (r *walReader) str() string { return string(r.raw()) }
+
+// shared reads a string that repeats across entries, returning the
+// intern table's copy of it.
+func (r *walReader) shared() string { return intern(r.raw()) }
+
 func decodeWALEntry(r *walReader) (Entry, time.Time) {
 	expMS := r.uvarint()
-	var e Entry
-	e.Key = r.str()
-	e.Name = r.str()
-	e.Description = r.str()
-	e.AccessPoint = r.str()
-	e.TModel = r.str()
-	e.WSDL = r.str()
-	ncats := r.count()
-	if ncats > 0 {
-		e.Categories = make(map[string]string, ncats)
-		for i := 0; i < ncats; i++ {
-			k := r.str()
-			e.Categories[k] = r.str()
-		}
-	}
+	e := decodeBinEntry(r)
 	var exp time.Time
 	if expMS != 0 {
 		exp = time.UnixMilli(int64(expMS))

@@ -471,24 +471,26 @@ func entryToXML(w *xmltree.Writer, e Entry) {
 	w.Close()
 }
 
-// entryFromXML parses a <service> element. A save of an entry without a
-// name is refused by serve, whichever wire it came over.
+// entryFromXML parses a <service> element, taking the strings that
+// repeat across entries from the intern table as decodeBinEntry does. A
+// save of an entry without a name is refused by serve, whichever wire it
+// came over.
 func entryFromXML(svc *xmltree.Element) Entry {
 	e := Entry{
 		Key:         svc.Attr("serviceKey"),
 		Name:        svc.Attr("name"),
 		AccessPoint: svc.Attr("accessPoint"),
-		TModel:      svc.Attr("tModel"),
+		TModel:      internString(svc.Attr("tModel")),
 		Description: svc.ChildText("description"),
 	}
 	for _, c := range svc.All("category") {
 		if e.Categories == nil {
 			e.Categories = make(map[string]string)
 		}
-		e.Categories[c.Attr("keyName")] = c.Attr("keyValue")
+		e.Categories[internString(c.Attr("keyName"))] = c.Attr("keyValue")
 	}
 	if wel := svc.Child("wsdl"); wel != nil {
-		e.WSDL = wel.Text
+		e.WSDL = internString(wel.Text)
 	}
 	return e
 }

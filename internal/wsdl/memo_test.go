@@ -25,11 +25,12 @@ func sameParse(t *testing.T, m *memo, text string) {
 
 // withLocation replaces the value of text's last location attribute.
 func withLocation(text, loc string) string {
-	i := strings.LastIndex(text, locationAttr)
+	const attr = `location="`
+	i := strings.LastIndex(text, attr)
 	if i < 0 {
 		return text
 	}
-	start := i + len(locationAttr)
+	start := i + len(attr)
 	end := strings.IndexByte(text[start:], '"')
 	if end < 0 {
 		return text
@@ -39,31 +40,42 @@ func withLocation(text, loc string) string {
 
 func TestMemoSharesOneParsePerInterface(t *testing.T) {
 	var m memo
-	it := vcrInterface()
-	for _, loc := range []string{"http://10.0.0.1:80/services/havi:vcr-1", "http://10.0.0.2:80/services/havi:vcr-2", ""} {
-		doc, err := Generate(it, loc)
+	// Every service of an interface publishes the same address-less
+	// document, so however many parse it, the memo holds one entry.
+	for _, it := range []service.Interface{vcrInterface(), vcrInterface(), switchInterface()} {
+		doc, err := Generate(it, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameParse(t, &m, string(doc))
 	}
-	// Two addresses share one entry; the address-less document, which
-	// cannot be split, is memoized whole.
 	if n := len(m.docs); n != 2 {
 		t.Errorf("memo holds %d documents, want 2", n)
 	}
-	a, _ := Generate(it, "http://10.0.0.1:80/a")
-	b, _ := Generate(it, "http://10.0.0.2:80/b")
-	da, _ := m.parse(string(a))
-	db, _ := m.parse(string(b))
-	if da.Location != "http://10.0.0.1:80/a" || db.Location != "http://10.0.0.2:80/b" {
-		t.Errorf("hits returned locations %q and %q", da.Location, db.Location)
+	// A document that still carries its address is memoized whole: a hit
+	// returns that document's own location.
+	a, _ := Generate(vcrInterface(), "http://10.0.0.1:80/a")
+	b, _ := Generate(vcrInterface(), "http://10.0.0.2:80/b")
+	for i := 0; i < 2; i++ {
+		da, _ := m.parse(string(a))
+		db, _ := m.parse(string(b))
+		if da.Location != "http://10.0.0.1:80/a" || db.Location != "http://10.0.0.2:80/b" {
+			t.Errorf("parses returned locations %q and %q", da.Location, db.Location)
+		}
+	}
+	if n := len(m.docs); n != 4 {
+		t.Errorf("memo holds %d documents, want 4", n)
+	}
+	// A failed parse is not memoized.
+	sameParse(t, &m, "<definitions")
+	if n := len(m.docs); n != 4 {
+		t.Errorf("memo holds %d documents after a failed parse, want 4", n)
 	}
 }
 
-// TestMemoDoesNotAliasLookalikes: text that looks like a location
-// attribute but is not the address must not become the memo's split
-// point, so documents that differ there do not share an entry.
+// TestMemoDoesNotAliasLookalikes: documents that differ only inside
+// text resembling a location attribute, or only in their address, must
+// not share an entry.
 func TestMemoDoesNotAliasLookalikes(t *testing.T) {
 	var m memo
 	doc, err := Generate(vcrInterface(), "http://10.0.0.1:80/services/havi:vcr-1")
@@ -91,8 +103,7 @@ func TestMemoDoesNotAliasLookalikes(t *testing.T) {
 			sameParse(t, &m, string(d))
 		}
 	}
-	// A location the memo cannot split (an escaped ampersand) parses
-	// exactly as Parse does.
+	// An escaped location parses exactly as Parse does.
 	sameParse(t, &m, withLocation(plain, "http://h/s?a=1&amp;b=2"))
 }
 
